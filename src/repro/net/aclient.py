@@ -1,81 +1,43 @@
-"""Asyncio crawl client: the :class:`~repro.net.client.HttpClient`
-retry/backoff/countermeasure loop over an async transport.
+"""Asyncio crawl client: a second driver for the sans-IO decision loop.
 
-``AsyncHttpClient`` mirrors the sync client decision-for-decision —
-429 wait budgets and jitter, 5xx/timeout/malformed retry schedules,
-401 re-login bounded by :data:`~repro.net.client.MAX_AUTH_RETRIES`,
-anti-bot ban rotation, circuit-breaker accounting, token-bucket pacing
-— so a campaign driven through it lands on the same snapshot digest.
-The differences are exactly the ones asyncio forces:
+``AsyncHttpClient`` decides nothing itself: every retry, back-off,
+re-login, ban-rotation, breaker, and accounting decision comes from the
+generator it shares with the sync client
+(:meth:`~repro.net.client.ClientCore._exchange`), so a campaign driven
+through either lands on the same snapshot digest.  The driver owns only
+what asyncio forces:
 
-* The transport is awaited (``await transport.send(request)``); an
-  object with an async ``send`` method, usually an
-  :class:`~repro.net.transport.AsyncSocketTransport` pool or an
-  :class:`~repro.net.transport.AsyncInProcessTransport` wrapper.
-* Auth single-flight uses an :class:`asyncio.Lock` instead of the
-  credential manager's threading lock — coroutines sharing one loop
-  must never block the thread they all run on.
-* ``CancelledError`` is classified: a request torn down mid-flight
-  increments ``stats.cancelled`` and re-raises.  It is *not* a retry
-  and *not* a failure — without the classification a cancelled await
-  inside the retry loop would be indistinguishable from transport
-  trouble and double-counted when the engine shuts lanes down.
-* Observability records the request-wall and backoff histograms plus
-  countermeasure events, but no spans: the span tracer's stack is
-  thread-local, and interleaved coroutines on one loop thread would
-  mis-nest parents.  (The thread engine keeps full span coverage.)
+* I/O — each yielded request is awaited on ``transport.send``, usually
+  an :class:`~repro.net.transport.AsyncSocketTransport` pool or an
+  :class:`~repro.net.transport.AsyncInProcessTransport` wrapper;
+* the lock type — auth single-flight holds an :class:`asyncio.Lock`,
+  never the credential manager's threading lock, which would block the
+  loop thread every lane shares;
+* cancellation — a request torn down mid-flight counts in
+  ``stats.cancelled`` and re-raises; it is not a retry or a failure.
 
-What the async client adds over the sync one is **intra-lane
-pipelining**: :meth:`get_json_many` / :meth:`get_bytes_many` run a
-batch of requests with up to ``depth`` in flight at once and return
-results in submission order (exceptions in place, so callers classify
-per item).  A thread-engine lane is structurally one-request-in-flight;
-this is where the asyncio engine's throughput win comes from.
+Observability records the request-wall and backoff histograms and the
+loop's countermeasure events, but no spans: the tracer's span stack is
+thread-local, and interleaved coroutines would mis-nest it.  Async
+spans wait for a ``contextvars`` span stack.
 
-Pipelining keeps the digest oracle only on *polite* traffic: fault
-injection, quotas, and hostility screening key on server-side request
-ordinals, which concurrent in-flight requests reorder.  The
-coordinator enforces depth 1 for journaled, hostile, and quota-bound
-work (see :mod:`repro.crawler.crawler`).
+The async driver adds **intra-lane pipelining**: :meth:`get_json_many`
+/ :meth:`get_bytes_many` keep up to ``depth`` requests in flight and
+return results in submission order (exceptions in place).  That keeps
+the digest oracle only on *polite* traffic — fault injection, quotas,
+and hostility screening key on server-side request ordinals, which
+concurrent requests reorder — so the coordinator enforces depth 1 for
+journaled, hostile, and quota-bound work (:mod:`repro.crawler.crawler`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
-from repro.net import wire
-from repro.net.client import (
-    MAX_AUTH_RETRIES,
-    RATE_LIMIT_JITTER_MAX,
-    ClientStats,
-)
-from repro.net.http import (
-    HTTP_FORBIDDEN,
-    HTTP_NOT_FOUND,
-    HTTP_SERVER_ERROR,
-    HTTP_TIMEOUT,
-    HTTP_TOO_MANY_REQUESTS,
-    HTTP_UNAUTHORIZED,
-    AuthError,
-    ForbiddenError,
-    MalformedPayloadError,
-    NotFoundError,
-    RateLimitedError,
-    Request,
-    RequestTimeoutError,
-    Response,
-    ServerError,
-)
-from repro.net.retry import RetryPolicy
-from repro.util.rng import stable_hash32
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.breaker import CircuitBreaker
-    from repro.net.credentials import CredentialManager
-    from repro.net.identity import IdentityPool
-    from repro.obs import LaneObs
+from repro.net.client import ClientCore, TokenNeeded
+from repro.net.http import Response
 
 __all__ = ["AsyncHttpClient", "DEFAULT_PIPELINE_DEPTH"]
 
@@ -83,107 +45,20 @@ __all__ = ["AsyncHttpClient", "DEFAULT_PIPELINE_DEPTH"]
 DEFAULT_PIPELINE_DEPTH = 8
 
 
-class AsyncHttpClient:
+class AsyncHttpClient(ClientCore):
     """The retrying crawl client, asyncio edition.
 
-    Constructor parameters match :class:`~repro.net.client.HttpClient`
-    except the first: ``transport`` is an object with
-    ``async send(Request) -> Response`` rather than a sync callable.
+    ``transport`` is an object with ``async send(Request) -> Response``;
+    the remaining parameters are
+    :class:`~repro.net.client.ClientCore`'s, as for the sync client.
     """
 
-    def __init__(
-        self,
-        transport,
-        clock,
-        retry_policy: Optional[RetryPolicy] = None,
-        max_rate_limit_waits: int = 2,
-        max_rate_limit_wait: Optional[float] = None,
-        pacer=None,
-        jitter_key: str = "",
-        breaker: Optional["CircuitBreaker"] = None,
-        credentials: Optional["CredentialManager"] = None,
-        identities: Optional["IdentityPool"] = None,
-        auth_path: str = "/login",
-        obs: Optional["LaneObs"] = None,
-    ):
+    def __init__(self, transport, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._transport = transport
-        self._clock = clock
-        self._retry_policy = retry_policy or RetryPolicy()
-        self._max_rate_limit_waits = max_rate_limit_waits
-        self._max_rate_limit_wait = max_rate_limit_wait
-        self._pacer = pacer
-        self._jitter_key = jitter_key
-        self.breaker = breaker
-        self.credentials = credentials
-        self.identities = identities
-        self._auth_path = auth_path
-        self.obs = obs
-        self.stats = ClientStats()
         self._auth_lock = asyncio.Lock()
 
-    # -- shared mechanics (mirrors of the sync client) ---------------------
-
-    def _sleep(self, duration: float) -> None:
-        """Advance simulated lane time; instantaneous in wall time."""
-        self._clock.advance(duration)
-        self.stats.sim_days_slept += duration
-
-    def _jittered(self, base: float) -> float:
-        roll = stable_hash32("rl-jitter", self._jitter_key, self.stats.requests) % 1000
-        return base * (1.0 + RATE_LIMIT_JITTER_MAX * roll / 1000.0)
-
-    def _event(self, name: str, **attrs: object) -> None:
-        obs = self.obs
-        if obs is not None and obs.tracer is not None:
-            obs.tracer.event(
-                name, market=obs.market, sim_time=self._clock.now, **attrs
-            )
-
-    async def _build_request(self, path: str, params: dict) -> Request:
-        now = self._clock.now
-        headers = {"x-sim-time": repr(now)}
-        if self.identities is not None:
-            identity, rotated = self.identities.checkout(now)
-            if rotated:
-                self.stats.identity_rotations += 1
-                self._event("identity.rotate", reason="checkout",
-                            identity=identity.ip)
-            headers.update(identity.headers())
-        if self.credentials is not None and path != self._auth_path:
-            headers["authorization"] = await self._ensure_token(now)
-        return Request(path=path, params=params, headers=headers)
-
-    async def _ensure_token(self, now: float) -> str:
-        """A valid session token, logging in when needed (single-flight).
-
-        The asyncio lock plays the role the credential manager's
-        threading lock plays for the sync client: concurrent pipelined
-        requests on an expired token elect one login; the rest await it
-        and reuse the installed token.
-        """
-        creds = self.credentials
-        async with self._auth_lock:
-            token = creds.token_if_valid(now)
-            if token is not None:
-                return token
-            refreshing = creds.ever_logged_in
-            resp = await self._request(self._auth_path, None)
-            payload = resp.json
-            if payload is None and resp.body is not None and wire.is_wire(resp.body):
-                payload = wire.decode(resp.body)
-            token = payload["token"]
-            creds.install(token, float(payload["ttl"]), self._clock.now)
-            self.stats.logins += 1
-            if refreshing:
-                self.stats.token_refreshes += 1
-            self._event("auth.login", refresh=refreshing)
-            return token
-
-    # -- the retry loop ----------------------------------------------------
-
-    async def request(
-        self, path: str, params: Optional[Mapping[str, Any]] = None
-    ) -> Response:
+    async def request(self, path: str, params: Optional[Mapping[str, Any]] = None) -> Response:
         """Issue one logical request; raises as the sync client does.
 
         ``asyncio.CancelledError`` additionally lands in
@@ -194,169 +69,50 @@ class AsyncHttpClient:
         try:
             if self.obs is None:
                 return await self._request(path, params)
-            return await self._observed_request(path, params)
+            slept0 = self.stats.sim_days_slept
+            start = time.perf_counter()
+            try:
+                return await self._request(path, params)
+            finally:
+                self._observe(time.perf_counter() - start,
+                              self.stats.sim_days_slept - slept0)
         except asyncio.CancelledError:
             self.stats.cancelled += 1
             raise
 
-    async def _observed_request(
-        self, path: str, params: Optional[Mapping[str, Any]]
-    ) -> Response:
-        """Histogram-recording wrapper (no spans; see module docstring)."""
-        obs = self.obs
-        stats = self.stats
-        slept0 = stats.sim_days_slept
-        start = time.perf_counter()
-        try:
-            return await self._request(path, params)
-        finally:
-            if obs.hist_request is not None:
-                obs.hist_request.observe(time.perf_counter() - start)
-                backoff = stats.sim_days_slept - slept0
-                if backoff > 0:
-                    obs.hist_backoff.observe(backoff)
-
-    async def _request(
-        self, path: str, params: Optional[Mapping[str, Any]]
-    ) -> Response:
-        if self.breaker is not None:
-            try:
-                self.breaker.before_request()
-            except Exception:
-                self.stats.failures += 1
-                self.stats.breaker_fast_fails += 1
-                raise
-        base_params = dict(params or {})
-        rate_limit_waits = 0
-        ban_waits = 0
-        transient_retries = 0
-        auth_retries = 0
+    async def _request(self, path: str, params: Optional[Mapping[str, Any]]) -> Response:
+        """Drive the decision loop over the transport."""
+        steps = self._exchange(path, params)
+        reply = None
         while True:
-            if self._pacer is not None:
-                pace = self._pacer()
-                if pace > 0:
-                    self._sleep(pace)
-            req = await self._build_request(path, base_params)
-            self.stats.requests += 1
-            resp = await self._transport.send(req)
-            if resp.ok:
-                if self.breaker is not None:
-                    self.breaker.record_success()
-                return resp
-            if resp.status == HTTP_NOT_FOUND:
-                self.stats.not_found += 1
-                if self.breaker is not None:
-                    self.breaker.record_success()  # a 404 is a live server
-                raise NotFoundError(path)
-            if resp.status == HTTP_UNAUTHORIZED:
-                if self.credentials is None or auth_retries >= MAX_AUTH_RETRIES:
-                    raise self._give_up(AuthError(path))
-                auth_retries += 1
-                self.credentials.invalidate()
-                continue  # the next attempt re-logs-in
-            if resp.status == HTTP_FORBIDDEN:
-                if resp.retry_after is None:
-                    if self.breaker is not None:
-                        self.breaker.record_success()
-                    raise ForbiddenError(path)
-                self.stats.bans_hit += 1
-                self._event("ban.hit", path=path, retry_after=resp.retry_after)
-                pool = self.identities
-                if pool is None:
-                    raise self._ban_abort(path, resp.retry_after)
-                now = self._clock.now
-                pool.ban_current(now, resp.retry_after)
-                if self._rotate_off_ban(now):
-                    continue
-                wait = pool.earliest_release(now)
-                if wait is None:
-                    continue  # a ban lapsed already; retry in place
-                if (
-                    self._max_rate_limit_wait is not None
-                    and wait > self._max_rate_limit_wait
-                ) or ban_waits >= self._max_rate_limit_waits:
-                    raise self._ban_abort(path, resp.retry_after)
-                ban_waits += 1
-                self._sleep(self._jittered(wait))
-                self._rotate_off_ban(self._clock.now)
-                continue
-            if resp.status == HTTP_TOO_MANY_REQUESTS:
-                self.stats.rate_limited += 1
-                wait = resp.retry_after if resp.retry_after else 1.0 / 24
-                if self._max_rate_limit_wait is not None and wait > self._max_rate_limit_wait:
-                    raise self._rate_limit_abort(path, resp.retry_after)
-                if rate_limit_waits >= self._max_rate_limit_waits:
-                    raise self._rate_limit_abort(path, resp.retry_after)
-                rate_limit_waits += 1
-                self._sleep(self._jittered(wait))
-                continue
-            if resp.status == HTTP_TIMEOUT:
-                self.stats.timeouts += 1
-                if transient_retries >= self._retry_policy.max_retries:
-                    raise self._give_up(RequestTimeoutError(path))
-                transient_retries += 1
-                self.stats.retries += 1
-                self._sleep(self._retry_policy.delay(transient_retries))
-                continue
-            if resp.malformed:
-                self.stats.malformed += 1
-                if transient_retries >= self._retry_policy.max_retries:
-                    raise self._give_up(MalformedPayloadError(path))
-                transient_retries += 1
-                self.stats.retries += 1
-                self._sleep(self._retry_policy.delay(transient_retries))
-                continue
-            if resp.status >= HTTP_SERVER_ERROR:
-                if transient_retries >= self._retry_policy.max_retries:
-                    raise self._give_up(ServerError(path))
-                transient_retries += 1
-                self.stats.retries += 1
-                self._sleep(self._retry_policy.delay(transient_retries))
-                continue
-            raise self._give_up(ServerError(path))
+            try:
+                step = steps.send(reply)
+            except StopIteration as done:
+                return done.value
+            if step.__class__ is TokenNeeded:
+                reply = await self._token(step.now)
+            else:
+                reply = await self._transport.send(step)
 
-    def _rotate_off_ban(self, now: float) -> bool:
-        if self.identities is not None and self.identities.rotate_to_available(now):
-            self.stats.identity_rotations += 1
-            self._event("identity.rotate", reason="ban",
-                        identity=self.identities.current.ip)
-            return True
-        return False
+    async def _token(self, now: float) -> str:
+        """A session token valid at ``now``, logging in single-flight.
 
-    def _give_up(self, exc: Exception) -> Exception:
-        self.stats.failures += 1
-        if self.breaker is not None:
-            self.breaker.record_failure()
-        return exc
+        Concurrent pipelined requests on an expired token elect one
+        login; the rest await the lock and reuse the installed token.
+        """
+        async with self._auth_lock:
+            token = self.credentials.token_if_valid(now)
+            if token is None:
+                token = self._install_token(await self._request(self._auth_path, None))
+            return token
 
-    def _rate_limit_abort(self, path: str, retry_after: Optional[float]) -> Exception:
-        self.stats.failures += 1
-        self.stats.rate_limit_aborts += 1
-        return RateLimitedError(path, retry_after)
-
-    def _ban_abort(self, path: str, retry_after: float) -> Exception:
-        self.stats.failures += 1
-        return ForbiddenError(path, retry_after)
-
-    # -- payload helpers ---------------------------------------------------
-
-    async def get_json(
-        self, path: str, params: Optional[Mapping[str, Any]] = None
-    ) -> Any:
+    async def get_json(self, path: str, params: Optional[Mapping[str, Any]] = None) -> Any:
         """Request and return the payload (binary wire decoded)."""
-        resp = await self.request(path, params)
-        if resp.json is None and resp.body is not None and wire.is_wire(resp.body):
-            return wire.decode(resp.body)
-        return resp.json
+        return self._payload(await self.request(path, params))
 
-    async def get_bytes(
-        self, path: str, params: Optional[Mapping[str, Any]] = None
-    ) -> bytes:
+    async def get_bytes(self, path: str, params: Optional[Mapping[str, Any]] = None) -> bytes:
         """Request and return the binary body."""
-        body = (await self.request(path, params)).body
-        if body is None:
-            raise ServerError(path)
-        return body
+        return self._body(path, await self.request(path, params))
 
     # -- pipelining --------------------------------------------------------
 

@@ -23,6 +23,14 @@ additionally:
   the earliest release — and transparently decodes binary wire payloads
   in :meth:`get_json`.
 
+Sans-IO: every decision lives in one generator,
+:meth:`ClientCore._exchange`, which yields each attempt's ``Request``
+(and is sent its ``Response``) or a :class:`TokenNeeded` step (and is
+sent a token).  Back-off advances the simulated clock, so it stays in
+the generator.  Drivers own the I/O, the login lock, and cancellation:
+:class:`HttpClient` here, :class:`~repro.net.aclient.AsyncHttpClient`
+over asyncio.
+
 Jitter: a fleet of identical clients sleeping exactly ``retry_after``
 wakes up in lockstep and re-synchronizes the very storm the 429s were
 shedding.  Every rate-limit sleep is therefore stretched by a
@@ -34,7 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, fields, replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Mapping, NamedTuple, Optional
 
 from repro.net import wire
 from repro.net.http import (
@@ -64,7 +72,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.identity import IdentityPool
     from repro.obs import LaneObs
 
-__all__ = ["HttpClient", "ClientStats", "RATE_LIMIT_JITTER_MAX", "MAX_AUTH_RETRIES"]
+__all__ = ["ClientCore", "HttpClient", "ClientStats", "TokenNeeded",
+           "RATE_LIMIT_JITTER_MAX", "MAX_AUTH_RETRIES"]
 
 #: Upper bound of the multiplicative jitter applied to rate-limit sleeps.
 RATE_LIMIT_JITTER_MAX = 0.25
@@ -92,9 +101,8 @@ class ClientStats:
     ``cancelled`` counts logical requests torn down mid-flight by
     cooperative cancellation (the asyncio engine shutting a lane down).
     A cancelled request is *neither* a retry nor a failure — the caller
-    asked for it to stop, the server did nothing wrong — so the async
-    client classifies ``CancelledError`` here and re-raises instead of
-    letting it fall into the transient-retry accounting.
+    asked for it to stop.  Cancellation is I/O, so the shared decision
+    loop never sees it: the async driver counts it here and re-raises.
 
     The hostility counters record countermeasure work: ``logins``
     (session tokens obtained, first login included), ``token_refreshes``
@@ -143,13 +151,20 @@ class ClientStats:
         return cls(**{k: v for k, v in state.items() if k in known})  # type: ignore[arg-type]
 
 
-class HttpClient:
-    """A retrying client bound to one server endpoint.
+class TokenNeeded(NamedTuple):
+    """A decision-loop step: the driver answers with a token valid at ``now``."""
+
+    now: float
+
+
+class ClientCore:
+    """Everything a crawl client decides, with no I/O of its own.
+
+    Drivers subclass it, take their I/O endpoint as the first
+    constructor argument, and pass the rest through.
 
     Parameters
     ----------
-    handler:
-        The server's ``handle(Request) -> Response`` callable.
     clock:
         Clock whose ``advance`` absorbs this client's sleeps.  Under the
         parallel crawl engine this is a per-market lane clock, so one
@@ -195,7 +210,6 @@ class HttpClient:
 
     def __init__(
         self,
-        handler: Callable[[Request], Response],
         clock: SimClock,
         retry_policy: Optional[RetryPolicy] = None,
         max_rate_limit_waits: int = 2,
@@ -208,7 +222,6 @@ class HttpClient:
         auth_path: str = "/login",
         obs: Optional["LaneObs"] = None,
     ):
-        self._handler = handler
         self._clock = clock
         self._retry_policy = retry_policy or RetryPolicy()
         self._max_rate_limit_waits = max_rate_limit_waits
@@ -223,6 +236,7 @@ class HttpClient:
         self.stats = ClientStats()
 
     def _sleep(self, duration: float) -> None:
+        """Advance simulated lane time; instantaneous in wall time."""
         self._clock.advance(duration)
         self.stats.sim_days_slept += duration
 
@@ -238,6 +252,207 @@ class HttpClient:
             obs.tracer.event(
                 name, market=obs.market, sim_time=self._clock.now, **attrs
             )
+
+    def _observe(self, wall: float, backoff: float) -> None:
+        """Feed one logical request to the lane's histograms."""
+        obs = self.obs
+        if obs.hist_request is not None:
+            obs.hist_request.observe(wall)
+            if backoff > 0:
+                obs.hist_backoff.observe(backoff)
+
+    def _exchange(
+        self, path: str, params: Optional[Mapping[str, Any]]
+    ) -> Generator[Any, Any, Response]:
+        """One logical request's decision loop (see the module docstring).
+
+        Returns (as ``StopIteration.value``) the successful response;
+        raises what the driver's ``request`` documents.  The headers
+        are rebuilt per attempt because the identity, the token, and
+        the lane-time stamp can all change between retries.
+        """
+        if self.breaker is not None:
+            try:
+                self.breaker.before_request()
+            except Exception:
+                # Fast-failed: abandoned without a single request sent.
+                self.stats.failures += 1
+                self.stats.breaker_fast_fails += 1
+                raise
+        base_params = dict(params or {})
+        rate_limit_waits = ban_waits = transient_retries = auth_retries = 0
+        while True:
+            if self._pacer is not None:
+                pace = self._pacer()
+                if pace > 0:
+                    self._sleep(pace)
+            now = self._clock.now
+            headers: Dict[str, str] = {"x-sim-time": repr(now)}
+            if self.identities is not None:
+                identity, rotated = self.identities.checkout(now)
+                if rotated:
+                    self.stats.identity_rotations += 1
+                    self._event("identity.rotate", reason="checkout",
+                                identity=identity.ip)
+                headers.update(identity.headers())
+            if self.credentials is not None and path != self._auth_path:
+                headers["authorization"] = yield TokenNeeded(now)
+            self.stats.requests += 1
+            resp = yield Request(path=path, params=base_params, headers=headers)
+            if resp.ok:
+                if self.breaker is not None:
+                    self.breaker.record_success()
+                return resp
+            status = resp.status
+            if status == HTTP_NOT_FOUND:
+                self.stats.not_found += 1
+                if self.breaker is not None:
+                    self.breaker.record_success()  # a 404 is a live server
+                raise NotFoundError(path)
+            if status == HTTP_UNAUTHORIZED:
+                if self.credentials is None or auth_retries >= MAX_AUTH_RETRIES:
+                    raise self._give_up(AuthError(path))
+                auth_retries += 1
+                self.credentials.invalidate()
+                continue  # the next attempt re-logs-in
+            if status == HTTP_FORBIDDEN:
+                if resp.retry_after is None:
+                    # Policy rejection (e.g. a package-list-only market
+                    # refusing enumeration): definitive, like a 404.
+                    if self.breaker is not None:
+                        self.breaker.record_success()
+                    raise ForbiddenError(path)
+                self.stats.bans_hit += 1
+                self._event("ban.hit", path=path, retry_after=resp.retry_after)
+                pool = self.identities
+                if pool is None:
+                    raise self._ban_abort(path, resp.retry_after)
+                now = self._clock.now
+                pool.ban_current(now, resp.retry_after)
+                if self._rotate_off_ban(now):
+                    continue
+                # Every identity is serving a ban: wait for the
+                # earliest release (budgeted like 429 waits).
+                wait = pool.earliest_release(now)
+                if wait is None:
+                    continue  # a ban lapsed already; retry in place
+                if (
+                    self._max_rate_limit_wait is not None
+                    and wait > self._max_rate_limit_wait
+                ) or ban_waits >= self._max_rate_limit_waits:
+                    raise self._ban_abort(path, resp.retry_after)
+                ban_waits += 1
+                self._sleep(self._jittered(wait))
+                self._rotate_off_ban(self._clock.now)
+                continue
+            if status == HTTP_TOO_MANY_REQUESTS:
+                self.stats.rate_limited += 1
+                wait = resp.retry_after if resp.retry_after else 1.0 / 24
+                if (
+                    self._max_rate_limit_wait is not None
+                    and wait > self._max_rate_limit_wait
+                ) or rate_limit_waits >= self._max_rate_limit_waits:
+                    raise self._rate_limit_abort(path, resp.retry_after)
+                rate_limit_waits += 1
+                self._sleep(self._jittered(wait))
+                continue
+            # Transient faults share one retry budget and schedule.
+            if status == HTTP_TIMEOUT:
+                self.stats.timeouts += 1
+                error = RequestTimeoutError
+            elif resp.malformed:
+                self.stats.malformed += 1
+                error = MalformedPayloadError
+            elif status >= HTTP_SERVER_ERROR:
+                error = ServerError
+            else:
+                raise self._give_up(ServerError(path))
+            if transient_retries >= self._retry_policy.max_retries:
+                raise self._give_up(error(path))
+            transient_retries += 1
+            self.stats.retries += 1
+            self._sleep(self._retry_policy.delay(transient_retries))
+
+    def _rotate_off_ban(self, now: float) -> bool:
+        """Advance the pool past banned identities; True when rotated."""
+        if self.identities is not None and self.identities.rotate_to_available(now):
+            self.stats.identity_rotations += 1
+            self._event("identity.rotate", reason="ban",
+                        identity=self.identities.current.ip)
+            return True
+        return False
+
+    def _install_token(self, login: Response) -> str:
+        """Adopt the session token a login exchange returned."""
+        refreshing = self.credentials.ever_logged_in
+        payload = self._payload(login)
+        token = payload["token"]
+        # No sleep happens between the winning login attempt and here,
+        # so clock.now is the server's session start time.
+        self.credentials.install(token, float(payload["ttl"]), self._clock.now)
+        self.stats.logins += 1
+        if refreshing:
+            self.stats.token_refreshes += 1
+        self._event("auth.login", refresh=refreshing)
+        return token
+
+    def _give_up(self, exc: Exception) -> Exception:
+        """Account one abandoned request and feed the breaker."""
+        self.stats.failures += 1
+        if self.breaker is not None:
+            self.breaker.record_failure()
+        return exc
+
+    def _rate_limit_abort(self, path: str, retry_after: Optional[float]) -> Exception:
+        """Abandon on rate limiting: a failure, but a *polite* one.
+
+        Quota-style 429s (Google Play's multi-day download hint) mean
+        the server is alive and shedding us by policy, so they count as
+        abandoned work without feeding the breaker — tripping the
+        circuit would also fast-fail the market's healthy metadata
+        endpoints.
+        """
+        self.stats.failures += 1
+        self.stats.rate_limit_aborts += 1
+        return RateLimitedError(path, retry_after)
+
+    def _ban_abort(self, path: str, retry_after: float) -> Exception:
+        """Abandon under an anti-bot ban the pool could not dodge.
+
+        Like :meth:`_rate_limit_abort`, the breaker is *not* fed: the
+        server is alive and shedding this identity by policy, and
+        quarantining the whole market would discard endpoints the next
+        (rotated or rested) identity can still reach.
+        """
+        self.stats.failures += 1
+        return ForbiddenError(path, retry_after)
+
+    @staticmethod
+    def _payload(resp: Response) -> Any:
+        """The response's payload, binary wire decoded."""
+        if resp.json is None and resp.body is not None and wire.is_wire(resp.body):
+            return wire.decode(resp.body)
+        return resp.json
+
+    @staticmethod
+    def _body(path: str, resp: Response) -> bytes:
+        """The response's binary body; a bodyless answer is a server error."""
+        if resp.body is None:
+            raise ServerError(path)
+        return resp.body
+
+
+class HttpClient(ClientCore):
+    """The blocking driver: a retrying client bound to one server endpoint.
+
+    ``handler`` is the server's ``handle(Request) -> Response`` callable
+    (or any transport of that shape); the remaining parameters are
+    :class:`ClientCore`'s.
+    """
+
+    def __init__(self, handler: Callable[[Request], Response], *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._handler = handler
 
     def request(self, path: str, params: Optional[Mapping[str, Any]] = None) -> Response:
         """Issue a request, retrying transient failures.
@@ -302,19 +517,14 @@ class HttpClient:
         if span is not None:
             span.__enter__()
         try:
-            response = self._request(path, params)
-            return response
+            return self._request(path, params)
         except BaseException as exc:
             if span is not None:
                 span.status = type(exc).__name__
             raise
         finally:
-            wall = time.perf_counter() - start
             backoff = stats.sim_days_slept - slept0
-            if obs.hist_request is not None:
-                obs.hist_request.observe(wall)
-                if backoff > 0:
-                    obs.hist_backoff.observe(backoff)
+            self._observe(time.perf_counter() - start, backoff)
             if span is not None:
                 span["attempts"] = stats.requests - requests0
                 span["retries"] = stats.retries - retries0
@@ -332,200 +542,33 @@ class HttpClient:
                     )
                 span.__exit__(None, None, None)
 
-    def _build_request(self, path: str, params: Dict[str, Any]) -> Request:
-        """Assemble one attempt's request, headers included.
+    def _request(self, path: str, params: Optional[Mapping[str, Any]]) -> Response:
+        """The uninstrumented request: drive the decision loop."""
+        steps = self._exchange(path, params)
+        reply = None
+        while True:
+            try:
+                step = steps.send(reply)
+            except StopIteration as done:
+                return done.value
+            if step.__class__ is TokenNeeded:
+                reply = self._token(step.now)
+            else:
+                reply = self._handler(step)
 
-        Built fresh per attempt because the identity, the token, and
-        the lane-time stamp can all change between retries.
-        """
-        now = self._clock.now
-        headers: Dict[str, str] = {"x-sim-time": repr(now)}
-        if self.identities is not None:
-            identity, rotated = self.identities.checkout(now)
-            if rotated:
-                self.stats.identity_rotations += 1
-                self._event("identity.rotate", reason="checkout",
-                            identity=identity.ip)
-            headers.update(identity.headers())
-        if self.credentials is not None and path != self._auth_path:
-            headers["authorization"] = self._ensure_token(now)
-        return Request(path=path, params=params, headers=headers)
-
-    def _ensure_token(self, now: float) -> str:
-        """A valid session token, logging in when needed (single-flight)."""
+    def _token(self, now: float) -> str:
+        """A session token valid at ``now``, logging in single-flight."""
         creds = self.credentials
         with creds.lock:
             token = creds.token_if_valid(now)
-            if token is not None:
-                return token
-            refreshing = creds.ever_logged_in
-            resp = self._request(self._auth_path, None)
-            payload = resp.json
-            if payload is None and resp.body is not None and wire.is_wire(resp.body):
-                payload = wire.decode(resp.body)
-            token = payload["token"]
-            # No sleep happens between the winning login attempt and
-            # here, so clock.now is the server's session start time.
-            creds.install(token, float(payload["ttl"]), self._clock.now)
-            self.stats.logins += 1
-            if refreshing:
-                self.stats.token_refreshes += 1
-            self._event("auth.login", refresh=refreshing)
+            if token is None:
+                token = self._install_token(self._request(self._auth_path, None))
             return token
-
-    def _request(self, path: str, params: Optional[Mapping[str, Any]]) -> Response:
-        """The uninstrumented retry loop (the pre-observability path)."""
-        if self.breaker is not None:
-            try:
-                self.breaker.before_request()
-            except Exception:
-                # Fast-failed: abandoned without a single request sent.
-                self.stats.failures += 1
-                self.stats.breaker_fast_fails += 1
-                raise
-        base_params = dict(params or {})
-        rate_limit_waits = 0
-        ban_waits = 0
-        transient_retries = 0
-        auth_retries = 0
-        while True:
-            if self._pacer is not None:
-                pace = self._pacer()
-                if pace > 0:
-                    self._sleep(pace)
-            req = self._build_request(path, base_params)
-            self.stats.requests += 1
-            resp = self._handler(req)
-            if resp.ok:
-                if self.breaker is not None:
-                    self.breaker.record_success()
-                return resp
-            if resp.status == HTTP_NOT_FOUND:
-                self.stats.not_found += 1
-                if self.breaker is not None:
-                    self.breaker.record_success()  # a 404 is a live server
-                raise NotFoundError(path)
-            if resp.status == HTTP_UNAUTHORIZED:
-                if self.credentials is None or auth_retries >= MAX_AUTH_RETRIES:
-                    raise self._give_up(AuthError(path))
-                auth_retries += 1
-                self.credentials.invalidate()
-                continue  # the next attempt re-logs-in
-            if resp.status == HTTP_FORBIDDEN:
-                if resp.retry_after is None:
-                    # Policy rejection (e.g. a package-list-only market
-                    # refusing enumeration): definitive, like a 404.
-                    if self.breaker is not None:
-                        self.breaker.record_success()
-                    raise ForbiddenError(path)
-                self.stats.bans_hit += 1
-                self._event("ban.hit", path=path, retry_after=resp.retry_after)
-                pool = self.identities
-                if pool is None:
-                    raise self._ban_abort(path, resp.retry_after)
-                now = self._clock.now
-                pool.ban_current(now, resp.retry_after)
-                if self._rotate_off_ban(now):
-                    continue
-                # Every identity is serving a ban: wait for the
-                # earliest release (budgeted like 429 waits).
-                wait = pool.earliest_release(now)
-                if wait is None:
-                    continue  # a ban lapsed already; retry in place
-                if (
-                    self._max_rate_limit_wait is not None
-                    and wait > self._max_rate_limit_wait
-                ) or ban_waits >= self._max_rate_limit_waits:
-                    raise self._ban_abort(path, resp.retry_after)
-                ban_waits += 1
-                self._sleep(self._jittered(wait))
-                self._rotate_off_ban(self._clock.now)
-                continue
-            if resp.status == HTTP_TOO_MANY_REQUESTS:
-                self.stats.rate_limited += 1
-                wait = resp.retry_after if resp.retry_after else 1.0 / 24
-                if self._max_rate_limit_wait is not None and wait > self._max_rate_limit_wait:
-                    raise self._rate_limit_abort(path, resp.retry_after)
-                if rate_limit_waits >= self._max_rate_limit_waits:
-                    raise self._rate_limit_abort(path, resp.retry_after)
-                rate_limit_waits += 1
-                self._sleep(self._jittered(wait))
-                continue
-            if resp.status == HTTP_TIMEOUT:
-                self.stats.timeouts += 1
-                if transient_retries >= self._retry_policy.max_retries:
-                    raise self._give_up(RequestTimeoutError(path))
-                transient_retries += 1
-                self.stats.retries += 1
-                self._sleep(self._retry_policy.delay(transient_retries))
-                continue
-            if resp.malformed:
-                self.stats.malformed += 1
-                if transient_retries >= self._retry_policy.max_retries:
-                    raise self._give_up(MalformedPayloadError(path))
-                transient_retries += 1
-                self.stats.retries += 1
-                self._sleep(self._retry_policy.delay(transient_retries))
-                continue
-            if resp.status >= HTTP_SERVER_ERROR:
-                if transient_retries >= self._retry_policy.max_retries:
-                    raise self._give_up(ServerError(path))
-                transient_retries += 1
-                self.stats.retries += 1
-                self._sleep(self._retry_policy.delay(transient_retries))
-                continue
-            raise self._give_up(ServerError(path))
-
-    def _rotate_off_ban(self, now: float) -> bool:
-        """Advance the pool past banned identities; True when rotated."""
-        if self.identities is not None and self.identities.rotate_to_available(now):
-            self.stats.identity_rotations += 1
-            self._event("identity.rotate", reason="ban",
-                        identity=self.identities.current.ip)
-            return True
-        return False
-
-    def _give_up(self, exc: Exception) -> Exception:
-        """Account one abandoned request and feed the breaker."""
-        self.stats.failures += 1
-        if self.breaker is not None:
-            self.breaker.record_failure()
-        return exc
-
-    def _rate_limit_abort(self, path: str, retry_after: Optional[float]) -> Exception:
-        """Abandon on rate limiting: a failure, but a *polite* one.
-
-        Quota-style 429s (Google Play's multi-day download hint) mean
-        the server is alive and shedding us by policy, so they count as
-        abandoned work without feeding the breaker — tripping the
-        circuit would also fast-fail the market's healthy metadata
-        endpoints.
-        """
-        self.stats.failures += 1
-        self.stats.rate_limit_aborts += 1
-        return RateLimitedError(path, retry_after)
-
-    def _ban_abort(self, path: str, retry_after: float) -> Exception:
-        """Abandon under an anti-bot ban the pool could not dodge.
-
-        Like :meth:`_rate_limit_abort`, the breaker is *not* fed: the
-        server is alive and shedding this identity by policy, and
-        quarantining the whole market would discard endpoints the next
-        (rotated or rested) identity can still reach.
-        """
-        self.stats.failures += 1
-        return ForbiddenError(path, retry_after)
 
     def get_json(self, path: str, params: Optional[Mapping[str, Any]] = None) -> Any:
         """Request and return the payload (binary wire decoded)."""
-        resp = self.request(path, params)
-        if resp.json is None and resp.body is not None and wire.is_wire(resp.body):
-            return wire.decode(resp.body)
-        return resp.json
+        return self._payload(self.request(path, params))
 
     def get_bytes(self, path: str, params: Optional[Mapping[str, Any]] = None) -> bytes:
         """Request and return the binary body."""
-        body = self.request(path, params).body
-        if body is None:
-            raise ServerError(path)
-        return body
+        return self._body(path, self.request(path, params))

@@ -28,8 +28,10 @@ response map carries ``json`` and ``body`` as separate fields rather
 than inferring absence.
 
 Timeouts and connection drops surface as ``Response.timeout()`` (the
-599 convention), so the client's existing retry/backoff machinery —
-not the transport — decides what a flaky link costs.
+599 convention), and a well-framed payload that does not decode as a
+response surfaces as ``Response.garbled()`` (``malformed``), so the
+client's existing retry/backoff machinery — not the transport — decides
+what a flaky link costs.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from repro.net.http import Request, Response
 __all__ = [
     "Transport",
     "TransportError",
+    "GarbledFrameError",
     "InProcessTransport",
     "SocketTransport",
     "AsyncSocketTransport",
@@ -76,6 +79,10 @@ DEFAULT_SOCKET_TIMEOUT = 30.0
 
 class TransportError(ConnectionError):
     """The byte stream broke the frame protocol (not a server answer)."""
+
+
+class GarbledFrameError(TransportError):
+    """A correctly framed payload that is not a valid response map."""
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +127,12 @@ def encode_response(response: Response) -> bytes:
 
 
 def decode_response(payload: bytes) -> Response:
-    doc = wire.decode(payload)
+    try:
+        doc = wire.decode(payload)
+    except wire.WireError as exc:
+        raise GarbledFrameError(f"response frame: {exc}") from exc
     if not isinstance(doc, dict) or "status" not in doc:
-        raise TransportError("response frame is not a response map")
+        raise GarbledFrameError("response frame is not a response map")
     return Response(
         status=doc["status"],
         json=doc.get("json"),
@@ -225,17 +235,18 @@ class SocketTransport:
             sock = self._connect()
             sock.sendall(pack_frame(encode_request(request)))
             header = _recv_exactly(sock, FRAME_HEADER_BYTES)
-            payload = _recv_exactly(sock, frame_length(header))
-        except (socket.timeout, TimeoutError):
+            return decode_response(_recv_exactly(sock, frame_length(header)))
+        except GarbledFrameError:
+            # The peer answered gibberish: drop the connection and let
+            # the client's malformed-payload budget decide.
             self.close()
-            return Response.timeout()
+            return Response.garbled()
         except (TransportError, OSError):
-            # Drops and resets are transient transport weather; surface
-            # them through the same 599 path timeouts use so the retry
+            # Timeouts, drops, and resets are transient transport
+            # weather; surface them through the 599 path so the retry
             # budget — not the transport — decides when to give up.
             self.close()
             return Response.timeout()
-        return decode_response(payload)
 
     def close(self) -> None:
         sock, self._sock = self._sock, None
@@ -312,7 +323,12 @@ class AsyncSocketTransport:
         try:
             writer.write(pack_frame(encode_request(request)))
             await writer.drain()
-            payload = await asyncio.wait_for(read_frame(reader), self.timeout)
+            response = decode_response(
+                await asyncio.wait_for(read_frame(reader), self.timeout)
+            )
+        except GarbledFrameError:
+            writer.close()
+            return Response.garbled()
         except (asyncio.TimeoutError, asyncio.IncompleteReadError,
                 TransportError, OSError):
             writer.close()
@@ -323,7 +339,7 @@ class AsyncSocketTransport:
             writer.close()
             raise
         self._idle.append((reader, writer))
-        return decode_response(payload)
+        return response
 
     async def aclose(self) -> None:
         idle, self._idle = self._idle, []

@@ -1,110 +1,20 @@
-"""The asyncio crawl client: retry parity with the sync client, plus
-the asyncio-only behaviors (cancellation classing, pipelining, auth
-single-flight on the event loop)."""
+"""The asyncio crawl client's driver-only behaviors: cancellation
+classing, pipelining, and auth single-flight on the event loop.  The
+shared retry/countermeasure scenarios run through both drivers in
+``tests/test_net_client.py``."""
 
 import asyncio
 
 import pytest
 
 from repro.net.aclient import AsyncHttpClient
-from repro.net.client import RATE_LIMIT_JITTER_MAX, HttpClient
-from repro.net.http import (
-    NotFoundError,
-    RateLimitedError,
-    Request,
-    RequestTimeoutError,
-    Response,
-    ServerError,
-)
-from repro.net.retry import RetryPolicy
+from repro.net.http import NotFoundError, Request, Response
 from repro.net.transport import AsyncInProcessTransport
 from repro.util.simtime import SimClock
 
 
-def _handler_sequence(responses):
-    """A handler returning canned responses in order (last one repeats)."""
-    state = {"i": 0}
-
-    def handle(request: Request) -> Response:
-        i = min(state["i"], len(responses) - 1)
-        state["i"] += 1
-        return responses[i]
-
-    return handle
-
-
-def _client(responses, clock=None, **kwargs):
-    return AsyncHttpClient(
-        AsyncInProcessTransport(_handler_sequence(responses)),
-        clock or SimClock(),
-        **kwargs,
-    )
-
-
 def run(coro):
     return asyncio.run(coro)
-
-
-class TestRetryParity:
-    def test_ok(self):
-        client = _client([Response.json_ok(42)])
-        assert run(client.get_json("/x")) == 42
-        assert client.stats.requests == 1
-
-    def test_not_found(self):
-        client = _client([Response.not_found()])
-        with pytest.raises(NotFoundError):
-            run(client.get_json("/x"))
-        assert client.stats.not_found == 1
-
-    def test_server_error_retried(self):
-        client = _client([Response(status=500), Response.json_ok("up")])
-        assert run(client.get_json("/x")) == "up"
-        assert client.stats.retries == 1
-
-    def test_timeout_exhausts_budget(self):
-        client = _client(
-            [Response.timeout()], retry_policy=RetryPolicy(max_retries=2)
-        )
-        with pytest.raises(RequestTimeoutError):
-            run(client.get_json("/x"))
-        assert client.stats.requests == 3
-        assert client.stats.timeouts == 3
-
-    def test_rate_limit_budget(self):
-        client = _client(
-            [Response.rate_limited(0.1)] * 10, max_rate_limit_waits=1
-        )
-        with pytest.raises(RateLimitedError):
-            run(client.get_json("/x"))
-        assert client.stats.rate_limit_aborts == 1
-
-    def test_jitter_matches_sync_client(self):
-        # Same jitter key, same request ordinal -> the async client
-        # sleeps exactly what the sync client would (digest parity).
-        responses = [Response.rate_limited(0.5), Response.json_ok("ok")]
-        sync_clock, async_clock = SimClock(), SimClock()
-        sync_client = HttpClient(
-            _handler_sequence(responses), sync_clock, jitter_key="tencent"
-        )
-        async_client = _client(responses, async_clock, jitter_key="tencent")
-        sync_start, async_start = sync_clock.now, async_clock.now
-        assert sync_client.get_json("/x") == "ok"
-        assert run(async_client.get_json("/x")) == "ok"
-        assert (sync_clock.now - sync_start) == (async_clock.now - async_start)
-        slept = async_clock.now - async_start
-        assert 0.5 <= slept <= 0.5 * (1 + RATE_LIMIT_JITTER_MAX)
-
-    def test_get_bytes(self):
-        client = _client([Response.bytes_ok(b"blob")])
-        assert run(client.get_bytes("/apk")) == b"blob"
-
-    def test_get_bytes_empty_body_is_server_error(self):
-        client = _client(
-            [Response.json_ok(None)], retry_policy=RetryPolicy(max_retries=0)
-        )
-        with pytest.raises(ServerError):
-            run(client.get_bytes("/apk"))
 
 
 class TestCancellation:

@@ -7,16 +7,24 @@ bodies, timed 403 bans).
 """
 
 import asyncio
+import socket
+import threading
 
 import pytest
 
-from repro.net.http import Request, Response
+from repro.net.aclient import AsyncHttpClient
+from repro.net.client import HttpClient
+from repro.net.http import MalformedPayloadError, Request, Response
+from repro.net.retry import RetryPolicy
 from repro.net.transport import (
     FRAME_HEADER_BYTES,
     MAX_FRAME_BYTES,
     AsyncInProcessTransport,
+    AsyncSocketTransport,
     InProcessTransport,
+    SocketTransport,
     TransportError,
+    _recv_exactly,
     decode_request,
     decode_response,
     encode_request,
@@ -24,6 +32,7 @@ from repro.net.transport import (
     frame_length,
     pack_frame,
 )
+from repro.util.simtime import SimClock
 
 
 class TestRequestCodec:
@@ -125,3 +134,83 @@ class TestInProcessTransports:
             return resp
 
         assert asyncio.run(go()).json == "/y"
+
+
+class _GarbageServer:
+    """A raw TCP peer that answers every request frame with a correctly
+    length-prefixed payload that is not an RW01 response."""
+
+    def __init__(self):
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self.port = self._sock.getsockname()[1]
+        self.connections = 0
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return  # listener closed
+            self.connections += 1
+            with conn:
+                try:
+                    while True:
+                        header = _recv_exactly(conn, FRAME_HEADER_BYTES)
+                        _recv_exactly(conn, frame_length(header))
+                        conn.sendall(pack_frame(b"not a wire payload"))
+                except OSError:
+                    pass  # the client dropped the connection
+
+    def close(self):
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._sock.close()
+        self._thread.join(5.0)
+
+
+@pytest.fixture
+def garbage_server():
+    server = _GarbageServer()
+    yield server
+    server.close()
+
+
+class TestGarbledFrames:
+    """A garbled frame is a malformed answer: retried, then abandoned
+    with ``MalformedPayloadError``, and the connection is dropped."""
+
+    def test_socket_transport(self, garbage_server):
+        transport = SocketTransport("127.0.0.1", garbage_server.port)
+        client = HttpClient(transport, SimClock(), retry_policy=RetryPolicy(max_retries=1))
+        try:
+            with pytest.raises(MalformedPayloadError):
+                client.get_json("/app")
+        finally:
+            transport.close()
+        assert client.stats.malformed == 2
+        assert client.stats.retries == 1
+        assert client.stats.failures == 1
+        assert garbage_server.connections == 2
+
+    def test_async_socket_transport(self, garbage_server):
+        transport = AsyncSocketTransport("127.0.0.1", garbage_server.port)
+        client = AsyncHttpClient(
+            transport, SimClock(), retry_policy=RetryPolicy(max_retries=1)
+        )
+
+        async def go():
+            try:
+                with pytest.raises(MalformedPayloadError):
+                    await client.get_json("/app")
+            finally:
+                await transport.aclose()
+
+        asyncio.run(go())
+        assert client.stats.malformed == 2
+        assert client.stats.retries == 1
+        assert client.stats.failures == 1
+        assert transport.connections_opened == 2
