@@ -91,10 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="world-generation worker processes, 0 = auto "
                             "(world bit-identical at any width)")
-        p.add_argument("--no-segment-cache", action="store_true",
-                       help="rebuild every APK blob cold instead of "
-                            "splicing shared dex segments (bytes are "
-                            "identical either way; for benchmarking)")
         p.add_argument("--artifact-cache", default=None, metavar="DIR",
                        help="persist per-APK analysis artifacts under DIR "
                             "(default: <checkpoint-dir>/artifacts when "
@@ -345,7 +341,6 @@ def _config_from(args: argparse.Namespace) -> StudyConfig:
         analysis_workers=resolve_analysis_workers(args.analysis_workers),
         artifact_cache_dir=_artifact_cache_dir(args),
         gen_workers=resolve_gen_workers(args.gen_workers),
-        segment_cache=not args.no_segment_cache,
         store_backend=args.store_backend,
         store_batch_size=args.store_batch_size,
         **(

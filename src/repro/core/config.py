@@ -103,10 +103,6 @@ class StudyConfig:
     #: any width (index-keyed RNG substreams — see DESIGN.md's sharding
     #: contract); only generation wall-clock time changes.
     gen_workers: int = 1
-    #: Share encoded dex segments across the market×version APK blob
-    #: fan-out.  Blob bytes are identical either way; disabling is only
-    #: useful for benchmarking the cold build path.
-    segment_cache: bool = True
     #: Corpus storage backend.  ``"memory"`` (default) holds world,
     #: snapshot, and units fully in RAM — today's behavior.  ``"sqlite"``
     #: spills record families to disk-backed segment tables once they

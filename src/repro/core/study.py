@@ -356,14 +356,12 @@ class Study:
                 repackaging=RepackagingModel.for_profile(config.clone_families),
             ).generate()
             if corpus is not None and len(world.apps) > corpus.spill_threshold:
-                # Past the threshold the app list moves to the segment
-                # table; below it the world stays a plain in-memory list
-                # (bit-identical to the memory backend).
+                # Past the threshold the app table is copied to the
+                # segment table; below it the world stays on its memory
+                # family (bit-identical to the memory backend).
                 world.spill(corpus)
-            segments = SegmentCache() if config.segment_cache else None
-            stores = build_stores(
-                world, segments=segments, segment_cache=config.segment_cache
-            )
+            segments = SegmentCache()
+            stores = build_stores(world, segments=segments)
         clock = SimClock()
         overrides = dict(config.market_fault_plans or {})
         servers = {

@@ -6,13 +6,14 @@ metadata and, when the APK could be downloaded (or backfilled from the
 offline archive), the parsed APK.  All analyses in
 :mod:`repro.analysis` consume snapshots, never the ground-truth world.
 
-Snapshots have two backends behind one API.  The default keeps every
-record in memory, exactly as before.  Handing the constructor a
-:class:`~repro.store.corpus.CorpusStore` arms the out-of-core path:
-once the record count crosses the store's spill threshold, records move
-into a per-campaign SQLite segment table (APK documents into the blob
-vault, records holding :class:`~repro.store.blobs.LazyApk` proxies) and
-every accessor re-serves them through batched streaming cursors.
+Records live in one record family (:mod:`repro.store.columnar`), and
+every accessor has one implementation over it.  The family starts in
+memory and holds the record objects themselves.  Handing the
+constructor a :class:`~repro.store.corpus.CorpusStore` arms the spill:
+once the record count crosses the store's spill threshold, the rows are
+copied into a per-campaign SQLite family (APK documents into the blob
+vault, records re-served with :class:`~repro.store.blobs.LazyApk`
+proxies through batched streaming cursors).
 ``content_digest()`` is backend-invariant: the streaming fold below
 reproduces :func:`~repro.util.rng.stable_hash64` over the canonical row
 tuple byte for byte without ever materializing it.
@@ -22,10 +23,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.apk.archive import ParsedApk
+from repro.store.columnar import MemoryFamily, ResidentCodec
+from repro.store.corpus import CRAWL_SCHEMA
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.corpus import CorpusStore
@@ -201,25 +206,73 @@ def streaming_snapshot_digest(label: str, rows: Iterable[Tuple]) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
+def _apk_columns(apk) -> Tuple:
+    """``(md5, signer, vc_hint)`` of a parsed or lazy APK, or Nones."""
+    if apk is None:
+        return None, None, None
+    if isinstance(apk, ParsedApk):
+        return apk.md5, apk.signer_fingerprint, apk.manifest.version_code
+    return apk.md5, apk.signer_fingerprint, apk.version_code_hint
+
+
+class _ResidentRecords(ResidentCodec):
+    """The memory family's codec: records and APKs stay as they are."""
+
+    keep_apk = staticmethod(ResidentCodec.encode)
+
+
+class _VaultRecords:
+    """The sqlite family's codec: APK-free JSON payloads, APK documents
+    in the blob vault, and :class:`LazyApk` proxies on decoded records."""
+
+    def __init__(self, vault):
+        self.vault = vault
+
+    def encode(self, record: CrawlRecord) -> str:
+        from repro.crawler.dataset import _record_to_doc
+
+        if isinstance(record.apk, ParsedApk):
+            self.vault.put(record.apk)
+        doc = _record_to_doc(record)
+        doc["apk"] = None
+        doc["apk_source"] = None  # provenance rides on the column
+        return json.dumps(doc, separators=(",", ":"))
+
+    def decode(self, row: Tuple) -> CrawlRecord:
+        from repro.crawler.dataset import _record_from_doc
+        from repro.store.blobs import LazyApk
+
+        _, _, md5, signer, vc_hint, apk_source, payload = row
+        record = _record_from_doc(json.loads(payload))
+        if md5 is not None:
+            record.apk = LazyApk(self.vault, md5, signer, vc_hint)
+            record.apk_source = apk_source
+        return record
+
+    def keep_apk(self, apk: ParsedApk):
+        """Store the APK in the vault; the record keeps its lazy proxy."""
+        return self.vault.lazy(apk)
+
+
 class Snapshot:
     """The dataset of one crawl campaign.
 
-    ``store=None`` (the default) keeps every record in memory.  With a
-    :class:`~repro.store.corpus.CorpusStore`, the snapshot spills to the
-    store's per-campaign segment table once the record count crosses the
-    store's ``spill_threshold`` — below it, behavior and memory layout
-    are identical to the memory backend.
+    ``store=None`` (the default) keeps the record family in memory.
+    With a :class:`~repro.store.corpus.CorpusStore`, its rows are copied
+    to the store's per-campaign segment table once the record count
+    crosses the store's ``spill_threshold``; below it, behavior and
+    memory layout are those of the memory backend.
     """
 
     def __init__(self, label: str, store: Optional["CorpusStore"] = None):
         self.label = label
         self._store = store
-        self._family = None  # segment table once spilled
+        self._family = MemoryFamily("crawl", **CRAWL_SCHEMA)
+        self._codec = _ResidentRecords
+        # Resident on both backends: duplicate detection and markets()
+        # never touch the family.
         self._keys: Set[Tuple[str, str]] = set()
         self._market_ids: Set[str] = set()
-        self._records: Dict[Tuple[str, str], CrawlRecord] = {}
-        self._by_market: Dict[str, List[CrawlRecord]] = {}
-        self._by_package: Dict[str, List[CrawlRecord]] = {}
         #: Per-market campaign health, filled by the coordinator; empty
         #: for snapshots produced outside a campaign (tests, loaders).
         self.health: Dict[str, MarketHealth] = {}
@@ -229,94 +282,44 @@ class Snapshot:
 
     @property
     def spilled(self) -> bool:
-        """True once records live in the segment table, not in dicts."""
-        return self._family is not None
+        """True once records live in the segment table, not in memory."""
+        return not isinstance(self._family, MemoryFamily)
 
     def __len__(self) -> int:
-        if self.spilled:
-            return len(self._keys)
-        return len(self._records)
+        return len(self._keys)
 
     def __iter__(self) -> Iterator[CrawlRecord]:
-        if self.spilled:
-            return (self._record_from_row(row) for row in self._family.scan())
-        return iter(self._records.values())
+        return map(self._codec.decode, self._family.scan())
 
-    # -- out-of-core plumbing ----------------------------------------------
-
-    def _row_of(self, record: CrawlRecord) -> Tuple:
-        """One segment-table row: key columns + APK-free JSON payload."""
-        from repro.crawler.dataset import _record_to_doc
-
-        apk = record.apk
-        if apk is not None and not isinstance(apk, ParsedApk):
-            # Already a LazyApk: the doc is in the vault.
-            md5, signer = apk.md5, apk.signer_fingerprint
-            vc_hint = apk.version_code_hint
-        elif apk is not None:
-            self._store.vault.put(apk)
-            md5, signer = apk.md5, apk.signer_fingerprint
-            vc_hint = apk.manifest.version_code
-        else:
-            md5 = signer = vc_hint = None
-        doc = _record_to_doc(record)
-        doc["apk"] = None
-        doc["apk_source"] = None  # provenance rides on the column
-        payload = json.dumps(doc, separators=(",", ":"))
-        return (
-            record.market_id,
-            record.package,
-            md5,
-            signer,
-            vc_hint,
-            record.apk_source,
-            payload,
-        )
-
-    def _record_from_row(self, row: Tuple) -> CrawlRecord:
-        from repro.crawler.dataset import _record_from_doc
-        from repro.store.blobs import LazyApk
-
-        market_id, package, md5, signer, vc_hint, apk_source, payload = row
-        record = _record_from_doc(json.loads(payload))
-        if md5 is not None:
-            record.apk = LazyApk(self._store.vault, md5, signer, vc_hint)
-            record.apk_source = apk_source
-        return record
+    def _records(self, **where: object) -> List[CrawlRecord]:
+        return list(map(self._codec.decode, self._family.scan(**where)))
 
     def _spill(self) -> None:
-        """Move the in-memory records into the store's segment table."""
+        """Copy the memory family's rows into the store's segment table."""
         family = self._store.crawl_family(self.label)
-        for record in self._records.values():  # insertion order = rowid
-            family.append(*self._row_of(record))
-        family.flush()
-        self._family = family
-        self._keys = set(self._records)
-        self._market_ids = set(self._by_market)
-        self._records.clear()
-        self._by_market.clear()
-        self._by_package.clear()
+        codec = _VaultRecords(self._store.vault)
+        family.replace((*row[:-1], codec.encode(row[-1])) for row in self._family.scan())
+        self._family, self._codec = family, codec
 
     # -- ingest ------------------------------------------------------------
 
     def add(self, record: CrawlRecord) -> bool:
         """Insert a record; returns False if (market, package) already seen."""
         key = (record.market_id, record.package)
-        if self.spilled:
-            if key in self._keys:
-                return False
-            self._keys.add(key)
-            self._market_ids.add(record.market_id)
-            self._family.append(*self._row_of(record))
-            return True
-        if key in self._records:
+        if key in self._keys:
             return False
-        self._records[key] = record
-        self._by_market.setdefault(record.market_id, []).append(record)
-        self._by_package.setdefault(record.package, []).append(record)
+        self._keys.add(key)
+        self._market_ids.add(record.market_id)
+        self._family.append(
+            *key,
+            *_apk_columns(record.apk),
+            record.apk_source,
+            self._codec.encode(record),
+        )
         if (
             self._store is not None
-            and len(self._records) > self._store.spill_threshold
+            and not self.spilled
+            and len(self._keys) > self._store.spill_threshold
         ):
             self._spill()
         return True
@@ -324,79 +327,49 @@ class Snapshot:
     def attach_apk(
         self, record: CrawlRecord, apk: ParsedApk, source: Optional[str]
     ) -> None:
-        """Attach a downloaded APK to a record, writing through the store.
+        """Attach a downloaded APK to a record, writing through the family.
 
-        The memory backend mutates the record in place (today's
-        behavior).  The spilled backend puts the APK document in the
-        blob vault, updates the record's segment-table row, and leaves a
-        :class:`LazyApk` on the caller's record object — the parsed APK
-        is released as soon as the caller drops it, so the download
+        The record's row gets the APK identity columns and the caller's
+        record object gets the APK (on the memory family that object is
+        the stored record).  Once spilled, the APK document goes to the
+        blob vault and the record holds a :class:`LazyApk` — the parsed
+        APK is released as soon as the caller drops it, so the download
         phase never accumulates the corpus in RAM.
         """
-        if not self.spilled:
-            record.apk = apk
-            record.apk_source = source
-            return
-        lazy = self._store.vault.lazy(apk)
+        apk = self._codec.keep_apk(apk)
+        md5, signer, vc_hint = _apk_columns(apk)
         self._family.update(
-            {
-                "md5": lazy.md5,
-                "signer": lazy.signer_fingerprint,
-                "vc_hint": lazy.version_code_hint,
-                "apk_source": source,
-            },
+            {"md5": md5, "signer": signer, "vc_hint": vc_hint, "apk_source": source},
             {"market_id": record.market_id, "package": record.package},
         )
-        record.apk = lazy
+        record.apk = apk
         record.apk_source = source
 
     # -- lookups -----------------------------------------------------------
 
     def get(self, market_id: str, package: str) -> Optional[CrawlRecord]:
-        if self.spilled:
-            if (market_id, package) not in self._keys:
-                return None
-            row = self._family.get(market_id=market_id, package=package)
-            return self._record_from_row(row) if row is not None else None
-        return self._records.get((market_id, package))
+        if (market_id, package) not in self._keys:
+            return None
+        # A resident key always has its row.
+        return self._codec.decode(self._family.get(market_id=market_id, package=package))
 
     def in_market(self, market_id: str) -> List[CrawlRecord]:
-        if self.spilled:
-            return [
-                self._record_from_row(row)
-                for row in self._family.scan(market_id=market_id)
-            ]
-        return list(self._by_market.get(market_id, ()))
+        return self._records(market_id=market_id)
 
     def market_size(self, market_id: str) -> int:
-        if self.spilled:
-            return self._family.count(market_id=market_id)
-        return len(self._by_market.get(market_id, ()))
+        return self._family.count(market_id=market_id)
 
     def markets(self) -> List[str]:
-        if self.spilled:
-            return sorted(self._market_ids)
-        return sorted(self._by_market)
+        return sorted(self._market_ids)
 
     def for_package(self, package: str) -> List[CrawlRecord]:
-        if self.spilled:
-            return [
-                self._record_from_row(row)
-                for row in self._family.scan(package=package)
-            ]
-        return list(self._by_package.get(package, ()))
+        return self._records(package=package)
 
     def packages(self) -> List[str]:
-        if self.spilled:
-            return sorted({package for _, package in self._keys})
-        return sorted(self._by_package)
+        return sorted({package for _, package in self._keys})
 
     def markets_of(self, package: str) -> List[str]:
-        if self.spilled:
-            return sorted(
-                market for market, pkg in self._keys if pkg == package
-            )
-        return sorted(r.market_id for r in self._by_package.get(package, ()))
+        return sorted(row[0] for row in self._family.scan(package=package))
 
     def with_apk(self) -> Iterator[CrawlRecord]:
         return (r for r in self if r.has_apk)
@@ -416,18 +389,12 @@ class Snapshot:
     def iter_sorted(self, batch_size: Optional[int] = None) -> Iterator[CrawlRecord]:
         """Stream records in canonical (market_id, package) order.
 
-        The spilled backend pages an ordered cursor (one batch resident);
+        Once spilled this pages an ordered cursor (one batch resident);
         SQLite's BINARY collation over UTF-8 equals Python's str order,
-        so both backends yield the identical sequence.
+        so both families yield the identical sequence.
         """
-        if self.spilled:
-            return (
-                self._record_from_row(row)
-                for row in self._family.scan(
-                    batch_size=batch_size, order_by=["market_id", "package"]
-                )
-            )
-        return iter([self._records[key] for key in sorted(self._records)])
+        rows = self._family.scan(batch_size=batch_size, order_by=["market_id", "package"])
+        return map(self._codec.decode, rows)
 
     def iter_package_groups(
         self, batch_size: Optional[int] = None
@@ -439,21 +406,9 @@ class Snapshot:
         records are resident at a time, which is what lets unit
         construction stream.
         """
-        if not self.spilled:
-            for package in sorted(self._by_package):
-                yield package, list(self._by_package[package])
-            return
-        current: Optional[str] = None
-        bucket: List[CrawlRecord] = []
-        for row in self._family.scan(batch_size=batch_size, order_by=["package"]):
-            record = self._record_from_row(row)
-            if record.package != current:
-                if bucket:
-                    yield current, bucket
-                current, bucket = record.package, []
-            bucket.append(record)
-        if bucket:
-            yield current, bucket
+        rows = self._family.scan(batch_size=batch_size, order_by=["package"])
+        for package, group in groupby(rows, key=itemgetter(1)):
+            yield package, list(map(self._codec.decode, group))
 
     def sorted_records(self) -> List[CrawlRecord]:
         """Records in canonical (market_id, package) order."""
@@ -476,13 +431,8 @@ class Snapshot:
 
     def apk_coverage(self, market_id: str) -> float:
         """Share of a market's records with a parsed APK."""
-        if self.spilled:
-            total = with_apk = 0
-            for row in self._family.scan(market_id=market_id):
-                total += 1
-                with_apk += row[2] is not None  # md5 column
-            return with_apk / total if total else 0.0
-        records = self._by_market.get(market_id, ())
-        if not records:
-            return 0.0
-        return sum(1 for r in records if r.has_apk) / len(records)
+        total = with_apk = 0
+        for row in self._family.scan(market_id=market_id):
+            total += 1
+            with_apk += row[2] is not None  # md5 column
+        return with_apk / total if total else 0.0

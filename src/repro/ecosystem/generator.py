@@ -185,6 +185,9 @@ class EcosystemGenerator:
                 self._finalize_listings(pool)
         finally:
             pool.shutdown()
+        from repro.store.corpus import AppTable
+
+        self._world.apps = AppTable.of(self._world.apps)
         return self._world
 
     # ------------------------------------------------------------------

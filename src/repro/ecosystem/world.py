@@ -1,11 +1,13 @@
 """The generated world: ground truth for one study run.
 
-``World.apps`` is a plain list after generation; handing the world to a
-:class:`~repro.store.corpus.CorpusStore` via :meth:`World.spill` swaps
-it for a disk-backed :class:`~repro.store.corpus.SpilledAppList` behind
-the same sequence API.  Every accessor below works on either backend;
+The generator builds ``World.apps`` as a plain list; once generation
+finishes it becomes an :class:`~repro.store.corpus.AppTable`, one
+sequence over a record family.  The table starts on an in-memory family
+that holds the blueprints themselves; :meth:`World.spill` copies its
+rows into a :class:`~repro.store.corpus.CorpusStore`'s sqlite family.
+Every accessor below has one implementation over the table, and
 ``content_digest()`` is backend-invariant because iteration order (by
-``app_id``) is part of the spill contract.
+``app_id``) is part of the family contract.
 """
 
 from __future__ import annotations
@@ -45,56 +47,43 @@ class World:
     scale: float
     catalog: LibraryCatalog
     developers: List[Developer] = field(default_factory=list)
+    #: A list while the generator builds it, an ``AppTable`` after.
     apps: Sequence[AppBlueprint] = field(default_factory=list)
     threat_feed: ThreatFeed = field(default_factory=ThreatFeed)
     vetting_log: List[VettingRecord] = field(default_factory=list)
 
     def app(self, app_id: int) -> AppBlueprint:
-        blueprint = self.apps[app_id]
-        if blueprint.app_id != app_id:
-            raise AssertionError("app list out of order")
-        return blueprint
+        """The blueprint with this ``app_id`` (the table's unique key)."""
+        return self.apps[app_id]
 
-    # -- out-of-core backend ------------------------------------------------
+    # -- the app table ----------------------------------------------------
 
     @property
     def spilled(self) -> bool:
-        """True once ``apps`` lives in a corpus store, not a list."""
-        return not isinstance(self.apps, list)
+        """True once ``apps`` lives in a corpus store's sqlite family."""
+        return self.apps.spilled
 
     def spill(self, store) -> None:
-        """Move the app list into ``store`` (a ``CorpusStore``).
+        """Copy the app table into ``store`` (a ``CorpusStore``).
 
-        Every accessor keeps working; reads come back as fresh copies,
+        Every accessor keeps working; reads come back as decoded copies,
         so post-generation mutations must go through :meth:`write_back`.
         Developers stay in memory (they are shared, small, and pickled
         by reference so identity survives the round-trip).
         """
-        from repro.store.corpus import SpilledAppList
-
-        if self.spilled:
-            return
-        self.apps = SpilledAppList.spill(store, self.apps, self.developers)
+        if not self.spilled:
+            self.apps = self.apps.spill(store, self.developers)
 
     def write_back(self, app: AppBlueprint) -> None:
-        """Persist a mutated blueprint; no-op on the in-memory backend
-        (there, the caller already mutated the shared object)."""
-        write_back = getattr(self.apps, "write_back", None)
-        if write_back is not None:
-            write_back(app)
+        """Persist a mutated blueprint into the app table."""
+        self.apps.write_back(app)
 
     def iter_placements(
         self, batch_size: Optional[int] = None
     ) -> Iterator[Tuple[AppBlueprint, Placement]]:
         """Yield every (app, placement) pair, streaming on the spilled
         backend (``batch_size`` tunes its cursor width)."""
-        apps: Iterator[AppBlueprint]
-        iter_batched = getattr(self.apps, "iter", None)
-        if batch_size is not None and iter_batched is not None:
-            apps = iter_batched(batch_size)
-        else:
-            apps = iter(self.apps)
-        for app in apps:
+        for app in self.apps.iter(batch_size):
             for placement in app.placements.values():
                 yield app, placement
 
@@ -108,11 +97,8 @@ class World:
         return sum(len(app.placements) for app in self.apps)
 
     def find_by_package(self, package: str) -> List[AppBlueprint]:
-        """All apps with this package — an indexed lookup once spilled."""
-        find = getattr(self.apps, "find_by_package", None)
-        if find is not None:
-            return find(package)
-        return [app for app in self.apps if app.package == package]
+        """All apps with this package, in app_id order (an index lookup)."""
+        return self.apps.find_by_package(package)
 
     def content_digest(self) -> str:
         """A stable hex digest over everything generation decides.

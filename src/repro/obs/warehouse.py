@@ -63,7 +63,7 @@ DIGEST_INVARIANT_FIELDS = frozenset({
     "crawl_workers", "analysis_workers", "gen_workers",
     "checkpoint_dir", "resume", "artifact_cache_dir",
     "store_backend", "store_batch_size", "store_spill_threshold",
-    "store_dir", "segment_cache",
+    "store_dir",
     "trace_out", "metrics_out", "profile", "profile_out", "run_meta",
     "monitor", "monitor_interval", "stall_budget",
     "transport", "crawl_engine", "crawl_pipeline",

@@ -1,20 +1,24 @@
 """Out-of-core corpus storage.
 
-``repro.store`` is the disk-backed record layer that lets worlds,
-snapshots, and analysis corpora scale past RAM: a columnar
-:class:`~repro.store.columnar.ColumnStore` (one SQLite segment table
-per record family), a content-addressed, mmap-read
-:class:`~repro.store.blobs.BlobVault` for APK documents, and the
-:class:`~repro.store.corpus.CorpusStore` facade that a
-:class:`~repro.core.config.StudyConfig` resolves to.
+``repro.store`` is the record layer that lets worlds, snapshots, and
+analysis corpora scale past RAM.  Consumers code against one record
+family interface (:mod:`repro.store.columnar`) with two
+implementations: a :class:`~repro.store.columnar.MemoryFamily` that
+holds rows as Python objects, and a SQLite
+:class:`~repro.store.columnar.Family` (one segment table per family in
+a :class:`~repro.store.columnar.ColumnStore`).  A content-addressed,
+mmap-read :class:`~repro.store.blobs.BlobVault` holds APK documents,
+and the :class:`~repro.store.corpus.CorpusStore` facade that a
+:class:`~repro.core.config.StudyConfig` resolves to bundles the two
+disk layers.
 
 The contract (see DESIGN.md, "Out-of-core corpus"): every public
 ``content_digest()`` — world, snapshot, report — is **backend
-invariant**.  The memory backend is today's in-RAM objects; the sqlite
-backend spills the same records to disk once they cross the configured
-spill threshold and re-serves them through batched streaming cursors.
-Digest equality between the two backends is the repo's equality oracle
-for the whole refactor.
+invariant**.  Records start in memory families; the sqlite backend
+spills them by copying the rows into sqlite families once they cross
+the configured spill threshold, and re-serves them through batched
+streaming cursors.  Digest equality between the two backends is the
+repo's equality oracle.
 """
 
 from repro.store.blobs import BlobVault, LazyApk

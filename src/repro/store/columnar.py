@@ -1,19 +1,26 @@
-"""SQLite-backed columnar segment tables.
+"""Record families: one interface, an in-memory and a SQLite implementation.
 
-A :class:`ColumnStore` is one SQLite database holding one segment table
-per **record family** (apps, per-campaign crawl records, analysis
-rows).  Each family declares its key columns — the fields queries
-filter or order on — and keeps the rest of the record in a single
-opaque payload column, so the table stays narrow and scans stay
-sequential (the columnar part that matters for an append-mostly corpus:
-hot columns are real columns, cold state is one blob).
+A **record family** (apps, per-campaign crawl records) is a table of
+rows: the declared key columns — the fields queries filter or order on
+— followed by one opaque payload.  Consumers code against the family
+interface (``append``, ``update``, ``get``, ``count``,
+``scan(batch_size, order_by, **where)``, ``flush``) and never against a
+backend:
 
-Design points:
+* :class:`MemoryFamily` keeps rows as Python tuples in insertion order,
+  with a dict index per declared ``unique``/``indexes`` column set.
+  Payloads are the caller's objects, stored as they are.
+* :class:`Family` is one segment table in a :class:`ColumnStore` (one
+  SQLite database per run).  Payloads are whatever bytes or text the
+  caller's row codec encodes; the table stays narrow and scans stay
+  sequential (hot columns are real columns, cold state is one blob).
+
+Design points of the SQLite family:
 
 * **Insertion order is the contract.**  Every family row carries the
   implicit SQLite ``rowid``; :meth:`Family.scan` pages through it in
   batches, so a cursor yields records in exactly the order ``append``
-  saw them — the same order the in-memory backend iterates.  This is
+  saw them — the same order a :class:`MemoryFamily` scans.  This is
   what keeps content digests backend-invariant.
 * **Batched, buffered writes.**  Appends accumulate in a small buffer
   and land with one ``executemany`` per batch; any read flushes first.
@@ -32,10 +39,18 @@ from __future__ import annotations
 import os
 import sqlite3
 import threading
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["ColumnStore", "Family", "StoreError", "DEFAULT_BATCH_SIZE"]
+__all__ = [
+    "ColumnStore",
+    "Family",
+    "MemoryFamily",
+    "ResidentCodec",
+    "StoreError",
+    "DEFAULT_BATCH_SIZE",
+]
 
 DEFAULT_BATCH_SIZE = 512
 
@@ -53,8 +68,21 @@ def _check_identifier(name: str) -> str:
     return name
 
 
+def _equals(columns) -> List[str]:
+    return [f"{_check_identifier(c)} = ?" for c in columns]
+
+
+def _where_sql(clauses: Sequence[str]) -> str:
+    return " WHERE " + " AND ".join(clauses) if clauses else ""
+
+
+def _check_width(name: str, columns: Sequence[str], values: Tuple) -> None:
+    if len(values) != len(columns):
+        raise StoreError(f"{name}: expected {len(columns)} values, got {len(values)}")
+
+
 class Family:
-    """One record family: a segment table plus its write buffer."""
+    """One record family on disk: a segment table plus its write buffer."""
 
     def __init__(
         self,
@@ -96,11 +124,7 @@ class Family:
 
     def append(self, *values: object) -> None:
         """Buffer one row (key column values in order, then payload)."""
-        if len(values) != len(self._column_names):
-            raise StoreError(
-                f"{self.name}: expected {len(self._column_names)} values, "
-                f"got {len(values)}"
-            )
+        _check_width(self.name, self._column_names, values)
         with self._store._lock:
             self._pending.append(values)
             if len(self._pending) >= self._store.batch_size:
@@ -109,15 +133,28 @@ class Family:
     def update(self, assignments: Dict[str, object], where: Dict[str, object]) -> int:
         """Update matching rows; returns the number of rows changed."""
         self.flush()
-        sets = ", ".join(f"{_check_identifier(c)} = ?" for c in assignments)
-        cond = " AND ".join(f"{_check_identifier(c)} = ?" for c in where)
+        sets = ", ".join(_equals(assignments))
         with self._store._lock:
             cur = self._store._conn.execute(
-                f"UPDATE {self.table} SET {sets} WHERE {cond}",
+                f"UPDATE {self.table} SET {sets}{_where_sql(_equals(where))}",
                 tuple(assignments.values()) + tuple(where.values()),
             )
             self._store._conn.commit()
             return cur.rowcount
+
+    def replace(self, rows: Iterable[Tuple]) -> None:
+        """Make ``rows`` the family's whole content.
+
+        This is how a spill lands: whatever an earlier run left in the
+        table (a resumed checkpoint's store) is dropped first, because
+        every run regenerates the records it spills.
+        """
+        with self._store._lock:
+            self._pending.clear()
+            self._store._conn.execute(f"DELETE FROM {self.table}")
+        for row in rows:
+            self.append(*row)
+        self.flush()
 
     def flush(self) -> None:
         with self._store._lock:
@@ -134,10 +171,9 @@ class Family:
     def get(self, **where: object) -> Optional[Tuple]:
         """The first matching row (key columns + payload), or None."""
         self.flush()
-        cond = " AND ".join(f"{_check_identifier(c)} = ?" for c in where)
         sql = (
-            f"SELECT {', '.join(self._column_names)} FROM {self.table} "
-            f"WHERE {cond} LIMIT 1"
+            f"SELECT {', '.join(self._column_names)} FROM {self.table}"
+            f"{_where_sql(_equals(where))} LIMIT 1"
         )
         with self._store._lock:
             cur = self._store._conn.execute(sql, tuple(where.values()))
@@ -145,15 +181,10 @@ class Family:
 
     def count(self, **where: object) -> int:
         self.flush()
-        sql = f"SELECT COUNT(*) FROM {self.table}"
-        args: Tuple = ()
-        if where:
-            sql += " WHERE " + " AND ".join(
-                f"{_check_identifier(c)} = ?" for c in where
-            )
-            args = tuple(where.values())
+        sql = f"SELECT COUNT(*) FROM {self.table}{_where_sql(_equals(where))}"
         with self._store._lock:
-            return int(self._store._conn.execute(sql, args).fetchone()[0])
+            cur = self._store._conn.execute(sql, tuple(where.values()))
+            return int(cur.fetchone()[0])
 
     def scan(
         self,
@@ -172,7 +203,7 @@ class Family:
         batch = batch_size or self._store.batch_size
         order_cols = [_check_identifier(c) for c in (order_by or ())]
         select_cols = self._column_names + order_cols + ["rowid"]
-        cond = [f"{_check_identifier(c)} = ?" for c in where]
+        cond = _equals(where)
         base_args = tuple(where.values())
         n_keys = len(self._column_names)
         # Pagination key: (order_by columns..., rowid) strictly greater
@@ -187,9 +218,7 @@ class Family:
                 clauses.append(f"{cols} > {marks}")
                 args = base_args + last
             sql = f"SELECT {', '.join(select_cols)} FROM {self.table}"
-            if clauses:
-                sql += " WHERE " + " AND ".join(clauses)
-            sql += " ORDER BY " + ", ".join(order_cols + ["rowid"])
+            sql += _where_sql(clauses) + " ORDER BY " + ", ".join(order_cols + ["rowid"])
             sql += " LIMIT ?"
             with self._store._lock:
                 rows = self._store._conn.execute(sql, args + (batch,)).fetchall()
@@ -198,6 +227,114 @@ class Family:
             if len(rows) < batch:
                 return
             last = tuple(rows[-1][n_keys:])
+
+
+class ResidentCodec:
+    """The row codec of a :class:`MemoryFamily`: a payload is the object
+    itself, so nothing is encoded, copied or decoded."""
+
+    encode = staticmethod(lambda obj: obj)
+    decode = staticmethod(itemgetter(-1))
+
+
+class MemoryFamily:
+    """One record family held in memory, with :class:`Family`'s methods.
+
+    Rows are tuples in insertion order; a row's position is its rowid.
+    Each declared column set gets a dict index from key to rowids, the
+    ``unique`` one first (it rejects a duplicate at ``append``), so
+    ``get``, ``count`` and ``scan`` are lookups whenever ``where`` covers
+    an index.  Indexed columns are immutable: ``update`` rewrites the
+    others.  There is no write buffer, so ``flush`` is a no-op.  Writes
+    take a lock; reads take none, because a read only looks up lists and
+    tuples that a write extends or swaps whole.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        key_columns: Sequence[Tuple[str, str]],
+        unique: Optional[Sequence[str]] = None,
+        indexes: Sequence[Sequence[str]] = (),
+    ):
+        self.name = _check_identifier(name)
+        self._column_names = [_check_identifier(c) for c, _ in key_columns] + ["payload"]
+        self._position = {c: i for i, c in enumerate(self._column_names)}
+        self._unique = bool(unique)
+        # (columns, key of a row, key of a where mapping, key -> rowids)
+        self._indexes = [
+            (
+                frozenset(cols),
+                itemgetter(*(self._position[c] for c in cols)),
+                itemgetter(*cols),
+                {},
+            )
+            for cols in ([unique] if unique else []) + list(indexes)
+        ]
+        self._rows: List[Tuple] = []
+        self._lock = threading.Lock()
+
+    def append(self, *values: object) -> None:
+        _check_width(self.name, self._column_names, values)
+        keys = [row_key(values) for _, row_key, _, _ in self._indexes]
+        with self._lock:
+            if self._unique and keys[0] in self._indexes[0][3]:
+                raise StoreError(f"{self.name}: duplicate key {keys[0]!r}")
+            rowid = len(self._rows)
+            self._rows.append(values)
+            for (_, _, _, index), key in zip(self._indexes, keys):
+                index.setdefault(key, []).append(rowid)
+
+    def update(self, assignments: Dict[str, object], where: Dict[str, object]) -> int:
+        if any(cols.intersection(assignments) for cols, _, _, _ in self._indexes):
+            raise StoreError(f"{self.name}: indexed columns are immutable")
+        changes = {self._position[c]: v for c, v in assignments.items()}
+        with self._lock:
+            matched = self._match(where)
+            for rowid in matched:
+                row = self._rows[rowid]
+                self._rows[rowid] = tuple(changes.get(i, x) for i, x in enumerate(row))
+            return len(matched)
+
+    def flush(self) -> None:
+        pass
+
+    def get(self, **where: object) -> Optional[Tuple]:
+        matched = self._match(where)
+        return self._rows[matched[0]] if matched else None
+
+    def count(self, **where: object) -> int:
+        return len(self._match(where))
+
+    def scan(
+        self,
+        batch_size: Optional[int] = None,
+        order_by: Optional[Sequence[str]] = None,
+        **where: object,
+    ) -> Iterator[Tuple]:
+        """Matching rows in ``order_by`` order, insertion order breaking
+        ties.  ``batch_size`` is accepted for parity: rows are resident."""
+        rows = [self._rows[rowid] for rowid in self._match(where)]
+        if order_by:
+            rows.sort(key=itemgetter(*(self._position[c] for c in order_by)))
+        return iter(rows)
+
+    def _match(self, where: Dict[str, object]) -> Sequence[int]:
+        """Rowids of the rows matching ``where``, ascending."""
+        matched: Sequence[int] = range(len(self._rows))
+        rest = where
+        for cols, _, where_key, index in self._indexes:
+            if cols.issubset(where):
+                matched = index.get(where_key(where), ())
+                rest = {c: v for c, v in where.items() if c not in cols}
+                break
+        if rest:
+            checks = [(self._position[c], v) for c, v in rest.items()]
+            rows = self._rows
+            matched = [
+                i for i in matched if all(rows[i][p] == v for p, v in checks)
+            ]
+        return matched
 
 
 class ColumnStore:
@@ -246,8 +383,7 @@ class ColumnStore:
 
     def close(self) -> None:
         with self._lock:
-            for fam in self._families.values():
-                fam._flush_locked()
+            self.flush()
             self._conn.commit()
             self._conn.close()
 

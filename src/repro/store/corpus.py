@@ -1,16 +1,21 @@
-"""The corpus store facade and the spilled world-app list.
+"""The corpus store facade and the world's app table.
 
 :class:`CorpusStore` bundles the two disk layers one study run needs —
 a :class:`~repro.store.columnar.ColumnStore` of record-family segment
 tables and a :class:`~repro.store.blobs.BlobVault` of parsed-APK
 documents — under one root directory, and resolves itself from a
 :class:`~repro.core.config.StudyConfig` (``store_backend="sqlite"``).
+It also declares the schema of each record family, which the memory and
+the sqlite family of that record kind share.
 
-:class:`SpilledAppList` is the disk-backed drop-in for ``World.apps``:
-a read-mostly sequence of :class:`~repro.ecosystem.apps.AppBlueprint`
-rows keyed by ``app_id`` with a ``package`` column (indexed, so
-``find_by_package`` is a lookup instead of a corpus scan).  Blueprints
-are pickled per row with two store-specific twists:
+:class:`AppTable` is ``World.apps`` once generation finishes: a
+read-mostly sequence of :class:`~repro.ecosystem.apps.AppBlueprint`
+rows keyed by ``app_id`` with an indexed ``package`` column (so
+``find_by_package`` is a lookup, not a corpus scan), over one record
+family.  It starts on a :class:`~repro.store.columnar.MemoryFamily`
+holding the blueprints themselves; :meth:`AppTable.spill` copies its
+rows into the store's sqlite family, where the row codec pickles each
+blueprint with two store-specific twists:
 
 * **Developers keep identity.**  A :class:`Developer` is pickled as a
   persistent id and resolved against the world's developer list on
@@ -20,11 +25,10 @@ are pickled per row with two store-specific twists:
   :class:`CodePackage`; the memo is dropped before pickling so payload
   bytes stay deterministic and small.
 
-Mutation contract: an object read from the spilled list is a fresh
-copy; callers that mutate a blueprint (catalog evolution bumping
-``placement.version_index``) must call :meth:`SpilledAppList.write_back`
-to persist it — the same call is a no-op-shaped append on the memory
-backend (plain list), where mutation is already in place.
+Mutation contract: callers that mutate a blueprint (catalog evolution
+bumping ``placement.version_index``) call :meth:`AppTable.write_back`.
+On the sqlite family that persists it (a read there is a decoded copy);
+on the memory family it rewrites the row with the same object.
 """
 
 from __future__ import annotations
@@ -43,10 +47,19 @@ from repro.store.columnar import (
     DEFAULT_BATCH_SIZE,
     ColumnStore,
     Family,
+    MemoryFamily,
+    ResidentCodec,
     StoreError,
 )
 
-__all__ = ["CorpusStore", "SpilledAppList", "DEFAULT_SPILL_THRESHOLD"]
+__all__ = [
+    "AppTable",
+    "CorpusStore",
+    "SpilledAppList",
+    "APPS_SCHEMA",
+    "CRAWL_SCHEMA",
+    "DEFAULT_SPILL_THRESHOLD",
+]
 
 #: Below this many records a family stays in memory (bit-identical to
 #: the memory backend); above it, rows spill to the segment tables.
@@ -55,6 +68,27 @@ DEFAULT_SPILL_THRESHOLD = 5000
 #: Decoded-blueprint LRU for random access (market stores resolve
 #: ``world.app(listing.app_id)`` on every APK build).
 DEFAULT_APP_CACHE = 512
+
+#: The world's apps: one row per blueprint.
+APPS_SCHEMA = dict(
+    key_columns=[("app_id", "INTEGER"), ("package", "TEXT")],
+    unique=["app_id"],
+    indexes=[["package"]],
+)
+
+#: One crawl campaign's records, with the APK identity as columns.
+CRAWL_SCHEMA = dict(
+    key_columns=[
+        ("market_id", "TEXT"),
+        ("package", "TEXT"),
+        ("md5", "TEXT"),
+        ("signer", "TEXT"),
+        ("vc_hint", "INTEGER"),
+        ("apk_source", "TEXT"),
+    ],
+    unique=["market_id", "package"],
+    indexes=[["market_id"], ["package"]],
+)
 
 
 def _sanitize(name: str) -> str:
@@ -100,28 +134,11 @@ class CorpusStore:
     # -- families ----------------------------------------------------------
 
     def apps_family(self) -> Family:
-        return self.columns.family(
-            "apps",
-            [("app_id", "INTEGER"), ("package", "TEXT")],
-            unique=["app_id"],
-            indexes=[["package"]],
-        )
+        return self.columns.family("apps", **APPS_SCHEMA)
 
     def crawl_family(self, label: str) -> Family:
         """The record family of one crawl campaign."""
-        return self.columns.family(
-            f"crawl_{_sanitize(label)}",
-            [
-                ("market_id", "TEXT"),
-                ("package", "TEXT"),
-                ("md5", "TEXT"),
-                ("signer", "TEXT"),
-                ("vc_hint", "INTEGER"),
-                ("apk_source", "TEXT"),
-            ],
-            unique=["market_id", "package"],
-            indexes=[["market_id"], ["package"]],
-        )
+        return self.columns.family(f"crawl_{_sanitize(label)}", **CRAWL_SCHEMA)
 
     def close(self) -> None:
         self.columns.close()
@@ -151,58 +168,77 @@ class _AppUnpickler(pickle.Unpickler):
         return self._developers[dev_id]
 
 
-class SpilledAppList(Sequence):
-    """Disk-backed ``World.apps``: blueprints by app_id, package-indexed."""
+class _PickleCodec:
+    """The sqlite apps family's row codec: pickled blueprints.
 
-    def __init__(
-        self,
-        family: Family,
-        developers: List[Developer],
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        cache_size: int = DEFAULT_APP_CACHE,
-    ):
-        self._family = family
+    Decoded and written-back blueprints sit in a bounded LRU keyed by
+    ``app_id``, so a caller that mutated a cached blueprint (and has not
+    written it back yet) sees its own mutation, as on the memory family.
+    """
+
+    def __init__(self, developers: List[Developer], cache_size: int = DEFAULT_APP_CACHE):
         self._developers = {dev.dev_id: dev for dev in developers}
-        self._batch = batch_size
         self._cache: "OrderedDict[int, object]" = OrderedDict()
         self._cache_size = max(1, cache_size)
         self._lock = threading.Lock()
+
+    def encode(self, app) -> bytes:
+        # Drop the frozen OwnCode's CodePackage memo: it is derived
+        # state, rebuilt on demand, and would bloat every payload.
+        app.own_code.__dict__.pop("_code_package", None)
+        buffer = io.BytesIO()
+        _AppPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(app)
+        self._remember(app.app_id, app)
+        return buffer.getvalue()
+
+    def decode(self, row):
+        app_id = row[0]
+        with self._lock:
+            app = self._cache.get(app_id)
+        if app is None:
+            app = _AppUnpickler(row[-1], self._developers).load()
+        self._remember(app_id, app)
+        return app
+
+    def _remember(self, app_id: int, app) -> None:
+        with self._lock:
+            self._cache[app_id] = app
+            self._cache.move_to_end(app_id)
+            while len(self._cache) > self._cache_size:
+                self._cache.popitem(last=False)
+
+
+class AppTable(Sequence):
+    """``World.apps``: blueprints by ``app_id`` over one record family."""
+
+    def __init__(self, family, codec=ResidentCodec):
+        self._family = family
+        self._codec = codec
         self._len = family.count()
 
     @classmethod
-    def spill(
-        cls,
-        store: CorpusStore,
-        apps: Sequence,
-        developers: List[Developer],
-    ) -> "SpilledAppList":
-        """Write a fully-materialized app list into the store."""
-        family = store.apps_family()
-        if family.count():
-            raise StoreError("apps family already populated")
+    def of(cls, apps: Sequence) -> "AppTable":
+        """The memory table over a generated app list (in app_id order)."""
+        family = MemoryFamily("apps", **APPS_SCHEMA)
         for position, app in enumerate(apps):
             if app.app_id != position:
                 raise StoreError(
                     f"app list out of order: position {position} holds "
                     f"app_id {app.app_id}"
                 )
-            family.append(app.app_id, app.package, cls._dumps(app))
-        family.flush()
-        return cls(family, developers, batch_size=store.batch_size)
+            family.append(app.app_id, app.package, app)
+        return cls(family)
 
-    # -- codec -------------------------------------------------------------
+    @property
+    def spilled(self) -> bool:
+        return not isinstance(self._family, MemoryFamily)
 
-    @staticmethod
-    def _dumps(app) -> bytes:
-        # Drop the frozen OwnCode's CodePackage memo: it is derived
-        # state, rebuilt on demand, and would bloat every payload.
-        app.own_code.__dict__.pop("_code_package", None)
-        buffer = io.BytesIO()
-        _AppPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(app)
-        return buffer.getvalue()
-
-    def _loads(self, payload: bytes):
-        return _AppUnpickler(payload, self._developers).load()
+    def spill(self, store: CorpusStore, developers: List[Developer]) -> "AppTable":
+        """This table's rows copied into ``store``'s apps family."""
+        family = store.apps_family()
+        codec = _PickleCodec(developers)
+        family.replace((*row[:-1], codec.encode(row[-1])) for row in self._family.scan())
+        return AppTable(family, codec)
 
     # -- sequence protocol -------------------------------------------------
 
@@ -216,59 +252,34 @@ class SpilledAppList(Sequence):
             index += self._len
         if not 0 <= index < self._len:
             raise IndexError(f"app index {index} out of range")
-        with self._lock:
-            app = self._cache.get(index)
-            if app is not None:
-                self._cache.move_to_end(index)
-                return app
         row = self._family.get(app_id=index)
         if row is None:
             raise StoreError(f"app {index} missing from store")
-        app = self._loads(row[-1])
-        with self._lock:
-            self._cache[index] = app
-            self._cache.move_to_end(index)
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-        return app
+        return self._codec.decode(row)
 
     def __iter__(self) -> Iterator:
         return self.iter()
 
     def iter(self, batch_size: Optional[int] = None) -> Iterator:
-        """Stream blueprints in app_id order, one batch resident."""
-        for row in self._family.scan(batch_size=batch_size or self._batch):
-            app_id = row[0]
-            with self._lock:
-                cached = self._cache.get(app_id)
-            # Prefer the cached object: a caller that mutated it (and
-            # has not written back yet) sees its own mutation, matching
-            # the memory backend's aliasing.
-            yield cached if cached is not None else self._loads(row[-1])
+        """Stream blueprints in app_id order (one batch resident on disk)."""
+        return map(self._codec.decode, self._family.scan(batch_size=batch_size))
 
     # -- queries and write-back --------------------------------------------
 
     def find_by_package(self, package: str) -> List:
-        return [
-            self._resolve(row)
-            for row in self._family.scan(batch_size=self._batch, package=package)
-        ]
-
-    def _resolve(self, row):
-        app_id = row[0]
-        with self._lock:
-            cached = self._cache.get(app_id)
-        return cached if cached is not None else self._loads(row[-1])
+        return [self._codec.decode(row) for row in self._family.scan(package=package)]
 
     def write_back(self, app) -> None:
         """Persist a mutated blueprint (placement evolution, etc.)."""
         changed = self._family.update(
-            {"payload": self._dumps(app)}, {"app_id": app.app_id}
+            {"payload": self._codec.encode(app)}, {"app_id": app.app_id}
         )
         if changed != 1:
             raise StoreError(f"write_back of app {app.app_id} touched {changed} rows")
-        with self._lock:
-            self._cache[app.app_id] = app
-            self._cache.move_to_end(app.app_id)
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
+
+
+class SpilledAppList(AppTable):
+    """An app table over a sqlite apps family, e.g. one reopened from disk."""
+
+    def __init__(self, family: Family, developers: List[Developer]):
+        super().__init__(family, _PickleCodec(developers))

@@ -1,11 +1,26 @@
-"""Tests for the columnar segment store and the APK blob vault."""
+"""Tests for the record families and the APK blob vault.
+
+``TestFamily`` runs against both families through the parametrized
+``family`` fixture; the cases that exercise SQLite specifics (keyset
+pagination under interleaved writes, the flush-time unique violation,
+reopening a database) stay sqlite-only.
+"""
+
+import sys
+import threading
 
 import pytest
 
 from repro.store.blobs import BlobVault, LazyApk
-from repro.store.columnar import ColumnStore, StoreError
+from repro.store.columnar import ColumnStore, MemoryFamily, StoreError
 
 from conftest import make_parsed
+
+RECORDS = dict(
+    key_columns=[("market", "TEXT"), ("package", "TEXT")],
+    unique=["market", "package"],
+    indexes=[["package"]],
+)
 
 
 @pytest.fixture()
@@ -14,37 +29,41 @@ def store(tmp_path):
         yield cs
 
 
+@pytest.fixture(params=["sqlite", "memory"])
+def open_family(request, store):
+    """Opens a family, ``(name, key_columns, unique, indexes)``, on
+    either backend."""
+    return store.family if request.param == "sqlite" else MemoryFamily
+
+
+@pytest.fixture()
+def family(open_family):
+    return open_family("records", **RECORDS)
+
+
 def _records_family(store):
-    return store.family(
-        "records",
-        [("market", "TEXT"), ("package", "TEXT")],
-        unique=["market", "package"],
-        indexes=[["package"]],
-    )
+    return store.family("records", **RECORDS)
 
 
 class TestFamily:
-    def test_append_scan_roundtrip(self, store):
-        fam = _records_family(store)
+    def test_append_scan_roundtrip(self, family):
         rows = [("m1", f"pkg.{i:03d}", f"payload-{i}".encode()) for i in range(10)]
         for row in rows:
-            fam.append(*row)
-        got = list(fam.scan(batch_size=3))
+            family.append(*row)
+        got = list(family.scan(batch_size=3))
         assert got == rows
 
-    def test_scan_honors_where(self, store):
-        fam = _records_family(store)
-        fam.append("m1", "a", b"1")
-        fam.append("m2", "a", b"2")
-        fam.append("m1", "b", b"3")
-        assert list(fam.scan(market="m1")) == [("m1", "a", b"1"), ("m1", "b", b"3")]
+    def test_scan_honors_where(self, family):
+        family.append("m1", "a", b"1")
+        family.append("m2", "a", b"2")
+        family.append("m1", "b", b"3")
+        assert list(family.scan(market="m1")) == [("m1", "a", b"1"), ("m1", "b", b"3")]
 
-    def test_ordered_scan_sorts_by_columns(self, store):
-        fam = _records_family(store)
-        fam.append("m2", "b", b"1")
-        fam.append("m1", "c", b"2")
-        fam.append("m1", "a", b"3")
-        ordered = [r[:2] for r in fam.scan(order_by=["market", "package"])]
+    def test_ordered_scan_sorts_by_columns(self, family):
+        family.append("m2", "b", b"1")
+        family.append("m1", "c", b"2")
+        family.append("m1", "a", b"3")
+        ordered = [r[:2] for r in family.scan(order_by=["market", "package"])]
         assert ordered == [("m1", "a"), ("m1", "c"), ("m2", "b")]
 
     def test_keyset_pagination_survives_interleaved_writes(self, store):
@@ -62,22 +81,20 @@ class TestFamily:
         seen.extend(cursor)
         assert [r[1] for r in seen] == ["p0", "p1", "p2", "p3", "p4", "p5", "p9"]
 
-    def test_get_and_count(self, store):
-        fam = _records_family(store)
-        fam.append("m1", "a", b"1")
-        fam.append("m2", "a", b"2")
-        assert fam.get(market="m2", package="a") == ("m2", "a", b"2")
-        assert fam.get(market="m3", package="a") is None
-        assert fam.count() == 2
-        assert fam.count(package="a") == 2
-        assert fam.count(market="m1") == 1
+    def test_get_and_count(self, family):
+        family.append("m1", "a", b"1")
+        family.append("m2", "a", b"2")
+        assert family.get(market="m2", package="a") == ("m2", "a", b"2")
+        assert family.get(market="m3", package="a") is None
+        assert family.count() == 2
+        assert family.count(package="a") == 2
+        assert family.count(market="m1") == 1
 
-    def test_update_rewrites_columns(self, store):
-        fam = _records_family(store)
-        fam.append("m1", "a", b"old")
-        changed = fam.update({"payload": b"new"}, {"market": "m1", "package": "a"})
+    def test_update_rewrites_columns(self, family):
+        family.append("m1", "a", b"old")
+        changed = family.update({"payload": b"new"}, {"market": "m1", "package": "a"})
         assert changed == 1
-        assert fam.get(market="m1", package="a") == ("m1", "a", b"new")
+        assert family.get(market="m1", package="a") == ("m1", "a", b"new")
 
     def test_unique_constraint_enforced(self, tmp_path):
         cs = ColumnStore(tmp_path / "dup.db", batch_size=4)
@@ -91,9 +108,70 @@ class TestFamily:
         fam._pending.clear()
         cs.close()
 
-    def test_bad_identifier_rejected(self, store):
+    def test_bad_identifier_rejected(self, open_family):
         with pytest.raises(StoreError):
-            store.family("bad-name", [("x", "TEXT")])
+            open_family("bad-name", [("x", "TEXT")])
+
+
+class TestMemoryFamily:
+    def test_duplicate_rejected_at_append(self):
+        fam = MemoryFamily("records", **RECORDS)
+        fam.append("m1", "a", b"1")
+        with pytest.raises(StoreError):
+            fam.append("m1", "a", b"2")
+        assert fam.count() == 1
+
+    def test_indexed_columns_are_immutable(self):
+        fam = MemoryFamily("records", **RECORDS)
+        fam.append("m1", "a", b"1")
+        with pytest.raises(StoreError):
+            fam.update({"package": "b"}, {"market": "m1", "package": "a"})
+
+    def test_payload_is_the_object_itself(self):
+        fam = MemoryFamily("records", **RECORDS)
+        payload = object()
+        fam.append("m1", "a", payload)
+        assert fam.get(market="m1", package="a")[-1] is payload
+
+    def test_index_lookup_keeps_insertion_order(self):
+        fam = MemoryFamily("records", **RECORDS)
+        for market in ("m3", "m1", "m2"):
+            fam.append(market, "a", market.encode())
+        fam.append("m1", "b", b"other")
+        assert [r[0] for r in fam.scan(package="a")] == ["m3", "m1", "m2"]
+        assert fam.count(package="a") == 3
+        assert fam.get(market="m2", package="b") is None
+
+    def test_concurrent_writers_lose_nothing(self):
+        # Crawl lanes attach APKs from worker threads; a lost append or a
+        # rowid handed out twice would leave an index pointing at the
+        # wrong row.
+        fam = MemoryFamily("records", **RECORDS)
+
+        def writer(market):
+            for i in range(200):
+                fam.append(market, f"p{i}", b"old")
+                fam.update({"payload": b"new"}, {"market": market, "package": f"p{i}"})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(f"m{k}",)) for k in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert fam.count() == 1600
+        assert all(row[-1] == b"new" for row in fam.scan())
+        for i in range(200):
+            rows = list(fam.scan(package=f"p{i}"))
+            assert sorted(row[0] for row in rows) == [f"m{k}" for k in range(8)]
+            assert {row[1] for row in rows} == {f"p{i}"}
 
 
 class TestReopen:

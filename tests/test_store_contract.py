@@ -141,6 +141,67 @@ class TestSnapshotSpill:
             assert not snap.add(make_record())
             assert len(snap) == 1
 
+    def test_accessors_agree_across_backends(self, tmp_path):
+        # Packages listed in one to four markets, ingested interleaved,
+        # with APKs attached on both sides of the spill.
+        markets = ("tencent", "baidu", "huawei", "xiaomi")
+
+        def build(store):
+            snap = Snapshot("t", store=store)
+            for i in range(8):
+                for market in markets[: 1 + i % 4]:
+                    record = make_record(
+                        market_id=market, package=f"com.multi.{i}", downloads=i
+                    )
+                    snap.add(record)
+                    if i % 3 == 0:
+                        snap.attach_apk(
+                            record, make_parsed(package=record.package), "market"
+                        )
+            return snap
+
+        memory = build(None)
+        spilled = build(CorpusStore(tmp_path, spill_threshold=5, batch_size=3))
+        assert spilled.spilled and not memory.spilled
+
+        def rows(records):
+            return [_digest_row(r) for r in records]
+
+        def groups(snap):
+            return [(p, rows(rs)) for p, rs in snap.iter_package_groups(batch_size=2)]
+
+        assert memory.markets_of("com.multi.3") == sorted(markets)
+        assert spilled.markets() == memory.markets()
+        assert spilled.packages() == memory.packages()
+        for package in memory.packages():
+            assert spilled.markets_of(package) == memory.markets_of(package)
+            assert rows(spilled.for_package(package)) == rows(memory.for_package(package))
+        for market in markets:
+            assert rows(spilled.in_market(market)) == rows(memory.in_market(market))
+            assert spilled.market_size(market) == memory.market_size(market)
+        assert groups(spilled) == groups(memory)
+
+
+class TestCheckpointedResume:
+    """A sqlite corpus under a checkpoint directory survives a resume:
+    the store's families are refilled, not appended to."""
+
+    CFG = dict(seed=42, scale=0.0001)
+
+    def test_resume_over_a_populated_store(self, tmp_path):
+        memory = Study(StudyConfig(**self.CFG)).run()
+        sqlite = dict(
+            self.CFG,
+            store_backend="sqlite",
+            store_spill_threshold=0,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        Study(StudyConfig(**sqlite)).run()
+        resumed = Study(StudyConfig(**sqlite, resume=True)).run()
+        assert resumed.world.spilled and resumed.snapshot.spilled
+        assert resumed.world.content_digest() == memory.world.content_digest()
+        assert resumed.snapshot.content_digest() == memory.snapshot.content_digest()
+
 
 class TestStudyContract:
     """End-to-end: memory(w=1) vs sqlite(w=2) — everything digests equal."""
