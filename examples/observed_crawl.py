@@ -2,7 +2,7 @@
 """Scenario: watching a crawl campaign through the observability layer.
 
 One metadata campaign runs with every recorder on — span tracing,
-the metrics registry, and the stage profiler — then the exported
+the metrics registry, and stage profiling — then the exported
 artifacts are re-rendered offline with ``run-report``:
 
 * the span trace is the campaign's work tree: discovery, search
@@ -11,8 +11,9 @@ artifacts are re-rendered offline with ``run-report``:
 * the metrics registry is the source of truth for the operator table —
   the telemetry printed live is a *view* over the same series that are
   exported, so the two can never disagree;
-* the stage profiler times each pipeline stage (wall + peak memory)
-  and prints the critical path.
+* each pipeline stage is a ``stage.*`` span in the same trace, carrying
+  its peak memory; the stage profile (and its critical path) is read
+  off those spans.
 
     python examples/observed_crawl.py
 """

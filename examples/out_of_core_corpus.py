@@ -47,7 +47,6 @@ from repro.core.study import Study
 from repro.ecosystem.sharding import resolve_gen_workers
 from repro.experiments.runner import run_all
 from repro.obs import Observability
-from repro.obs.profiler import StageProfiler
 from repro.obs.results import BenchResults
 
 SEED = 7
@@ -85,7 +84,7 @@ def _workers() -> int:
 
 def _run(backend: str):
     """One full study + experiment suite, profiled wall-only."""
-    obs = Observability(profiler=StageProfiler(trace_memory=False))
+    obs = Observability(profile=True, trace_memory=False)
     workers = _workers()
     config = StudyConfig(
         seed=SEED,
@@ -157,7 +156,7 @@ def main() -> int:
         "within_ceiling": ok,
         "memory_backend_peak_mib": None,
         "memory_backend_calibrated_mib": MEMORY_PEAK_CALIBRATED_MIB,
-        "stages": obs.profiler.to_dicts(),
+        "stages": obs.stage_rows(),
     }
 
     if os.environ.get("REPRO_CORPUS_COMPARE"):

@@ -5,7 +5,7 @@ The other examples synthesize their worlds at scale 0.0004 (~2K apps).
 This one generates at ten times that — and uses ``gen_workers`` to
 shard the expensive phases (per-app body building, per-listing
 finalize) across a process pool while the plan/submit/injection phases
-stay serial.  The stage profiler shows exactly where the time goes,
+stay serial.  The stage spans show exactly where the time goes,
 and the world's content digest is the determinism oracle: the same
 seed at any worker count prints the same digest (the sharding
 contract, enforced by tests/test_ecosystem_sharding.py).
@@ -18,7 +18,6 @@ import time
 from repro.ecosystem.generator import EcosystemGenerator
 from repro.ecosystem.sharding import resolve_gen_workers
 from repro.obs import Observability
-from repro.obs.profiler import StageProfiler
 
 SEED = 7
 SCALE = 0.004  # 10x the other examples' 0.0004
@@ -33,7 +32,7 @@ SHARDED = [
 
 def main() -> None:
     workers = resolve_gen_workers(0)  # 0 = auto-size to the machine
-    obs = Observability(profiler=StageProfiler(trace_memory=False))
+    obs = Observability(profile=True, trace_memory=False)
 
     print(f"generating a 10x world (scale {SCALE}) with "
           f"--gen-workers {workers}...")
@@ -52,13 +51,12 @@ def main() -> None:
 
     print(obs.profile_report())
 
-    sharded = sum(
-        r.wall_seconds for r in obs.profiler.records if r.name in SHARDED
-    )
+    stages = obs.stage_rows()
+    sharded = sum(r["wall_seconds"] for r in stages if r["name"] in SHARDED)
     serial = sum(
-        r.wall_seconds
-        for r in obs.profiler.records
-        if r.depth > 0 and r.name not in SHARDED
+        r["wall_seconds"]
+        for r in stages
+        if r["depth"] > 0 and r["name"] not in SHARDED
     )
     total = sharded + serial
     if total > 0:

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.crawler.engine import CrawlEngine
 from repro.net.aclient import DEFAULT_PIPELINE_DEPTH, AsyncHttpClient
@@ -42,8 +41,6 @@ from repro.net.http import Response
 from repro.net.transport import AsyncInProcessTransport
 
 __all__ = ["AsyncCrawlEngine", "BlockingLaneClient", "EventLoopThread"]
-
-T = TypeVar("T")
 
 #: Wall seconds to wait for the loop thread to come up or down.
 _LOOP_TIMEOUT = 10.0
@@ -235,23 +232,14 @@ class AsyncCrawlEngine(CrawlEngine):
 
     # -- scheduling --------------------------------------------------------
 
-    def run(self, tasks: Mapping[str, Callable[[], T]]) -> Dict[str, T]:
-        """Run one task batch with every lane live at once.
+    def _width(self, tasks: int) -> int:
+        """Every lane live at once.
 
         Lane threads only wait on loop futures, so width is the task
         count, not ``workers`` — capping threads here would idle
         sockets for no memory win.
         """
-        if len(tasks) <= 1:
-            return {market_id: task() for market_id, task in tasks.items()}
-        results: Dict[str, T] = {}
-        with ThreadPoolExecutor(
-            max_workers=len(tasks), thread_name_prefix="crawl-lane"
-        ) as pool:
-            futures = {m: pool.submit(task) for m, task in tasks.items()}
-            for market_id, future in futures.items():
-                results[market_id] = future.result()
-        return results
+        return tasks
 
     def close(self) -> None:
         """Close pooled connections, then stop the loop; idempotent."""

@@ -246,7 +246,7 @@ class CrawlCoordinator:
         if self._obs.tracer is not None:
             self._obs.tracer.set_trace(label)
         with self._obs.span(
-            "crawl.campaign", clock=self._clock, root=True, label=label
+            "crawl.campaign", clock=self._clock, label=label
         ) as campaign_span:
             snapshot = self._run_campaign(label, duration_days, campaign_span)
         return snapshot

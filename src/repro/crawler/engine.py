@@ -18,7 +18,8 @@ concurrency while keeping every run bit-reproducible:
   per-market tasks out over a :class:`~concurrent.futures.ThreadPoolExecutor`
   and joins them; the coordinator then merges results in canonical
   market order, which is what makes parallel output identical to the
-  serial path.
+  serial path.  Both engines share that fan-out; the asyncio engine
+  only widens the pool (:meth:`CrawlEngine._width`).
 
 Threads only pay off because a "request" models network I/O: with
 :class:`~repro.markets.server.MarketServer` latency injection enabled
@@ -28,6 +29,7 @@ is where the benchmark speedup comes from.
 
 from __future__ import annotations
 
+import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Mapping, Optional, TypeVar
 
@@ -323,8 +325,6 @@ class CrawlEngine:
         """
         for lane in self._lanes.values():
             lane.begin_campaign(self._rate_limiter)
-        if self.obs.tracer is not None:
-            self.obs.tracer.set_trace(label)
         return CrawlTelemetry(
             label=label, workers=self.workers, registry=self.obs.metrics
         )
@@ -350,19 +350,24 @@ class CrawlEngine:
 
     # -- scheduling --------------------------------------------------------
 
+    def _width(self, tasks: int) -> int:
+        """Lane threads one batch of ``tasks`` fans out over."""
+        return min(self.workers, tasks)
+
     def run(self, tasks: Mapping[str, Callable[[], T]]) -> Dict[str, T]:
         """Run one per-market task batch; barrier-join before returning.
 
-        With one worker (or one task) everything runs inline on the
-        calling thread — the serial path is literally the parallel path
-        at width 1, not separate code.
+        At width 1 everything runs inline on the calling thread — the
+        serial path is literally the parallel path at width 1, not
+        separate code.  Wider, each task runs in a copy of the
+        submitting context, so its spans nest under the caller's.
         """
-        if self.workers <= 1 or len(tasks) <= 1:
+        width = self._width(len(tasks))
+        if width <= 1:
             return {market_id: task() for market_id, task in tasks.items()}
-        results: Dict[str, T] = {}
-        width = min(self.workers, len(tasks))
         with ThreadPoolExecutor(max_workers=width, thread_name_prefix="crawl-lane") as pool:
-            futures = {market_id: pool.submit(task) for market_id, task in tasks.items()}
-            for market_id, future in futures.items():
-                results[market_id] = future.result()
-        return results
+            futures = {
+                market_id: pool.submit(contextvars.copy_context().run, task)
+                for market_id, task in tasks.items()
+            }
+            return {market_id: future.result() for market_id, future in futures.items()}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Union
 
@@ -63,20 +64,10 @@ PAPER_EXPERIMENT_IDS = tuple(
 )
 
 
-def _run_one(experiment_id: str, result: StudyResult, profile: bool) -> Report:
-    """Run one experiment, wrapped in the right observability primitive.
-
-    The stage profiler keeps a sequential stack and must stay on the
-    calling thread; worker threads record spans instead (the tracer is
-    thread-safe).
-    """
-    runner = _REGISTRY[experiment_id]
-    if profile:
-        with result.obs.stage(f"experiment.{experiment_id}"):
-            report = runner(result)
-    else:
-        with result.obs.span(f"experiment.{experiment_id}"):
-            report = runner(result)
+def _run_one(experiment_id: str, result: StudyResult) -> Report:
+    """Run one experiment under its ``experiment.<id>`` stage."""
+    with result.obs.stage(f"experiment.{experiment_id}"):
+        report = _REGISTRY[experiment_id](result)
     degraded = result.snapshot.degraded_markets()
     if degraded:
         report.notes.append(
@@ -99,7 +90,7 @@ def run_experiment(experiment_id: str, result: StudyResult) -> Report:
             f"unknown experiment {experiment_id!r}; "
             f"known: {', '.join(EXPERIMENT_IDS)}"
         )
-    return _run_one(experiment_id, result, profile=True)
+    return _run_one(experiment_id, result)
 
 
 def run_all(
@@ -112,7 +103,9 @@ def run_all(
     materialized once up front (thread-safe), then each experiment only
     *reads* the :class:`StudyResult`, so the fan-out is safe and the
     merged report dict — in :data:`EXPERIMENT_IDS` order — is
-    bit-identical to a serial run.
+    bit-identical to a serial run.  Each experiment runs in a copy of
+    the submitting context, so its stage nests under
+    ``experiments.run_all``.
     """
     if workers is None:
         workers = result.engine.workers
@@ -125,12 +118,11 @@ def run_all(
         with ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="experiment"
         ) as pool:
-            reports = list(
-                pool.map(
-                    lambda exp_id: _run_one(exp_id, result, profile=False),
-                    EXPERIMENT_IDS,
-                )
-            )
+            futures = [
+                pool.submit(contextvars.copy_context().run, _run_one, exp_id, result)
+                for exp_id in EXPERIMENT_IDS
+            ]
+            reports = [future.result() for future in futures]
     return dict(zip(EXPERIMENT_IDS, reports))
 
 

@@ -16,10 +16,13 @@ what asyncio forces:
 * cancellation — a request torn down mid-flight counts in
   ``stats.cancelled`` and re-raises; it is not a retry or a failure.
 
-Observability records the request-wall and backoff histograms and the
-loop's countermeasure events, but no spans: the tracer's span stack is
-thread-local, and interleaved coroutines would mis-nest it.  Async
-spans wait for a ``contextvars`` span stack.
+Observability is shared with the sync client: both enter
+:meth:`~repro.net.client.ClientCore._traced`, so the asyncio engine
+emits the same ``http.request`` spans and histograms.  The tracer's
+span stack is a ``contextvars`` variable and every asyncio task runs in
+its own copy of its creator's context, so interleaved coroutines nest
+under their own lane's span (the lane thread's context reaches the loop
+through ``run_coroutine_threadsafe``).
 
 The async driver adds **intra-lane pipelining**: :meth:`get_json_many`
 / :meth:`get_bytes_many` keep up to ``depth`` requests in flight and
@@ -33,7 +36,6 @@ journaled, hostile, and quota-bound work (:mod:`repro.crawler.crawler`).
 from __future__ import annotations
 
 import asyncio
-import time
 from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.client import ClientCore, TokenNeeded
@@ -69,13 +71,8 @@ class AsyncHttpClient(ClientCore):
         try:
             if self.obs is None:
                 return await self._request(path, params)
-            slept0 = self.stats.sim_days_slept
-            start = time.perf_counter()
-            try:
+            with self._traced(path):
                 return await self._request(path, params)
-            finally:
-                self._observe(time.perf_counter() - start,
-                              self.stats.sim_days_slept - slept0)
         except asyncio.CancelledError:
             self.stats.cancelled += 1
             raise

@@ -40,9 +40,13 @@ client's ``jitter_key`` and request ordinal so runs stay reproducible.
 
 from __future__ import annotations
 
+import operator
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Mapping, NamedTuple, Optional
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Generator, Iterator, Mapping, NamedTuple, Optional,
+)
 
 from repro.net import wire
 from repro.net.http import (
@@ -63,6 +67,7 @@ from repro.net.http import (
     ServerError,
 )
 from repro.net.retry import RetryPolicy
+from repro.obs.trace import NULL_SPAN
 from repro.util.rng import stable_hash32
 from repro.util.simtime import SimClock
 
@@ -151,6 +156,12 @@ class ClientStats:
         return cls(**{k: v for k, v in state.items() if k in known})  # type: ignore[arg-type]
 
 
+def _span_counters(stats: ClientStats) -> tuple:
+    """The counters an ``http.request`` span reports deltas of."""
+    return (stats.requests, stats.retries, stats.rate_limited, stats.breaker_fast_fails,
+            stats.logins, stats.bans_hit, stats.identity_rotations)
+
+
 class TokenNeeded(NamedTuple):
     """A decision-loop step: the driver answers with a token valid at ``now``."""
 
@@ -205,7 +216,10 @@ class ClientCore:
     obs:
         Optional :class:`~repro.obs.LaneObs` instrumentation binding.
         ``None`` (the default) is the fast path: per-request work is a
-        single ``is None`` branch, nothing is recorded.
+        single ``is None`` branch, nothing is recorded.  Otherwise both
+        clients enter :meth:`_traced` around each logical request; its
+        ``http.request`` span attributes are deltas of this client's
+        counters, exact only at pipeline depth 1 (one request in flight).
     """
 
     def __init__(
@@ -253,13 +267,57 @@ class ClientCore:
                 name, market=obs.market, sim_time=self._clock.now, **attrs
             )
 
-    def _observe(self, wall: float, backoff: float) -> None:
-        """Feed one logical request to the lane's histograms."""
+    @contextmanager
+    def _traced(self, path: str) -> Iterator[None]:
+        """Instrument one logical request; the sync and async clients enter it.
+
+        Feeds the lane's histograms and, when tracing, wraps the whole
+        retry loop in one ``http.request`` span whose attributes report
+        what the *logical* request cost: attempts sent, retries and 429
+        waits absorbed, simulated back-off charged (jitter included),
+        logins and ban-driven rotations spent, and whether the breaker
+        fast-failed it without a single send.  The attributes are
+        deltas of the client's counters, so they are exact only while
+        one request is in flight per client — the thread engine always,
+        the asyncio engine at pipeline depth 1; deeper pipelines
+        interleave concurrent requests' counter movement.
+        """
         obs = self.obs
-        if obs.hist_request is not None:
-            obs.hist_request.observe(wall)
-            if backoff > 0:
-                obs.hist_backoff.observe(backoff)
+        stats = self.stats
+        tracer = obs.tracer
+        if tracer is not None:
+            span = tracer.span("http.request", market=obs.market,
+                               clock=obs.clock, path=path)
+            before = _span_counters(stats)
+        else:
+            span = NULL_SPAN
+        slept0 = stats.sim_days_slept
+        start = time.perf_counter()
+        with span:
+            try:
+                yield
+            finally:
+                backoff = stats.sim_days_slept - slept0
+                if obs.hist_request is not None:
+                    obs.hist_request.observe(time.perf_counter() - start)
+                    if backoff > 0:
+                        obs.hist_backoff.observe(backoff)
+                if tracer is not None:
+                    attempts, retries, rate_limited, fast_fails, logins, bans, rotations = (
+                        map(operator.sub, _span_counters(stats), before)
+                    )
+                    span["attempts"] = attempts
+                    span["retries"] = retries
+                    span["rate_limited"] = rate_limited
+                    span["backoff_sim_days"] = backoff
+                    if fast_fails:
+                        span["breaker_fast_fail"] = True
+                    if logins:
+                        span["logins"] = logins
+                    if bans:
+                        span["bans_hit"] = bans
+                    if rotations:
+                        span["identity_rotations"] = rotations
 
     def _exchange(
         self, path: str, params: Optional[Mapping[str, Any]]
@@ -484,63 +542,8 @@ class HttpClient(ClientCore):
         """
         if self.obs is None:
             return self._request(path, params)
-        return self._traced_request(path, params)
-
-    def _traced_request(
-        self, path: str, params: Optional[Mapping[str, Any]]
-    ) -> Response:
-        """The instrumented request path: one span, counter-delta attrs.
-
-        The span covers the whole retry loop, so its attributes report
-        what the *logical* request cost: attempts sent, retries and 429
-        waits absorbed, simulated back-off charged (jitter included),
-        logins and ban-driven rotations spent, and whether the breaker
-        fast-failed it without a single send.
-        """
-        obs = self.obs
-        stats = self.stats
-        requests0 = stats.requests
-        retries0 = stats.retries
-        rate_limited0 = stats.rate_limited
-        slept0 = stats.sim_days_slept
-        fast_fails0 = stats.breaker_fast_fails
-        logins0 = stats.logins
-        bans0 = stats.bans_hit
-        rotations0 = stats.identity_rotations
-        start = time.perf_counter()
-        span = (
-            obs.tracer.span("http.request", market=obs.market,
-                            clock=obs.clock, path=path)
-            if obs.tracer is not None
-            else None
-        )
-        if span is not None:
-            span.__enter__()
-        try:
+        with self._traced(path):
             return self._request(path, params)
-        except BaseException as exc:
-            if span is not None:
-                span.status = type(exc).__name__
-            raise
-        finally:
-            backoff = stats.sim_days_slept - slept0
-            self._observe(time.perf_counter() - start, backoff)
-            if span is not None:
-                span["attempts"] = stats.requests - requests0
-                span["retries"] = stats.retries - retries0
-                span["rate_limited"] = stats.rate_limited - rate_limited0
-                span["backoff_sim_days"] = backoff
-                if stats.breaker_fast_fails != fast_fails0:
-                    span["breaker_fast_fail"] = True
-                if stats.logins != logins0:
-                    span["logins"] = stats.logins - logins0
-                if stats.bans_hit != bans0:
-                    span["bans_hit"] = stats.bans_hit - bans0
-                if stats.identity_rotations != rotations0:
-                    span["identity_rotations"] = (
-                        stats.identity_rotations - rotations0
-                    )
-                span.__exit__(None, None, None)
 
     def _request(self, path: str, params: Optional[Mapping[str, Any]]) -> Response:
         """The uninstrumented request: drive the decision loop."""

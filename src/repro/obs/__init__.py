@@ -6,10 +6,17 @@
 * the circuit breaker emits state-transition events,
 * the crawl coordinator wraps discovery / search rounds / APK batches
   in spans tied to the per-campaign trace,
-* the study pipeline and experiment renders run under profiler stages.
+* the study pipeline and experiment renders run under stages, and a
+  stage is just a ``stage.<name>`` span: the stage profile
+  (:mod:`repro.obs.profiler`) is read off the recorded stage spans.
 
-:class:`Observability` bundles the three recorders.  Every component
-is optional and defaults to *off*: :data:`NULL_OBS` (all recorders
+There is one span stack, a ``contextvars`` variable, so parentage
+follows the context on every engine: a lane's work on a pool thread,
+or a request coroutine on the asyncio engine's loop thread, nests under
+the span that submitted it.
+
+:class:`Observability` bundles the recorders.  Every component is
+optional and defaults to *off*: :data:`NULL_OBS` (all recorders
 ``None``) is what the pipeline threads through when nothing was
 requested, and its ``span``/``stage`` return a shared no-op context so
 the disabled path costs a ``None`` check — proved by the observability
@@ -38,7 +45,13 @@ from repro.obs.monitor import (
     DEFAULT_STALL_BUDGET,
     CampaignMonitor,
 )
-from repro.obs.profiler import StageProfiler, StageRecord
+from repro.obs.profiler import (
+    STAGE_PREFIX,
+    StagePeaks,
+    export_profile,
+    render_profile,
+    stage_rows,
+)
 from repro.obs.trace import NULL_SPAN, NullSpan, Span, SpanTracer
 
 __all__ = [
@@ -53,8 +66,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "StageProfiler",
-    "StageRecord",
     "CampaignMonitor",
 ]
 
@@ -93,19 +104,30 @@ class LaneObs:
 
 
 class Observability:
-    """The bundle of recorders one run threads through its pipeline."""
+    """The bundle of recorders one run threads through its pipeline.
+
+    ``tracer`` records every span and event.  ``profile`` records the
+    pipeline's stage spans even without one — into a private tracer that
+    sees nothing else, so a profiled run's stage peaks are not inflated
+    by a crawl's worth of request spans — and ``trace_memory`` (on by
+    default, effective only with ``profile``) gives each stage span a
+    ``peak_bytes`` attribute.
+    """
 
     def __init__(
         self,
         tracer: Optional[SpanTracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        profiler: Optional[StageProfiler] = None,
+        profile: bool = False,
         monitor: Optional[CampaignMonitor] = None,
+        trace_memory: bool = True,
     ):
         self.tracer = tracer
         self.metrics = metrics
-        self.profiler = profiler
         self.monitor = monitor
+        #: Where stage spans are recorded (``None``: stages are no-ops).
+        self.stage_tracer = SpanTracer() if profile and tracer is None else tracer
+        self._peaks = StagePeaks() if profile and trace_memory else None
 
     @classmethod
     def from_flags(
@@ -131,7 +153,7 @@ class Observability:
         return cls(
             tracer=tracer,
             metrics=registry,
-            profiler=StageProfiler() if profile else None,
+            profile=profile,
             monitor=(
                 CampaignMonitor(
                     registry,
@@ -144,14 +166,6 @@ class Observability:
             ),
         )
 
-    @property
-    def enabled(self) -> bool:
-        return (
-            self.tracer is not None
-            or self.metrics is not None
-            or self.profiler is not None
-        )
-
     # -- recording ---------------------------------------------------------
 
     def span(
@@ -159,13 +173,12 @@ class Observability:
         name: str,
         market: Optional[str] = None,
         clock=None,
-        root: bool = False,
         **attrs,
     ):
         """A span context manager (no-op when tracing is off)."""
         if self.tracer is None:
             return NULL_SPAN
-        return self.tracer.span(name, market=market, clock=clock, root=root, **attrs)
+        return self.tracer.span(name, market=market, clock=clock, **attrs)
 
     def event(
         self,
@@ -178,12 +191,12 @@ class Observability:
             self.tracer.event(name, market=market, sim_time=sim_time, **attrs)
 
     def stage(self, name: str):
-        """A pipeline-stage context: profiler stage + span, as enabled."""
-        if self.profiler is None:
-            return self.span(f"stage.{name}")
-        if self.tracer is None:
-            return self.profiler.stage(name)
-        return _StageSpan(self, name)
+        """A pipeline stage: a ``stage.<name>`` span (no-op when neither
+        tracing nor profiling is on)."""
+        if self.stage_tracer is None:
+            return NULL_SPAN
+        span = self.stage_tracer.span(STAGE_PREFIX + name)
+        return span if self._peaks is None else self._peaks.track(span)
 
     def lane(self, market: str, clock) -> Optional[LaneObs]:
         """The hot-path binding for one market lane (None = all off)."""
@@ -203,40 +216,21 @@ class Observability:
             raise ValueError("metrics are not enabled on this run")
         return self.metrics.export_jsonl(path)
 
+    def stage_rows(self) -> List[dict]:
+        """The recorded stages (see :func:`repro.obs.profiler.stage_rows`)."""
+        if self.stage_tracer is None:
+            return []
+        return stage_rows(self.stage_tracer.records())
+
     def export_profile(self, path) -> int:
-        if self.profiler is None:
+        if self.stage_tracer is None:
             raise ValueError("profiling is not enabled on this run")
-        return self.profiler.export_jsonl(path)
+        return export_profile(self.stage_rows(), path)
 
     def profile_report(self, telemetry=None) -> str:
-        if self.profiler is None:
+        if self.stage_tracer is None:
             return "stage profile: profiling was not enabled"
-        return self.profiler.report(telemetry)
-
-
-class _StageSpan:
-    """Profiler stage and tracer span entered/exited together."""
-
-    __slots__ = ("_obs", "_name", "_stage_cm", "_span")
-
-    def __init__(self, obs: Observability, name: str):
-        self._obs = obs
-        self._name = name
-        self._stage_cm = None
-        self._span = None
-
-    def __enter__(self):
-        self._stage_cm = self._obs.profiler.stage(self._name)
-        self._stage_cm.__enter__()
-        self._span = self._obs.tracer.span(f"stage.{self._name}")
-        return self._span.__enter__()
-
-    def __exit__(self, exc_type, exc, tb):
-        try:
-            self._span.__exit__(exc_type, exc, tb)
-        finally:
-            self._stage_cm.__exit__(exc_type, exc, tb)
-        return False
+        return render_profile(self.stage_rows(), telemetry)
 
 
 #: The default: nothing records, spans and stages are shared no-ops.

@@ -3,163 +3,181 @@
 ``--profile`` answers the operator question *where does the time (and
 memory) go?* for one study run: ecosystem synthesis, each crawl
 campaign, every analysis stage (unit building, library/clone/fake
-detection, VT scans), and each experiment render.  Stages are coarse
-and sequential — this is a pipeline profile, not a sampling profiler —
-so the cost of ``tracemalloc`` (paid only when profiling is requested)
-is confined to runs that asked for it.
+detection, VT scans), and each experiment render.  A stage is nothing
+but a ``stage.<name>`` span (:meth:`repro.obs.Observability.stage`),
+so it nests wherever the context puts it — under the experiment pool's
+``experiments.run_all`` stage on a pool thread, under ``crawl.first``
+when an analysis artifact is forced lazily — and the stage table is
+derived from the recorded spans by :func:`stage_rows`.
 
-Peak memory accounting nests: a stage that triggers a lazy analysis
-artifact (an experiment render forcing ``build_units``) must not lose
-its own peak when the inner stage resets the tracemalloc high-water
-mark.  The profiler therefore folds each segment's observed peak into
-the enclosing stage on entry and exit.
+Memory profiling (on by default under ``--profile``) adds a
+``peak_bytes`` attribute to every stage span through
+:class:`StagePeaks`.  Its cost — ``tracemalloc`` — is paid only by runs
+that asked for it.
 
-``report()`` renders the stage table plus the critical path: the
-slowest stage by wall time, the peak-memory stage, and — when given the
-campaign telemetry — the slowest market lane by accumulated simulated
-waiting (back-off + pacing), which is what stretches a real fleet's
-calendar.
+``render_profile()`` renders the stage table plus the critical path:
+the slowest stage by wall time, the peak-memory stage, and — when given
+the campaign telemetry — the slowest market lane by accumulated
+simulated waiting (back-off + pacing), which is what stretches a real
+fleet's calendar.
 """
 
 from __future__ import annotations
 
-import time
+import json
+import threading
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from pathlib import Path
+from typing import Iterable, Iterator, List, Optional
 
-__all__ = ["StageRecord", "StageProfiler"]
+from repro.obs.trace import Span
 
+__all__ = ["STAGE_PREFIX", "StagePeaks", "stage_rows", "render_profile", "export_profile"]
 
-@dataclass
-class StageRecord:
-    """One profiled pipeline stage."""
-
-    name: str
-    wall_seconds: float
-    peak_bytes: int
-    depth: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "wall_seconds": self.wall_seconds,
-            "peak_bytes": self.peak_bytes,
-            "depth": self.depth,
-        }
+#: Span-name prefix that marks a pipeline stage.
+STAGE_PREFIX = "stage."
 
 
-class StageProfiler:
-    """Wall-time + tracemalloc-peak profiler for sequential stages.
+def _enclosing_stage(span: Optional[Span]) -> Optional[Span]:
+    while span is not None and not span.name.startswith(STAGE_PREFIX):
+        span = span.parent
+    return span
 
-    Stages are expected to run on one thread (the study pipeline is
-    sequential at stage granularity; only work *inside* a crawl stage
-    fans out to lane threads).
+
+def _fold(stage: Span, peak: int) -> None:
+    stage["peak_bytes"] = max(stage.attrs.get("peak_bytes", 0), peak)
+
+
+class StagePeaks:
+    """tracemalloc high-water marks, folded through nested stage spans.
+
+    The high-water mark is process-wide, so only the thread that started
+    tracing — the one that opened the outermost stage — measures; a
+    stage opened on another thread (an experiment on a ``run_all`` pool
+    thread) records ``peak_bytes`` 0.  A stage that triggers a lazy
+    analysis artifact (an experiment render forcing ``build_units``)
+    must not lose its own peak when the inner stage resets the mark, so
+    each segment's peak is folded into the enclosing stage span on the
+    inner stage's entry and exit.
     """
 
-    enabled = True
-
-    def __init__(self, trace_memory: bool = True):
-        self.records: List[StageRecord] = []
-        self._trace_memory = trace_memory
-        self._stack: List[dict] = []
-        self._started_tracing = False
-
-    def _current_peak(self) -> int:
-        return tracemalloc.get_traced_memory()[1]
-
-    def _reset_peak(self) -> None:
-        tracemalloc.reset_peak()
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._owner: Optional[int] = None
+        self._started = False
 
     @contextmanager
-    def stage(self, name: str) -> Iterator[StageRecord]:
-        """Profile one stage; nested stages fold peaks into the parent."""
-        if self._trace_memory:
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._started_tracing = True
-            if self._stack:
-                # Close out the parent's running segment before the
-                # child resets the high-water mark.
-                parent = self._stack[-1]
-                parent["peak"] = max(parent["peak"], self._current_peak())
-            self._reset_peak()
-        record = StageRecord(
-            name=name, wall_seconds=0.0, peak_bytes=0, depth=len(self._stack)
-        )
-        frame = {"peak": 0}
-        self._stack.append(frame)
-        start = time.perf_counter()
+    def track(self, span: Span) -> Iterator[Span]:
+        """Enter ``span``, recording its ``peak_bytes`` attribute."""
+        me = threading.get_ident()
+        with self._lock:
+            claimed = self._owner is None
+            if claimed:
+                self._owner = me
+                self._started = not tracemalloc.is_tracing()
+                if self._started:
+                    tracemalloc.start()
+        span["peak_bytes"] = 0
+        if self._owner != me:
+            with span:
+                yield span
+            return
+        parent = _enclosing_stage(span.parent)
         try:
-            yield record
+            if parent is not None:
+                # Close out the parent's running segment before this
+                # stage resets the high-water mark.
+                _fold(parent, tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            with span:
+                try:
+                    yield span
+                finally:
+                    _fold(span, tracemalloc.get_traced_memory()[1])
+                    if parent is not None:
+                        _fold(parent, span.attrs["peak_bytes"])
+                    tracemalloc.reset_peak()
         finally:
-            record.wall_seconds = time.perf_counter() - start
-            self._stack.pop()
-            if self._trace_memory:
-                record.peak_bytes = max(frame["peak"], self._current_peak())
-                if self._stack:
-                    parent = self._stack[-1]
-                    parent["peak"] = max(parent["peak"], record.peak_bytes)
-                self._reset_peak()
-            self.records.append(record)
-            if not self._stack and self._started_tracing:
-                tracemalloc.stop()
-                self._started_tracing = False
+            if claimed:
+                with self._lock:
+                    if self._started:
+                        tracemalloc.stop()
+                    self._owner = None
+                    self._started = False
 
-    # -- reporting ---------------------------------------------------------
 
-    def to_dicts(self) -> List[dict]:
-        return [record.to_dict() for record in self.records]
+def stage_rows(records: Iterable[dict]) -> List[dict]:
+    """One row per recorded stage span, in recorded (completion) order.
 
-    def export_jsonl(self, path) -> int:
-        """Write one ``kind=stage`` JSON object per record, in recorded
-        order (the profile artifact ``--profile-out`` and the warehouse
-        ingest read); returns the line count."""
-        import json
-        from pathlib import Path
+    A row holds the stage ``name`` (prefix stripped), ``wall_seconds``,
+    ``peak_bytes`` (0 without memory profiling) and ``depth``: how many
+    stage spans enclose it.
+    """
+    spans = {r["span_id"]: r for r in records if r["kind"] == "span"}
+    rows = []
+    for span in spans.values():
+        if not span["name"].startswith(STAGE_PREFIX):
+            continue
+        depth = 0
+        parent = spans.get(span["parent_id"])
+        while parent is not None:
+            depth += parent["name"].startswith(STAGE_PREFIX)
+            parent = spans.get(parent["parent_id"])
+        rows.append({
+            "name": span["name"][len(STAGE_PREFIX):],
+            "wall_seconds": span["wall_seconds"],
+            "peak_bytes": span.get("attrs", {}).get("peak_bytes", 0),
+            "depth": depth,
+        })
+    return rows
 
-        docs = [{"kind": "stage", **record.to_dict()} for record in self.records]
-        with Path(path).open("w", encoding="utf-8") as handle:
-            for doc in docs:
-                handle.write(json.dumps(doc, separators=(",", ":")) + "\n")
-        return len(docs)
 
-    def report(self, telemetry=None) -> str:
-        """Render the stage table and the critical-path summary.
+def export_profile(rows: List[dict], path) -> int:
+    """Write one ``kind=stage`` JSON object per row, in order (the
+    profile artifact ``--profile-out`` and the warehouse ingest read);
+    returns the line count."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for row in rows:
+            handle.write(json.dumps({"kind": "stage", **row}, separators=(",", ":")) + "\n")
+    return len(rows)
 
-        ``telemetry`` (a :class:`~repro.crawler.telemetry.CrawlTelemetry`)
-        adds the slowest-market-lane line.
-        """
-        if not self.records:
-            return "stage profile: no stages recorded"
-        header = f"{'stage':<28}{'wall(s)':>10}{'peak(MiB)':>11}"
-        lines = ["stage profile", header, "-" * len(header)]
-        for record in self.records:
-            indent = "  " * record.depth
-            lines.append(
-                f"{indent + record.name:<28}{record.wall_seconds:>10.3f}"
-                f"{record.peak_bytes / (1024 * 1024):>11.2f}"
-            )
-        lines.append("-" * len(header))
-        # Critical path: only top-level stages compete (a nested stage's
-        # time is already inside its parent's).
-        top = [r for r in self.records if r.depth == 0] or self.records
-        slowest = max(top, key=lambda r: r.wall_seconds)
-        hungriest = max(top, key=lambda r: r.peak_bytes)
+
+def render_profile(rows: List[dict], telemetry=None) -> str:
+    """Render the stage table and the critical-path summary.
+
+    ``telemetry`` (a :class:`~repro.crawler.telemetry.CrawlTelemetry`)
+    adds the slowest-market-lane line.
+    """
+    if not rows:
+        return "stage profile: no stages recorded"
+    header = f"{'stage':<28}{'wall(s)':>10}{'peak(MiB)':>11}"
+    lines = ["stage profile", header, "-" * len(header)]
+    for row in rows:
+        indent = "  " * row["depth"]
         lines.append(
-            f"critical path: slowest stage '{slowest.name}' "
-            f"({slowest.wall_seconds:.3f}s of "
-            f"{sum(r.wall_seconds for r in top):.3f}s total)"
+            f"{indent + row['name']:<28}{row['wall_seconds']:>10.3f}"
+            f"{row['peak_bytes'] / (1024 * 1024):>11.2f}"
         )
-        lines.append(
-            f"peak memory:   stage '{hungriest.name}' "
-            f"({hungriest.peak_bytes / (1024 * 1024):.2f} MiB)"
-        )
-        lane = _slowest_lane(telemetry)
-        if lane is not None:
-            lines.append(lane)
-        return "\n".join(lines)
+    lines.append("-" * len(header))
+    # Critical path: only top-level stages compete (a nested stage's
+    # time is already inside its parent's).
+    top = [r for r in rows if r["depth"] == 0] or rows
+    slowest = max(top, key=lambda r: r["wall_seconds"])
+    hungriest = max(top, key=lambda r: r["peak_bytes"])
+    lines.append(
+        f"critical path: slowest stage '{slowest['name']}' "
+        f"({slowest['wall_seconds']:.3f}s of "
+        f"{sum(r['wall_seconds'] for r in top):.3f}s total)"
+    )
+    lines.append(
+        f"peak memory:   stage '{hungriest['name']}' "
+        f"({hungriest['peak_bytes'] / (1024 * 1024):.2f} MiB)"
+    )
+    lane = _slowest_lane(telemetry)
+    if lane is not None:
+        lines.append(lane)
+    return "\n".join(lines)
 
 
 def _slowest_lane(telemetry) -> Optional[str]:

@@ -10,13 +10,15 @@ model charges).  Point-in-time facts that are not work — a circuit
 breaker flipping open, a market entering quarantine — are recorded as
 **events**.
 
-Threading: market lanes run concurrently, so the tracer keeps one
-open-span stack *per thread* (parentage follows the thread that does
-the work, matching the engine's lane-ownership rule) and appends
-finished records under a lock.  A span opened with ``root=True`` (the
-campaign span) additionally becomes the fallback parent for threads
-whose own stack is empty — that is how a discovery task running on a
-pool thread still hangs off the campaign root.
+Parentage follows the *context*, not the thread: the open span is a
+:class:`contextvars.ContextVar`, so a span's parent is whatever span is
+current in the context that opens it.  Work handed to a pool thread in
+a ``contextvars.copy_context()`` taken at submit time (the crawl
+engine's lanes, the experiment pool) hangs off the span that submitted
+it, and each asyncio task — which runs in its own copy of its creator's
+context — nests its spans without mis-nesting its neighbours'.  A bare
+thread starts with an empty context and so opens root spans.  Finished
+records are appended under a lock.
 
 The disabled path matters more than the enabled one: a campaign run
 without ``--trace-out`` must not pay for the instrumentation it is not
@@ -27,6 +29,7 @@ paths (the HTTP client) skip even that by branching on ``None``.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import threading
 import time
@@ -63,9 +66,9 @@ class Span:
     """One unit of traced work (use as a context manager)."""
 
     __slots__ = (
-        "tracer", "trace_id", "span_id", "parent_id", "name", "market",
+        "tracer", "trace_id", "span_id", "parent", "name", "market",
         "attrs", "status", "wall_start", "wall_seconds", "sim_start",
-        "sim_end", "_clock", "_perf_start",
+        "sim_end", "_clock", "_perf_start", "_token",
     )
 
     def __init__(
@@ -73,7 +76,7 @@ class Span:
         tracer: "SpanTracer",
         trace_id: str,
         span_id: int,
-        parent_id: Optional[int],
+        parent: Optional["Span"],
         name: str,
         market: Optional[str],
         clock,
@@ -82,7 +85,7 @@ class Span:
         self.tracer = tracer
         self.trace_id = trace_id
         self.span_id = span_id
-        self.parent_id = parent_id
+        self.parent = parent
         self.name = name
         self.market = market
         self.attrs = attrs
@@ -93,6 +96,11 @@ class Span:
         self.sim_start: Optional[float] = None
         self.sim_end: Optional[float] = None
         self._perf_start = 0.0
+        self._token: Optional[contextvars.Token] = None
+
+    @property
+    def parent_id(self) -> Optional[int]:
+        return self.parent.span_id if self.parent is not None else None
 
     def __setitem__(self, key: str, value: object) -> None:
         self.attrs[key] = value
@@ -102,7 +110,7 @@ class Span:
         self._perf_start = time.perf_counter()
         if self._clock is not None:
             self.sim_start = self._clock.now
-        self.tracer._push(self)
+        self._token = self.tracer._current.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -111,7 +119,7 @@ class Span:
             self.sim_end = self._clock.now
         if exc_type is not None:
             self.status = exc_type.__name__
-        self.tracer._pop(self)
+        self.tracer._current.reset(self._token)
         self.tracer._record(self)
         return False
 
@@ -138,14 +146,13 @@ class Span:
 class SpanTracer:
     """Collects spans and events for one run (possibly many campaigns)."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._records: List[dict] = []
-        self._local = threading.local()
+        self._current: contextvars.ContextVar[Optional[Span]] = (
+            contextvars.ContextVar("current_span", default=None)
+        )
         self._next_span_id = 1
-        self._root: Optional[Span] = None
         self.trace_id = "run"
 
     def set_trace(self, trace_id: str) -> None:
@@ -154,63 +161,41 @@ class SpanTracer:
 
     # -- span lifecycle ----------------------------------------------------
 
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def _push(self, span: Span) -> None:
-        self._stack().append(span)
-
-    def _pop(self, span: Span) -> None:
-        stack = self._stack()
-        if stack and stack[-1] is span:
-            stack.pop()
-        if self._root is span:
-            self._root = None
-
     def _record(self, span: Span) -> None:
         with self._lock:
             self._records.append(span.to_dict())
 
     def current_span(self) -> Optional[Span]:
-        stack = self._stack()
-        return stack[-1] if stack else None
+        """The innermost open span in the calling context."""
+        return self._current.get()
 
     def span(
         self,
         name: str,
         market: Optional[str] = None,
         clock=None,
-        root: bool = False,
         **attrs: object,
     ) -> Span:
         """Open a span (enter the returned context manager to start it).
 
-        ``clock`` is any object with a ``now`` attribute — the shared
-        campaign clock, or a market lane's :class:`LaneClock` — read at
-        entry and exit for the simulated timestamps.  ``root=True``
-        makes this span the fallback parent for spans opened on threads
-        with an empty stack (worker lanes), until it exits.
+        The parent is the calling context's current span.  ``clock`` is
+        any object with a ``now`` attribute — the shared campaign clock,
+        or a market lane's :class:`LaneClock` — read at entry and exit
+        for the simulated timestamps.
         """
-        parent = self.current_span() or self._root
         with self._lock:
             span_id = self._next_span_id
             self._next_span_id += 1
-        span = Span(
+        return Span(
             self,
             trace_id=self.trace_id,
             span_id=span_id,
-            parent_id=parent.span_id if parent is not None else None,
+            parent=self._current.get(),
             name=name,
             market=market,
             clock=clock,
             attrs=dict(attrs),
         )
-        if root:
-            self._root = span
-        return span
 
     # -- events ------------------------------------------------------------
 
@@ -222,7 +207,7 @@ class SpanTracer:
         **attrs: object,
     ) -> None:
         """Record a point-in-time fact (breaker transition, quarantine)."""
-        parent = self.current_span()
+        parent = self._current.get()
         doc = {
             "kind": "event",
             "trace_id": self.trace_id,

@@ -1,6 +1,8 @@
 """Tests for APK serialization/parsing, including property-based roundtrips."""
 
 import hashlib
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,16 @@ class TestMalformed:
         blob = make_apk_bytes()
         with pytest.raises(ApkParseError):
             parse_apk(blob[:-4])
+
+    def test_inflation_bomb_is_refused(self):
+        # A valid document padded with 1 MiB of JSON whitespace: about
+        # 1 KiB on the wire, past the document cap once inflated.
+        document = zlib.decompress(make_apk_bytes()[len(MAGIC) + 4:])
+        payload = zlib.compress(document + b" " * (1 << 20), 9)
+        assert len(payload) < 1536
+        blob = MAGIC + struct.pack(">I", len(payload)) + payload
+        with pytest.raises(ApkParseError, match="document cap"):
+            parse_apk(blob)
 
     def test_corrupt_payload(self):
         blob = bytearray(make_apk_bytes())

@@ -7,8 +7,12 @@ The acceptance contract for the observability layer:
   telemetry is a view over the registry, so the re-rendered table is
   byte-identical,
 * recording never perturbs the crawl: the traced snapshot's content
-  digest equals the untraced one.
+  digest equals the untraced one,
+* parentage follows the context, so the span tree is the same at any
+  lane width and on either crawl engine.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -147,3 +151,71 @@ class TestFaultyTracedCampaign:
         assert "degraded markets (breaker quarantine): oppo" in report
         assert "breaker transitions:" in report
         assert "QUARANTINED" in report
+
+
+def _span_tree(obs: Observability):
+    """The multiset of (span name, market, parent span name)."""
+    spans = obs.tracer.spans()
+    names = {s["span_id"]: s["name"] for s in spans}
+    return Counter(
+        (s["name"], s.get("market"), names.get(s["parent_id"])) for s in spans
+    )
+
+
+def _traced_campaign(world, workers, engine="thread", obs=None, recheck=True):
+    obs = obs or Observability.from_flags(trace=True, metrics=True)
+    clock = SimClock()
+    servers = {
+        m: MarketServer(store, clock) for m, store in build_stores(world).items()
+    }
+    coordinator = CrawlCoordinator(
+        servers, clock, download_apks=False, workers=workers, obs=obs,
+        engine=engine, pipeline=1,
+    )
+    try:
+        with obs.stage("crawl.first"):
+            snapshot = coordinator.crawl("first", duration_days=15.0)
+        if recheck:
+            targets = {
+                market_id: sorted(r.package for r in snapshot.in_market(market_id))[:3]
+                for market_id in snapshot.markets()
+            }
+            with obs.stage("crawl.recheck"):
+                coordinator.recheck(targets)
+    finally:
+        coordinator.close()
+    return snapshot, obs
+
+
+class TestContextParentage:
+    def test_span_tree_is_the_same_at_any_width(self, world):
+        _, serial = _traced_campaign(world, workers=1)
+        _, parallel = _traced_campaign(world, workers=4)
+        tree = _span_tree(parallel)
+        assert tree == _span_tree(serial)
+        # Lane work on pool threads nests under the submitting span.
+        assert tree[("crawl.recheck", "baidu", "stage.crawl.recheck")] == 1
+        roots = {name for (name, _, parent) in tree if parent is None}
+        assert roots == {"stage.crawl.first", "stage.crawl.recheck"}
+
+    def test_asyncio_engine_emits_the_thread_engines_spans(self, world):
+        threaded_snapshot, threaded = _traced_campaign(
+            world, workers=2, recheck=False
+        )
+        snapshot, looped = _traced_campaign(
+            world, workers=2, engine="asyncio", recheck=False
+        )
+        assert snapshot.content_digest() == threaded_snapshot.content_digest()
+        telemetry = snapshot.stats.telemetry
+        requests = looped.tracer.spans("http.request")
+        assert sum(s["attrs"]["attempts"] for s in requests) == telemetry.total_requests
+        assert sum(s["attrs"]["retries"] for s in requests) == telemetry.total_retries
+        assert _span_tree(looped) == _span_tree(threaded)
+
+    def test_profile_only_records_stage_spans_alone(self, world):
+        obs = Observability.from_flags(profile=True)
+        assert obs.tracer is None and obs.lane("oppo", SimClock()) is None
+        _traced_campaign(world, workers=2, obs=obs)
+        names = {s["name"] for s in obs.stage_tracer.records()}
+        assert names == {"stage.crawl.first", "stage.crawl.recheck"}
+        assert [r["name"] for r in obs.stage_rows()] == ["crawl.first", "crawl.recheck"]

@@ -1,110 +1,152 @@
-"""Tests for the stage profiler."""
+"""Tests for stage profiling: stages are ``stage.*`` spans."""
+
+from types import SimpleNamespace
+
+import pytest
 
 from repro.crawler.telemetry import CrawlTelemetry
-from repro.obs.profiler import StageProfiler
+from repro.obs import Observability
+from repro.obs.profiler import render_profile
+
+
+def _profiled(trace_memory=False) -> Observability:
+    return Observability(profile=True, trace_memory=trace_memory)
+
+
+def _rows(obs):
+    return [(r["name"], r["depth"]) for r in obs.stage_rows()]
 
 
 class TestStageProfiler:
     def test_records_wall_time_per_stage(self):
-        profiler = StageProfiler(trace_memory=False)
-        with profiler.stage("ecosystem"):
+        obs = _profiled()
+        with obs.stage("ecosystem"):
             pass
-        with profiler.stage("crawl"):
+        with obs.stage("crawl"):
             pass
-        assert [r.name for r in profiler.records] == ["ecosystem", "crawl"]
-        assert all(r.wall_seconds >= 0 for r in profiler.records)
+        assert [r["name"] for r in obs.stage_rows()] == ["ecosystem", "crawl"]
+        assert all(r["wall_seconds"] >= 0 for r in obs.stage_rows())
+        assert [s["name"] for s in obs.stage_tracer.spans()] == [
+            "stage.ecosystem", "stage.crawl",
+        ]
 
     def test_nested_stage_depth(self):
-        profiler = StageProfiler(trace_memory=False)
-        with profiler.stage("outer"):
-            with profiler.stage("inner"):
+        obs = _profiled()
+        with obs.stage("outer"):
+            with obs.stage("inner"):
                 pass
-        inner, outer = profiler.records
-        assert (inner.name, inner.depth) == ("inner", 1)
-        assert (outer.name, outer.depth) == ("outer", 0)
+        assert _rows(obs) == [("inner", 1), ("outer", 0)]
 
     def test_peak_memory_tracked(self):
-        profiler = StageProfiler()
-        with profiler.stage("alloc"):
+        obs = _profiled(trace_memory=True)
+        with obs.stage("alloc"):
             blob = bytearray(4 * 1024 * 1024)
             del blob
-        (record,) = profiler.records
-        assert record.peak_bytes >= 4 * 1024 * 1024
+        (record,) = obs.stage_rows()
+        assert record["peak_bytes"] >= 4 * 1024 * 1024
 
     def test_nested_peaks_fold_into_parent(self):
-        profiler = StageProfiler()
-        with profiler.stage("outer"):
-            with profiler.stage("inner"):
+        obs = _profiled(trace_memory=True)
+        with obs.stage("outer"):
+            with obs.stage("inner"):
                 blob = bytearray(4 * 1024 * 1024)
                 del blob
-        inner, outer = profiler.records
-        assert inner.peak_bytes >= 4 * 1024 * 1024
+        inner, outer = obs.stage_rows()
+        assert inner["peak_bytes"] >= 4 * 1024 * 1024
         # The child's peak must not vanish from the enclosing stage.
-        assert outer.peak_bytes >= inner.peak_bytes
+        assert outer["peak_bytes"] >= inner["peak_bytes"]
 
     def test_parent_segment_peak_survives_child_reset(self):
-        profiler = StageProfiler()
-        with profiler.stage("outer"):
+        obs = _profiled(trace_memory=True)
+        with obs.stage("outer"):
             blob = bytearray(8 * 1024 * 1024)
             del blob
-            with profiler.stage("inner"):
+            with obs.stage("inner"):
                 pass
-        inner, outer = profiler.records
-        assert outer.peak_bytes >= 8 * 1024 * 1024
-        assert inner.peak_bytes < 8 * 1024 * 1024
+        inner, outer = obs.stage_rows()
+        assert outer["peak_bytes"] >= 8 * 1024 * 1024
+        assert inner["peak_bytes"] < 8 * 1024 * 1024
 
     def test_stage_exception_still_records(self):
-        profiler = StageProfiler(trace_memory=False)
-        try:
-            with profiler.stage("doomed"):
+        obs = _profiled()
+        with pytest.raises(ValueError):
+            with obs.stage("doomed"):
                 raise ValueError("nope")
-        except ValueError:
-            pass
-        assert [r.name for r in profiler.records] == ["doomed"]
+        assert [r["name"] for r in obs.stage_rows()] == ["doomed"]
+        (span,) = obs.stage_tracer.spans()
+        assert span["status"] == "ValueError"
+
+    def test_pool_thread_stage_nests_under_run_all_without_peaks(self, monkeypatch):
+        from repro.experiments import runner
+
+        monkeypatch.setattr(runner, "_REGISTRY", {
+            "alpha": lambda result: object(), "beta": lambda result: object(),
+        })
+        monkeypatch.setattr(runner, "EXPERIMENT_IDS", ("alpha", "beta"))
+        obs = _profiled(trace_memory=True)
+        result = SimpleNamespace(
+            obs=obs,
+            materialize=lambda: None,
+            snapshot=SimpleNamespace(degraded_markets=lambda: []),
+        )
+        with obs.stage("report"):
+            runner.run_all(result, workers=2)
+        rows = {r["name"]: r for r in obs.stage_rows()}
+        spans = {s["name"]: s for s in obs.stage_tracer.spans()}
+        run_all_id = spans["stage.experiments.run_all"]["span_id"]
+        assert rows["experiments.run_all"]["depth"] == 1
+        for exp_id in ("alpha", "beta"):
+            assert spans[f"stage.experiment.{exp_id}"]["parent_id"] == run_all_id
+            assert rows[f"experiment.{exp_id}"]["depth"] == 2
+            # The high-water mark is process-wide: only the thread that
+            # started tracing measures.
+            assert rows[f"experiment.{exp_id}"]["peak_bytes"] == 0
+        assert rows["report"]["peak_bytes"] > 0
 
 
 class TestReport:
     def test_empty(self):
-        assert "no stages" in StageProfiler().report()
+        assert "no stages" in _profiled().profile_report()
+        assert "no stages" in render_profile([])
 
     def test_report_table_and_critical_path(self):
-        profiler = StageProfiler(trace_memory=False)
-        with profiler.stage("fast"):
+        obs = _profiled()
+        with obs.stage("fast"):
             pass
-        with profiler.stage("slow"):
+        with obs.stage("slow"):
             total = sum(range(200_000))
             assert total > 0
-        report = profiler.report()
+        report = obs.profile_report()
         assert "stage profile" in report
         assert "fast" in report and "slow" in report
         assert "critical path: slowest stage 'slow'" in report
         assert "peak memory:" in report
 
     def test_critical_path_ignores_nested_stages(self):
-        profiler = StageProfiler(trace_memory=False)
-        with profiler.stage("outer"):
-            with profiler.stage("inner"):
+        obs = _profiled()
+        with obs.stage("outer"):
+            with obs.stage("inner"):
                 total = sum(range(100_000))
                 assert total > 0
-        report = profiler.report()
+        report = obs.profile_report()
         # inner's time is inside outer's; only outer competes.
         assert "slowest stage 'outer'" in report
 
     def test_slowest_lane_from_telemetry(self):
-        profiler = StageProfiler(trace_memory=False)
-        with profiler.stage("crawl"):
+        obs = _profiled()
+        with obs.stage("crawl"):
             pass
         telemetry = CrawlTelemetry(label="t")
         quick = telemetry.market("oppo")
         quick.requests, quick.sim_days_backoff = 10, 0.5
         slow = telemetry.market("google_play")
         slow.requests, slow.sim_days_backoff, slow.sim_days_paced = 90, 1.5, 0.75
-        report = profiler.report(telemetry)
+        report = obs.profile_report(telemetry)
         assert "slowest lane:  'google_play' waited 2.2500 sim days" in report
         assert "over 90 requests" in report
 
     def test_report_without_telemetry_has_no_lane_line(self):
-        profiler = StageProfiler(trace_memory=False)
-        with profiler.stage("crawl"):
+        obs = _profiled()
+        with obs.stage("crawl"):
             pass
-        assert "slowest lane" not in profiler.report()
+        assert "slowest lane" not in obs.profile_report()

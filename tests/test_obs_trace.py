@@ -1,5 +1,7 @@
 """Tests for the span tracer."""
 
+import asyncio
+import contextvars
 import threading
 
 import pytest
@@ -73,20 +75,49 @@ class TestSpanTracer:
         (record,) = tracer.spans()
         assert record["attrs"] == {"path": "/app", "records": 7}
 
-    def test_parentage_is_per_thread(self):
+    def test_parentage_follows_the_context(self):
         tracer = SpanTracer()
         seen = {}
 
-        def lane():
+        def lane(key):
             with tracer.span("lane-root") as span:
-                seen["lane_parent"] = span.parent_id
+                seen[key] = span.parent_id
 
-        with tracer.span("main-root"):
-            worker = threading.Thread(target=lane)
-            worker.start()
-            worker.join()
-        # The other thread's stack is empty: no cross-thread parentage.
-        assert seen["lane_parent"] is None
+        with tracer.span("main-root") as root:
+            # A bare thread starts with an empty context: a root span.
+            bare = threading.Thread(target=lane, args=("bare",))
+            # A thread running a copy of this context nests under it.
+            copied = threading.Thread(
+                target=contextvars.copy_context().run, args=(lane, "copied")
+            )
+            for worker in (bare, copied):
+                worker.start()
+                worker.join(timeout=10)
+                assert not worker.is_alive()
+        assert seen == {"bare": None, "copied": root.span_id}
+        assert tracer.current_span() is None
+
+    def test_interleaved_coroutines_do_not_mis_nest(self):
+        tracer = SpanTracer()
+
+        async def request(name, gate, other):
+            with tracer.span(name) as span:
+                gate.set()
+                await other.wait()
+                return span.parent_id
+
+        async def lane():
+            with tracer.span("lane") as lane_span:
+                a, b = asyncio.Event(), asyncio.Event()
+                parents = await asyncio.gather(
+                    request("a", a, b), request("b", b, a)
+                )
+            return lane_span.span_id, parents
+
+        lane_id, parents = asyncio.run(lane())
+        assert parents == [lane_id, lane_id]
+        # Each coroutine's span closed in its own task's context.
+        assert [s["name"] for s in tracer.spans()][-1] == "lane"
 
     def test_events_attach_to_current_span(self):
         tracer = SpanTracer()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import StudyConfig
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import StageProfiler
+from repro.obs import Observability
 from repro.obs.results import BenchResults, load_bench_artifact
 from repro.obs.schema import SchemaError
 from repro.obs.slo import (
@@ -54,7 +54,7 @@ def _write_metrics(path, wall=1.5, records=100, dead_letters=0):
 def _write_trace(path):
     tracer = SpanTracer()
     tracer.set_trace("first")
-    with tracer.span("crawl.campaign", root=True):
+    with tracer.span("crawl.campaign"):
         with tracer.span("crawl.discovery", market="baidu"):
             pass
         tracer.event("breaker.transition", market="baidu", sim_time=1.0)
@@ -63,12 +63,12 @@ def _write_trace(path):
 
 
 def _write_profile(path):
-    profiler = StageProfiler(trace_memory=False)
-    with profiler.stage("ecosystem"):
+    obs = Observability(profile=True, trace_memory=False)
+    with obs.stage("ecosystem"):
         pass
-    with profiler.stage("crawl.first"):
+    with obs.stage("crawl.first"):
         pass
-    profiler.export_jsonl(path)
+    obs.export_profile(path)
     return path
 
 
