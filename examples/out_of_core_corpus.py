@@ -20,9 +20,11 @@ in-memory backend at the same scale blows through it; the spilled
 corpus' peak is set by the *generation transient* (the world
 materializes before it spills), not by crawl or analysis, which stream.
 
-Results (per-stage wall, the peak, the gate verdict) are written to
-``BENCH_corpus.json`` under the ``"smoke"`` key, next to the cursor
-numbers from ``benchmarks/test_bench_corpus.py``.
+Results (per-stage wall, the peak, the gate verdict, and the blob
+vault's read cost: ``load`` calls and decodes against the number of
+stored APK blobs) are written to ``BENCH_corpus.json`` under the
+``"smoke"`` key, next to the cursor numbers from
+``benchmarks/test_bench_corpus.py``.
 
     python examples/out_of_core_corpus.py
     REPRO_CORPUS_COMPARE=1 python examples/out_of_core_corpus.py   # + memory run
@@ -141,6 +143,11 @@ def main() -> int:
     assert result.snapshot.spilled, "50x snapshot should spill"
     assert len(reports) == 24, f"expected the full suite, got {len(reports)}"
     print(obs.profile_report())
+    vault = result.corpus.vault
+    stored_blobs = sum(1 for _ in vault.root.rglob("*.json"))
+    print(f"blob vault: {vault.loads:,} loads, {vault.decodes:,} decodes of "
+          f"{stored_blobs:,} stored blobs "
+          f"({vault.decodes / max(1, stored_blobs):.2f} decodes per blob)")
 
     ok = peak_mib <= PEAK_CEILING_MIB
     smoke = {
@@ -154,6 +161,10 @@ def main() -> int:
         "peak_rss_mib": round(peak_mib, 1),
         "ceiling_mib": PEAK_CEILING_MIB,
         "within_ceiling": ok,
+        "stored_blobs": stored_blobs,
+        "vault_loads": vault.loads,
+        "vault_decodes": vault.decodes,
+        "decodes_per_blob": round(vault.decodes / max(1, stored_blobs), 3),
         "memory_backend_peak_mib": None,
         "memory_backend_calibrated_mib": MEMORY_PEAK_CALIBRATED_MIB,
         "stages": obs.stage_rows(),

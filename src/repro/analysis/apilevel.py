@@ -2,7 +2,8 @@
 
 The minimum SDK each app declares comes from the parsed APK's manifest;
 records without an APK are excluded (as in the paper, which needed the
-binary to read the manifest).
+binary to read the manifest).  ``apk.min_sdk`` is a row scalar, so on
+the spilled backend these walks never open the blob vault.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def min_api_distribution(snapshot: Snapshot, market_id: str) -> List[float]:
     for record in snapshot.in_market(market_id):
         if record.apk is None:
             continue
-        counts[_bucket(record.apk.manifest.min_sdk)] += 1
+        counts[_bucket(record.apk.min_sdk)] += 1
         total += 1
     if total == 0:
         return [0.0] * len(API_LEVEL_BUCKETS)
@@ -65,7 +66,7 @@ def low_api_share(snapshot: Snapshot, market_id: str, below: int = 9) -> float:
         if record.apk is None:
             continue
         total += 1
-        if record.apk.manifest.min_sdk < below:
+        if record.apk.min_sdk < below:
             low += 1
     return low / total if total else 0.0
 

@@ -53,7 +53,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.analysis.corpus import AppUnit
-from repro.analysis.engine import INLINE_ENGINE, AnalysisEngine
+from repro.analysis.engine import INLINE_ENGINE, AnalysisEngine, UnitAnalyzer
 from repro.analysis.libraries import LibraryDetection
 from repro.crawler.snapshot import Snapshot
 from repro.util.rng import stable_hash64
@@ -658,14 +658,15 @@ class CodeCloneDetector:
                 raise ValueError("minhash signature shape mismatch")
             return sig
 
-        signatures = engine.map_units_cached(
+        minhash = UnitAnalyzer(
             "clone_minhash",
             version,
-            corpus.units,
             compute,
             encode=lambda sig: [int(v) for v in sig],
             decode=decode,
-            stage="analysis.clones.minhash",
+        )
+        [signatures] = engine.map_units_cached(
+            [minhash], corpus.units, stage="analysis.clones.minhash"
         )
         return _lsh_candidate_pairs(signatures, corpus.block_sets, bands, rows)
 

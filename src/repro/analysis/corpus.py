@@ -13,6 +13,13 @@ representative APK *by record* — on the spilled backend that is a
 :class:`~repro.store.blobs.LazyApk` proxy, so a fully-built unit list
 costs metadata, not parsed APKs.  :func:`build_units` is the
 materialized form and produces byte-identical output on both backends.
+
+Building units decodes no APK: signer and representative ranking
+(version code, md5) are row scalars.  The per-APK analyses then read
+each unit's APK through one shared walk
+(:class:`~repro.analysis.engine.UnitWalk`) that decodes it at most
+once, plus clone extraction's second walk; no analysis walks units
+reading APK content attribute by attribute.
 """
 
 from __future__ import annotations
@@ -63,13 +70,9 @@ def normalized_downloads(record: CrawlRecord) -> Optional[int]:
 def _apk_rank(apk) -> Tuple[int, str]:
     """Representative ranking key: (version code, md5 tie-break).
 
-    Reads the spill-time ``version_code_hint`` when the APK is a lazy
-    proxy, so ranking never forces a parse; a :class:`ParsedApk` falls
-    through to its manifest.
+    Both are row scalars, so ranking never decodes a vaulted APK.
     """
-    hint = getattr(apk, "version_code_hint", None)
-    version_code = hint if hint is not None else apk.manifest.version_code
-    return (version_code, apk.md5)
+    return (apk.version_code, apk.md5)
 
 
 @dataclass

@@ -19,6 +19,14 @@ Invalidation is bump-the-version: an analyzer that changes behavior
 bumps its version constant and every stale entry misses.  Writes are
 atomic (temp file + ``os.replace``), and a corrupted or truncated entry
 falls back to recompute — the cache can never poison a run.
+
+Per-APK analyzers are declared as :class:`UnitAnalyzer` specs and run
+together: one :meth:`AnalysisEngine.map_units_cached` walk asks the
+cache for every spec of a unit and decodes the unit's APK at most once,
+for all the specs that missed.  A :class:`UnitWalk` shares one such
+walk between the analyses that consume it.  On the out-of-core backend
+a decode is a blob-vault read, and a walk per analyzer would cycle the
+vault's bounded LRU once per analyzer.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.obs import NULL_OBS, Observability
 
@@ -37,6 +45,8 @@ __all__ = [
     "AnalysisEngine",
     "ArtifactCache",
     "CacheStats",
+    "UnitAnalyzer",
+    "UnitWalk",
     "resolve_analysis_workers",
 ]
 
@@ -142,15 +152,84 @@ class ArtifactCache:
         with self._lock:
             self.stats.stores += 1
 
+    def count_corrupt_hit(self) -> None:
+        """Re-count a hit whose payload failed to decode as a corrupt miss."""
+        with self._lock:
+            self.stats.corrupt += 1
+            self.stats.hits -= 1
+            self.stats.misses += 1
+
+
+@dataclass(frozen=True)
+class UnitAnalyzer:
+    """One per-APK analyzer, as :meth:`AnalysisEngine.map_units_cached` runs it.
+
+    ``compute`` receives a decoded :class:`ParsedApk` and must depend on
+    nothing else — that is what makes ``(name, version, md5)`` a
+    complete artifact-cache key.  ``encode``/``decode`` convert a result
+    to and from a JSON-safe payload.  ``version=None`` keeps the
+    analyzer out of the cache (its result depends on more than the APK,
+    or is cheaper to recompute than to store).
+    """
+
+    name: str
+    version: Optional[str]
+    compute: Callable[[Any], Any]
+    encode: Callable[[Any], object] = lambda value: value
+    decode: Callable[[object], Any] = lambda payload: payload
+
+
+class UnitWalk:
+    """Per-APK analyzers over one unit list, run together on first use.
+
+    The analyses that share a walk each take their analyzer's results
+    by name; the first take runs one
+    :meth:`AnalysisEngine.map_units_cached` over every analyzer, so each
+    unit's APK is decoded at most once however many analyses read it,
+    and the walk's time lands in whichever analysis needed it first.
+    Results are lists aligned with ``units``.  Each list is handed out
+    once and then released, so a shared walk does not keep per-APK
+    results alive after the analysis that folds them.
+    """
+
+    def __init__(
+        self,
+        engine: "AnalysisEngine",
+        units: Sequence,
+        analyzers: Sequence[UnitAnalyzer],
+        stage: Optional[str] = None,
+    ):
+        self.engine = engine
+        self.units = units
+        self.analyzers = tuple(analyzers)
+        self.stage = stage
+        self._results: Optional[Dict[str, List[Optional[object]]]] = None
+        self._lock = threading.Lock()
+
+    def take(self, name: str) -> List[Optional[object]]:
+        """The named analyzer's results, one per unit (None: no APK)."""
+        with self._lock:
+            if self._results is None:
+                columns = self.engine.map_units_cached(
+                    self.analyzers, self.units, stage=self.stage
+                )
+                self._results = {
+                    analyzer.name: column
+                    for analyzer, column in zip(self.analyzers, columns)
+                }
+            if name not in self._results:
+                raise KeyError(f"walk has no untaken results for {name!r}")
+            return self._results.pop(name)
+
 
 class AnalysisEngine:
     """Worker pool + artifact cache for the analysis pipeline.
 
     ``map`` fans a pure function over items and returns results in
     input order — the deterministic merge that makes every analysis
-    artifact identical at any worker count.  ``map_units_cached`` adds
-    the artifact cache for analyzers whose result is a function of the
-    APK bytes alone.
+    artifact identical at any worker count.  ``map_units_cached`` runs
+    a list of per-APK analyzers (results a function of the APK bytes
+    alone) in one walk over the units, through the artifact cache.
     """
 
     def __init__(
@@ -246,52 +325,53 @@ class AnalysisEngine:
 
     def map_units_cached(
         self,
-        analyzer: str,
-        version: str,
+        analyzers: Sequence[UnitAnalyzer],
         units: Sequence,
-        compute: Callable,
-        encode: Callable[[R], object],
-        decode: Callable[[object], R],
         stage: Optional[str] = None,
-    ) -> List[Optional[R]]:
-        """Run a per-APK analyzer over units, through the artifact cache.
+    ) -> List[List[Optional[object]]]:
+        """Run per-APK analyzers over units in one walk, through the cache.
 
-        ``compute`` receives the unit's :class:`ParsedApk` and must
-        depend on nothing else — that is what makes ``(md5, analyzer,
-        version)`` a complete cache key.  ``encode``/``decode`` convert
-        the result to/from a JSON-safe payload; a decode failure counts
-        as corruption and falls back to recompute.  Units without an
-        APK yield ``None``.
+        Returns one result list per analyzer, each in unit order; units
+        without an APK yield ``None``.  Per unit, every analyzer first
+        asks the artifact cache under ``(name, version, apk_md5)`` — the
+        md5 is record metadata, so a hit touches no APK content.  The
+        unit's APK is resolved (on the spilled backend: one vault load)
+        at most once, and only when some analyzer missed; every missing
+        analyzer computes on that one decoded :class:`ParsedApk`.  A
+        payload whose ``decode`` fails counts as corruption and falls
+        back to recompute.
         """
         cache = self.cache
+        analyzers = list(analyzers)
 
-        def one(unit):
-            # Identity first: `apk_md5` answers from record metadata, so
-            # a cache hit never touches APK content (on the out-of-core
-            # backend that means no blob read at all).  Units predating
-            # the md5 property fall through to the APK itself.
-            md5 = getattr(unit, "apk_md5", None)
-            apk = unit.apk if md5 is None else None
+        def one(unit) -> List[Optional[object]]:
+            md5 = unit.apk_md5
             if md5 is None:
+                return [None] * len(analyzers)
+            apk = None
+            values: List[Optional[object]] = []
+            for analyzer in analyzers:
+                keyed = cache is not None and analyzer.version is not None
+                if keyed:
+                    payload = cache.get(analyzer.name, analyzer.version, md5)
+                    if payload is not None:
+                        try:
+                            values.append(analyzer.decode(payload))
+                            continue
+                        except (ValueError, KeyError, TypeError):
+                            cache.count_corrupt_hit()
                 if apk is None:
-                    return None
-                md5 = apk.md5
-            if cache is not None:
-                payload = cache.get(analyzer, version, md5)
-                if payload is not None:
-                    try:
-                        return decode(payload)
-                    except (ValueError, KeyError, TypeError):
-                        with cache._lock:
-                            cache.stats.corrupt += 1
-                            cache.stats.hits -= 1
-                            cache.stats.misses += 1
-            value = compute(apk if apk is not None else unit.apk)
-            if cache is not None:
-                cache.put(analyzer, version, md5, encode(value))
-            return value
+                    apk = unit.apk.resolve()
+                value = analyzer.compute(apk)
+                if keyed:
+                    cache.put(analyzer.name, analyzer.version, md5, analyzer.encode(value))
+                values.append(value)
+            return values
 
-        return self.map(units, one, stage=stage or f"analysis.{analyzer}.map")
+        if stage is None:
+            stage = "analysis." + "+".join(a.name for a in analyzers) + ".map"
+        rows = self.map(units, one, stage=stage)
+        return [[row[i] for row in rows] for i in range(len(analyzers))]
 
 
 class _NullCM:

@@ -55,15 +55,14 @@ def _dex_fingerprint(apk) -> Tuple:
 
 
 def study_identity(snapshot: Snapshot, max_examples: int = 10) -> IdentityStudy:
+    # The key and the packer are row scalars: grouping decodes nothing,
+    # and only the divergent, unpacked groups below open their blobs.
     groups: Dict[IdentityKey, List] = {}
     for record in snapshot:
-        if record.apk is None:
+        apk = record.apk
+        if apk is None:
             continue
-        key = (
-            record.package,
-            record.apk.manifest.version_code,
-            record.apk.signer_fingerprint,
-        )
+        key = (record.package, apk.version_code, apk.signer_fingerprint)
         groups.setdefault(key, []).append(record)
 
     identity_groups = 0
@@ -77,8 +76,8 @@ def study_identity(snapshot: Snapshot, max_examples: int = 10) -> IdentityStudy:
         if len(records) < 2:
             continue
         identity_groups += 1
-        md5s = {r.apk.md5 for r in records}
-        if len(md5s) == 1:
+        by_md5 = {r.apk.md5: r.apk for r in records}
+        if len(by_md5) == 1:
             continue
         divergent += 1
         divergent_apps += len(records)
@@ -88,7 +87,7 @@ def study_identity(snapshot: Snapshot, max_examples: int = 10) -> IdentityStudy:
             packer += 1
             kind = "store packing"
         else:
-            dex = {_dex_fingerprint(r.apk) for r in records}
+            dex = {_dex_fingerprint(apk) for apk in by_md5.values()}
             if len(dex) == 1:
                 channel_only += 1
                 kind = "channel file"
@@ -100,7 +99,7 @@ def study_identity(snapshot: Snapshot, max_examples: int = 10) -> IdentityStudy:
                     "package": key[0],
                     "version_code": key[1],
                     "markets": sorted(r.market_id for r in records),
-                    "md5_count": len(md5s),
+                    "md5_count": len(by_md5),
                     "kind": kind,
                 }
             )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.corpus import AppUnit
-from repro.analysis.engine import INLINE_ENGINE, AnalysisEngine
+from repro.analysis.engine import INLINE_ENGINE, AnalysisEngine, UnitAnalyzer, UnitWalk
 from repro.markets.profiles import GOOGLE_PLAY
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "known_library_categories",
     "extract_package_digests",
     "AD_CATEGORY",
+    "LIBFEATURES",
     "LIBFEATURES_VERSION",
 ]
 
@@ -53,6 +54,16 @@ def extract_package_digests(apk) -> List[Tuple[str, int]]:
     turns digests into library identities stays in :meth:`fit`.
     """
     return [(pkg.name, pkg.feature_digest) for pkg in apk.packages]
+
+
+#: The per-APK half of :meth:`LibraryDetector.fit`, as the engine runs it.
+LIBFEATURES = UnitAnalyzer(
+    "libfeatures",
+    LIBFEATURES_VERSION,
+    extract_package_digests,
+    encode=lambda pairs: [[name, digest] for name, digest in pairs],
+    decode=lambda payload: [(str(name), int(digest)) for name, digest in payload],
+)
 
 #: Obfuscated package names produced by packers (e.g. 360 Jiagubao).
 _OBFUSCATED_RE = re.compile(r"^o\.[0-9a-f]{6,}$")
@@ -149,29 +160,29 @@ class LibraryDetector:
         self,
         units: Iterable[AppUnit],
         engine: Optional[AnalysisEngine] = None,
+        walk: Optional[UnitWalk] = None,
     ) -> LibraryDetection:
-        engine = engine or INLINE_ENGINE
-        units = [u for u in units if u.apk is not None]
+        """Cluster the units' code-package digests into libraries.
 
-        # Per-APK digest extraction is pure in the APK bytes: it fans
-        # out across the engine's workers and lands in the artifact
-        # cache, so warm reruns skip straight to the clustering below.
-        digest_lists = engine.map_units_cached(
-            "libfeatures",
-            LIBFEATURES_VERSION,
-            units,
-            compute=extract_package_digests,
-            encode=lambda pairs: [[name, digest] for name, digest in pairs],
-            decode=lambda payload: [
-                (str(name), int(digest)) for name, digest in payload
-            ],
-            stage="analysis.libraries.extract",
-        )
+        The digests come from :data:`LIBFEATURES` in ``walk`` (a walk
+        over ``units`` shared with other analyses), or from a walk of
+        its own.  Extraction is pure in the APK bytes: it fans out
+        across the engine's workers and lands in the artifact cache, so
+        warm reruns skip straight to the clustering below.
+        """
+        units = list(units)
+        if walk is None:
+            walk = UnitWalk(
+                engine or INLINE_ENGINE, units, [LIBFEATURES],
+                stage="analysis.libraries.extract",
+            )
+        results = walk.take(LIBFEATURES.name)
 
         app_packages: Dict[int, Set[str]] = {}
         signers: Dict[int, Set[str]] = {}
         names: Dict[int, Counter] = {}
-        for unit, pairs in zip(units, digest_lists):
+        unit_pairs = [(u, pairs) for u, pairs in zip(units, results) if pairs is not None]
+        for unit, pairs in unit_pairs:
             for name, digest in pairs:
                 app_packages.setdefault(digest, set()).add(unit.package)
                 if unit.signer is not None:
@@ -206,7 +217,7 @@ class LibraryDetector:
 
         unit_libraries: Dict[Tuple[str, Optional[str]], FrozenSet[str]] = {}
         identity_apps: Dict[str, Set[str]] = {}
-        for unit, pairs in zip(units, digest_lists):
+        for unit, pairs in unit_pairs:
             found: Set[str] = set()
             for _name, digest in pairs:
                 identity = digest_identity.get(digest)

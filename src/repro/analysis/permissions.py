@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.corpus import AppUnit
-from repro.analysis.engine import INLINE_ENGINE, AnalysisEngine
+from repro.analysis.engine import INLINE_ENGINE, AnalysisEngine, UnitAnalyzer, UnitWalk
 from repro.android.permissions import PermissionSpec, platform_spec
 from repro.crawler.snapshot import Snapshot
 from repro.markets.profiles import GOOGLE_PLAY
@@ -24,6 +24,8 @@ from repro.util.stats import BoxStats
 __all__ = [
     "OverprivilegeResult",
     "analyze_overprivilege",
+    "overprivilege_analyzer",
+    "dangerous_requests_analyzer",
     "market_overprivilege",
     "figure11_series",
     "dangerous_request_stats",
@@ -66,43 +68,71 @@ class OverprivilegeResult:
         ]
 
 
+def overprivilege_analyzer(spec: Optional[PermissionSpec] = None) -> UnitAnalyzer:
+    """Unused permissions per APK against ``spec`` (default: the platform's).
+
+    With the platform spec the result is a pure function of the APK, so
+    it is cached; a caller-supplied spec is not part of the cache key,
+    so its analyzer stays out of the cache.
+    """
+    version = OVERPRIVILEGE_VERSION if spec is None else None
+    spec = spec or platform_spec()
+
+    def compute(apk) -> FrozenSet[str]:
+        requested = set(apk.manifest.permissions)
+        # Feature ids are all the spec needs: reading them off the
+        # packages leaves no merged-count memo on the APK, which on the
+        # memory backend would live as long as its record.
+        used = spec.permissions_for(fid for pkg in apk.packages for fid in pkg.features)
+        return frozenset(requested - used)
+
+    return UnitAnalyzer(
+        "overprivilege",
+        version,
+        compute,
+        encode=sorted,
+        decode=lambda payload: frozenset(str(p) for p in payload),
+    )
+
+
+def dangerous_requests_analyzer(spec: Optional[PermissionSpec] = None) -> UnitAnalyzer:
+    """Dangerous permissions requested per APK (Figure 11's average).
+
+    Counting a manifest is cheaper than an artifact-cache round trip,
+    so the analyzer is uncached.
+    """
+    spec = spec or platform_spec()
+    return UnitAnalyzer(
+        "dangerous_requests",
+        None,
+        lambda apk: sum(1 for perm in apk.manifest.permissions if spec.is_dangerous(perm)),
+    )
+
+
 def analyze_overprivilege(
     units: Sequence[AppUnit],
     spec: Optional[PermissionSpec] = None,
     engine: Optional[AnalysisEngine] = None,
+    walk: Optional[UnitWalk] = None,
 ) -> OverprivilegeResult:
     """Compute unused permissions for every APK-backed unit.
 
-    Per-APK extraction fans out across the engine's workers; with the
-    default platform spec the result is a pure function of the APK, so
-    it is also persisted in the artifact cache.  A caller-supplied spec
-    bypasses the cache (its results would not be keyed by the spec).
+    Per-APK extraction fans out across the engine's workers (see
+    :func:`overprivilege_analyzer` for when it is cached).  The results
+    come from that analyzer in ``walk`` (a walk over ``units`` shared
+    with other analyses; it must use ``spec``), or from a walk of their
+    own.
     """
-    custom_spec = spec is not None
-    spec = spec or platform_spec()
-    engine = engine or INLINE_ENGINE
-    if custom_spec and engine.cache is not None:
-        engine = AnalysisEngine(workers=engine.workers, obs=engine.obs)
-
-    def compute(apk) -> FrozenSet[str]:
-        requested = set(apk.manifest.permissions)
-        used = spec.permissions_for(apk.merged_features())
-        return frozenset(requested - used)
-
-    unused_list = engine.map_units_cached(
-        "overprivilege",
-        OVERPRIVILEGE_VERSION,
-        units,
-        compute=compute,
-        encode=lambda perms: sorted(perms),
-        decode=lambda payload: frozenset(str(p) for p in payload),
-        stage="analysis.overprivilege.map",
-    )
+    if walk is None:
+        walk = UnitWalk(
+            engine or INLINE_ENGINE, units, [overprivilege_analyzer(spec)],
+            stage="analysis.overprivilege.map",
+        )
     unused: Dict[Tuple[str, Optional[str]], FrozenSet[str]] = {}
-    for unit, perms in zip(units, unused_list):
+    for unit, perms in zip(units, walk.take("overprivilege")):
         if perms is not None:
             unused[(unit.package, unit.signer)] = perms
-    return OverprivilegeResult(unused=unused, spec=spec)
+    return OverprivilegeResult(unused=unused, spec=spec or platform_spec())
 
 
 def market_overprivilege(
@@ -141,23 +171,27 @@ def market_overprivilege(
 
 
 def dangerous_request_stats(
-    units: Sequence[AppUnit], spec: Optional[PermissionSpec] = None
+    units: Sequence[AppUnit],
+    spec: Optional[PermissionSpec] = None,
+    walk: Optional[UnitWalk] = None,
 ) -> Dict[str, float]:
     """Average number of *dangerous* permissions requested, per market.
 
     Section 6.3: apps in Chinese markets tend to request more sensitive
-    permissions than Google Play apps.
+    permissions than Google Play apps.  The counts come from
+    :func:`dangerous_requests_analyzer` in ``walk`` (a walk over
+    ``units`` shared with other analyses), or from a walk of their own.
     """
-    spec = spec or platform_spec()
+    if walk is None:
+        walk = UnitWalk(
+            INLINE_ENGINE, units, [dangerous_requests_analyzer(spec)],
+            stage="analysis.dangerous_requests.map",
+        )
     sums: Dict[str, int] = {}
     counts: Dict[str, int] = {}
-    for unit in units:
-        if unit.apk is None:
+    for unit, dangerous in zip(units, walk.take("dangerous_requests")):
+        if dangerous is None:
             continue
-        dangerous = sum(
-            1 for perm in unit.apk.manifest.permissions
-            if spec.is_dangerous(perm)
-        )
         for market in unit.markets:
             sums[market] = sums.get(market, 0) + dangerous
             counts[market] = counts.get(market, 0) + 1

@@ -187,6 +187,18 @@ class ParsedApk:
         return {pkg.name: pkg.feature_digest for pkg in self.packages}
 
     @property
+    def version_code(self) -> int:
+        return self.manifest.version_code
+
+    @property
+    def min_sdk(self) -> int:
+        return self.manifest.min_sdk
+
+    def resolve(self) -> "ParsedApk":
+        """The decoded APK: this one (a vault proxy loads its document)."""
+        return self
+
+    @property
     def identity(self) -> Tuple[str, int]:
         """The (package, version_code) primary key used throughout §5."""
         return (self.manifest.package, self.manifest.version_code)

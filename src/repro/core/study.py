@@ -29,11 +29,17 @@ from repro.analysis.clones import (
     detect_signature_clones,
 )
 from repro.analysis.corpus import AppUnit, build_units
-from repro.analysis.engine import AnalysisEngine
+from repro.analysis.engine import AnalysisEngine, UnitWalk
 from repro.analysis.fake import FakeAppAnalysis, detect_fakes
-from repro.analysis.libraries import LibraryDetection, LibraryDetector
-from repro.analysis.malware import MalwareScan, scan_units
-from repro.analysis.permissions import OverprivilegeResult, analyze_overprivilege
+from repro.analysis.libraries import LIBFEATURES, LibraryDetection, LibraryDetector
+from repro.analysis.malware import MalwareScan, scan_units, virustotal_analyzer
+from repro.analysis.permissions import (
+    OverprivilegeResult,
+    analyze_overprivilege,
+    dangerous_request_stats,
+    dangerous_requests_analyzer,
+    overprivilege_analyzer,
+)
 from repro.analysis.postanalysis import (
     RemovalReport,
     flagged_packages_by_market,
@@ -196,18 +202,42 @@ class StudyResult:
         return {(u.package, u.signer): u for u in self.units}
 
     @cached_property
+    def scanner(self) -> VirusTotalService:
+        """The VT scanning backend in use: ``vt_service`` or the default."""
+        return self.vt_service or VirusTotalService()
+
+    @cached_property
+    def apk_walk(self) -> UnitWalk:
+        """The one walk of every per-APK analyzer over ``units``.
+
+        Library features, VirusTotal scans, unused permissions and
+        Figure 11's dangerous-permission count run together, so each
+        unit's APK is decoded at most once (a blob-vault read on the
+        spilled backend) for the analyzers the artifact cache missed.
+        It runs when the first of the analyses below asks for it, and
+        each of them takes its own results.
+        """
+        return UnitWalk(
+            self.engine,
+            self.units,
+            (
+                LIBFEATURES,
+                virustotal_analyzer(self.scanner),
+                overprivilege_analyzer(),
+                dangerous_requests_analyzer(),
+            ),
+            stage="analysis.apks.map",
+        )
+
+    @cached_property
     def library_detection(self) -> LibraryDetection:
         with self.obs.stage("analysis.libraries"):
-            return LibraryDetector().fit(self.units, engine=self.engine)
+            return LibraryDetector().fit(self.units, engine=self.engine, walk=self.apk_walk)
 
     @cached_property
     def vt_scan(self) -> MalwareScan:
         with self.obs.stage("analysis.vt_scan"):
-            return scan_units(
-                self.units,
-                self.vt_service or VirusTotalService(),
-                engine=self.engine,
-            )
+            return scan_units(self.units, self.scanner, engine=self.engine, walk=self.apk_walk)
 
     @cached_property
     def signature_clones(self) -> SignatureCloneAnalysis:
@@ -232,7 +262,13 @@ class StudyResult:
     @cached_property
     def overprivilege(self) -> OverprivilegeResult:
         with self.obs.stage("analysis.overprivilege"):
-            return analyze_overprivilege(self.units, engine=self.engine)
+            return analyze_overprivilege(self.units, engine=self.engine, walk=self.apk_walk)
+
+    @cached_property
+    def dangerous_requested(self) -> Dict[str, float]:
+        """Figure 11's average count of dangerous permissions requested."""
+        with self.obs.stage("analysis.dangerous_requested"):
+            return dangerous_request_stats(self.units, walk=self.apk_walk)
 
     @cached_property
     def flagged_by_market(self) -> Dict[str, Set[str]]:
@@ -267,6 +303,7 @@ class StudyResult:
             self.code_clones
             self.fakes
             self.overprivilege
+            self.dangerous_requested
             self.flagged_by_market
             self.removal
             self.all_clone_units

@@ -30,10 +30,12 @@ Entries are JSON lines ``{"kind", "key", "result", "state"}``.  The
 first entry of each lane is ``begin`` — the state at campaign start,
 which matters when a later campaign reuses servers a replayed earlier
 campaign never touched.  A torn final line (the process died mid-write)
-is discarded on load; replay that *diverges* from the journal (the
+is discarded on load; any other line that is not JSON, or is JSON of
+the wrong shape, raises :class:`JournalError` naming ``path:line`` and
+the field at fault.  Replay that *diverges* from the journal (the
 cursor entry's kind/key does not match the work the coordinator is
-about to do) raises :class:`JournalError` rather than silently mixing
-two different campaigns.
+about to do) raises too, rather than silently mixing two different
+campaigns.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ JOURNAL_FORMAT_VERSION = 1
 
 KIND_BEGIN = "begin"
 
+#: Fields every entry carries, and their JSON types; non-begin entries
+#: also carry a ``result`` object.
+_ENTRY_FIELDS = (("kind", str), ("key", str), ("state", dict))
+
 
 class JournalError(Exception):
     """Raised for corrupt journals or replay/journal divergence."""
@@ -59,6 +65,36 @@ class JournalError(Exception):
 def _sanitize(name: str) -> str:
     """A label/market id as a safe file-system component."""
     return "".join(c if (c.isalnum() or c in "-_.") else "_" for c in name) or "_"
+
+
+_JSON_TYPES = {
+    dict: "object", list: "array", str: "string", int: "number",
+    float: "number", bool: "boolean", type(None): "null",
+}
+
+
+def _entry_problem(entry: object, first: bool) -> Optional[str]:
+    """What is wrong with one decoded journal line, or None.
+
+    Only a lane's first entry may be ``begin`` (it has no result).
+    """
+    if not isinstance(entry, dict):
+        return f"entry is a JSON {_JSON_TYPES[type(entry)]}, not an object"
+    fields = _ENTRY_FIELDS
+    if entry.get("kind") == KIND_BEGIN:
+        if not first:
+            return f"{KIND_BEGIN!r} entry after the first"
+    else:
+        fields += (("result", dict),)
+    for name, kind in fields:
+        if name not in entry:
+            return f"entry has no {name!r} field"
+        if not isinstance(entry[name], kind):
+            return (
+                f"field {name!r} is a JSON {_JSON_TYPES[type(entry[name])]}, "
+                f"not {'an' if kind is dict else 'a'} {_JSON_TYPES[kind]}"
+            )
+    return None
 
 
 class ApkStore:
@@ -136,7 +172,7 @@ class LaneJournal:
             if not line.strip():
                 continue
             try:
-                entries.append(json.loads(line))
+                entry = json.loads(line)
             except ValueError as exc:
                 if lineno == len(lines) - 1:
                     # Torn final line: the process died mid-append.  The
@@ -144,6 +180,10 @@ class LaneJournal:
                     # complete, so resume simply loses the last unit.
                     break
                 raise JournalError(f"{path}:{lineno + 1}: corrupt entry") from exc
+            problem = _entry_problem(entry, first=not entries)
+            if problem is not None:
+                raise JournalError(f"{path}:{lineno + 1}: {problem}")
+            entries.append(entry)
         return entries
 
     # -- reading (replay) --------------------------------------------------

@@ -207,12 +207,20 @@ def streaming_snapshot_digest(label: str, rows: Iterable[Tuple]) -> int:
 
 
 def _apk_columns(apk) -> Tuple:
-    """``(md5, signer, vc_hint)`` of a parsed or lazy APK, or Nones."""
+    """The APK scalars a crawl row carries, of a parsed or lazy APK.
+
+    ``(md5, signer, vc_hint, min_sdk, obfuscated_by)``, or Nones when
+    the record has no APK.
+    """
     if apk is None:
-        return None, None, None
-    if isinstance(apk, ParsedApk):
-        return apk.md5, apk.signer_fingerprint, apk.manifest.version_code
-    return apk.md5, apk.signer_fingerprint, apk.version_code_hint
+        return None, None, None, None, None
+    return (
+        apk.md5, apk.signer_fingerprint, apk.version_code, apk.min_sdk, apk.obfuscated_by,
+    )
+
+
+#: The crawl schema's APK columns, in :func:`_apk_columns` order.
+_APK_COLUMNS = ("md5", "signer", "vc_hint", "min_sdk", "obfuscated_by")
 
 
 class _ResidentRecords(ResidentCodec):
@@ -242,10 +250,10 @@ class _VaultRecords:
         from repro.crawler.dataset import _record_from_doc
         from repro.store.blobs import LazyApk
 
-        _, _, md5, signer, vc_hint, apk_source, payload = row
+        _, _, md5, signer, vc_hint, min_sdk, obfuscated_by, apk_source, payload = row
         record = _record_from_doc(json.loads(payload))
         if md5 is not None:
-            record.apk = LazyApk(self.vault, md5, signer, vc_hint)
+            record.apk = LazyApk(self.vault, md5, signer, vc_hint, min_sdk, obfuscated_by)
             record.apk_source = apk_source
         return record
 
@@ -337,10 +345,9 @@ class Snapshot:
         phase never accumulates the corpus in RAM.
         """
         apk = self._codec.keep_apk(apk)
-        md5, signer, vc_hint = _apk_columns(apk)
+        columns = dict(zip(_APK_COLUMNS, _apk_columns(apk)), apk_source=source)
         self._family.update(
-            {"md5": md5, "signer": signer, "vc_hint": vc_hint, "apk_source": source},
-            {"market_id": record.market_id, "package": record.package},
+            columns, {"market_id": record.market_id, "package": record.package}
         )
         record.apk = apk
         record.apk_source = source

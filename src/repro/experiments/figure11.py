@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.permissions import dangerous_request_stats, figure11_series
+from repro.analysis.permissions import figure11_series
 from repro.core.reports import FigureReport
 from repro.core.study import StudyResult
 
@@ -16,7 +16,7 @@ def run(result: StudyResult) -> FigureReport:
         title="Over-privileged apps (unused permissions per app)",
         data={
             **series,
-            "avg_dangerous_requested": dangerous_request_stats(result.units),
+            "avg_dangerous_requested": result.dangerous_requested,
         },
     )
     figure.notes.append(

@@ -19,7 +19,9 @@ determinism contract needs:
 Layout: a 4-byte magic (``RW01``) followed by one value.  Each value is
 a 1-byte tag; strings/bytes add a varint byte length, containers add a
 varint element count, ints are zigzag varints, floats are 8 raw
-big-endian IEEE-754 bytes.
+big-endian IEEE-754 bytes.  Decoding refuses containers nested deeper
+than :data:`MAX_NESTING`, so every malformed payload — truncated,
+bit-flipped or hostile — fails as a :class:`WireError`.
 """
 
 from __future__ import annotations
@@ -27,10 +29,15 @@ from __future__ import annotations
 import struct
 from typing import Any, List, Tuple
 
-__all__ = ["encode", "decode", "is_wire", "WireError", "WIRE_MAGIC"]
+__all__ = ["encode", "decode", "is_wire", "WireError", "WIRE_MAGIC", "MAX_NESTING"]
 
 #: Leading magic marking a wire-encoded payload (also the format version).
 WIRE_MAGIC = b"RW01"
+
+#: Deepest list/dict nesting :func:`decode` accepts.  Market responses
+#: nest a few levels; the cap keeps a payload of nested container tags
+#: from recursing into the interpreter's limit.
+MAX_NESTING = 64
 
 _TAG_NONE = 0
 _TAG_FALSE = 1
@@ -129,7 +136,7 @@ def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
             raise WireError("varint too long")
 
 
-def _read_value(data: bytes, pos: int) -> Tuple[Any, int]:
+def _read_value(data: bytes, pos: int, depth: int = 0) -> Tuple[Any, int]:
     if pos >= len(data):
         raise WireError("truncated value")
     tag = data[pos]
@@ -160,21 +167,23 @@ def _read_value(data: bytes, pos: int) -> Tuple[Any, int]:
         if pos + length > len(data):
             raise WireError("truncated bytes")
         return bytes(data[pos:pos + length]), pos + length
+    if tag in (_TAG_LIST, _TAG_DICT) and depth >= MAX_NESTING:
+        raise WireError("nesting too deep")
     if tag == _TAG_LIST:
         count, pos = _read_varint(data, pos)
         items = []
         for _ in range(count):
-            item, pos = _read_value(data, pos)
+            item, pos = _read_value(data, pos, depth + 1)
             items.append(item)
         return items, pos
     if tag == _TAG_DICT:
         count, pos = _read_varint(data, pos)
         obj = {}
         for _ in range(count):
-            key, pos = _read_value(data, pos)
+            key, pos = _read_value(data, pos, depth + 1)
             if not isinstance(key, str):
                 raise WireError("dict key is not a string")
-            obj[key], pos = _read_value(data, pos)
+            obj[key], pos = _read_value(data, pos, depth + 1)
         return obj, pos
     raise WireError(f"unknown tag {tag}")
 

@@ -10,11 +10,20 @@ what keeps the resident set flat when a streaming cursor walks millions
 of records.
 
 :class:`LazyApk` is the out-of-core stand-in for a ``ParsedApk`` held
-by a crawl record or app unit.  It carries only the identity fields the
-hot paths read without parsing (``md5``, ``signer_fingerprint``, a
-``version_code_hint`` captured at spill time) and resolves every other
-attribute through the vault on demand — never caching the parsed object
-on itself, so a retained record stays a few pointers wide.
+by a crawl record or app unit.  It carries the manifest scalars the
+record-level analyses read — ``md5``, ``signer_fingerprint``,
+``version_code``, ``min_sdk`` and ``obfuscated_by``, under the names
+``ParsedApk`` answers them — as columns of the snapshot row, so a walk
+over those (Figure 3, the §5.3 identity key, unit ranking) never opens
+a blob.  Every other attribute resolves through the vault on demand,
+and the proxy never caches the parsed object on itself, so a retained
+record stays a few pointers wide.
+
+The LRU cannot absorb a cyclic scan longer than itself, so per-APK
+analyses do not walk proxies attribute by attribute: the analysis
+engine resolves each unit's APK once (:meth:`LazyApk.resolve`) and runs
+every analyzer that needs it on that one decode.  ``loads`` and
+``decodes`` count calls and cache misses, the vault's read cost.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import json
 import mmap
 import os
+import re
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -33,6 +43,8 @@ __all__ = ["BlobVault", "LazyApk", "DEFAULT_VAULT_CACHE"]
 #: one analysis batch hot without letting the cache become the corpus.
 DEFAULT_VAULT_CACHE = 256
 
+_MD5 = re.compile(r"[0-9a-f]{32}")
+
 
 class BlobVault:
     """Disk store of parsed-APK docs: ``root/<md5[:2]>/<md5>.json``."""
@@ -43,10 +55,14 @@ class BlobVault:
         self._cache: "OrderedDict[str, object]" = OrderedDict()
         self._cache_size = max(1, cache_size)
         self._lock = threading.Lock()
+        #: ``load`` calls, and those that missed the LRU and decoded.
+        self.loads = 0
+        self.decodes = 0
 
     def _path(self, md5: str) -> Path:
-        safe = "".join(c for c in md5 if c.isalnum())
-        return self.root / safe[:2] / f"{safe}.json"
+        if not _MD5.fullmatch(md5):
+            raise ValueError(f"not an MD5 hex digest: {md5!r}")
+        return self.root / md5[:2] / f"{md5}.json"
 
     def put(self, apk) -> str:
         """Store one parsed APK; idempotent; returns its MD5."""
@@ -69,10 +85,12 @@ class BlobVault:
         from repro.crawler.dataset import _apk_from_doc
 
         with self._lock:
+            self.loads += 1
             apk = self._cache.get(md5)
             if apk is not None:
                 self._cache.move_to_end(md5)
                 return apk
+            self.decodes += 1
         path = self._path(md5)
         with open(path, "rb") as handle:
             with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as view:
@@ -98,33 +116,46 @@ class BlobVault:
             self,
             apk.md5,
             apk.signer_fingerprint,
-            apk.manifest.version_code,
+            apk.version_code,
+            apk.min_sdk,
+            apk.obfuscated_by,
         )
 
 
 class LazyApk:
     """A ``ParsedApk`` proxy that re-reads from the vault on demand.
 
-    Identity fields live on the proxy (``md5``, ``signer_fingerprint``,
-    ``version_code_hint``); everything else — manifest, code packages,
-    META-INF, merged features — delegates to the vault's bounded LRU.
-    The proxy never pins the decoded object, so holding a million
-    proxies costs a million small structs, not a million parsed APKs.
+    The row scalars live on the proxy (``md5``, ``signer_fingerprint``,
+    ``version_code``, ``min_sdk``, ``obfuscated_by``); everything else —
+    manifest, code packages, META-INF, merged features — delegates to
+    the vault's bounded LRU, one ``load`` per attribute read.  The proxy
+    never pins the decoded object, so holding a million proxies costs a
+    million small structs, not a million parsed APKs.
     """
 
-    __slots__ = ("_vault", "md5", "signer_fingerprint", "version_code_hint")
+    __slots__ = (
+        "_vault", "md5", "signer_fingerprint", "version_code", "min_sdk", "obfuscated_by",
+    )
 
     def __init__(
         self,
         vault: BlobVault,
         md5: str,
         signer_fingerprint: str,
-        version_code_hint: Optional[int] = None,
+        version_code: int,
+        min_sdk: int,
+        obfuscated_by: Optional[str],
     ):
         self._vault = vault
         self.md5 = md5
         self.signer_fingerprint = signer_fingerprint
-        self.version_code_hint = version_code_hint
+        self.version_code = version_code
+        self.min_sdk = min_sdk
+        self.obfuscated_by = obfuscated_by
+
+    def resolve(self):
+        """The decoded :class:`~repro.apk.archive.ParsedApk` (one vault load)."""
+        return self._vault.load(self.md5)
 
     def __getattr__(self, name: str):
         if name.startswith("_"):

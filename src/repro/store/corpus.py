@@ -76,7 +76,9 @@ APPS_SCHEMA = dict(
     indexes=[["package"]],
 )
 
-#: One crawl campaign's records, with the APK identity as columns.
+#: One crawl campaign's records, with the APK identity and the manifest
+#: scalars record-level analyses read as columns (a spilled record's
+#: ``LazyApk`` answers them without opening its blob).
 CRAWL_SCHEMA = dict(
     key_columns=[
         ("market_id", "TEXT"),
@@ -84,6 +86,8 @@ CRAWL_SCHEMA = dict(
         ("md5", "TEXT"),
         ("signer", "TEXT"),
         ("vc_hint", "INTEGER"),
+        ("min_sdk", "INTEGER"),
+        ("obfuscated_by", "TEXT"),
         ("apk_source", "TEXT"),
     ],
     unique=["market_id", "package"],

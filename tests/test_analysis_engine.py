@@ -8,6 +8,7 @@ from repro.analysis.engine import (
     AnalysisEngine,
     ArtifactCache,
     CacheStats,
+    UnitAnalyzer,
     resolve_analysis_workers,
 )
 from repro.analysis.malware import scan_units
@@ -25,6 +26,7 @@ def _unit_like(apk):
     class Unit:
         def __init__(self, apk):
             self.apk = apk
+            self.apk_md5 = apk.md5 if apk is not None else None
 
     return Unit(apk)
 
@@ -143,10 +145,9 @@ class TestMapUnitsCached:
     def test_apkless_unit_yields_none(self):
         engine = AnalysisEngine()
         out = engine.map_units_cached(
-            "t", "1", [_unit_like(None)],
-            compute=lambda apk: 1, encode=lambda v: v, decode=lambda p: p,
+            [UnitAnalyzer("t", "1", lambda apk: 1)], [_unit_like(None)]
         )
-        assert out == [None]
+        assert out == [[None]]
 
     def test_second_run_computes_nothing(self, tmp_path):
         calls = []
@@ -158,9 +159,8 @@ class TestMapUnitsCached:
         units = self._units()
         for run in range(2):
             engine = AnalysisEngine(cache=ArtifactCache(tmp_path))
-            out = engine.map_units_cached(
-                "vc", "1", units,
-                compute=compute, encode=lambda v: v, decode=lambda p: int(p),
+            [out] = engine.map_units_cached(
+                [UnitAnalyzer("vc", "1", compute, decode=int)], units
             )
             assert out[:-1] == [3] * 6 and out[-1] is None
         assert len(calls) == 6  # first run only
@@ -170,22 +170,21 @@ class TestMapUnitsCached:
     def test_decode_failure_falls_back_to_compute(self, tmp_path):
         units = self._units(1)[:1]
         first = AnalysisEngine(cache=ArtifactCache(tmp_path))
-        out = first.map_units_cached(
-            "t", "1", units,
-            compute=lambda apk: {"k": 1},
-            encode=lambda v: v,
-            decode=lambda p: dict(p),
+        [out] = first.map_units_cached(
+            [UnitAnalyzer("t", "1", lambda apk: {"k": 1}, decode=dict)], units
         )
         assert out == [{"k": 1}]
         assert first.cache.stats.stores == 1
         # A decoder that rejects the stored payload counts as corruption
         # and falls through to recompute.
         second = AnalysisEngine(cache=ArtifactCache(tmp_path))
-        out = second.map_units_cached(
-            "t", "1", units,
-            compute=lambda apk: "recomputed",
-            encode=lambda v: {"v": v},
-            decode=lambda p: p["missing"],  # KeyError on the old payload
+        [out] = second.map_units_cached(
+            [UnitAnalyzer(
+                "t", "1", lambda apk: "recomputed",
+                encode=lambda v: {"v": v},
+                decode=lambda p: p["missing"],  # KeyError on the old payload
+            )],
+            units,
         )
         assert out == ["recomputed"]
         assert second.cache.stats.corrupt == 1
@@ -198,11 +197,61 @@ class TestMapUnitsCached:
         engine = AnalysisEngine()
         for _ in range(2):
             engine.map_units_cached(
-                "t", "1", units,
-                compute=lambda apk: calls.append(1), encode=lambda v: v,
-                decode=lambda p: p,
+                [UnitAnalyzer("t", "1", lambda apk: calls.append(1))], units
             )
         assert len(calls) == 4
+
+    def test_one_resolve_per_unit_and_none_on_warm_hits(self, tmp_path):
+        resolves = []
+
+        class Proxy:
+            """A vault proxy stand-in that counts decodes."""
+
+            def __init__(self, apk):
+                self._apk = apk
+                self.md5 = apk.md5
+
+            def resolve(self):
+                resolves.append(self.md5)
+                return self._apk
+
+        units = self._units(4)
+        for unit in units[:-1]:
+            unit.apk = Proxy(unit.apk)
+
+        def seen(apk):
+            assert not isinstance(apk, Proxy)  # compute gets the decoded APK
+            return apk.manifest.version_code
+
+        cached = [UnitAnalyzer(f"a{i}", "1", seen) for i in range(3)]
+        uncached = UnitAnalyzer("u", None, seen)
+        cold = AnalysisEngine(cache=ArtifactCache(tmp_path))
+        out = cold.map_units_cached(cached + [uncached], units)
+        assert out == [[3, 3, 3, 3, None]] * 4
+        assert len(resolves) == 4  # one decode per APK-backed unit
+        resolves.clear()
+        warm = AnalysisEngine(cache=ArtifactCache(tmp_path))
+        assert warm.map_units_cached(cached, units) == [[3, 3, 3, 3, None]] * 3
+        assert resolves == []  # every analyzer hit: nothing decoded
+        assert warm.map_units_cached(cached + [uncached], units)[-1] == [3, 3, 3, 3, None]
+        assert len(resolves) == 4  # the uncached analyzer decodes once per unit
+        assert warm.cache.stats.misses == 0
+
+    def test_walk_runs_once_and_hands_out_each_result_once(self):
+        from repro.analysis.engine import UnitWalk
+
+        calls = []
+        units = self._units(3)
+        walk = UnitWalk(AnalysisEngine(), units, [
+            UnitAnalyzer("a", "1", lambda apk: calls.append("a") or 1),
+            UnitAnalyzer("b", "1", lambda apk: calls.append("b") or 2),
+        ])
+        assert calls == []  # nothing runs until the first take
+        assert walk.take("b") == [2, 2, 2, None]
+        assert walk.take("a") == [1, 1, 1, None]
+        assert calls == ["a", "b"] * 3
+        with pytest.raises(KeyError):
+            walk.take("a")
 
 
 class TestAnalyzersThroughEngine:

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crawler.backfill import ArchiveBackfill
 from repro.crawler.crawler import CrawlCoordinator
@@ -158,6 +160,97 @@ class TestLaneJournal:
         path.write_text('not json\n{"kind": "apk", "key": "a", "result": {}, "state": {}}\n')
         with pytest.raises(JournalError):
             LaneJournal(path, "tencent")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=5),
+    lambda inner: (
+        st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=5), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+#: Lines of a lane file: well-formed entries, near misses that drop or
+#: retype one field, and arbitrary JSON values.
+_ENTRY = st.one_of(
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(["begin", "apk", "search"]),
+        "key": st.sampled_from(["tencent", "com.a"]),
+        "result": st.fixed_dictionaries({"n": st.integers(0, 3)}),
+        "state": st.fixed_dictionaries({"s": st.integers(0, 3)}),
+    }),
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(["begin", "apk"]) | _JSON,
+        "key": st.just("com.a") | _JSON,
+    }, optional={"result": _JSON, "state": _JSON}),
+    _JSON,
+)
+
+
+class TestWrongShapeEntries:
+    """Well-formed JSON of the wrong shape is a JournalError at load,
+    naming the line and the field."""
+
+    def _write(self, tmp_path, *lines):
+        path = tmp_path / "tencent.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("line, problem", [
+        ("[1,2]", "entry is a JSON array, not an object"),
+        ('"str"', "entry is a JSON string, not an object"),
+        ('{"kind":"begin"}', "entry has no 'key' field"),
+        ('{"kind":"begin","key":"tencent"}', "entry has no 'state' field"),
+        ('{"kind":"apk","key":"com.a","state":{}}', "entry has no 'result' field"),
+        ('{"kind":"apk","key":"com.a","result":[],"state":{}}',
+         "field 'result' is a JSON array, not an object"),
+        ('{"kind":7,"key":"com.a","result":{},"state":{}}',
+         "field 'kind' is a JSON number, not a string"),
+    ])
+    def test_named_at_path_and_line(self, tmp_path, line, problem):
+        good = '{"kind":"apk","key":"com.b","result":{},"state":{}}'
+        path = self._write(tmp_path, line, good)
+        with pytest.raises(JournalError) as err:
+            LaneJournal(path, "tencent")
+        assert str(err.value) == f"{path}:1: {problem}"
+
+    def test_begin_only_first(self, tmp_path):
+        begin = '{"kind":"begin","key":"tencent","state":{}}'
+        path = self._write(tmp_path, begin, begin)
+        with pytest.raises(JournalError, match=":2: 'begin' entry after the first"):
+            LaneJournal(path, "tencent")
+
+    def test_wrong_shape_final_line_is_not_torn(self, tmp_path):
+        path = self._write(tmp_path, '{"kind":"begin","key":"tencent","state":{}}', "[1,2]")
+        with pytest.raises(JournalError, match=":2: entry is a JSON array"):
+            LaneJournal(path, "tencent")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(_ENTRY.map(lambda v: json.dumps(v)), max_size=5),
+        torn=st.booleans(),
+        probes=st.lists(st.tuples(st.sampled_from(["apk", "search", "begin"]),
+                                  st.sampled_from(["tencent", "com.a"])), max_size=4),
+    )
+    def test_load_and_replay_fail_only_as_journal_errors(
+        self, tmp_path_factory, lines, torn, probes
+    ):
+        path = tmp_path_factory.mktemp("lane") / "tencent.jsonl"
+        body = "".join(line + "\n" for line in lines)
+        path.write_text(body + ('{"kind": "apk", "ke' if torn else ""), encoding="utf-8")
+        try:
+            lane = LaneJournal(path, "tencent")
+        except JournalError:
+            return
+        lane.begin_state()
+        lane.last_state()
+        for kind, key in probes:
+            try:
+                result = lane.replay(kind, key)
+            except JournalError:
+                return
+            assert result is None or isinstance(result, dict)
 
 
 class TestCrawlJournalLifecycle:

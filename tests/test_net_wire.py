@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import wire
 from repro.net.wire import WIRE_MAGIC, WireError, decode, encode, is_wire
@@ -131,3 +133,70 @@ class TestErrors:
     def test_runaway_varint(self):
         with pytest.raises(WireError):
             decode(WIRE_MAGIC + bytes((wire._TAG_INT,)) + b"\xff" * 200)
+
+
+class TestMalformedProperty:
+    """Whatever the bytes, a bad payload fails as a WireError."""
+
+    DOCUMENT = {
+        "results": [
+            {"package": "com.example.app", "name": "示例", "install_range": [10, 50]},
+            {"package": "com.other", "rating": 4.5, "tags": None, "ok": True},
+        ],
+        "page": 2,
+        "blob": b"\x00\x01",
+    }
+
+    @staticmethod
+    def _decodes_or_wire_error(payload: bytes) -> None:
+        try:
+            decode(payload)
+        except WireError:
+            pass
+
+    def test_deep_nesting_is_a_wire_error(self):
+        payload = WIRE_MAGIC + bytes((wire._TAG_LIST, 1)) * 100_000 + bytes((wire._TAG_NONE,))
+        with pytest.raises(WireError, match="nesting too deep"):
+            decode(payload)
+
+    def test_nesting_at_the_cap_decodes(self):
+        value = None
+        for _ in range(wire.MAX_NESTING):
+            value = [value]
+        assert decode(encode(value)) == value
+        with pytest.raises(WireError, match="nesting too deep"):
+            decode(encode([value]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_truncated(self, data):
+        payload = encode(self.DOCUMENT)
+        cut = data.draw(st.integers(0, len(payload) - 1))
+        with pytest.raises(WireError):
+            decode(payload[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bit_flipped(self, data):
+        payload = bytearray(encode(self.DOCUMENT))
+        flips = data.draw(st.lists(st.integers(0, len(payload) * 8 - 1), min_size=1, max_size=4))
+        for bit in flips:
+            payload[bit // 8] ^= 1 << (bit % 8)
+        self._decodes_or_wire_error(bytes(payload))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        depth=st.integers(wire.MAX_NESTING + 1, 5_000),
+        tags=st.lists(st.sampled_from([wire._TAG_LIST, wire._TAG_DICT]), min_size=1, max_size=3),
+    )
+    def test_deeply_nested(self, depth, tags):
+        # Containers of one element each, dict keys nested too: the
+        # cap must trip before the interpreter's recursion limit.
+        body = bytes(b for i in range(depth) for b in (tags[i % len(tags)], 1))
+        with pytest.raises(WireError):
+            decode(WIRE_MAGIC + body + bytes((wire._TAG_NONE,)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes_after_magic(self, body):
+        self._decodes_or_wire_error(WIRE_MAGIC + body)

@@ -210,8 +210,25 @@ class TestBlobVault:
         # Identity columns are resident; content loads on demand.
         assert lazy.md5 == apk.md5
         assert lazy.signer_fingerprint == apk.signer_fingerprint
-        assert lazy.version_code_hint == 9
+        assert lazy.version_code == 9
         assert lazy.manifest.package == "com.lazy.app"
+
+    @pytest.mark.parametrize("key", ["ab/cd", "abcd", "AB" * 16, "g" * 32, "0" * 33])
+    def test_rejects_keys_that_are_not_md5_hex(self, tmp_path, key):
+        vault = BlobVault(tmp_path)
+        with pytest.raises(ValueError):
+            vault.load(key)
+        with pytest.raises(ValueError):
+            key in vault
+
+    def test_counts_loads_and_decodes(self, tmp_path):
+        vault = BlobVault(tmp_path, cache_size=1)
+        first, second = make_parsed(package="com.a"), make_parsed(package="com.b")
+        vault.put(first)
+        vault.put(second)
+        for md5 in (first.md5, first.md5, second.md5, first.md5):
+            vault.load(md5)
+        assert (vault.loads, vault.decodes) == (4, 3)
 
     def test_cache_is_bounded(self, tmp_path):
         vault = BlobVault(tmp_path, cache_size=2)

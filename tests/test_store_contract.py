@@ -6,6 +6,8 @@ the unit level (spill boundary, cursor order, reopen) and end-to-end
 (full study, memory vs sqlite, serial vs parallel analysis).
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core.config import StudyConfig
@@ -16,8 +18,14 @@ from repro.crawler.snapshot import (
     streaming_snapshot_digest,
 )
 from repro.ecosystem.generator import EcosystemGenerator
-from repro.experiments.runner import digest_reports, run_all
+from repro.experiments.runner import (
+    EXPERIMENT_IDS,
+    digest_reports,
+    run_all,
+    run_experiment,
+)
 from repro.store import CorpusStore, SpilledAppList
+from repro.store.blobs import BlobVault
 from repro.util.rng import stable_hash64
 
 from conftest import make_parsed, make_record
@@ -241,3 +249,82 @@ class TestStudyContract:
     def test_report_digests_equal(self, pair):
         memory, sqlite = pair
         assert digest_reports(run_all(memory)) == digest_reports(run_all(sqlite))
+
+    @pytest.mark.parametrize("backend", [0, 1], ids=["memory", "sqlite"])
+    def test_row_scalars_match_manifests(self, pair, backend):
+        checked = 0
+        for record in pair[backend].snapshot:
+            apk = record.apk
+            if apk is None:
+                continue
+            decoded = apk.resolve()
+            assert (apk.min_sdk, apk.version_code, apk.obfuscated_by) == (
+                decoded.manifest.min_sdk,
+                decoded.manifest.version_code,
+                decoded.obfuscated_by,
+            )
+            checked += 1
+        assert checked > 0
+
+
+class TestVaultLoadBudget:
+    """A spilled study reads each vaulted APK a bounded number of times.
+
+    Record walks (Figure 3, the §5.3 identity key) read the manifest
+    scalars from the row, and the per-APK analyzers share one walk over
+    the units, so ``BlobVault.load`` calls stay within one pass over the
+    stored blobs plus two over the APK-backed units.
+    """
+
+    CFG = dict(seed=42, scale=0.0001, store_backend="sqlite", store_spill_threshold=0)
+
+    @pytest.fixture(scope="class")
+    def counted(self, tmp_path_factory):
+        loads = Counter()
+        phase = ["run"]
+        load = BlobVault.load
+
+        def counting_load(vault, md5):
+            loads[phase[0]] += 1
+            return load(vault, md5)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BlobVault, "load", counting_load)
+            store_dir = str(tmp_path_factory.mktemp("corpus"))
+            result = Study(StudyConfig(**self.CFG, store_dir=store_dir)).run()
+            phase[0] = "materialize"
+            result.materialize()
+            for experiment_id in EXPERIMENT_IDS:  # run_all's serial order
+                phase[0] = experiment_id
+                run_experiment(experiment_id, result)
+        return result, loads
+
+    def test_figure3_reads_no_blob(self, counted):
+        _, loads = counted
+        assert loads["figure3"] == 0
+
+    def test_section53_reads_each_compared_blob_once(self, counted):
+        result, loads = counted
+        groups = {}
+        for record in result.snapshot:
+            apk = record.apk
+            if apk is not None:
+                key = (record.package, apk.version_code, apk.signer_fingerprint)
+                groups.setdefault(key, []).append(apk)
+        compared = set()
+        for apks in groups.values():
+            md5s = {apk.md5 for apk in apks}
+            if len(md5s) > 1 and all(apk.obfuscated_by is None for apk in apks):
+                compared |= md5s
+        assert compared, "the budget needs divergent unpacked groups to compare"
+        assert loads["section53"] <= len(compared)
+
+    def test_whole_run_within_budget(self, counted):
+        result, loads = counted
+        stored = sum(1 for _ in (result.corpus.root / "apks").rglob("*.json"))
+        apk_units = sum(1 for unit in result.units if unit.apk_md5 is not None)
+        total = sum(loads.values())
+        assert 0 < total <= stored + 2 * apk_units, dict(loads)
+        vault = result.corpus.vault
+        assert vault.loads == total
+        assert 0 < vault.decodes <= vault.loads
