@@ -54,11 +54,15 @@ def main() -> None:
     print(f"\ncrawling all 17 markets from {len(seeds)} Google Play seeds...")
     snapshot = coordinator.crawl("august-2017")
     stats = snapshot.stats
+    lanes = stats.telemetry.markets.values()
 
-    print(f"records: {stats.records:,}  parallel searches: {stats.searches:,}")
-    print(f"APKs downloaded: {stats.apk_downloaded:,}  "
-          f"backfilled from archive: {stats.apk_backfilled:,}  "
-          f"missing: {stats.apk_missing:,}")
+    def total(field):
+        return sum(getattr(lane, field) for lane in lanes)
+
+    print(f"records: {total('records'):,}  parallel searches: {total('searches'):,}")
+    print(f"APKs downloaded: {total('apk_downloaded'):,}  "
+          f"backfilled from archive: {total('apk_backfilled'):,}  "
+          f"missing: {total('apk_missing'):,}")
     print(f"rate-limited markets: {sorted(stats.rate_limited_markets)}")
 
     print("\nper-market coverage:")

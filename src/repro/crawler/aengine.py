@@ -23,9 +23,9 @@ Two consequences:
 
 :class:`BlockingLaneClient` is the sync facade the coordinator sees —
 ``HttpClient``-shaped methods that submit coroutines to the loop and
-wait.  Stats, breaker, credentials, and identities delegate to the
-wrapped async client, so telemetry folding and journal export work
-unchanged.
+wait.  Stats, the send ordinal, breaker, credentials, and identities
+delegate to the wrapped async client, so campaign binding and journal
+export work unchanged.
 """
 
 from __future__ import annotations
@@ -98,9 +98,9 @@ class BlockingLaneClient:
     bookkeeping actually use — ``request``/``get_json``/``get_bytes``
     plus the pipelined bulk ops — by submitting coroutines to the
     engine's loop thread and waiting.  Everything stateful (``stats``,
-    ``breaker``, ``credentials``, ``identities``, ``obs``) delegates to
-    the wrapped client so deltas, journaling, and telemetry see one
-    source of truth.
+    ``sent``, ``breaker``, ``credentials``, ``identities``, ``obs``)
+    delegates to the wrapped client so binding, journaling, and
+    telemetry see one source of truth.
     """
 
     def __init__(
@@ -124,6 +124,14 @@ class BlockingLaneClient:
     @stats.setter
     def stats(self, value: ClientStats) -> None:
         self._aclient.stats = value
+
+    @property
+    def sent(self) -> int:
+        return self._aclient.sent
+
+    @sent.setter
+    def sent(self, value: int) -> None:
+        self._aclient.sent = value
 
     @property
     def breaker(self):

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.apk.archive import ApkParseError, parse_apk
 from repro.crawler.backfill import ArchiveBackfill
@@ -109,13 +109,8 @@ _UNFETCHED = object()
 
 @dataclass
 class CrawlStats:
-    """Counters for one campaign."""
+    """One campaign's outcome sets; its counters live in ``telemetry``."""
 
-    records: int = 0
-    searches: int = 0
-    apk_downloaded: int = 0
-    apk_backfilled: int = 0
-    apk_missing: int = 0
     apk_parse_errors: int = 0
     rate_limited_markets: Set[str] = field(default_factory=set)
     degraded_markets: Set[str] = field(default_factory=set)
@@ -285,14 +280,17 @@ class CrawlCoordinator:
         stats = CrawlStats(telemetry=telemetry)
         pending: List[Tuple[str, str]] = []  # (package, app_name)
         searched: Set[str] = set()
-        dead_letters: List[DeadLetter] = []
         crawl_day = self._clock.now
+
+        def park(letter: DeadLetter) -> None:
+            """Park abandoned work; the telemetry counts it live."""
+            snapshot.dead_letters.append(letter)
+            telemetry.record_dead_letter(letter.market_id, letter.reason)
 
         def ingest(market_id: str, meta: Metadata) -> None:
             record = CrawlRecord.from_metadata(market_id, meta, crawl_day)
             if not snapshot.add(record):
                 return
-            stats.records += 1
             telemetry.market(market_id).records += 1
             if record.package not in searched:
                 searched.add(record.package)
@@ -313,9 +311,7 @@ class CrawlCoordinator:
                 ingest(market_id, meta)
             if doc["quarantined"]:
                 mark_degraded(market_id)
-                dead_letters.append(DeadLetter(
-                    market_id, "discovery", "catalog", REASON_QUARANTINED
-                ))
+                park(DeadLetter(market_id, "discovery", "catalog", REASON_QUARANTINED))
         if monitor is not None:
             monitor.tick("discovery")
 
@@ -340,7 +336,6 @@ class CrawlCoordinator:
             results = self._engine.run(
                 {m: self._search_task(m, queries, round_no, journal) for m in active}
             )
-            stats.searches += len(queries) * len(active)
             offset = 0
             for _package, _app_name in batch:
                 width = 2 if self._search_by_name else 1
@@ -351,18 +346,17 @@ class CrawlCoordinator:
                 offset += width
             for market_id in active:
                 doc = results[market_id]
+                telemetry.market(market_id).searches += len(queries)
                 if doc["quarantined"]:
                     mark_degraded(market_id)
                 for query, reason in doc["dead"]:
-                    dead_letters.append(
-                        DeadLetter(market_id, "search", query, reason)
-                    )
+                    park(DeadLetter(market_id, "search", query, reason))
             if monitor is not None:
                 monitor.tick("search")
 
         # Phase 3: batched APK downloads, one lane per market.
         if self._download_apks:
-            self._collect_apks(snapshot, stats, telemetry, journal, dead_letters)
+            self._collect_apks(snapshot, stats, telemetry, journal, park)
             if monitor is not None:
                 monitor.tick("apk")
 
@@ -375,28 +369,26 @@ class CrawlCoordinator:
                 health.status = HEALTH_DEGRADED
                 telemetry.market(market_id).health = HEALTH_DEGRADED
             snapshot.health[market_id] = health
-        for letter in dead_letters:
-            snapshot.dead_letters.append(letter)
+        for letter in snapshot.dead_letters:
             health = snapshot.health[letter.market_id]
             if letter.reason == REASON_QUARANTINED:
                 health.quarantined += 1
             else:
                 health.degraded += 1
-            telemetry.record_dead_letter(letter.market_id, letter.reason)
 
         snapshot.stats = stats  # type: ignore[attr-defined]
         self._engine.end_campaign(telemetry)
         if monitor is not None:
             monitor.finish()
         telemetry.wall_seconds = time.perf_counter() - started
-        campaign_span["records"] = stats.records
-        campaign_span["searches"] = stats.searches
+        campaign_span["records"] = telemetry.total_records
+        campaign_span["searches"] = sum(m.searches for m in telemetry.markets.values())
         campaign_span["search_rounds"] = telemetry.search_rounds
         campaign_span["degraded_markets"] = sorted(stats.degraded_markets)
         if duration_days is None:
             duration_days = max(
-                self._worker_pool.duration_days(self._engine.total_requests),
-                self._engine.max_lane_backoff,
+                self._worker_pool.duration_days(telemetry.total_requests),
+                self._engine.max_campaign_backoff,
             )
         self._clock.advance(duration_days)
         return snapshot
@@ -484,86 +476,67 @@ class CrawlCoordinator:
                     and lane is None
                     and hasattr(client, "get_json_many")
                 ):
-                    result = self._bulk_search(client, queries)
-                    span["quarantined"] = result["quarantined"]
-                    return result
-                hits: List[List[Metadata]] = []
-                dead: List[List[str]] = []
-                quarantined = False
-                for query in queries:
-                    if quarantined:
-                        # Keep offsets aligned for the merge step; the lost
-                        # queries are accounted as dead letters.
-                        hits.append([])
-                        dead.append([query, REASON_QUARANTINED])
-                        continue
-                    try:
-                        hits.append(client.get_json("/search", {"q": query}))
-                    except MarketQuarantinedError:
-                        if self._fail_fast:
-                            raise
-                        quarantined = True
-                        hits.append([])
-                        dead.append([query, REASON_QUARANTINED])
-                    except ForbiddenError as exc:
-                        hits.append([])
-                        if exc.retry_after is not None:
-                            # Anti-bot ban that rotation/waiting could
-                            # not clear; a policy 403 is a definitive
-                            # answer (like 404), not lost work.
-                            dead.append([query, REASON_BANNED])
-                    except RateLimitedError:
-                        hits.append([])
-                        dead.append([query, REASON_RATE_LIMITED])
-                    except HttpError:
-                        hits.append([])
-                        dead.append([query, REASON_RETRY_EXHAUSTED])
-                result = {"hits": hits, "quarantined": quarantined, "dead": dead}
+                    values = client.get_json_many(
+                        [("/search", {"q": query}) for query in queries]
+                    )
+                else:
+                    values: List[object] = []
+                    for query in queries:
+                        try:
+                            values.append(client.get_json("/search", {"q": query}))
+                        except MarketQuarantinedError as exc:
+                            if self._fail_fast:
+                                raise
+                            # Stop sending: every remaining query is
+                            # lost to the same quarantine.
+                            values += [exc] * (len(queries) - len(values))
+                            break
+                        except HttpError as exc:
+                            values.append(exc)
+                result = self._classify_search(queries, values)
                 if lane is not None:
                     lane.record("search", key, result, self._checkpoint(market_id))
-                span["quarantined"] = quarantined
+                span["quarantined"] = result["quarantined"]
                 return result
 
         return run
 
-    def _bulk_search(self, client, queries: Sequence[str]) -> dict:
-        """Pipelined search batch: fetch concurrently, classify per item.
+    def _classify_search(self, queries: Sequence[str], values: Sequence[object]) -> dict:
+        """Map each query's answer (hits or exception) to hits and dead letters.
 
-        Mirrors the sequential loop's exception classification exactly —
-        the bulk call hands back results *or exceptions* in submission
-        order, so each query lands in the same ``hits``/``dead`` slot it
-        would have sequentially.  The one semantic difference is
-        quarantine: concurrent in-flight queries cannot be "skipped
-        after" a quarantine the way a sequential loop skips them, so
-        each fast-failed query is classified on its own answer.
+        ``values`` holds one entry per query in submission order, so each
+        query lands in the same ``hits`` slot whether it was fetched
+        sequentially or pipelined.  A lost query gets an empty hit list
+        (keeping the merge step's offsets aligned) and, unless the
+        answer was definitive, a dead-letter reason.  Pipelined queries
+        already in flight when the market was quarantined keep their own
+        answers; the sequential loop sends nothing after a quarantine.
         """
-        values = client.get_json_many(
-            [("/search", {"q": query}) for query in queries]
-        )
         hits: List[List[Metadata]] = []
         dead: List[List[str]] = []
         quarantined = False
         for query, value in zip(queries, values):
+            if not isinstance(value, BaseException):
+                hits.append(value)
+                continue
+            hits.append([])
             if isinstance(value, MarketQuarantinedError):
                 if self._fail_fast:
                     raise value
                 quarantined = True
-                hits.append([])
                 dead.append([query, REASON_QUARANTINED])
             elif isinstance(value, ForbiddenError):
-                hits.append([])
                 if value.retry_after is not None:
+                    # Anti-bot ban that rotation/waiting could not clear;
+                    # a policy 403 is a definitive answer (like 404), not
+                    # lost work.
                     dead.append([query, REASON_BANNED])
             elif isinstance(value, RateLimitedError):
-                hits.append([])
                 dead.append([query, REASON_RATE_LIMITED])
             elif isinstance(value, HttpError):
-                hits.append([])
                 dead.append([query, REASON_RETRY_EXHAUSTED])
-            elif isinstance(value, BaseException):
-                raise value  # not crawl weather: propagate
             else:
-                hits.append(value)
+                raise value  # not crawl weather: propagate
         return {"hits": hits, "quarantined": quarantined, "dead": dead}
 
     # ------------------------------------------------------------------
@@ -576,7 +549,7 @@ class CrawlCoordinator:
         stats: CrawlStats,
         telemetry: CrawlTelemetry,
         journal: Optional[CampaignJournal],
-        dead_letters: List[DeadLetter],
+        park: Callable[[DeadLetter], None],
     ) -> None:
         sharded = {
             market_id: records
@@ -597,25 +570,17 @@ class CrawlCoordinator:
             reasons = doc.get("reasons") or [None] * len(records)
             for record, outcome, reason in zip(records, doc["outcomes"], reasons):
                 if outcome == APK_FROM_MARKET:
-                    stats.apk_downloaded += 1
                     market.apk_downloaded += 1
                 elif outcome == APK_FROM_ARCHIVE:
-                    stats.apk_backfilled += 1
                     market.apk_backfilled += 1
                 elif outcome == _DL_PARSE_ERROR:
                     stats.apk_parse_errors += 1
                 else:
-                    stats.apk_missing += 1
                     market.apk_missing += 1
                     if outcome == _DL_QUARANTINED:
-                        dead_letters.append(DeadLetter(
-                            market_id, "download", record.package,
-                            REASON_QUARANTINED,
-                        ))
-                    elif reason is not None:
-                        dead_letters.append(DeadLetter(
-                            market_id, "download", record.package, reason
-                        ))
+                        reason = REASON_QUARANTINED
+                    if reason is not None:
+                        park(DeadLetter(market_id, "download", record.package, reason))
 
     def _download_task(
         self,

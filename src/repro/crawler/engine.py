@@ -143,13 +143,14 @@ class MarketLane:
             identities=identities,
             obs=obs.lane(market_id, self.clock),
         )
-        self._stats_baseline: ClientStats = self.client.stats.copy()
         self._offset_baseline = 0.0
         self._paced_baseline = 0.0
-        self._trips_baseline = 0
 
-    def begin_campaign(self, rate_limiter: Optional[PerMarketRateLimiter]) -> None:
-        self._stats_baseline = self.client.stats.copy()
+    def begin_campaign(
+        self, rate_limiter: Optional[PerMarketRateLimiter], stats: ClientStats
+    ) -> None:
+        """Bind the client's counters to ``stats`` (the campaign's lane)."""
+        self.client.stats = stats
         self._offset_baseline = self.clock.offset
         if rate_limiter is not None:
             self._paced_baseline = rate_limiter.sim_days_waited(self.market_id)
@@ -157,10 +158,6 @@ class MarketLane:
             # A new campaign starts with a clean bill of health: markets
             # that died last campaign get re-probed, not written off.
             self.breaker.reset()
-            self._trips_baseline = 0
-
-    def campaign_delta(self) -> ClientStats:
-        return self.client.stats.delta(self._stats_baseline)
 
     def campaign_backoff(self) -> float:
         return self.clock.offset - self._offset_baseline
@@ -170,17 +167,13 @@ class MarketLane:
             return 0.0
         return rate_limiter.sim_days_waited(self.market_id) - self._paced_baseline
 
-    def campaign_trips(self) -> int:
-        if self.breaker is None:
-            return 0
-        return self.breaker.trips - self._trips_baseline
-
     # -- checkpoint plumbing ----------------------------------------------
 
     def export_state(self, rate_limiter: Optional[PerMarketRateLimiter]) -> dict:
         """The lane-side state one journal entry snapshots."""
         state: dict = {
             "stats": self.client.stats.export_state(),
+            "sent": self.client.sent,
             "offset": self.clock.offset,
         }
         if self.breaker is not None:
@@ -198,7 +191,8 @@ class MarketLane:
     def restore_state(
         self, state: dict, rate_limiter: Optional[PerMarketRateLimiter]
     ) -> None:
-        self.client.stats = ClientStats.from_state(state["stats"])
+        self.client.stats.restore_state(state["stats"])
+        self.client.sent = int(state["sent"])
         self.clock.offset = float(state["offset"])
         if self.breaker is not None and "breaker" in state:
             self.breaker.restore_state(state["breaker"])
@@ -306,13 +300,14 @@ class CrawlEngine:
         return list(self._lanes)
 
     @property
-    def total_requests(self) -> int:
-        return sum(lane.client.stats.requests for lane in self._lanes.values())
-
-    @property
     def max_lane_backoff(self) -> float:
         """The slowest lane's accumulated sleep (simulated days)."""
         return max((lane.clock.offset for lane in self._lanes.values()), default=0.0)
+
+    @property
+    def max_campaign_backoff(self) -> float:
+        """The slowest lane's sleep since the campaign began."""
+        return max((lane.campaign_backoff() for lane in self._lanes.values()), default=0.0)
 
     # -- campaign bookkeeping ---------------------------------------------
 
@@ -320,24 +315,32 @@ class CrawlEngine:
         """Start a telemetry window covering one campaign's traffic.
 
         The telemetry is a view over the run's metrics registry (when
-        one is recording), so the operator table and the metrics export
-        read the same counters.
+        one is recording), and each lane's client counts straight into
+        its market's series until :meth:`end_campaign`, so the operator
+        table, the metrics export and the live monitor read the same
+        counters.
         """
-        for lane in self._lanes.values():
-            lane.begin_campaign(self._rate_limiter)
-        return CrawlTelemetry(
+        telemetry = CrawlTelemetry(
             label=label, workers=self.workers, registry=self.obs.metrics
         )
+        for market_id, lane in self._lanes.items():
+            lane.begin_campaign(self._rate_limiter, telemetry.market(market_id))
+        return telemetry
 
     def end_campaign(self, telemetry: CrawlTelemetry) -> None:
-        """Fold each lane's campaign counters into the telemetry."""
+        """Add the engine-owned lane counters, then unbind the clients.
+
+        Traffic between campaigns (the targeted recheck) counts into a
+        detached :class:`ClientStats` and so lands in no campaign.
+        """
         for market_id, lane in self._lanes.items():
             market = telemetry.market(market_id)
-            market.fold_client(lane.campaign_delta())
             market.sim_days_paced += lane.campaign_paced(self._rate_limiter)
-            market.breaker_trips += lane.campaign_trips()
+            if lane.breaker is not None:
+                market.breaker_trips += lane.breaker.trips
             if self._rate_limiter is not None:
                 market.rate_budget = self._rate_limiter.params_for(market_id)[0]
+            lane.client.stats = ClientStats()
 
     # -- checkpoint plumbing ----------------------------------------------
 

@@ -49,7 +49,9 @@ from repro.apk.archive import ParsedApk
 
 __all__ = ["CrawlJournal", "CampaignJournal", "LaneJournal", "ApkStore", "JournalError"]
 
-JOURNAL_FORMAT_VERSION = 1
+#: Version 2: lane state journals the campaign's client counters plus
+#: the client's lifetime send ordinal (``sent``).
+JOURNAL_FORMAT_VERSION = 2
 
 KIND_BEGIN = "begin"
 

@@ -7,14 +7,20 @@ engine owns one instance per campaign and each market lane reports only
 to its own :class:`MarketTelemetry`, so recording is lock-free under
 the lane-per-market threading model.
 
-Since the observability layer landed, telemetry is a **view over the
-metrics registry** (:mod:`repro.obs.metrics`): every counter a lane
-records lives in a registry series labeled ``{campaign, market}``, and
-the attribute (``lane.requests``) is a property over that series.  The
-operator table rendered by ``stats_report()`` and the ``--metrics-out``
-export therefore read the *same storage* and can never disagree — and
-``run-report`` re-renders the table from an exported artifact by
-re-hydrating a registry and attaching this same view to it
+Telemetry is a **view over the metrics registry**
+(:mod:`repro.obs.metrics`), and the only set of crawl counters there
+is: every counter a lane records lives in a registry series labeled
+``{campaign, market}``, and the attribute (``lane.requests``) is a
+property over that series.  :class:`MarketTelemetry` extends the HTTP
+client's :class:`~repro.net.client.ClientStats` view, and the engine
+binds each lane's client to its campaign's ``MarketTelemetry`` for the
+campaign, so client requests, retries and bans count straight into the
+campaign's series — the live monitor sees them mid-campaign, and no
+copy, delta or fold keeps two tallies in agreement.  The operator
+table rendered by ``stats_report()`` and the ``--metrics-out`` export
+read the *same storage* and can never disagree — and ``run-report``
+re-renders the table from an exported artifact by re-hydrating a
+registry and attaching this same view to it
 (:meth:`CrawlTelemetry.from_registry`).
 
 ``stats_report()`` renders the operator's table: per-market requests,
@@ -24,45 +30,23 @@ depths, record yield, and the campaign's wall-clock throughput.
 
 from __future__ import annotations
 
-from dataclasses import fields as dataclass_fields
 from typing import Dict, Iterable, List, Optional
 
-from repro.net.client import ClientStats
+from repro.net.client import ClientStats, counter_property
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["MarketTelemetry", "CrawlTelemetry", "DEAD_LETTER_REASON_METRIC"]
 
-#: Whole-number ClientStats counters, in declaration order.  Derived
-#: from the dataclass so a counter added to ClientStats automatically
-#: gets a lane property, a metric series, and a fold — the table and
-#: the Prometheus export can never disagree because one of them was
-#: hand-listed and the other was not.
-_CLIENT_INT_FIELDS = tuple(
-    f.name for f in dataclass_fields(ClientStats) if f.name != "sim_days_slept"
-)
-
-#: Lane counters whose values are whole numbers -> metric series name.
-#: Client counters first (uniformly ``crawl_{field}_total``), then the
-#: crawl-level counters the coordinator records directly.
-_INT_COUNTERS = {
-    **{field: f"crawl_{field}_total" for field in _CLIENT_INT_FIELDS},
+#: Whole-number lane counters the coordinator and engine record -> series name.
+_LANE_COUNTERS = {
     "breaker_trips": "crawl_breaker_trips_total",
     "records": "crawl_records_total",
     "searches": "crawl_searches_total",
-    "search_failures": "crawl_search_failures_total",
     "apk_downloaded": "crawl_apk_downloaded_total",
     "apk_backfilled": "crawl_apk_backfilled_total",
     "apk_missing": "crawl_apk_missing_total",
     "dead_letters": "crawl_dead_letters_total",
 }
-
-#: Lane counters measured in simulated days (fractional).
-_FLOAT_COUNTERS = {
-    "sim_days_backoff": "crawl_backoff_sim_days_total",
-    "sim_days_paced": "crawl_paced_sim_days_total",
-}
-
-LANE_METRICS = {**_INT_COUNTERS, **_FLOAT_COUNTERS}
 
 #: Gauge marking a market the breaker quarantined (0 ok / 1 degraded).
 DEGRADED_METRIC = "crawl_market_degraded"
@@ -79,15 +63,24 @@ RATE_BUDGET_METRIC = "crawl_rate_budget"
 DEAD_LETTER_REASON_METRIC = "crawl_dead_letter_reason_total"
 
 
-class MarketTelemetry:
+class MarketTelemetry(ClientStats):
     """One market lane's counters for one campaign.
 
-    Every counter attribute (``requests``, ``retries``, ...) is a
-    property over a registry series labeled with this market and its
-    campaign; plain ``lane.requests += n`` recording keeps working.
+    The :class:`~repro.net.client.ClientStats` counters are written by
+    the lane's client, which the engine binds to this object for the
+    campaign; the coordinator adds the crawl-level counters (records,
+    searches, APK outcomes, dead letters) and the engine the paced
+    days, breaker trips and rate budget.  Every counter is a property
+    over a registry series labeled with this market and its campaign.
     """
 
-    __slots__ = ("market_id", "_series", "_degraded", "_rate_budget")
+    METRICS = {
+        **ClientStats.METRICS,
+        **_LANE_COUNTERS,
+        "sim_days_paced": "crawl_paced_sim_days_total",
+    }
+
+    __slots__ = ("market_id", "_degraded", "_rate_budget")
 
     def __init__(
         self,
@@ -95,12 +88,9 @@ class MarketTelemetry:
         registry: Optional[MetricsRegistry] = None,
         campaign: str = "",
     ):
-        self.market_id = market_id
         registry = registry if registry is not None else MetricsRegistry()
-        self._series = {
-            field: registry.counter(metric, campaign=campaign, market=market_id)
-            for field, metric in LANE_METRICS.items()
-        }
+        super().__init__(registry, campaign=campaign, market=market_id)
+        self.market_id = market_id
         self._degraded = registry.gauge(
             DEGRADED_METRIC, campaign=campaign, market=market_id
         )
@@ -126,33 +116,10 @@ class MarketTelemetry:
     def rate_budget(self, value: float) -> None:
         self._rate_budget.set(float(value))
 
-    def fold_client(self, delta: ClientStats) -> None:
-        """Fold one campaign's client-counter movement into the lane.
 
-        Field-driven, like the property table: every integer counter
-        ``ClientStats`` declares is folded, so a new counter cannot be
-        silently dropped between the client and the export.
-        """
-        for field in _CLIENT_INT_FIELDS:
-            setattr(self, field, getattr(self, field) + getattr(delta, field))
-        self.sim_days_backoff += delta.sim_days_slept
-
-
-def _lane_property(field: str, as_int: bool) -> property:
-    def fget(self: MarketTelemetry):
-        value = self._series[field].value
-        return int(value) if as_int else value
-
-    def fset(self: MarketTelemetry, value) -> None:
-        self._series[field].value = float(value)
-
-    return property(fget, fset)
-
-
-for _field in _INT_COUNTERS:
-    setattr(MarketTelemetry, _field, _lane_property(_field, as_int=True))
-for _field in _FLOAT_COUNTERS:
-    setattr(MarketTelemetry, _field, _lane_property(_field, as_int=False))
+for _field in _LANE_COUNTERS:
+    setattr(MarketTelemetry, _field, counter_property(_field))
+MarketTelemetry.sim_days_paced = counter_property("sim_days_paced", as_int=False)
 del _field
 
 

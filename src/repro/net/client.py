@@ -6,8 +6,14 @@ countermeasures.
 plus deterministic jitter and retries; on 5xx, connection timeouts
 (599), and malformed 200 payloads it retries per
 :class:`~repro.net.retry.RetryPolicy`; 404 raises
-:class:`~repro.net.http.NotFoundError`.  Each client keeps simple
-counters, used by the crawler's telemetry and tests.
+:class:`~repro.net.http.NotFoundError`.
+
+Counters: :class:`ClientStats` is a view over metrics-registry series,
+not a private tally.  A standalone client counts into its own registry;
+the crawl engine binds each lane's client to the campaign's
+per-market telemetry (``client.stats = telemetry.market(m)``), so every
+request, retry and ban lands directly in the series the export and the
+live monitor read, and nothing is copied, diffed or folded afterwards.
 
 Against hostile markets (:mod:`repro.markets.hostility`) the client
 additionally:
@@ -35,7 +41,9 @@ Jitter: a fleet of identical clients sleeping exactly ``retry_after``
 wakes up in lockstep and re-synchronizes the very storm the 429s were
 shedding.  Every rate-limit sleep is therefore stretched by a
 deterministic, per-client fraction (up to +25%), derived from the
-client's ``jitter_key`` and request ordinal so runs stay reproducible.
+client's ``jitter_key`` and its lifetime request ordinal (``sent``,
+which unlike the campaign-bound ``stats.requests`` never resets) so
+runs stay reproducible.
 """
 
 from __future__ import annotations
@@ -43,7 +51,6 @@ from __future__ import annotations
 import operator
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Generator, Iterator, Mapping, NamedTuple, Optional,
 )
@@ -67,6 +74,7 @@ from repro.net.http import (
     ServerError,
 )
 from repro.net.retry import RetryPolicy
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_SPAN
 from repro.util.rng import stable_hash32
 from repro.util.simtime import SimClock
@@ -77,7 +85,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.identity import IdentityPool
     from repro.obs import LaneObs
 
-__all__ = ["ClientCore", "HttpClient", "ClientStats", "TokenNeeded",
+__all__ = ["ClientCore", "HttpClient", "ClientStats", "TokenNeeded", "counter_property",
            "RATE_LIMIT_JITTER_MAX", "MAX_AUTH_RETRIES"]
 
 #: Upper bound of the multiplicative jitter applied to rate-limit sleeps.
@@ -87,9 +95,38 @@ RATE_LIMIT_JITTER_MAX = 0.25
 MAX_AUTH_RETRIES = 2
 
 
-@dataclass
+#: Whole-number client counters; each lives in a ``crawl_<field>_total``
+#: registry series.
+_CLIENT_COUNTERS = (
+    "requests", "retries", "rate_limited", "timeouts", "cancelled", "malformed",
+    "not_found", "failures", "rate_limit_aborts", "breaker_fast_fails", "logins",
+    "token_refreshes", "bans_hit", "identity_rotations",
+)
+
+
+def counter_property(field: str, as_int: bool = True) -> property:
+    """An attribute over the ``field`` series of a registry view."""
+
+    def fget(self):
+        value = self._series[field].value
+        return int(value) if as_int else value
+
+    def fset(self, value) -> None:
+        self._series[field].value = float(value)
+
+    return property(fget, fset)
+
+
 class ClientStats:
-    """Counters for one client instance.
+    """Counters for one client, as a view over registry counters.
+
+    Every field is a property over a registry series labeled
+    ``{campaign, market}``; ``stats.requests += 1`` writes the series.
+    A client built without a registry counts into a private one; the
+    crawl engine rebinds each lane's client to its campaign's
+    :class:`~repro.crawler.telemetry.MarketTelemetry` (a subclass), so
+    the client counts straight into the series the export and the live
+    monitor read.
 
     ``failures`` counts *abandoned requests* — every request the client
     gave up on, exactly once each, whatever the reason (retry
@@ -113,47 +150,41 @@ class ClientStats:
     (session tokens obtained, first login included), ``token_refreshes``
     (the subset of logins that replaced an earlier token),
     ``bans_hit`` (anti-bot 403s received), and ``identity_rotations``
-    (pool advances, whatever triggered them).
+    (pool advances, whatever triggered them).  ``sim_days_backoff`` is
+    the simulated time the client slept (back-off and pacing).
     """
 
-    requests: int = 0
-    retries: int = 0
-    rate_limited: int = 0
-    timeouts: int = 0
-    cancelled: int = 0
-    malformed: int = 0
-    not_found: int = 0
-    failures: int = 0
-    rate_limit_aborts: int = 0
-    breaker_fast_fails: int = 0
-    logins: int = 0
-    token_refreshes: int = 0
-    bans_hit: int = 0
-    identity_rotations: int = 0
-    sim_days_slept: float = 0.0
+    #: Counter attribute -> registry series name.
+    METRICS: Dict[str, str] = {
+        **{field: f"crawl_{field}_total" for field in _CLIENT_COUNTERS},
+        "sim_days_backoff": "crawl_backoff_sim_days_total",
+    }
 
-    def copy(self) -> "ClientStats":
-        return replace(self)
+    __slots__ = ("_series",)
 
-    def delta(self, baseline: "ClientStats") -> "ClientStats":
-        """Counter movement since ``baseline`` (an earlier copy).
+    def __init__(
+        self, registry: Optional[MetricsRegistry] = None, campaign: str = "", market: str = ""
+    ):
+        registry = registry if registry is not None else MetricsRegistry()
+        self._series = {
+            field: registry.counter(metric, campaign=campaign, market=market)
+            for field, metric in self.METRICS.items()
+        }
 
-        Derived from the dataclass fields so a counter added to this
-        class can never be silently dropped from campaign deltas (and
-        therefore from telemetry and the Prometheus export).
-        """
-        return ClientStats(**{
-            f.name: getattr(self, f.name) - getattr(baseline, f.name)
-            for f in fields(self)
-        })
+    def export_state(self) -> Dict[str, float]:
+        """The client-owned counters, JSON-plain (subclass counters excluded)."""
+        return {field: getattr(self, field) for field in ClientStats.METRICS}
 
-    def export_state(self) -> Dict[str, object]:
-        return asdict(self)
+    def restore_state(self, state: Mapping[str, float]) -> None:
+        """Write exported counters back into this view's series."""
+        for field in ClientStats.METRICS:
+            setattr(self, field, state[field])
 
-    @classmethod
-    def from_state(cls, state: Mapping[str, object]) -> "ClientStats":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in state.items() if k in known})  # type: ignore[arg-type]
+
+for _field in _CLIENT_COUNTERS:
+    setattr(ClientStats, _field, counter_property(_field))
+ClientStats.sim_days_backoff = counter_property("sim_days_backoff", as_int=False)
+del _field
 
 
 def _span_counters(stats: ClientStats) -> tuple:
@@ -248,15 +279,18 @@ class ClientCore:
         self._auth_path = auth_path
         self.obs = obs
         self.stats = ClientStats()
+        #: Requests sent over the client's whole life (the jitter
+        #: ordinal); ``stats.requests`` counts only the bound campaign.
+        self.sent = 0
 
     def _sleep(self, duration: float) -> None:
         """Advance simulated lane time; instantaneous in wall time."""
         self._clock.advance(duration)
-        self.stats.sim_days_slept += duration
+        self.stats.sim_days_backoff += duration
 
     def _jittered(self, base: float) -> float:
         """Stretch a rate-limit sleep by a deterministic jitter fraction."""
-        roll = stable_hash32("rl-jitter", self._jitter_key, self.stats.requests) % 1000
+        roll = stable_hash32("rl-jitter", self._jitter_key, self.sent) % 1000
         return base * (1.0 + RATE_LIMIT_JITTER_MAX * roll / 1000.0)
 
     def _event(self, name: str, **attrs: object) -> None:
@@ -291,13 +325,13 @@ class ClientCore:
             before = _span_counters(stats)
         else:
             span = NULL_SPAN
-        slept0 = stats.sim_days_slept
+        slept0 = stats.sim_days_backoff
         start = time.perf_counter()
         with span:
             try:
                 yield
             finally:
-                backoff = stats.sim_days_slept - slept0
+                backoff = stats.sim_days_backoff - slept0
                 if obs.hist_request is not None:
                     obs.hist_request.observe(time.perf_counter() - start)
                     if backoff > 0:
@@ -356,6 +390,7 @@ class ClientCore:
             if self.credentials is not None and path != self._auth_path:
                 headers["authorization"] = yield TokenNeeded(now)
             self.stats.requests += 1
+            self.sent += 1
             resp = yield Request(path=path, params=base_params, headers=headers)
             if resp.ok:
                 if self.breaker is not None:

@@ -48,7 +48,7 @@ class TestCoverage:
     def test_gp_was_rate_limited(self, crawl_setup):
         _, _, _, _, _, snapshot = crawl_setup
         assert "google_play" in snapshot.stats.rate_limited_markets
-        assert snapshot.stats.apk_backfilled > 0
+        assert snapshot.stats.telemetry.market("google_play").apk_backfilled > 0
 
     def test_clock_advanced(self, crawl_setup):
         _, _, _, clock, _, _ = crawl_setup

@@ -288,8 +288,12 @@ class TestFullReplayFidelity:
         replayed, coordinator = crawl_once(world, root, resume=True)
         assert_records_identical(original, replayed)
         # The replay issued essentially no live traffic (recheck-free
-        # campaign): servers only saw the journal restore.
-        assert coordinator.engine.total_requests > 0  # restored counters...
+        # campaign): servers only saw the journal restore, and the
+        # restored counters describe the original traffic exactly.
+        for market_id, lane in original.stats.telemetry.markets.items():
+            replayed_lane = replayed.stats.telemetry.markets[market_id]
+            assert replayed_lane.export_state() == lane.export_state(), market_id
+        assert replayed.stats.telemetry.total_requests > 0
         for server in coordinator._servers.values():
             assert server.requests_served >= 0
         # Field coverage sanity: the corpus genuinely exercises the

@@ -46,6 +46,10 @@ def _crawl(world, workers, faults=None, download_apks=True, rate_limiter=None):
     return snapshot, snapshot.stats, coordinator
 
 
+def _lane_counts(stats, field):
+    return {m: getattr(lane, field) for m, lane in stats.telemetry.markets.items()}
+
+
 class TestWorkerCountInvariance:
     def test_identical_snapshots_at_1_4_16_workers(self, world):
         serial, serial_stats, _ = _crawl(world, workers=1)
@@ -55,11 +59,9 @@ class TestWorkerCountInvariance:
             snapshot, stats, _ = _crawl(world, workers=workers)
             assert snapshot.content_digest() == reference, workers
             assert len(snapshot) == len(serial)
-            assert stats.records == serial_stats.records
-            assert stats.searches == serial_stats.searches
-            assert stats.apk_downloaded == serial_stats.apk_downloaded
-            assert stats.apk_backfilled == serial_stats.apk_backfilled
-            assert stats.apk_missing == serial_stats.apk_missing
+            for field in ("records", "searches", "apk_downloaded",
+                          "apk_backfilled", "apk_missing"):
+                assert _lane_counts(stats, field) == _lane_counts(serial_stats, field)
             assert stats.apk_parse_errors == serial_stats.apk_parse_errors
             assert stats.rate_limited_markets == serial_stats.rate_limited_markets
 

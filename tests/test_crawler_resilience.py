@@ -70,6 +70,14 @@ def crawl_once(world, root=None, resume=False, workers=1, market_faults=None,
     return snapshot, coordinator
 
 
+def client_counters(snapshot):
+    """Every ClientStats counter of every lane, as the campaign recorded it."""
+    return {
+        market_id: lane.export_state()
+        for market_id, lane in snapshot.stats.telemetry.markets.items()
+    }
+
+
 def truncate_lines(path, keep):
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(lines[:keep]), encoding="utf-8")
@@ -95,6 +103,7 @@ class TestKillAndResume:
         assert resumed.content_digest() == ref_snapshot.content_digest()
         assert len(resumed) == len(ref_snapshot)
         assert resumed.degraded_markets() == []
+        return resumed
 
     @pytest.mark.parametrize("workers", [1, 8])
     def test_resume_from_begin_only(self, world, reference, tmp_path, workers):
@@ -115,7 +124,8 @@ class TestKillAndResume:
                 total = len(lane.read_text(encoding="utf-8").splitlines())
                 truncate_lines(lane, max(1, total // 2))
 
-        self._resume_after_cut(world, reference, tmp_path, cut, workers)
+        resumed = self._resume_after_cut(world, reference, tmp_path, cut, workers)
+        assert client_counters(resumed) == client_counters(reference[0])
 
     @pytest.mark.parametrize("workers", [1, 8])
     def test_resume_from_near_end(self, world, reference, tmp_path, workers):
@@ -153,10 +163,11 @@ class TestKillAndResume:
         ref_snapshot, ref_root = reference
         root = tmp_path / "full"
         shutil.copytree(ref_root, root)
-        resumed, coordinator = crawl_once(world, root, resume=True, workers=8)
+        resumed, _ = crawl_once(world, root, resume=True, workers=8)
         assert resumed.content_digest() == ref_snapshot.content_digest()
         # The restored telemetry still describes the original traffic.
-        assert coordinator.engine.total_requests > 0
+        assert client_counters(resumed) == client_counters(ref_snapshot)
+        assert resumed.stats.telemetry.total_requests > 0
 
 
 class TestBlackoutDegradation:

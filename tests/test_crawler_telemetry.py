@@ -1,41 +1,44 @@
 """Tests for the crawl telemetry layer."""
 
+import pytest
+
 from repro.crawler.telemetry import CrawlTelemetry, MarketTelemetry
-from repro.net.client import ClientStats
+from repro.net.client import HttpClient
+from repro.net.http import NotFoundError, Response
 from repro.obs.metrics import MetricsRegistry
+from repro.util.simtime import SimClock
+
+
+def _script(responses):
+    """A handler answering with ``responses`` in order."""
+    answers = iter(responses)
+    return lambda request: next(answers)
 
 
 class TestMarketTelemetry:
-    def test_fold_client_accumulates(self):
-        lane = MarketTelemetry("tencent")
-        delta = ClientStats(
-            requests=10,
-            retries=3,
-            rate_limited=1,
-            timeouts=2,
-            malformed=1,
-            not_found=4,
-            failures=1,
-            sim_days_slept=0.25,
+    def test_client_increments_land_in_the_bound_lane_series(self):
+        registry = MetricsRegistry()
+        lane = MarketTelemetry("tencent", registry, campaign="first")
+        client = HttpClient(
+            _script([Response.rate_limited(0.01), Response.timeout(),
+                     Response.json_ok([]), Response.not_found()]),
+            SimClock(now=0.0),
         )
-        lane.fold_client(delta)
-        lane.fold_client(delta)
-        assert lane.requests == 20
-        assert lane.retries == 6
-        assert lane.rate_limited == 2
-        assert lane.timeouts == 4
-        assert lane.malformed == 2
-        assert lane.not_found == 8
-        assert lane.failures == 2
-        assert lane.sim_days_backoff == 0.5
-
-    def test_fold_client_keeps_breaker_counters(self):
-        lane = MarketTelemetry("oppo")
-        lane.fold_client(ClientStats(
-            requests=5, failures=3, rate_limit_aborts=1, breaker_fast_fails=2,
-        ))
-        assert lane.rate_limit_aborts == 1
-        assert lane.breaker_fast_fails == 2
+        client.stats = lane
+        client.get_json("/search")
+        with pytest.raises(NotFoundError):
+            client.get_json("/app")
+        assert (lane.requests, lane.rate_limited, lane.timeouts, lane.retries,
+                lane.not_found, lane.failures) == (4, 1, 1, 1, 1, 0)
+        assert lane.sim_days_backoff > 0.01
+        series = {
+            s.name: s.value for s in registry.series()
+            if dict(s.labels) == {"campaign": "first", "market": "tencent"}
+        }
+        assert series["crawl_requests_total"] == 4
+        assert series["crawl_backoff_sim_days_total"] == lane.sim_days_backoff
+        # The coordinator-owned counters share the view, untouched.
+        assert series["crawl_records_total"] == 0
 
     def test_counters_live_in_the_registry(self):
         registry = MetricsRegistry()

@@ -57,3 +57,28 @@ class TestDerivedCrawlDuration:
         # A tiny corpus crawls fast but still pays campaign overhead.
         assert clock.now - start >= 0.25
         assert clock.now - start < 15.0
+
+    def test_each_campaign_is_charged_only_its_own_traffic(self):
+        from repro.crawler.crawler import CrawlCoordinator
+        from repro.ecosystem.generator import EcosystemGenerator
+        from repro.markets.server import MarketServer
+        from repro.markets.store import build_stores
+        from repro.util.simtime import SimClock
+
+        world = EcosystemGenerator(seed=71, scale=0.0002).generate()
+        clock = SimClock()
+        servers = {m: MarketServer(s, clock) for m, s in build_stores(world).items()}
+        pool = WorkerPool(workers=1, requests_per_worker_day=5000, minimum_days=0)
+        coordinator = CrawlCoordinator(
+            servers, clock, download_apks=False, worker_pool=pool,
+        )
+        charged = []
+        for label in ("first", "second"):
+            start = clock.now
+            snapshot = coordinator.crawl(label, duration_days=None)
+            requests = snapshot.stats.telemetry.total_requests
+            charged.append(clock.now - start)
+            assert charged[-1] == pytest.approx(pool.duration_days(requests))
+        # Same catalog, same traffic: the second campaign must not also
+        # pay for the first one's requests.
+        assert charged[1] == pytest.approx(charged[0])

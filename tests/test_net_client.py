@@ -30,6 +30,7 @@ from repro.net.http import (
 )
 from repro.net.retry import RetryPolicy
 from repro.net.transport import AsyncInProcessTransport
+from repro.obs.metrics import MetricsRegistry
 from repro.util.simtime import SimClock
 
 
@@ -306,51 +307,63 @@ class TestAsyncHttpClient(TestHttpClient):
 
 
 def _full_stats() -> ClientStats:
-    return ClientStats(
+    stats = ClientStats()
+    for field, value in dict(
         requests=10, retries=3, rate_limited=2, timeouts=1, malformed=1,
         not_found=4, failures=2, rate_limit_aborts=1, breaker_fast_fails=1,
-        sim_days_slept=0.75,
-    )
+        sim_days_backoff=0.75,
+    ).items():
+        setattr(stats, field, value)
+    return stats
 
 
 class TestClientStats:
-    def test_delta_covers_every_counter(self):
-        baseline = _full_stats()
-        moved = ClientStats(
-            requests=15, retries=5, rate_limited=3, timeouts=2, malformed=1,
-            not_found=6, failures=3, rate_limit_aborts=2, breaker_fast_fails=2,
-            sim_days_slept=1.0,
-        )
-        delta = moved.delta(baseline)
-        assert delta == ClientStats(
-            requests=5, retries=2, rate_limited=1, timeouts=1, malformed=0,
-            not_found=2, failures=1, rate_limit_aborts=1, breaker_fast_fails=1,
-            sim_days_slept=0.25,
-        )
-
-    def test_delta_of_self_is_zero(self):
-        stats = _full_stats()
-        assert stats.delta(stats) == ClientStats()
-
     def test_export_state_round_trips(self):
         stats = _full_stats()
         state = stats.export_state()
-        restored = ClientStats.from_state(state)
-        assert restored == stats
-        assert restored is not stats
+        restored = ClientStats()
+        restored.restore_state(state)
+        assert restored.export_state() == state
+        assert restored.requests == 10
+        assert restored.sim_days_backoff == 0.75
 
     def test_export_state_is_json_plain(self):
         import json
 
         state = _full_stats().export_state()
-        assert ClientStats.from_state(json.loads(json.dumps(state))) == _full_stats()
+        restored = ClientStats()
+        restored.restore_state(json.loads(json.dumps(state)))
+        assert restored.export_state() == _full_stats().export_state()
 
-    def test_copy_is_independent(self):
-        stats = _full_stats()
-        snapshot = stats.copy()
-        stats.requests += 1
-        assert snapshot.requests == 10
-        assert stats.delta(snapshot).requests == 1
+    def test_counters_are_registry_series(self):
+        registry = MetricsRegistry()
+        stats = ClientStats(registry, campaign="c", market="m")
+        stats.requests += 2
+        stats.sim_days_backoff += 0.5
+        assert registry.counter("crawl_requests_total", campaign="c", market="m").value == 2
+        assert registry.counter(
+            "crawl_backoff_sim_days_total", campaign="c", market="m"
+        ).value == 0.5
+
+    @pytest.mark.parametrize("rebind", [False, True])
+    def test_jitter_ordinal_outlives_rebinding(self, rebind):
+        # Rate-limit jitter is keyed by ``sent``, every request the
+        # client ever sent; rebinding its stats (a new campaign) resets
+        # ``stats.requests`` but must not move the jitter.
+        ok = Response.json_ok({})
+        clock = SimClock(now=0.0)
+        client = HttpClient(
+            _handler_sequence([ok, ok, Response.rate_limited(0.1), ok]), clock,
+            jitter_key="m",
+        )
+        client.get_json("/app")
+        if rebind:
+            client.stats = ClientStats()
+        client.get_json("/app")
+        client.get_json("/app")
+        assert client.sent == 4
+        assert client.stats.requests == (3 if rebind else 4)
+        assert clock.now == pytest.approx(0.1 * (1 + RATE_LIMIT_JITTER_MAX * 0.249))
 
     def test_not_found_is_not_a_failure(self):
         client = HttpClient(_handler_sequence([Response.not_found()]), SimClock())

@@ -6,6 +6,7 @@ from repro.crawler.crawler import CrawlCoordinator
 from repro.ecosystem.generator import EcosystemGenerator
 from repro.markets.server import MarketServer
 from repro.markets.store import build_stores
+from repro.net.faults import FaultPlan
 from repro.obs import NULL_OBS, Observability
 from repro.obs.flame import export_folded, folded_stacks
 from repro.obs.metrics import MetricsRegistry
@@ -15,7 +16,7 @@ from repro.obs.monitor import (
     CampaignMonitor,
 )
 from repro.obs.trace import SpanTracer
-from repro.util.simtime import SimClock
+from repro.util.simtime import FIRST_CRAWL_DAY, SimClock
 
 
 class _FakeLane:
@@ -189,6 +190,36 @@ class TestMonitoredCrawl:
         docs = {d["name"] for d in obs.metrics.to_dicts()}
         assert "monitor_requests_total" in docs
         assert HEARTBEAT_METRIC in docs
+
+    def test_heartbeats_sample_live_counters(self):
+        # Client requests and parked dead letters reach the telemetry as
+        # they happen, so mid-campaign heartbeats see them, not zeros.
+        world = EcosystemGenerator(seed=5, scale=0.0001).generate()
+        clock = SimClock()
+        servers = {
+            m: MarketServer(store, clock, faults=FaultPlan(
+                transient_500=0.1, burst_429_period=50, burst_429_length=3,
+            ) if m != "baidu" else FaultPlan.blackout(FIRST_CRAWL_DAY, 20.0))
+            for m, store in build_stores(world).items()
+        }
+        obs = Observability.from_flags(monitor=True, monitor_interval=0.02)
+        coordinator = CrawlCoordinator(
+            servers, clock, download_apks=False, workers=1, obs=obs
+        )
+        snapshot = coordinator.crawl("first", duration_days=5.0)
+        telemetry = snapshot.stats.telemetry
+        assert snapshot.dead_letters[0].kind == "discovery"
+        finals = {
+            "monitor_requests_total": telemetry.total_requests,
+            "monitor_dead_letters_total": telemetry.total_dead_letters,
+        }
+        for name, final in finals.items():
+            values = [v for _, v in obs.metrics.gauge(name, campaign="first").samples]
+            mid = values[:-1]
+            assert mid, name
+            assert all(v > 0 for v in mid), name
+            assert mid == sorted(mid), name
+            assert values[-1] == final > 0, name
 
 
 def _span(span_id, name, wall, parent_id=None, market=None):
