@@ -12,8 +12,8 @@ artifacts are re-rendered offline with ``run-report``:
   the telemetry printed live is a *view* over the same series that are
   exported, so the two can never disagree;
 * each pipeline stage is a ``stage.*`` span in the same trace, carrying
-  its peak memory; the stage profile (and its critical path) is read
-  off those spans.
+  its wall time; the stage profile (and its critical path) is read off
+  those spans.
 
     python examples/observed_crawl.py
 """

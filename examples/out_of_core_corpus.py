@@ -86,7 +86,7 @@ def _workers() -> int:
 
 def _run(backend: str):
     """One full study + experiment suite, profiled wall-only."""
-    obs = Observability(profile=True, trace_memory=False)
+    obs = Observability(profile=True)
     workers = _workers()
     config = StudyConfig(
         seed=SEED,

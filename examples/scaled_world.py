@@ -22,8 +22,6 @@ from repro.obs import Observability
 SEED = 7
 SCALE = 0.004  # 10x the other examples' 0.0004
 
-# Memory tracing (tracemalloc) slows generation several-fold; at this
-# scale we profile wall time only.
 SHARDED = [
     "ecosystem.build",
     "ecosystem.finalize",
@@ -32,7 +30,7 @@ SHARDED = [
 
 def main() -> None:
     workers = resolve_gen_workers(0)  # 0 = auto-size to the machine
-    obs = Observability(profile=True, trace_memory=False)
+    obs = Observability(profile=True)
 
     print(f"generating a 10x world (scale {SCALE}) with "
           f"--gen-workers {workers}...")

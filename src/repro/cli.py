@@ -141,15 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "stands up the asyncio serving tier and routes "
                             "every lane over local TCP (snapshots "
                             "identical either way)")
-        p.add_argument("--crawl-engine", choices=("thread", "asyncio"),
-                       default="thread",
-                       help="crawl scheduling substrate: 'thread' lanes on "
-                            "a pool, or 'asyncio' lanes multiplexed on one "
-                            "event loop (unlocks --pipeline)")
-        p.add_argument("--pipeline", type=int, default=1, metavar="N",
-                       help="in-flight requests per lane under the asyncio "
-                            "engine (requires a polite, unjournaled fleet; "
-                            "default: 1)")
         p.add_argument("--clone-strategy",
                        choices=("prefix", "exhaustive", "minhash"),
                        default="prefix",
@@ -169,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="write the metrics registry to PATH (JSONL)")
         p.add_argument("--profile", action="store_true",
-                       help="profile pipeline stages (wall time + peak "
-                            "memory) and print the critical-path report")
+                       help="profile pipeline stages (wall time) and "
+                            "print the critical-path report")
         p.add_argument("--profile-out", default=None, metavar="PATH",
                        help="write the stage profile to PATH (JSONL; "
                             "implies --profile)")
@@ -211,32 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="a --trace-out artifact to summarize")
     rr_parser.add_argument("--metrics", default=None, metavar="PATH",
                            help="a --metrics-out artifact to re-render")
-
-    lg_parser = sub.add_parser(
-        "loadgen",
-        help="stand up the serving tier and hammer it with end-user "
-             "traffic; reports latency quantiles and throughput")
-    lg_parser.add_argument("--seed", type=int, default=42, help="master seed")
-    lg_parser.add_argument("--scale", type=float, default=0.001,
-                           help="fraction of the paper's corpus to serve")
-    lg_parser.add_argument("--users", type=int, default=8,
-                           help="concurrent simulated end users (default: 8)")
-    lg_parser.add_argument("--requests", type=int, default=25, metavar="N",
-                           help="requests each user issues (default: 25)")
-    lg_parser.add_argument("--mix", default="search=5,detail=3,download=2",
-                           metavar="SPEC",
-                           help="traffic mix weights (default: "
-                                "search=5,detail=3,download=2)")
-    lg_parser.add_argument("--latency-ms", type=float, default=0.0,
-                           metavar="MS",
-                           help="service latency the tier injects per "
-                                "request, asynchronously (default: 0)")
-    lg_parser.add_argument("--out", default=None, metavar="PATH",
-                           help="record the report into this BENCH_*.json "
-                                "artifact (section 'loadgen')")
-    lg_parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                           help="write the latency histograms to PATH "
-                                "(JSONL, for 'repro obs ingest')")
 
     obs_parser = sub.add_parser(
         "obs", help="run warehouse: ingest, list, diff, and gate runs")
@@ -358,8 +323,6 @@ def _config_from(args: argparse.Namespace) -> StudyConfig:
         identity_rotation=args.identity_rotation,
         credential_ttl=args.credential_ttl,
         transport=args.transport,
-        crawl_engine=args.crawl_engine,
-        crawl_pipeline=args.pipeline,
         clone_strategy=args.clone_strategy,
         clone_families=args.clone_families,
     )
@@ -488,68 +451,6 @@ def _cmd_run_report(args, out) -> int:
     return 0
 
 
-def _cmd_loadgen(args, out) -> int:
-    from repro.ecosystem.generator import EcosystemGenerator
-    from repro.markets.server import MarketServer
-    from repro.markets.store import build_stores
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.results import BenchResults
-    from repro.serving import LoadGenerator, ServingTier, TrafficMix
-    from repro.util.simtime import SimClock
-
-    try:
-        mix = TrafficMix.parse(args.mix)
-    except ValueError as exc:
-        print(f"loadgen: {exc}", file=sys.stderr)
-        return 2
-    if args.latency_ms < 0:
-        print("loadgen: --latency-ms must be non-negative", file=sys.stderr)
-        return 2
-
-    print(f"generating ecosystem (seed={args.seed}, scale={args.scale}) ...",
-          file=out)
-    world = EcosystemGenerator(seed=args.seed, scale=args.scale).generate()
-    stores = build_stores(world)
-    clock = SimClock()
-    servers = {m: MarketServer(store, clock) for m, store in stores.items()}
-    registry = MetricsRegistry() if args.metrics_out else None
-
-    tier = ServingTier(servers, latency_s=args.latency_ms / 1000.0).start()
-    try:
-        generator = LoadGenerator(
-            tier,
-            servers,
-            users=args.users,
-            requests_per_user=args.requests,
-            mix=mix,
-            seed=args.seed,
-            day=clock.now,
-            registry=registry,
-        )
-        print(f"load: {args.users} users x {args.requests} requests "
-              f"(mix {mix.describe()}, tier latency {args.latency_ms:g}ms) "
-              f"across {len(servers)} markets", file=out)
-        report = generator.run()
-    finally:
-        tier.stop()
-
-    print(f"served {report.requests} requests in {report.wall_seconds:.2f}s "
-          f"({report.rps:.0f} req/s)", file=out)
-    print(f"latency: p50 {report.p50_ms:.2f}ms, p99 {report.p99_ms:.2f}ms",
-          file=out)
-    print(f"outcomes: {report.ok} ok, {report.shed} shed (quota), "
-          f"{report.errors} errors", file=out)
-    if args.out:
-        bench = BenchResults("serving", seed=args.seed, scale=args.scale,
-                             path=args.out)
-        path = bench.record("loadgen", **report.to_dict())
-        print(f"wrote {path}", file=out)
-    if args.metrics_out:
-        registry.export_jsonl(args.metrics_out)
-        print(f"wrote {args.metrics_out}", file=out)
-    return 0 if report.errors == 0 else 1
-
-
 def _cmd_obs(args, out) -> int:
     from repro.obs.schema import SchemaError
     from repro.obs.warehouse import RunWarehouse, WarehouseError
@@ -656,8 +557,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return _cmd_report(args, out)
     if args.command == "run-report":
         return _cmd_run_report(args, out)
-    if args.command == "loadgen":
-        return _cmd_loadgen(args, out)
     if args.command == "obs":
         return _cmd_obs(args, out)
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover

@@ -72,8 +72,8 @@ class StudyConfig:
     #: Write the metrics registry to this JSONL path (None leaves the
     #: registry off; telemetry falls back to a private registry).
     metrics_out: Optional[str] = None
-    #: Profile pipeline stages (wall time + tracemalloc peak memory) and
-    #: print the critical-path report after the run.
+    #: Profile pipeline stages (wall time only) and print the
+    #: critical-path report after the run.
     profile: bool = False
     #: Write the stage profile to this JSONL path (implies profiling;
     #: the artifact ``repro obs ingest`` reads).
@@ -147,11 +147,6 @@ class StudyConfig:
     #: through it; snapshots are bit-identical either way (the
     #: transport contract, see DESIGN.md).
     transport: str = "inprocess"
-    #: Crawl scheduling substrate.  ``"thread"`` (default) runs one
-    #: request-at-a-time lanes on a thread pool; ``"asyncio"``
-    #: multiplexes every lane's requests on one event loop and unlocks
-    #: ``crawl_pipeline``.
-    crawl_engine: str = "thread"
     #: Candidate-generation strategy for the code-based clone detector:
     #: ``"prefix"`` (default, exact prefix-filtered blocking),
     #: ``"minhash"`` (MinHash-LSH, vectorized, recall measured against
@@ -163,11 +158,6 @@ class StudyConfig:
     #: builds deep repackaging chains and boosted near-duplicate
     #: families — the corpus shape the clone benchmarks stress.
     clone_families: str = "default"
-    #: Per-lane in-flight request depth under the asyncio engine.
-    #: Depth > 1 reorders the request stream each server observes, so
-    #: it requires the asyncio engine and a polite, unjournaled fleet
-    #: (no faults, no hostility, no checkpointing).
-    crawl_pipeline: int = 1
 
     def __post_init__(self) -> None:
         if not 0 < self.scale <= 1:
@@ -229,28 +219,6 @@ class StudyConfig:
                 f"transport must be 'inprocess' or 'socket', "
                 f"got {self.transport!r}"
             )
-        if self.crawl_engine not in ("thread", "asyncio"):
-            raise ValueError(
-                f"crawl_engine must be 'thread' or 'asyncio', "
-                f"got {self.crawl_engine!r}"
-            )
-        if self.crawl_pipeline < 1:
-            raise ValueError(
-                f"crawl_pipeline must be positive, got {self.crawl_pipeline}"
-            )
-        if self.crawl_pipeline > 1:
-            if self.crawl_engine != "asyncio":
-                raise ValueError("crawl_pipeline > 1 requires crawl_engine='asyncio'")
-            # Pipelined requests reach the server out of order, which
-            # breaks anything keyed on server-side request ordinals:
-            # fault injection, hostility screening, and the journal's
-            # state high-water marks.
-            if self.checkpoint_dir is not None:
-                raise ValueError("crawl_pipeline > 1 is incompatible with checkpointing")
-            if self.fault_plan is not None or self.market_fault_plans:
-                raise ValueError("crawl_pipeline > 1 is incompatible with fault injection")
-            if self.hostility is not None or self.market_hostility:
-                raise ValueError("crawl_pipeline > 1 is incompatible with hostility")
         from repro.analysis.clones import CodeCloneDetector
         from repro.ecosystem.threats import RepackagingModel
 

@@ -423,11 +423,7 @@ class Study:
             tier = ServingTier(servers).start()
 
         def lane_transports():
-            if tier is None:
-                return None
-            if config.crawl_engine == "asyncio":
-                return tier.async_transports()
-            return tier.transports()
+            return tier.transports() if tier is not None else None
 
         journal = (
             CrawlJournal(config.checkpoint_dir, resume=config.resume)
@@ -456,8 +452,6 @@ class Study:
                 identity_policy=self._identity_policy(),
                 identity_seed=config.seed,
                 transports=lane_transports(),
-                engine=config.crawl_engine,
-                pipeline=config.crawl_pipeline,
             )
             coordinators.append(coordinator)
             with obs.stage("crawl.first"):
@@ -508,8 +502,6 @@ class Study:
                     identity_policy=self._identity_policy(),
                     identity_seed=config.seed,
                     transports=lane_transports(),
-                    engine=config.crawl_engine,
-                    pipeline=config.crawl_pipeline,
                 )
                 coordinators.append(second_coordinator)
                 with obs.stage("crawl.second"):

@@ -101,11 +101,6 @@ REASON_RATE_LIMITED = "rate limited"
 #: (5xx / timeout / garbled payloads past the retry budget).
 REASON_RETRY_EXHAUSTED = "retry exhausted"
 
-#: Sentinel: the download task has no prefetched value for a record and
-#: must fetch it live (distinguishes "not prefetched" from "prefetched
-#: None/exception").
-_UNFETCHED = object()
-
 
 @dataclass
 class CrawlStats:
@@ -139,28 +134,10 @@ class CrawlCoordinator:
         identity_policy: Optional[IdentityPolicy] = None,
         identity_seed: int = 0,
         transports: Optional[Mapping[str, object]] = None,
-        engine: str = "thread",
-        pipeline: int = 1,
     ):
         """``transports`` routes lanes through substitute transports
         (e.g. a :class:`~repro.serving.ServingTier`'s sockets) instead
-        of the servers' in-process ``handle``.  ``engine`` picks the
-        scheduling substrate: ``"thread"`` (one request in flight per
-        lane) or ``"asyncio"`` (all lanes multiplexed on one event
-        loop).  ``pipeline`` is the per-lane in-flight depth the
-        asyncio engine's bulk fetches may use; depth > 1 reorders the
-        request stream each server observes, so it requires the
-        asyncio engine and is incompatible with checkpoint journaling
-        (a mid-batch kill could leak server-side ordinals past the
-        journal's high-water mark)."""
-        if engine not in ("thread", "asyncio"):
-            raise ValueError(f"unknown crawl engine: {engine!r}")
-        if pipeline < 1:
-            raise ValueError(f"pipeline must be positive, got {pipeline}")
-        if pipeline > 1 and engine != "asyncio":
-            raise ValueError("pipeline > 1 requires the asyncio engine")
-        if pipeline > 1 and journal is not None:
-            raise ValueError("pipeline > 1 is incompatible with journaling")
+        of the servers' in-process ``handle``."""
         self._servers = dict(servers)
         self._clock = clock
         self._gp_seeds = list(gp_seeds)
@@ -172,15 +149,7 @@ class CrawlCoordinator:
         self._fail_fast = fail_fast
         self._obs = obs
         self._corpus = corpus
-        self._pipeline = pipeline
-        engine_cls = CrawlEngine
-        engine_kwargs: Dict[str, object] = {}
-        if engine == "asyncio":
-            from repro.crawler.aengine import AsyncCrawlEngine
-
-            engine_cls = AsyncCrawlEngine
-            engine_kwargs["pipeline"] = pipeline
-        self._engine = engine_cls(
+        self._engine = CrawlEngine(
             self._servers,
             clock,
             workers=workers,
@@ -190,7 +159,6 @@ class CrawlCoordinator:
             identity_policy=identity_policy,
             identity_seed=identity_seed,
             transports=transports,
-            **engine_kwargs,
         )
 
     def client(self, market_id: str) -> HttpClient:
@@ -201,7 +169,7 @@ class CrawlCoordinator:
         return self._engine
 
     def close(self) -> None:
-        """Release the engine's transports/loop; idempotent."""
+        """Release the engine's transports; idempotent."""
         self._engine.close()
 
     # -- checkpoint plumbing ----------------------------------------------
@@ -471,28 +439,19 @@ class CrawlCoordinator:
                 if cached is not None:
                     span["replayed"] = True
                     return cached
-                if (
-                    self._pipeline > 1
-                    and lane is None
-                    and hasattr(client, "get_json_many")
-                ):
-                    values = client.get_json_many(
-                        [("/search", {"q": query}) for query in queries]
-                    )
-                else:
-                    values: List[object] = []
-                    for query in queries:
-                        try:
-                            values.append(client.get_json("/search", {"q": query}))
-                        except MarketQuarantinedError as exc:
-                            if self._fail_fast:
-                                raise
-                            # Stop sending: every remaining query is
-                            # lost to the same quarantine.
-                            values += [exc] * (len(queries) - len(values))
-                            break
-                        except HttpError as exc:
-                            values.append(exc)
+                values: List[object] = []
+                for query in queries:
+                    try:
+                        values.append(client.get_json("/search", {"q": query}))
+                    except MarketQuarantinedError as exc:
+                        if self._fail_fast:
+                            raise
+                        # Stop sending: every remaining query is lost
+                        # to the same quarantine.
+                        values += [exc] * (len(queries) - len(values))
+                        break
+                    except HttpError as exc:
+                        values.append(exc)
                 result = self._classify_search(queries, values)
                 if lane is not None:
                     lane.record("search", key, result, self._checkpoint(market_id))
@@ -504,13 +463,11 @@ class CrawlCoordinator:
     def _classify_search(self, queries: Sequence[str], values: Sequence[object]) -> dict:
         """Map each query's answer (hits or exception) to hits and dead letters.
 
-        ``values`` holds one entry per query in submission order, so each
-        query lands in the same ``hits`` slot whether it was fetched
-        sequentially or pipelined.  A lost query gets an empty hit list
-        (keeping the merge step's offsets aligned) and, unless the
-        answer was definitive, a dead-letter reason.  Pipelined queries
-        already in flight when the market was quarantined keep their own
-        answers; the sequential loop sends nothing after a quarantine.
+        ``values`` holds one entry per query in submission order.  A
+        lost query gets an empty hit list (keeping the merge step's
+        offsets aligned) and, unless the answer was definitive, a
+        dead-letter reason.  Nothing is sent after a quarantine, so
+        every later query carries the quarantine error.
         """
         hits: List[List[Metadata]] = []
         dead: List[List[str]] = []
@@ -594,20 +551,8 @@ class CrawlCoordinator:
         lane_clock = self._engine.lane(market_id).clock
         lane = journal.lane(market_id) if journal is not None else None
         store = journal.apks if journal is not None else None
-        # Pipelined prefetch is withheld from quota-limited markets
-        # (Google Play): the download quota is consumed in server
-        # arrival order, and concurrent in-flight requests would make
-        # *which* package hits the exhausted quota nondeterministic.
-        use_bulk = (
-            self._pipeline > 1
-            and lane is None
-            and hasattr(client, "get_bytes_many")
-            and not getattr(self._servers[market_id], "quota_limited", False)
-        )
 
-        def fetch(
-            record: CrawlRecord, quarantined: bool, prefetched: object = _UNFETCHED
-        ) -> Tuple[dict, object, bool]:
+        def fetch(record: CrawlRecord, quarantined: bool) -> Tuple[dict, object, bool]:
             """One live (market, package) fetch -> (doc, parsed, quarantined)."""
             blob: Optional[bytes] = None
             source: Optional[str] = None
@@ -615,14 +560,7 @@ class CrawlCoordinator:
             reason: Optional[str] = None
             if not quarantined:
                 try:
-                    if prefetched is _UNFETCHED:
-                        blob = client.get_bytes(
-                            "/download", {"package": record.package}
-                        )
-                    elif isinstance(prefetched, BaseException):
-                        raise prefetched  # classify exactly like a live raise
-                    else:
-                        blob = prefetched
+                    blob = client.get_bytes("/download", {"package": record.package})
                     source = APK_FROM_MARKET
                 except RateLimitedError:
                     # Quota shedding (Google Play): the backfill archive
@@ -681,13 +619,7 @@ class CrawlCoordinator:
                 reasons: List[Optional[str]] = []
                 rate_limited = False
                 quarantined = False
-                prefetched: Optional[List[object]] = None
-                if use_bulk and records:
-                    prefetched = client.get_bytes_many(
-                        [("/download", {"package": r.package}) for r in records]
-                    )
-                    batch_span["pipelined"] = True
-                for index, record in enumerate(records):
+                for record in records:
                     with self._obs.span(
                         "crawl.apk",
                         market=market_id,
@@ -701,13 +633,7 @@ class CrawlCoordinator:
                             else None
                         )
                         if doc is None:
-                            doc, parsed, quarantined = fetch(
-                                record,
-                                quarantined,
-                                prefetched[index]
-                                if prefetched is not None
-                                else _UNFETCHED,
-                            )
+                            doc, parsed, quarantined = fetch(record, quarantined)
                             if lane is not None:
                                 # The APK doc is in the content store before
                                 # this line lands, so a torn entry never

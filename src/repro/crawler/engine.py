@@ -18,9 +18,12 @@ concurrency while keeping every run bit-reproducible:
   per-market tasks out over a :class:`~concurrent.futures.ThreadPoolExecutor`
   and joins them; the coordinator then merges results in canonical
   market order, which is what makes parallel output identical to the
-  serial path.  Both engines share that fan-out; the asyncio engine
-  only widens the pool (:meth:`CrawlEngine._width`).
+  serial path.
 
+This is the only crawl engine.  Every lane's client is a blocking
+:class:`~repro.net.client.HttpClient` with one request in flight, over
+either the server's in-process ``handle`` or a
+:class:`~repro.net.transport.SocketTransport` into the serving tier.
 Threads only pay off because a "request" models network I/O: with
 :class:`~repro.markets.server.MarketServer` latency injection enabled
 (or against a real socket transport) lanes overlap their waits, which
@@ -105,15 +108,10 @@ class MarketLane:
         obs: Observability = NULL_OBS,
         credentials: Optional[CredentialManager] = None,
         identities: Optional[IdentityPool] = None,
-        client_factory=None,
     ):
         """``transport`` is whatever the lane's client pushes requests
-        through: the server's bare ``handle`` callable (in-process), a
-        :class:`~repro.net.transport.SocketTransport`, or — under the
-        asyncio engine — an async transport the ``client_factory``
-        knows how to drive.  ``client_factory`` defaults to
-        :class:`~repro.net.client.HttpClient` and receives exactly its
-        constructor signature."""
+        through: the server's bare ``handle`` callable (in-process) or
+        a :class:`~repro.net.transport.SocketTransport`."""
         self.market_id = market_id
         self.clock = LaneClock(base_clock)
         pacer = rate_limiter.bind(market_id, self.clock) if rate_limiter else None
@@ -129,8 +127,7 @@ class MarketLane:
         )
         self.credentials = credentials
         self.identities = identities
-        factory = client_factory if client_factory is not None else HttpClient
-        self.client = factory(
+        self.client = HttpClient(
             transport,
             self.clock,
             retry_policy=retry_policy,
@@ -250,9 +247,10 @@ class CrawlEngine:
         for market_id, server in servers.items():
             gate = getattr(server, "hostility", None)
             needs_auth = gate is not None and gate.policy.auth
+            transport = self._transports.get(market_id)
             self._lanes[market_id] = MarketLane(
                 market_id,
-                self._lane_transport(market_id, server),
+                transport if transport is not None else server.handle,
                 clock,
                 retry_policy,
                 rate_limiter,
@@ -266,17 +264,7 @@ class CrawlEngine:
                     if identity_policy is not None
                     else None
                 ),
-                client_factory=self._client_factory(),
             )
-
-    def _lane_transport(self, market_id: str, server) -> object:
-        """The transport one lane's client drives (subclass hook)."""
-        transport = self._transports.get(market_id)
-        return transport if transport is not None else server.handle
-
-    def _client_factory(self):
-        """Per-lane client factory; ``None`` means plain ``HttpClient``."""
-        return None
 
     def close(self) -> None:
         """Release transport resources (sockets); idempotent."""
@@ -353,10 +341,6 @@ class CrawlEngine:
 
     # -- scheduling --------------------------------------------------------
 
-    def _width(self, tasks: int) -> int:
-        """Lane threads one batch of ``tasks`` fans out over."""
-        return min(self.workers, tasks)
-
     def run(self, tasks: Mapping[str, Callable[[], T]]) -> Dict[str, T]:
         """Run one per-market task batch; barrier-join before returning.
 
@@ -365,7 +349,7 @@ class CrawlEngine:
         separate code.  Wider, each task runs in a copy of the
         submitting context, so its spans nest under the caller's.
         """
-        width = self._width(len(tasks))
+        width = min(self.workers, len(tasks))
         if width <= 1:
             return {market_id: task() for market_id, task in tasks.items()}
         with ThreadPoolExecutor(max_workers=width, thread_name_prefix="crawl-lane") as pool:

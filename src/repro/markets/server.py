@@ -100,17 +100,6 @@ class MarketServer:
         return self._apk_quota.used if self._apk_quota else 0
 
     @property
-    def quota_limited(self) -> bool:
-        """True when ``/download`` draws from a finite cumulative quota.
-
-        Quota consumption is ordered — request N may be the one that
-        exhausts it — so pipelined (out-of-order) downloading against a
-        quota-limited market would break the determinism contract; the
-        coordinator keeps such markets on the sequential path.
-        """
-        return self._apk_quota is not None
-
-    @property
     def faults(self) -> FaultInjector:
         """The server's fault injector (counters + plan)."""
         return self._faults

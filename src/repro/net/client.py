@@ -33,9 +33,10 @@ Sans-IO: every decision lives in one generator,
 :meth:`ClientCore._exchange`, which yields each attempt's ``Request``
 (and is sent its ``Response``) or a :class:`TokenNeeded` step (and is
 sent a token).  Back-off advances the simulated clock, so it stays in
-the generator.  Drivers own the I/O, the login lock, and cancellation:
-:class:`HttpClient` here, :class:`~repro.net.aclient.AsyncHttpClient`
-over asyncio.
+the generator.  The driver owns the I/O and the login lock:
+:class:`HttpClient`, the one blocking driver, pushes each ``Request``
+through its transport (a server's ``handle`` or a
+:class:`~repro.net.transport.SocketTransport`), one in flight at a time.
 
 Jitter: a fleet of identical clients sleeping exactly ``retry_after``
 wakes up in lockstep and re-synchronizes the very storm the 429s were
@@ -98,7 +99,7 @@ MAX_AUTH_RETRIES = 2
 #: Whole-number client counters; each lives in a ``crawl_<field>_total``
 #: registry series.
 _CLIENT_COUNTERS = (
-    "requests", "retries", "rate_limited", "timeouts", "cancelled", "malformed",
+    "requests", "retries", "rate_limited", "timeouts", "malformed",
     "not_found", "failures", "rate_limit_aborts", "breaker_fast_fails", "logins",
     "token_refreshes", "bans_hit", "identity_rotations",
 )
@@ -139,12 +140,6 @@ class ClientStats:
     because the server shed us) and ``breaker_fast_fails`` (never sent:
     the circuit was open or the market quarantined).  404 is a
     definitive answer, not a failure; it stays in ``not_found``.
-
-    ``cancelled`` counts logical requests torn down mid-flight by
-    cooperative cancellation (the asyncio engine shutting a lane down).
-    A cancelled request is *neither* a retry nor a failure — the caller
-    asked for it to stop.  Cancellation is I/O, so the shared decision
-    loop never sees it: the async driver counts it here and re-raises.
 
     The hostility counters record countermeasure work: ``logins``
     (session tokens obtained, first login included), ``token_refreshes``
@@ -202,8 +197,8 @@ class TokenNeeded(NamedTuple):
 class ClientCore:
     """Everything a crawl client decides, with no I/O of its own.
 
-    Drivers subclass it, take their I/O endpoint as the first
-    constructor argument, and pass the rest through.
+    :class:`HttpClient` subclasses it, takes its I/O endpoint as the
+    first constructor argument, and passes the rest through.
 
     Parameters
     ----------
@@ -247,10 +242,10 @@ class ClientCore:
     obs:
         Optional :class:`~repro.obs.LaneObs` instrumentation binding.
         ``None`` (the default) is the fast path: per-request work is a
-        single ``is None`` branch, nothing is recorded.  Otherwise both
-        clients enter :meth:`_traced` around each logical request; its
+        single ``is None`` branch, nothing is recorded.  Otherwise the
+        driver enters :meth:`_traced` around each logical request; its
         ``http.request`` span attributes are deltas of this client's
-        counters, exact only at pipeline depth 1 (one request in flight).
+        counters, exact because one request is in flight at a time.
     """
 
     def __init__(
@@ -303,7 +298,7 @@ class ClientCore:
 
     @contextmanager
     def _traced(self, path: str) -> Iterator[None]:
-        """Instrument one logical request; the sync and async clients enter it.
+        """Instrument one logical request; the driver enters it.
 
         Feeds the lane's histograms and, when tracing, wraps the whole
         retry loop in one ``http.request`` span whose attributes report
@@ -311,10 +306,8 @@ class ClientCore:
         waits absorbed, simulated back-off charged (jitter included),
         logins and ban-driven rotations spent, and whether the breaker
         fast-failed it without a single send.  The attributes are
-        deltas of the client's counters, so they are exact only while
-        one request is in flight per client — the thread engine always,
-        the asyncio engine at pipeline depth 1; deeper pipelines
-        interleave concurrent requests' counter movement.
+        deltas of the client's counters, exact because a client has one
+        request in flight at a time.
         """
         obs = self.obs
         stats = self.stats

@@ -2,20 +2,13 @@
 
 A *transport* is anything the client can push a
 :class:`~repro.net.http.Request` through to get a
-:class:`~repro.net.http.Response` back.  Three implementations cover
-the repo's needs:
+:class:`~repro.net.http.Response` back.  Two shapes cover the repo's
+needs:
 
-* :class:`InProcessTransport` — a thin callable wrapper over a server's
-  ``handle`` method.  The fast path tests run on; zero copies, zero
-  serialization.
+* the server's own ``handle`` method, bound directly — the in-process
+  fast path tests run on; zero copies, zero serialization;
 * :class:`SocketTransport` — one persistent blocking TCP connection to
-  a :class:`~repro.serving.ServingTier` listener.  This is what a
-  thread-engine lane uses against the real serving tier.
-* :class:`AsyncSocketTransport` — a connection *pool* over the same
-  frame protocol for :class:`~repro.net.aclient.AsyncHttpClient`.  Each
-  in-flight request occupies its own connection (the frame protocol is
-  strict request/response per connection), so a pipelining client at
-  depth N holds up to N sockets open.
+  a :class:`~repro.serving.ServingTier` listener, one per crawl lane.
 
 The frame protocol is deliberately boring: a 4-byte big-endian length
 prefix followed by a :mod:`repro.net.wire` (RW01) payload.  Requests
@@ -38,7 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.net import wire
 from repro.net.http import Request, Response
@@ -47,10 +40,7 @@ __all__ = [
     "Transport",
     "TransportError",
     "GarbledFrameError",
-    "InProcessTransport",
     "SocketTransport",
-    "AsyncSocketTransport",
-    "AsyncInProcessTransport",
     "encode_request",
     "decode_request",
     "encode_response",
@@ -158,7 +148,8 @@ def frame_length(header: bytes) -> int:
 
 
 async def read_frame(reader: asyncio.StreamReader) -> bytes:
-    """Read one length-prefixed payload from an asyncio stream."""
+    """Read one length-prefixed payload from an asyncio stream (the
+    serving tier's listener side)."""
     header = await reader.readexactly(FRAME_HEADER_BYTES)
     return await reader.readexactly(frame_length(header))
 
@@ -180,30 +171,10 @@ def _recv_exactly(sock: socket.socket, count: int) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-class InProcessTransport:
-    """The fast path: calls the server's ``handle`` directly.
-
-    Exists mostly to give the in-process path a name next to the socket
-    transports; ``HttpClient`` accepts the bare ``server.handle``
-    callable just as happily.
-    """
-
-    __slots__ = ("_handler",)
-
-    def __init__(self, handler: Transport):
-        self._handler = handler
-
-    def __call__(self, request: Request) -> Response:
-        return self._handler(request)
-
-    def close(self) -> None:  # symmetry with SocketTransport
-        pass
-
-
 class SocketTransport:
     """One persistent blocking connection to a serving-tier listener.
 
-    Built for the thread engine's lane discipline: one lane, one
+    Built for the crawl engine's lane discipline: one lane, one
     connection, strictly sequential request/response frames.  A read
     timeout or connection drop answers ``Response.timeout()`` (and
     drops the connection, since a half-read stream is unusable), which
@@ -254,101 +225,6 @@ class SocketTransport:
             try:
                 sock.close()
             except OSError:  # pragma: no cover - close is best-effort
-                pass
-
-
-class AsyncInProcessTransport:
-    """Async facade over an in-process handler (tests, engine parity).
-
-    The ``sleep(0)`` keeps the event loop fair when many lane
-    coroutines share it — without yielding, one lane's burst would run
-    to completion before any other lane gets scheduled.
-    """
-
-    __slots__ = ("_handler",)
-
-    def __init__(self, handler: Transport):
-        self._handler = handler
-
-    async def send(self, request: Request) -> Response:
-        await asyncio.sleep(0)
-        return self._handler(request)
-
-    async def aclose(self) -> None:
-        pass
-
-
-class AsyncSocketTransport:
-    """A pooled asyncio connection set over the frame protocol.
-
-    Each :meth:`send` checks a free connection out of the pool (opening
-    a new one when none is idle), runs one request/response exchange on
-    it, and returns it.  The pool therefore grows to the client's
-    actual concurrency — a pipelining lane at depth 8 holds 8 sockets,
-    a load-generator user holds 1 — and never multiplexes two in-flight
-    requests onto one stream.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float = DEFAULT_SOCKET_TIMEOUT,
-    ):
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self._idle: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-        self._opened = 0
-
-    @property
-    def connections_opened(self) -> int:
-        """Sockets this transport has opened over its lifetime."""
-        return self._opened
-
-    async def _checkout(self) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        while self._idle:
-            reader, writer = self._idle.pop()
-            if not writer.is_closing():
-                return reader, writer
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        self._opened += 1
-        return reader, writer
-
-    async def send(self, request: Request) -> Response:
-        try:
-            reader, writer = await self._checkout()
-        except OSError:
-            return Response.timeout()
-        try:
-            writer.write(pack_frame(encode_request(request)))
-            await writer.drain()
-            response = decode_response(
-                await asyncio.wait_for(read_frame(reader), self.timeout)
-            )
-        except GarbledFrameError:
-            writer.close()
-            return Response.garbled()
-        except (asyncio.TimeoutError, asyncio.IncompleteReadError,
-                TransportError, OSError):
-            writer.close()
-            return Response.timeout()
-        except asyncio.CancelledError:
-            # A cancelled exchange leaves the stream mid-frame; the
-            # connection cannot be reused.
-            writer.close()
-            raise
-        self._idle.append((reader, writer))
-        return response
-
-    async def aclose(self) -> None:
-        idle, self._idle = self._idle, []
-        for _reader, writer in idle:
-            writer.close()
-        for _reader, writer in idle:
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):  # pragma: no cover
                 pass
 
 

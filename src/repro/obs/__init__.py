@@ -11,8 +11,8 @@
   (:mod:`repro.obs.profiler`) is read off the recorded stage spans.
 
 There is one span stack, a ``contextvars`` variable, so parentage
-follows the context on every engine: a lane's work on a pool thread,
-or a request coroutine on the asyncio engine's loop thread, nests under
+follows the context across threads: a lane's work on a crawl-engine
+pool thread, or an experiment render on the runner's pool, nests under
 the span that submitted it.
 
 :class:`Observability` bundles the recorders.  Every component is
@@ -109,9 +109,10 @@ class Observability:
     ``tracer`` records every span and event.  ``profile`` records the
     pipeline's stage spans even without one — into a private tracer that
     sees nothing else, so a profiled run's stage peaks are not inflated
-    by a crawl's worth of request spans — and ``trace_memory`` (on by
-    default, effective only with ``profile``) gives each stage span a
-    ``peak_bytes`` attribute.
+    by a crawl's worth of request spans.  Stage spans are wall-only by
+    default; ``trace_memory`` (opt-in, effective only with ``profile``)
+    runs ``tracemalloc`` and gives each stage span a ``peak_bytes``
+    attribute, at several times the wall cost.
     """
 
     def __init__(
@@ -120,7 +121,7 @@ class Observability:
         metrics: Optional[MetricsRegistry] = None,
         profile: bool = False,
         monitor: Optional[CampaignMonitor] = None,
-        trace_memory: bool = True,
+        trace_memory: bool = False,
     ):
         self.tracer = tracer
         self.metrics = metrics

@@ -10,16 +10,17 @@ so it nests wherever the context puts it — under the experiment pool's
 when an analysis artifact is forced lazily — and the stage table is
 derived from the recorded spans by :func:`stage_rows`.
 
-Memory profiling (on by default under ``--profile``) adds a
+``--profile`` is wall-only.  Memory profiling is a separate opt-in
+(``Observability(profile=True, trace_memory=True)``) that adds a
 ``peak_bytes`` attribute to every stage span through
-:class:`StagePeaks`.  Its cost — ``tracemalloc`` — is paid only by runs
-that asked for it.
+:class:`StagePeaks`.  Its cost — ``tracemalloc``, several times the
+wall time — is paid only by runs that asked for it.
 
 ``render_profile()`` renders the stage table plus the critical path:
-the slowest stage by wall time, the peak-memory stage, and — when given
-the campaign telemetry — the slowest market lane by accumulated
-simulated waiting (back-off + pacing), which is what stretches a real
-fleet's calendar.
+the slowest stage by wall time, the peak-memory stage (when peaks were
+traced), and — when given the campaign telemetry — the slowest market
+lane by accumulated simulated waiting (back-off + pacing), which is
+what stretches a real fleet's calendar.
 """
 
 from __future__ import annotations
@@ -164,16 +165,19 @@ def render_profile(rows: List[dict], telemetry=None) -> str:
     # time is already inside its parent's).
     top = [r for r in rows if r["depth"] == 0] or rows
     slowest = max(top, key=lambda r: r["wall_seconds"])
-    hungriest = max(top, key=lambda r: r["peak_bytes"])
     lines.append(
         f"critical path: slowest stage '{slowest['name']}' "
         f"({slowest['wall_seconds']:.3f}s of "
         f"{sum(r['wall_seconds'] for r in top):.3f}s total)"
     )
-    lines.append(
-        f"peak memory:   stage '{hungriest['name']}' "
-        f"({hungriest['peak_bytes'] / (1024 * 1024):.2f} MiB)"
-    )
+    if any(r["peak_bytes"] for r in rows):
+        hungriest = max(top, key=lambda r: r["peak_bytes"])
+        lines.append(
+            f"peak memory:   stage '{hungriest['name']}' "
+            f"({hungriest['peak_bytes'] / (1024 * 1024):.2f} MiB)"
+        )
+    else:
+        lines.append("peak memory:   not traced")
     lane = _slowest_lane(telemetry)
     if lane is not None:
         lines.append(lane)

@@ -66,7 +66,11 @@ DIGEST_INVARIANT_FIELDS = frozenset({
     "store_dir",
     "trace_out", "metrics_out", "profile", "profile_out", "run_meta",
     "monitor", "monitor_interval", "stall_budget",
-    "transport", "crawl_engine", "crawl_pipeline",
+    "transport",
+    # No longer StudyConfig fields, but manifests ingested before the
+    # asyncio crawl engine was removed carry them; excluding them keeps
+    # those runs on the same fingerprint as today's.
+    "crawl_engine", "crawl_pipeline",
 })
 
 

@@ -1,25 +1,12 @@
-"""The asyncio market serving tier and its load generator.
+"""The asyncio market serving tier.
 
 :class:`~repro.serving.tier.ServingTier` promotes the in-process
 market fleet to real socket listeners (one per market) speaking the
-:mod:`repro.net.transport` frame protocol;
-:class:`~repro.serving.loadgen.LoadGenerator` hammers a running tier
-with simulated end-user traffic and reports latency quantiles and
-throughput.
+:mod:`repro.net.transport` frame protocol.  Crawl lanes reach it
+through blocking :class:`~repro.net.transport.SocketTransport`
+connections; asyncio lives only on the tier's own listener loop.
 """
 
-from repro.serving.loadgen import (
-    DEFAULT_TRAFFIC_MIX,
-    LoadGenerator,
-    LoadReport,
-    TrafficMix,
-)
 from repro.serving.tier import ServingTier
 
-__all__ = [
-    "ServingTier",
-    "LoadGenerator",
-    "LoadReport",
-    "TrafficMix",
-    "DEFAULT_TRAFFIC_MIX",
-]
+__all__ = ["ServingTier"]

@@ -21,8 +21,7 @@ Determinism is preserved by construction:
   ``time.sleep`` inside ``handle`` would stall the whole loop, so
   servers with their own ``latency_s`` are rejected at construction.
   Tier latency models network service time for benchmarks — concurrent
-  connections overlap their waits, which is exactly the effect the
-  async client exploits.
+  connections (one per crawl lane) overlap their waits.
 
 The tier runs in the same process as the crawler, so checkpoint
 journaling keeps working: the coordinator snapshots server state
@@ -38,7 +37,6 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.net.http import Response
 from repro.net.transport import (
-    AsyncSocketTransport,
     SocketTransport,
     decode_request,
     encode_response,
@@ -65,7 +63,7 @@ class ServingTier:
         """``latency_s`` is injected per request *asynchronously* (the
         loop keeps serving other connections during the wait);
         ``timeout`` is the default wall budget handed to transports
-        built by :meth:`transport` / :meth:`async_transport`."""
+        built by :meth:`transport`."""
         if latency_s < 0:
             raise ValueError(f"latency_s must be non-negative, got {latency_s}")
         for market_id, server in servers.items():
@@ -213,25 +211,13 @@ class ServingTier:
         return (self._host, self._ports[market_id])
 
     def transport(self, market_id: str) -> SocketTransport:
-        """A fresh blocking transport to one market (thread engine)."""
+        """A fresh blocking transport to one market (one crawl lane)."""
         host, port = self.address(market_id)
         return SocketTransport(host, port, timeout=self._timeout)
 
     def transports(self) -> Dict[str, SocketTransport]:
         """Fresh blocking transports for every market, in lane order."""
         return {m: self.transport(m) for m in self._servers}
-
-    def async_transport(self, market_id: str) -> AsyncSocketTransport:
-        """A fresh pooled async transport to one market.
-
-        The transport binds sockets lazily on whatever event loop
-        awaits it — the async crawl engine's loop, not the tier's.
-        """
-        host, port = self.address(market_id)
-        return AsyncSocketTransport(host, port, timeout=self._timeout)
-
-    def async_transports(self) -> Dict[str, AsyncSocketTransport]:
-        return {m: self.async_transport(m) for m in self._servers}
 
     @property
     def total_frames_served(self) -> int:

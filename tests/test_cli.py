@@ -69,29 +69,14 @@ class TestParser:
     def test_serving_flags_default_to_fast_path(self):
         args = build_parser().parse_args(["run"])
         assert args.transport == "inprocess"
-        assert args.crawl_engine == "thread"
-        assert args.pipeline == 1
 
     def test_serving_flags_parse(self):
-        args = build_parser().parse_args(
-            ["run", "--transport", "socket", "--crawl-engine", "asyncio",
-             "--pipeline", "8"]
-        )
+        args = build_parser().parse_args(["run", "--transport", "socket"])
         assert args.transport == "socket"
-        assert args.crawl_engine == "asyncio"
-        assert args.pipeline == 8
 
     def test_transport_choices_enforced(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--transport", "carrier-pigeon"])
-
-    def test_loadgen_defaults(self):
-        args = build_parser().parse_args(["loadgen"])
-        assert args.users == 8
-        assert args.requests == 25
-        assert args.mix == "search=5,detail=3,download=2"
-        assert args.latency_ms == 0.0
-        assert args.out is None
 
     def test_obs_ingest_collects_bench_artifacts(self):
         args = build_parser().parse_args(
@@ -140,36 +125,11 @@ class TestCommands:
         out = io.StringIO()
         code = main(
             ["run", "--scale", "0.0002", "--no-apks", "--seed", "5",
-             "--transport", "socket", "--crawl-engine", "asyncio",
-             "--pipeline", "4"],
+             "--transport", "socket"],
             out=out,
         )
         assert code == 0
         assert "listings" in out.getvalue()
-
-    def test_loadgen_writes_bench_artifact(self, tmp_path):
-        import json
-
-        out = io.StringIO()
-        bench = tmp_path / "BENCH_serving.json"
-        code = main(
-            ["loadgen", "--scale", "0.0002", "--seed", "5", "--users", "4",
-             "--requests", "5", "--out", str(bench),
-             "--metrics-out", str(tmp_path / "m.jsonl")],
-            out=out,
-        )
-        assert code == 0
-        text = out.getvalue()
-        assert "latency: p50" in text
-        doc = json.loads(bench.read_text())
-        section = doc["sections"]["loadgen"]
-        assert section["requests"] == 20
-        assert section["errors"] == 0
-        assert (tmp_path / "m.jsonl").read_text().count("\n") > 0
-
-    def test_loadgen_rejects_bad_mix(self):
-        out = io.StringIO()
-        assert main(["loadgen", "--mix", "search=lots"], out=out) == 2
 
     def test_experiment_unknown_id(self):
         out = io.StringIO()

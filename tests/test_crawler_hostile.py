@@ -53,7 +53,6 @@ def crawl_once(
     workers=1,
     obs=None,
     download_apks=False,
-    engine="thread",
 ):
     """One campaign; ``hostility`` maps market_id -> HostilityPolicy."""
     stores = build_stores(world)
@@ -80,7 +79,6 @@ def crawl_once(
         obs=obs or Observability(),
         identity_policy=identity_policy,
         identity_seed=77,
-        engine=engine,
     )
     try:
         snapshot = coordinator.crawl("hostile", duration_days=15.0)
@@ -130,25 +128,6 @@ class TestConvergence:
                               workers=8)
         assert one.content_digest() == eight.content_digest()
         assert one.content_digest() == polite.content_digest()
-
-    def test_asyncio_engine_matches_thread_engine(self, world, polite):
-        # Login, ban-rotation, and ban-wait decisions must not depend on
-        # which engine drives the client: same digest, same lane counters.
-        hostility = hostile_everywhere(polite.markets())
-        policy = IdentityPolicy(size=4, rotation="on_ban")
-        threaded, _ = crawl_once(world, hostility=hostility,
-                                 identity_policy=policy)
-        looped, _ = crawl_once(world, hostility=hostility,
-                               identity_policy=policy, engine="asyncio")
-        assert looped.content_digest() == polite.content_digest()
-        assert looped.stats.telemetry.total_bans_hit > 0
-        fields = ("logins", "token_refreshes", "bans_hit",
-                  "identity_rotations", "sim_days_backoff")
-        for market_id, lane in threaded.stats.telemetry.markets.items():
-            other = looped.stats.telemetry.markets[market_id]
-            assert {f: getattr(other, f) for f in fields} == {
-                f: getattr(lane, f) for f in fields
-            }, market_id
 
     def test_round_robin_rotation_also_converges(self, world, polite):
         hostility = hostile_everywhere(polite.markets())

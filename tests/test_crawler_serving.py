@@ -1,10 +1,9 @@
-"""Campaigns over the serving tier: the transport/engine digest oracle.
+"""Campaigns over the serving tier: the transport digest oracle.
 
-The tentpole contract: ``content_digest()`` is bit-identical whether
-lanes call ``server.handle`` in-process or cross the asyncio serving
-tier's sockets, whether the engine schedules on threads or one event
-loop, and at any concurrency — including a campaign killed mid-flight
-and resumed over sockets.
+The contract: ``content_digest()`` is bit-identical whether lanes call
+``server.handle`` in-process or cross the asyncio serving tier's
+sockets, and at any concurrency — including a campaign killed
+mid-flight and resumed over sockets.
 """
 
 import shutil
@@ -27,9 +26,8 @@ def world():
     return EcosystemGenerator(seed=93, scale=0.0002).generate()
 
 
-def crawl_once(world, transport="inprocess", engine="thread", pipeline=1,
-               workers=1, download_apks=True, root=None, resume=False,
-               label="serving"):
+def crawl_once(world, transport="inprocess", workers=1, download_apks=True,
+               root=None, resume=False, label="serving"):
     """One full campaign, optionally through a live serving tier."""
     stores = build_stores(world)
     clock = SimClock()
@@ -46,8 +44,7 @@ def crawl_once(world, transport="inprocess", engine="thread", pipeline=1,
     try:
         if transport == "socket":
             tier = ServingTier(servers).start()
-            transports = (tier.async_transports() if engine == "asyncio"
-                          else tier.transports())
+            transports = tier.transports()
         coordinator = CrawlCoordinator(
             servers,
             clock,
@@ -57,8 +54,6 @@ def crawl_once(world, transport="inprocess", engine="thread", pipeline=1,
             workers=workers,
             journal=journal,
             transports=transports,
-            engine=engine,
-            pipeline=pipeline,
         )
         snapshot = coordinator.crawl(label, duration_days=15.0)
     finally:
@@ -78,21 +73,15 @@ class TestTransportEngineOracle:
         assert len(snapshot) > 0
         return snapshot
 
-    @pytest.mark.parametrize("transport,engine,pipeline,workers", [
-        ("inprocess", "thread", 1, 8),
-        ("socket", "thread", 1, 1),
-        ("socket", "thread", 1, 8),
-        ("inprocess", "asyncio", 1, 8),
-        ("inprocess", "asyncio", 8, 8),
-        ("socket", "asyncio", 1, 8),
-        ("socket", "asyncio", 8, 8),
+    # The ids keep their ``<transport>-thread-1-<workers>`` form from
+    # when the engine and pipeline depth were parameters too.
+    @pytest.mark.parametrize("transport,workers", [
+        pytest.param("inprocess", 8, id="inprocess-thread-1-8"),
+        pytest.param("socket", 1, id="socket-thread-1-1"),
+        pytest.param("socket", 8, id="socket-thread-1-8"),
     ])
-    def test_digest_invariant(self, world, reference, transport, engine,
-                              pipeline, workers):
-        snapshot = crawl_once(
-            world, transport=transport, engine=engine,
-            pipeline=pipeline, workers=workers,
-        )
+    def test_digest_invariant(self, world, reference, transport, workers):
+        snapshot = crawl_once(world, transport=transport, workers=workers)
         assert snapshot.content_digest() == reference.content_digest()
         assert len(snapshot) == len(reference)
 
@@ -115,17 +104,6 @@ class TestTransportEngineOracle:
         assert tier.total_frames_served > 0
         total_served = sum(s.requests_served for s in servers.values())
         assert tier.total_frames_served == total_served
-
-
-class TestEngineValidation:
-    def test_pipeline_requires_asyncio(self, world):
-        with pytest.raises(ValueError, match="asyncio"):
-            crawl_once(world, engine="thread", pipeline=4)
-
-    def test_pipeline_incompatible_with_journal(self, world, tmp_path):
-        with pytest.raises(ValueError, match="journal"):
-            crawl_once(world, engine="asyncio", pipeline=4,
-                       root=tmp_path / "ckpt")
 
 
 class TestKillAndResumeOverSockets:

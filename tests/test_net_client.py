@@ -1,16 +1,7 @@
-"""Tests for the retrying HTTP client and retry policy.
-
-One scenario suite runs through both drivers of the shared decision
-loop: ``TestHttpClient`` drives it with the sync client,
-``TestAsyncHttpClient`` re-runs every scenario on the asyncio client.
-"""
-
-import asyncio
-import inspect
+"""Tests for the retrying HTTP client and retry policy."""
 
 import pytest
 
-from repro.net.aclient import AsyncHttpClient
 from repro.net.client import (
     MAX_AUTH_RETRIES,
     RATE_LIMIT_JITTER_MAX,
@@ -29,7 +20,6 @@ from repro.net.http import (
     ServerError,
 )
 from repro.net.retry import RetryPolicy
-from repro.net.transport import AsyncInProcessTransport
 from repro.obs.metrics import MetricsRegistry
 from repro.util.simtime import SimClock
 
@@ -86,46 +76,22 @@ def _auth_server(app_responses):
     return handle, seen
 
 
-class _RunToCompletion:
-    """An :class:`AsyncHttpClient` whose coroutine methods each run on
-    a fresh event loop, so sync-shaped scenarios can drive it."""
-
-    def __init__(self, client: AsyncHttpClient):
-        self._client = client
-
-    def __getattr__(self, name):
-        attr = getattr(self._client, name)
-        if not inspect.iscoroutinefunction(attr):
-            return attr
-        return lambda *args: asyncio.run(attr(*args))
-
-
-def _async_client(handler, clock, **kwargs):
-    return _RunToCompletion(
-        AsyncHttpClient(AsyncInProcessTransport(handler), clock, **kwargs)
-    )
-
-
 class TestHttpClient:
-    @pytest.fixture
-    def driver(self):
-        return HttpClient
-
-    def test_ok(self, driver):
-        client = driver(_handler_sequence([Response.json_ok(42)]), SimClock())
+    def test_ok(self):
+        client = HttpClient(_handler_sequence([Response.json_ok(42)]), SimClock())
         assert client.get_json("/x") == 42
         assert client.stats.requests == 1
 
-    def test_not_found_raises(self, driver):
-        client = driver(_handler_sequence([Response.not_found()]), SimClock())
+    def test_not_found_raises(self):
+        client = HttpClient(_handler_sequence([Response.not_found()]), SimClock())
         with pytest.raises(NotFoundError):
             client.get_json("/x")
         assert client.stats.not_found == 1
 
-    def test_rate_limit_waits_then_succeeds(self, driver):
+    def test_rate_limit_waits_then_succeeds(self):
         clock = SimClock()
         start = clock.now
-        client = driver(
+        client = HttpClient(
             _handler_sequence([Response.rate_limited(0.5), Response.json_ok("ok")]),
             clock,
             max_rate_limit_waits=2,
@@ -136,17 +102,17 @@ class TestHttpClient:
         assert 0.5 <= slept <= 0.5 * (1 + RATE_LIMIT_JITTER_MAX)
         assert client.stats.rate_limited == 1
 
-    def test_rate_limit_budget_exhausted(self, driver):
+    def test_rate_limit_budget_exhausted(self):
         responses = [Response.rate_limited(0.1)] * 10
-        client = driver(
+        client = HttpClient(
             _handler_sequence(responses), SimClock(), max_rate_limit_waits=1
         )
         with pytest.raises(RateLimitedError):
             client.get_json("/x")
         assert client.stats.rate_limit_aborts == 1
 
-    def test_zero_waits_raises_immediately(self, driver):
-        client = driver(
+    def test_zero_waits_raises_immediately(self):
+        client = HttpClient(
             _handler_sequence([Response.rate_limited(5.0)]),
             SimClock(),
             max_rate_limit_waits=0,
@@ -155,16 +121,16 @@ class TestHttpClient:
             client.get_json("/x")
         assert client.stats.requests == 1
 
-    def test_server_error_retried(self, driver):
-        client = driver(
+    def test_server_error_retried(self):
+        client = HttpClient(
             _handler_sequence([Response(status=500), Response.json_ok("up")]),
             SimClock(),
         )
         assert client.get_json("/x") == "up"
         assert client.stats.retries == 1
 
-    def test_server_error_exhausts_retries(self, driver):
-        client = driver(
+    def test_server_error_exhausts_retries(self):
+        client = HttpClient(
             _handler_sequence([Response(status=500)]),
             SimClock(),
             retry_policy=RetryPolicy(max_retries=2),
@@ -173,8 +139,8 @@ class TestHttpClient:
             client.get_json("/x")
         assert client.stats.requests == 3  # initial + 2 retries
 
-    def test_timeout_retried(self, driver):
-        client = driver(
+    def test_timeout_retried(self):
+        client = HttpClient(
             _handler_sequence([Response.timeout(), Response.json_ok("up")]),
             SimClock(),
         )
@@ -182,8 +148,8 @@ class TestHttpClient:
         assert client.stats.timeouts == 1
         assert client.stats.retries == 1
 
-    def test_timeout_exhausts_retries(self, driver):
-        client = driver(
+    def test_timeout_exhausts_retries(self):
+        client = HttpClient(
             _handler_sequence([Response.timeout()]),
             SimClock(),
             retry_policy=RetryPolicy(max_retries=2),
@@ -193,16 +159,16 @@ class TestHttpClient:
         assert client.stats.requests == 3
         assert client.stats.timeouts == 3
 
-    def test_malformed_payload_retried(self, driver):
-        client = driver(
+    def test_malformed_payload_retried(self):
+        client = HttpClient(
             _handler_sequence([Response.garbled(), Response.json_ok("clean")]),
             SimClock(),
         )
         assert client.get_json("/x") == "clean"
         assert client.stats.malformed == 1
 
-    def test_malformed_payload_exhausts_retries(self, driver):
-        client = driver(
+    def test_malformed_payload_exhausts_retries(self):
+        client = HttpClient(
             _handler_sequence([Response.garbled()]),
             SimClock(),
             retry_policy=RetryPolicy(max_retries=1),
@@ -210,12 +176,12 @@ class TestHttpClient:
         with pytest.raises(MalformedPayloadError):
             client.get_json("/x")
 
-    def test_rate_limit_wait_cap_raises_immediately(self, driver):
+    def test_rate_limit_wait_cap_raises_immediately(self):
         # A multi-day retry_after (Google Play's download quota) is a
         # hard limit: surface it instead of sleeping the campaign away.
         clock = SimClock()
         start = clock.now
-        client = driver(
+        client = HttpClient(
             _handler_sequence([Response.rate_limited(30.0)]),
             clock,
             max_rate_limit_waits=5,
@@ -226,10 +192,10 @@ class TestHttpClient:
         assert client.stats.requests == 1
         assert clock.now == start  # no sleep happened
 
-    def test_rate_limit_wait_cap_allows_short_hints(self, driver):
+    def test_rate_limit_wait_cap_allows_short_hints(self):
         clock = SimClock()
         start = clock.now
-        client = driver(
+        client = HttpClient(
             _handler_sequence([Response.rate_limited(0.01), Response.json_ok("ok")]),
             clock,
             max_rate_limit_waits=2,
@@ -238,11 +204,11 @@ class TestHttpClient:
         assert client.get_json("/x") == "ok"
         assert clock.now > start
 
-    def test_jitter_deterministic_and_desynchronized(self, driver):
+    def test_jitter_deterministic_and_desynchronized(self):
         def run(jitter_key):
             clock = SimClock()
             start = clock.now
-            client = driver(
+            client = HttpClient(
                 _handler_sequence([Response.rate_limited(1.0), Response.json_ok("ok")]),
                 clock,
                 max_rate_limit_waits=1,
@@ -257,10 +223,10 @@ class TestHttpClient:
         assert len(sleeps) > 1
         assert all(1.0 <= s <= 1.0 + RATE_LIMIT_JITTER_MAX for s in sleeps)
 
-    def test_pacer_sleeps_before_sending(self, driver):
+    def test_pacer_sleeps_before_sending(self):
         clock = SimClock()
         waits = iter([0.25, 0.0])
-        client = driver(
+        client = HttpClient(
             _handler_sequence([Response.json_ok("a"), Response.json_ok("b")]),
             clock,
             pacer=lambda: next(waits),
@@ -271,18 +237,18 @@ class TestHttpClient:
         assert client.get_json("/x") == "b"
         assert clock.now == pytest.approx(start + 0.25)
 
-    def test_get_bytes(self, driver):
-        client = driver(_handler_sequence([Response.bytes_ok(b"apk")]), SimClock())
+    def test_get_bytes(self):
+        client = HttpClient(_handler_sequence([Response.bytes_ok(b"apk")]), SimClock())
         assert client.get_bytes("/download") == b"apk"
 
-    def test_get_bytes_missing_body(self, driver):
-        client = driver(_handler_sequence([Response.json_ok(None)]), SimClock())
+    def test_get_bytes_missing_body(self):
+        client = HttpClient(_handler_sequence([Response.json_ok(None)]), SimClock())
         with pytest.raises(ServerError):
             client.get_bytes("/download")
 
-    def test_relogin_after_401_succeeds(self, driver):
+    def test_relogin_after_401_succeeds(self):
         handle, seen = _auth_server([Response.unauthorized(), Response.json_ok("data")])
-        client = driver(handle, SimClock(), credentials=CredentialManager("m"))
+        client = HttpClient(handle, SimClock(), credentials=CredentialManager("m"))
         assert client.get_json("/app") == "data"
         # The 401 dropped tok1; the retry carried a freshly issued token.
         assert seen == ["tok1", "tok2"]
@@ -290,20 +256,14 @@ class TestHttpClient:
         assert client.stats.token_refreshes == 1
         assert client.stats.failures == 0
 
-    def test_auth_error_once_relogin_budget_exhausted(self, driver):
+    def test_auth_error_once_relogin_budget_exhausted(self):
         handle, seen = _auth_server([Response.unauthorized()])
-        client = driver(handle, SimClock(), credentials=CredentialManager("m"))
+        client = HttpClient(handle, SimClock(), credentials=CredentialManager("m"))
         with pytest.raises(AuthError):
             client.get_json("/app")
         assert len(seen) == MAX_AUTH_RETRIES + 1
         assert client.stats.logins == MAX_AUTH_RETRIES + 1
         assert client.stats.failures == 1
-
-
-class TestAsyncHttpClient(TestHttpClient):
-    @pytest.fixture
-    def driver(self):
-        return _async_client
 
 
 def _full_stats() -> ClientStats:
@@ -321,11 +281,15 @@ class TestClientStats:
     def test_export_state_round_trips(self):
         stats = _full_stats()
         state = stats.export_state()
-        restored = ClientStats()
-        restored.restore_state(state)
-        assert restored.export_state() == state
-        assert restored.requests == 10
-        assert restored.sim_days_backoff == 0.75
+        # Lane states journaled before the ``cancelled`` counter was
+        # removed still carry it; restoring one must ignore it.
+        older = {**state, "cancelled": 0}
+        for saved in (state, older):
+            restored = ClientStats()
+            restored.restore_state(saved)
+            assert restored.export_state() == state
+            assert restored.requests == 10
+            assert restored.sim_days_backoff == 0.75
 
     def test_export_state_is_json_plain(self):
         import json

@@ -6,22 +6,17 @@ produce — including the awkward ones (``json_ok(None)``, binary APK
 bodies, timed 403 bans).
 """
 
-import asyncio
 import socket
 import threading
 
 import pytest
 
-from repro.net.aclient import AsyncHttpClient
 from repro.net.client import HttpClient
 from repro.net.http import MalformedPayloadError, Request, Response
 from repro.net.retry import RetryPolicy
 from repro.net.transport import (
     FRAME_HEADER_BYTES,
     MAX_FRAME_BYTES,
-    AsyncInProcessTransport,
-    AsyncSocketTransport,
-    InProcessTransport,
     SocketTransport,
     TransportError,
     _recv_exactly,
@@ -119,23 +114,6 @@ class TestFraming:
             frame_length(header)
 
 
-class TestInProcessTransports:
-    def test_sync_wrapper_calls_handler(self):
-        transport = InProcessTransport(lambda req: Response.json_ok(req.path))
-        assert transport(Request("/x")).json == "/x"
-        transport.close()  # no-op, but part of the surface
-
-    def test_async_wrapper_awaits_handler(self):
-        transport = AsyncInProcessTransport(lambda req: Response.json_ok(req.path))
-
-        async def go():
-            resp = await transport.send(Request("/y"))
-            await transport.aclose()
-            return resp
-
-        assert asyncio.run(go()).json == "/y"
-
-
 class _GarbageServer:
     """A raw TCP peer that answers every request frame with a correctly
     length-prefixed payload that is not an RW01 response."""
@@ -195,22 +173,3 @@ class TestGarbledFrames:
         assert client.stats.retries == 1
         assert client.stats.failures == 1
         assert garbage_server.connections == 2
-
-    def test_async_socket_transport(self, garbage_server):
-        transport = AsyncSocketTransport("127.0.0.1", garbage_server.port)
-        client = AsyncHttpClient(
-            transport, SimClock(), retry_policy=RetryPolicy(max_retries=1)
-        )
-
-        async def go():
-            try:
-                with pytest.raises(MalformedPayloadError):
-                    await client.get_json("/app")
-            finally:
-                await transport.aclose()
-
-        asyncio.run(go())
-        assert client.stats.malformed == 2
-        assert client.stats.retries == 1
-        assert client.stats.failures == 1
-        assert transport.connections_opened == 2

@@ -9,7 +9,7 @@ The acceptance contract for the observability layer:
 * recording never perturbs the crawl: the traced snapshot's content
   digest equals the untraced one,
 * parentage follows the context, so the span tree is the same at any
-  lane width and on either crawl engine.
+  lane width.
 """
 
 from collections import Counter
@@ -162,7 +162,7 @@ def _span_tree(obs: Observability):
     )
 
 
-def _traced_campaign(world, workers, engine="thread", obs=None, recheck=True):
+def _traced_campaign(world, workers, obs=None, recheck=True):
     obs = obs or Observability.from_flags(trace=True, metrics=True)
     clock = SimClock()
     servers = {
@@ -170,7 +170,6 @@ def _traced_campaign(world, workers, engine="thread", obs=None, recheck=True):
     }
     coordinator = CrawlCoordinator(
         servers, clock, download_apks=False, workers=workers, obs=obs,
-        engine=engine, pipeline=1,
     )
     try:
         with obs.stage("crawl.first"):
@@ -197,20 +196,6 @@ class TestContextParentage:
         assert tree[("crawl.recheck", "baidu", "stage.crawl.recheck")] == 1
         roots = {name for (name, _, parent) in tree if parent is None}
         assert roots == {"stage.crawl.first", "stage.crawl.recheck"}
-
-    def test_asyncio_engine_emits_the_thread_engines_spans(self, world):
-        threaded_snapshot, threaded = _traced_campaign(
-            world, workers=2, recheck=False
-        )
-        snapshot, looped = _traced_campaign(
-            world, workers=2, engine="asyncio", recheck=False
-        )
-        assert snapshot.content_digest() == threaded_snapshot.content_digest()
-        telemetry = snapshot.stats.telemetry
-        requests = looped.tracer.spans("http.request")
-        assert sum(s["attrs"]["attempts"] for s in requests) == telemetry.total_requests
-        assert sum(s["attrs"]["retries"] for s in requests) == telemetry.total_retries
-        assert _span_tree(looped) == _span_tree(threaded)
 
     def test_profile_only_records_stage_spans_alone(self, world):
         obs = Observability.from_flags(profile=True)

@@ -1,5 +1,6 @@
 """Tests for stage profiling: stages are ``stage.*`` spans."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -67,6 +68,13 @@ class TestStageProfiler:
         assert outer["peak_bytes"] >= 8 * 1024 * 1024
         assert inner["peak_bytes"] < 8 * 1024 * 1024
 
+    def test_profile_flag_is_wall_only(self):
+        obs = Observability.from_flags(profile=True)
+        with obs.stage("crawl"):
+            assert not tracemalloc.is_tracing()
+        (record,) = obs.stage_rows()
+        assert record["peak_bytes"] == 0
+
     def test_stage_exception_still_records(self):
         obs = _profiled()
         with pytest.raises(ValueError):
@@ -121,6 +129,8 @@ class TestReport:
         assert "fast" in report and "slow" in report
         assert "critical path: slowest stage 'slow'" in report
         assert "peak memory:" in report
+        # No stage traced a peak, so none is named.
+        assert "peak memory:   not traced" in report
 
     def test_critical_path_ignores_nested_stages(self):
         obs = _profiled()

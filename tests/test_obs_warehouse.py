@@ -63,7 +63,7 @@ def _write_trace(path):
 
 
 def _write_profile(path):
-    obs = Observability(profile=True, trace_memory=False)
+    obs = Observability(profile=True)
     with obs.stage("ecosystem"):
         pass
     with obs.stage("crawl.first"):
@@ -124,6 +124,15 @@ class TestConfigFingerprint:
         from dataclasses import asdict
 
         assert config_fingerprint(asdict(config)) == config_fingerprint(config)
+
+    def test_manifest_with_removed_engine_fields_matches_today(self):
+        # Manifests written while the asyncio crawl engine existed carry
+        # its two config fields; they must land on the same fingerprint.
+        config = StudyConfig(seed=7, scale=0.001)
+        from dataclasses import asdict
+
+        legacy = {**asdict(config), "crawl_engine": "asyncio", "crawl_pipeline": 8}
+        assert config_fingerprint(legacy) == config_fingerprint(config)
 
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):

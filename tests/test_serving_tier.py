@@ -1,6 +1,5 @@
 """The asyncio serving tier: lifecycle, framing, and counters."""
 
-import asyncio
 import socket
 import threading
 
@@ -115,29 +114,6 @@ class TestExchanges:
                 assert resp.status == 500
                 # The connection is dropped after the answer.
                 assert sock.recv(1) == b""
-
-    def test_async_transport_pool(self, servers):
-        market_id = "google_play"
-        listing = next(iter(servers[market_id].store.iter_live(0.0)))
-        with ServingTier(servers) as tier:
-            transport = tier.async_transport(market_id)
-            request = Request(
-                "/app", {"package": listing.package}, {"x-sim-time": "0.0"}
-            )
-
-            async def go():
-                results = await asyncio.gather(
-                    *(transport.send(request) for _ in range(6))
-                )
-                sequential = [await transport.send(request) for _ in range(4)]
-                await transport.aclose()
-                return results, sequential
-
-            burst, sequential = asyncio.run(go())
-            assert all(r.ok for r in burst + sequential)
-            # The burst opened up to 6 sockets; the sequential tail
-            # reused the pool instead of opening more.
-            assert transport.connections_opened <= 6
 
     def test_hostile_market_over_socket(self, world):
         from repro.markets.hostility import HostilityPolicy
