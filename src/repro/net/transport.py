@@ -11,14 +11,18 @@ needs:
   a :class:`~repro.serving.ServingTier` listener, one per crawl lane.
 
 The frame protocol is deliberately boring: a 4-byte big-endian length
-prefix followed by a :mod:`repro.net.wire` (RW01) payload.  Requests
-and responses are encoded as canonical wire maps, which is what makes
-the digest oracle hold across transports — the wire codec round-trips
-every value shape market metadata uses (ints stay ints, bytes stay
-bytes, ``None`` stays ``None``), and ``Response.json_ok(None)`` — a
-legitimate payload (a removed index slot) — survives because the
-response map carries ``json`` and ``body`` as separate fields rather
-than inferring absence.
+prefix followed by a :mod:`repro.net.wire` (RW01) payload of at most
+:data:`MAX_FRAME_BYTES`.  Requests and responses are encoded as
+canonical wire maps, which is what makes the digest oracle hold across
+transports — the wire codec round-trips every value shape market
+metadata uses (ints stay ints, bytes stay bytes, ``None`` stays
+``None``), and ``Response.json_ok(None)`` — a legitimate payload (a
+removed index slot) — survives because the response map carries
+``json`` and ``body`` as separate fields rather than inferring absence.
+A map whose fields have the wrong types is refused like any other
+garbled frame.  Each direction of an exchange is one codec pass; the
+serving tier's side of the framing lives in
+:class:`~repro.serving.tier.FrameProtocol`.
 
 Timeouts and connection drops surface as ``Response.timeout()`` (the
 599 convention), and a well-framed payload that does not decode as a
@@ -29,7 +33,6 @@ what a flaky link costs.
 
 from __future__ import annotations
 
-import asyncio
 import socket
 from typing import Callable, List, Optional
 
@@ -46,7 +49,6 @@ __all__ = [
     "encode_response",
     "decode_response",
     "pack_frame",
-    "read_frame",
     "FRAME_HEADER_BYTES",
     "MAX_FRAME_BYTES",
     "DEFAULT_SOCKET_TIMEOUT",
@@ -59,9 +61,13 @@ Transport = Callable[[Request], Response]
 #: Length-prefix width of one frame.
 FRAME_HEADER_BYTES = 4
 
-#: Hard ceiling on one frame's payload (an APK blob plus headroom); a
-#: larger prefix means a corrupt or misaligned stream, not real data.
-MAX_FRAME_BYTES = 256 * 1024 * 1024
+#: Hard ceiling on one frame's payload; a larger prefix means a corrupt
+#: or misaligned stream, not real data.  The largest frame of a
+#: scale-0.002 socket crawl with APKs is 8,443 bytes, and an APK blob
+#: (the largest body a market serves) inflates to at most the 256 KiB
+#: document cap (``repro.apk.archive.MAX_DOCUMENT_BYTES``), so 1 MiB
+#: leaves 4x headroom over that cap.
+MAX_FRAME_BYTES = 1024 * 1024
 
 #: Wall-clock seconds a synchronous transport waits on one response.
 DEFAULT_SOCKET_TIMEOUT = 30.0
@@ -93,11 +99,12 @@ def decode_request(payload: bytes) -> Request:
     doc = wire.decode(payload)
     if not isinstance(doc, dict) or "path" not in doc:
         raise TransportError("request frame is not a request map")
-    return Request(
-        path=doc["path"],
-        params=doc.get("params") or {},
-        headers=doc.get("headers") or {},
-    )
+    path = doc["path"]
+    params = doc.get("params") or {}
+    headers = doc.get("headers") or {}
+    if type(path) is not str or type(params) is not dict or type(headers) is not dict:
+        raise TransportError("request frame has mistyped fields")
+    return Request(path=path, params=params, headers=headers)
 
 
 def encode_response(response: Response) -> bytes:
@@ -123,11 +130,20 @@ def decode_response(payload: bytes) -> Response:
         raise GarbledFrameError(f"response frame: {exc}") from exc
     if not isinstance(doc, dict) or "status" not in doc:
         raise GarbledFrameError("response frame is not a response map")
+    status = doc["status"]
+    body = doc.get("body")
+    retry_after = doc.get("retry_after")
+    if (
+        type(status) is not int
+        or (body is not None and type(body) is not bytes)
+        or (retry_after is not None and type(retry_after) not in (int, float))
+    ):
+        raise GarbledFrameError("response frame has mistyped fields")
     return Response(
-        status=doc["status"],
+        status=status,
         json=doc.get("json"),
-        body=doc.get("body"),
-        retry_after=doc.get("retry_after"),
+        body=body,
+        retry_after=retry_after,
         malformed=bool(doc.get("malformed", False)),
     )
 
@@ -145,13 +161,6 @@ def frame_length(header: bytes) -> int:
     if length > MAX_FRAME_BYTES:
         raise TransportError(f"frame too large: {length} bytes")
     return length
-
-
-async def read_frame(reader: asyncio.StreamReader) -> bytes:
-    """Read one length-prefixed payload from an asyncio stream (the
-    serving tier's listener side)."""
-    header = await reader.readexactly(FRAME_HEADER_BYTES)
-    return await reader.readexactly(frame_length(header))
 
 
 def _recv_exactly(sock: socket.socket, count: int) -> bytes:

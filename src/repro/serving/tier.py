@@ -8,6 +8,13 @@ Connections speak the :mod:`repro.net.transport` frame protocol: a
 length-prefixed RW01 request map in, a length-prefixed RW01 response
 map out, any number of exchanges per connection.
 
+Each connection is a :class:`FrameProtocol`: ``data_received`` appends
+to one buffer, cuts every complete frame out of it and answers each in
+the same callback, so a request costs one event-loop turn — no
+per-connection task, no stream reader's future to wake.  The listener
+thread holds the GIL for its whole turn, so every step of that turn is
+serial crawl wall time.
+
 Determinism is preserved by construction:
 
 * ``server.handle`` is synchronous and every frame is dispatched on
@@ -16,12 +23,18 @@ Determinism is preserved by construction:
   screening — form one serialized stream exactly as in-process calls
   do.  (Lanes still serialize their *own* requests; the loop serializes
   across connections.)
-* Latency injection is owned by the tier (``await asyncio.sleep``
-  *before* dispatch), never by the wrapped server: a blocking
+* Latency injection is owned by the tier (a ``loop.call_later``
+  *before* dispatch, with the connection's reading paused so its later
+  frames wait their turn), never by the wrapped server: a blocking
   ``time.sleep`` inside ``handle`` would stall the whole loop, so
   servers with their own ``latency_s`` are rejected at construction.
   Tier latency models network service time for benchmarks — concurrent
   connections (one per crawl lane) overlap their waits.
+
+A frame that does not decode as a request is answered with a 500 and
+the connection is closed (the stream can no longer be trusted); a
+length prefix past :data:`~repro.net.transport.MAX_FRAME_BYTES` closes
+it without an answer.
 
 The tier runs in the same process as the crawler, so checkpoint
 journaling keeps working: the coordinator snapshots server state
@@ -37,17 +50,114 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.net.http import Response
 from repro.net.transport import (
+    FRAME_HEADER_BYTES,
+    MAX_FRAME_BYTES,
     SocketTransport,
     decode_request,
-    encode_response,
-    pack_frame,
-    read_frame,
+    response_to_wire,
 )
 
-__all__ = ["ServingTier"]
+__all__ = ["ServingTier", "FrameProtocol"]
 
 #: Wall seconds to wait for the tier's loop/listeners to come up or down.
 _STARTUP_TIMEOUT = 10.0
+
+#: The answer to a frame that does not decode as a request.
+_GARBLED_ANSWER = response_to_wire(Response(status=500))
+
+
+class FrameProtocol(asyncio.Protocol):
+    """One market connection: frames in, answers out, in arrival order.
+
+    The connection is *held* while a tier latency wait or a full write
+    buffer is pending; a held connection stops reading and answers no
+    further frame until it is released, so answers keep request order.
+    """
+
+    def __init__(self, tier: "ServingTier", market_id: str):
+        self._tier = tier
+        self._market_id = market_id
+        self._server = tier._servers[market_id]
+        self._latency_s = tier._latency_s
+        self._buffer = bytearray()
+        self._transport: Optional[asyncio.Transport] = None
+        self._holds = 0
+        self._timer: Optional[asyncio.TimerHandle] = None
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._tier.connections_accepted[self._market_id] += 1
+
+    def connection_lost(self, exc) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._serve()
+
+    def pause_writing(self) -> None:
+        self._hold()
+
+    def resume_writing(self) -> None:
+        self._release()
+
+    def _serve(self) -> None:
+        """Answer every complete frame in the buffer while not held."""
+        buffer = self._buffer
+        while not self._holds and len(buffer) >= FRAME_HEADER_BYTES:
+            end = FRAME_HEADER_BYTES + int.from_bytes(buffer[:FRAME_HEADER_BYTES], "big")
+            if end - FRAME_HEADER_BYTES > MAX_FRAME_BYTES:
+                # A corrupt or misaligned length prefix: nothing after
+                # it can be framed, and there is no request to answer.
+                self._transport.close()
+                return
+            if len(buffer) < end:
+                return
+            payload = bytes(buffer[FRAME_HEADER_BYTES:end])
+            del buffer[:end]
+            try:
+                request = decode_request(payload)
+            except Exception:
+                # A garbled frame poisons the stream; answer a 500 so
+                # the client's retry path reconnects, then drop the
+                # connection (close() flushes the answer first).
+                self._transport.write(_GARBLED_ANSWER)
+                self._transport.close()
+                return
+            if self._latency_s:
+                self._hold()
+                self._timer = asyncio.get_running_loop().call_later(
+                    self._latency_s, self._answer_held, request
+                )
+                return
+            self._answer(request)
+
+    def _answer(self, request) -> None:
+        response = self._server.handle(request)
+        self._tier.frames_served[self._market_id] += 1
+        self._transport.write(response_to_wire(response))
+
+    def _answer_held(self, request) -> None:
+        self._timer = None
+        try:
+            self._answer(request)
+        except BaseException:
+            self._transport.abort()
+            raise
+        self._release()
+
+    def _hold(self) -> None:
+        if not self._holds:
+            self._transport.pause_reading()
+        self._holds += 1
+
+    def _release(self) -> None:
+        self._holds -= 1
+        if not self._holds:
+            self._transport.resume_reading()
+            self._serve()
 
 
 class ServingTier:
@@ -117,10 +227,12 @@ class ServingTier:
         return self
 
     async def _bind_all(self) -> Dict[str, int]:
+        loop = asyncio.get_running_loop()
         ports: Dict[str, int] = {}
         for market_id in self._servers:
-            listener = await asyncio.start_server(
-                self._connection_handler(market_id), self._host, 0
+            listener = await loop.create_server(
+                lambda market_id=market_id: FrameProtocol(self, market_id),
+                self._host, 0,
             )
             self._listeners[market_id] = listener
             ports[market_id] = listener.sockets[0].getsockname()[1]
@@ -154,49 +266,6 @@ class ServingTier:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
-
-    # -- connections -------------------------------------------------------
-
-    def _connection_handler(self, market_id: str):
-        server = self._servers[market_id]
-
-        async def handle_connection(
-            reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-        ) -> None:
-            self.connections_accepted[market_id] += 1
-            try:
-                while True:
-                    try:
-                        payload = await read_frame(reader)
-                    except (asyncio.IncompleteReadError, ConnectionError):
-                        return  # client went away between frames
-                    try:
-                        request = decode_request(payload)
-                    except Exception:
-                        # A garbled frame poisons the stream; answer a
-                        # 500 so the client's retry path reconnects,
-                        # then drop the connection.
-                        writer.write(pack_frame(encode_response(
-                            Response(status=500)
-                        )))
-                        await writer.drain()
-                        return
-                    if self._latency_s:
-                        await asyncio.sleep(self._latency_s)
-                    response = server.handle(request)
-                    self.frames_served[market_id] += 1
-                    writer.write(pack_frame(encode_response(response)))
-                    await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # mid-write drop: nothing left to tell the peer
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (OSError, ConnectionError):  # pragma: no cover
-                    pass
-
-        return handle_connection
 
     # -- addresses & transports --------------------------------------------
 

@@ -6,6 +6,9 @@ encoding is canonical (same value, same bytes), so snapshots digest
 identically whether a market answered JSON or wire.
 """
 
+import collections
+import enum
+import hashlib
 import math
 
 import numpy as np
@@ -96,6 +99,27 @@ class TestCanonical:
         # is part of the bytes, like protobuf field numbers.
         assert encode({"a": 1, "b": 2}) != encode({"b": 2, "a": 1})
         assert decode(encode({"b": 2, "a": 1})) == {"a": 1, "b": 2}
+
+    def test_subclasses_encode_as_their_base(self):
+        class Code(enum.IntEnum):
+            OK = 200
+
+        class Name(str):
+            pass
+
+        class Score(float):
+            pass
+
+        value = collections.OrderedDict([
+            ("code", Code.OK), (Name("name"), Name("示例")), ("score", Score(4.5)),
+            ("range", (10, 100)), ("blob", bytearray(b"\x00\x01")),
+        ])
+        assert encode(value) == encode({
+            "code": 200, "name": "示例", "score": 4.5,
+            "range": [10, 100], "blob": b"\x00\x01",
+        })
+        with pytest.raises(WireError, match="^cannot encode object$"):
+            encode([object()])
 
     def test_magic_prefix(self):
         payload = encode({"x": 1})
@@ -200,3 +224,114 @@ class TestMalformedProperty:
     @given(st.binary(max_size=200))
     def test_arbitrary_bytes_after_magic(self, body):
         self._decodes_or_wire_error(WIRE_MAGIC + body)
+
+
+def golden_corpus():
+    """Values that hit every tag, every varint width boundary, the float
+    edge cases, non-ASCII text and nesting at exactly ``MAX_NESTING``.
+
+    Each value is encoded on its own, so the nested ones sit at the
+    decoder's depth cap without a wrapping container."""
+    sizes = (0, 127, 128, 16383, 16384)
+    values = [None, False, True, 0, 1.5, -0.0, math.inf, -math.inf, math.nan]
+    values += [63, -63, 64, -64, 8191, 8192, -8192, -8193]
+    values += [2**63, -(2**63), 2**63 - 1, -(2**63) + 1, 10**100, -(10**100)]
+    for n in sizes:
+        values.append("x" * n)
+        values.append(bytes(i % 256 for i in range(n)))
+        values.append([i - 64 for i in range(n)])
+        values.append({f"k{i}": i for i in range(n)})
+    # UTF-8 byte lengths 127/128 from two-byte characters.
+    values += ["é" * 63 + "x", "é" * 64, "手机助手 Pro", "🚀📱", "app商店"]
+    values.append({
+        "名前": "手机助手 Pro",
+        "é" * 64: "long key",
+        "k" * 127: "é" * 64,
+        "small": -64,
+        "edge": 63,
+        "wide": 2**63,
+        "none": None,
+        "flags": [True, False],
+        "rating": 4.5,
+        "blob": b"\x00\xff",
+        "nested": {"install_range": [10, 100], "tags": []},
+    })
+    nested_list, nested_dict = None, None
+    for _ in range(wire.MAX_NESTING):
+        nested_list = [nested_list]
+        nested_dict = {"a": nested_dict}
+    values += [nested_list, nested_dict]
+    return values
+
+
+class TestGolden:
+    """The RW01 bytes are a committed format: any codec rewrite must
+    reproduce them exactly."""
+
+    DIGEST = "7f811a00404fa46b092d03c9ccda7e42"
+
+    def test_corpus_digest(self):
+        hasher = hashlib.blake2b(digest_size=16)
+        for value in golden_corpus():
+            hasher.update(encode(value))
+        assert hasher.hexdigest() == self.DIGEST
+
+    def test_corpus_round_trips(self):
+        for value in golden_corpus():
+            payload = encode(value)
+            assert encode(decode(payload)) == payload
+
+    def test_one_past_the_nesting_cap(self):
+        for value in golden_corpus()[-2:]:
+            with pytest.raises(WireError, match="^nesting too deep$"):
+                decode(encode([value]))
+
+
+class TestInlineErrorText:
+    """Malformed dict entries fail with the same text however the
+    decoder reaches them."""
+
+    @staticmethod
+    def _fails(payload: bytes, message: str) -> None:
+        with pytest.raises(WireError) as info:
+            decode(payload)
+        assert str(info.value) == message
+
+    def test_truncated_key(self):
+        payload = encode({"key": 1})
+        self._fails(payload[:len(payload) - 3], "truncated string")
+        # the dict ends right at the key's tag, then at its length byte
+        head = WIRE_MAGIC + bytes((wire._TAG_DICT, 1, wire._TAG_STR))
+        self._fails(head, "truncated varint")
+        self._fails(head[:-1], "truncated value")
+
+    def test_truncated_value(self):
+        payload = encode({"k": "value"})
+        self._fails(payload[:-2], "truncated string")
+        self._fails(encode({"k": 5})[:-1], "truncated varint")
+        self._fails(encode({"k": 5})[:-2], "truncated value")
+
+    def test_non_str_key(self):
+        for key in (bytes((wire._TAG_INT, 2)), bytes((wire._TAG_NONE,)),
+                    bytes((wire._TAG_LIST, 0))):
+            payload = WIRE_MAGIC + bytes((wire._TAG_DICT, 1)) + key + bytes((wire._TAG_NONE,))
+            self._fails(payload, "dict key is not a string")
+        with pytest.raises(WireError, match="^dict keys must be str, got int$"):
+            encode({1: "non-string key"})
+
+    def test_invalid_utf8_key(self):
+        payload = WIRE_MAGIC + bytes((wire._TAG_DICT, 1, wire._TAG_STR, 2, 0x41, 0xFF, 0))
+        self._fails(
+            payload,
+            "invalid utf-8 payload: 'utf-8' codec can't decode byte 0xff "
+            "in position 1: invalid start byte",
+        )
+
+    def test_invalid_utf8_value(self):
+        payload = WIRE_MAGIC + bytes((wire._TAG_DICT, 1, wire._TAG_STR, 1, 0x6B,
+                                      wire._TAG_STR, 1, 0xC3))
+        self._fails(
+            payload,
+            "invalid utf-8 payload: 'utf-8' codec can't decode byte 0xc3 "
+            "in position 0: unexpected end of data",
+        )

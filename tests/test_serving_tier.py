@@ -2,13 +2,22 @@
 
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.markets.server import MarketServer
 from repro.markets.store import build_stores
-from repro.net.http import Request, Response
+from repro.net.http import Request
+from repro.net.transport import (
+    FRAME_HEADER_BYTES,
+    _recv_exactly,
+    decode_response,
+    frame_length,
+    request_to_wire,
+)
 from repro.serving import ServingTier
+from repro.serving.tier import FrameProtocol
 from repro.util.simtime import SimClock
 
 
@@ -80,7 +89,8 @@ class TestExchanges:
     def test_concurrent_connections(self, servers):
         market_id = "google_play"
         listing = next(iter(servers[market_id].store.iter_live(0.0)))
-        with ServingTier(servers, latency_s=0.005) as tier:
+        latency_s = 0.25
+        with ServingTier(servers, latency_s=latency_s) as tier:
             results = []
             def worker():
                 transport = tier.transport(market_id)
@@ -92,23 +102,103 @@ class TestExchanges:
                 finally:
                     transport.close()
             threads = [threading.Thread(target=worker) for _ in range(8)]
+            started = time.perf_counter()
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
+            elapsed = time.perf_counter() - started
             assert len(results) == 8
+            # The eight latency waits overlap: served one after another
+            # they would take 8 * latency_s.
+            assert elapsed < 4 * latency_s
             assert all(r.ok for r in results)
             assert tier.connections_accepted[market_id] == 8
             assert tier.total_frames_served == 8
+
+    @pytest.mark.parametrize("latency_s", [0.0, 0.005])
+    def test_pipelined_frames_answer_in_order(self, servers, latency_s):
+        # Two request frames in one sendall: the tier answers both, in
+        # order, also while a latency wait holds the first one.
+        market_id = "google_play"
+        first, second = list(servers[market_id].store.iter_live(0.0))[:2]
+        frames = b"".join(
+            request_to_wire(Request("/app", {"package": listing.package},
+                                    {"x-sim-time": "0.0"}))
+            for listing in (first, second)
+        )
+        with ServingTier(servers, latency_s=latency_s) as tier:
+            with socket.create_connection(tier.address(market_id)) as sock:
+                sock.sendall(frames)
+                answers = [
+                    decode_response(_recv_exactly(
+                        sock, frame_length(_recv_exactly(sock, FRAME_HEADER_BYTES))
+                    ))
+                    for _ in range(2)
+                ]
+            assert [a.json["package"] for a in answers] == [first.package, second.package]
+            assert tier.frames_served[market_id] == 2
+            assert tier.connections_accepted[market_id] == 1
+
+    def test_unread_answers_pause_the_connection(self, servers, monkeypatch):
+        # A peer that pipelines frames without reading its answers: once
+        # the tier's write buffer fills it stops reading, and it answers
+        # every frame, in order, as the peer drains them.
+        pauses = []
+        pause_writing = FrameProtocol.pause_writing
+
+        def counting_pause(protocol):
+            pauses.append(protocol)
+            pause_writing(protocol)
+
+        monkeypatch.setattr(FrameProtocol, "pause_writing", counting_pause)
+        market_id = "google_play"
+        listings = list(servers[market_id].store.iter_live(0.0))
+        order = [listings[i % len(listings)].package for i in range(20_000)]
+        frames = b"".join(
+            request_to_wire(Request("/app", {"package": package}, {"x-sim-time": "0.0"}))
+            for package in order
+        )
+        with ServingTier(servers) as tier:
+            with socket.socket() as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.connect(tier.address(market_id))
+                sender = threading.Thread(target=sock.sendall, args=(frames,))
+                sender.start()
+                deadline = time.monotonic() + 10.0
+                while not pauses and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                answers = [
+                    decode_response(_recv_exactly(
+                        sock, frame_length(_recv_exactly(sock, FRAME_HEADER_BYTES))
+                    ))
+                    for _ in order
+                ]
+                sender.join()
+        assert pauses
+        assert [a.json["package"] for a in answers] == order
+
+    @pytest.mark.parametrize("latency_s", [0.0, 0.005])
+    def test_request_the_server_fails_on_drops_the_connection(self, servers, latency_s):
+        # ``handle`` raising (a page that is not a number) closes the
+        # connection instead of leaving the peer waiting out its
+        # timeout, and the listener keeps serving new connections.
+        request = Request("/category", {"name": "Game", "page": "x"}, {"x-sim-time": "0.0"})
+        with ServingTier(servers, latency_s=latency_s) as tier:
+            with socket.create_connection(tier.address("google_play"), timeout=5.0) as sock:
+                sock.sendall(request_to_wire(request))
+                assert sock.recv(1) == b""
+            transport = tier.transport("google_play")
+            try:
+                assert transport(Request("/categories", {}, {"x-sim-time": "0.0"})).ok
+            finally:
+                transport.close()
 
     def test_garbled_frame_gets_500_and_drop(self, servers):
         with ServingTier(servers) as tier:
             host, port = tier.address("google_play")
             with socket.create_connection((host, port)) as sock:
                 sock.sendall((4).to_bytes(4, "big") + b"junk")
-                from repro.net.transport import _recv_exactly, frame_length
-                from repro.net.transport import decode_response
-
                 header = _recv_exactly(sock, 4)
                 resp = decode_response(_recv_exactly(sock, frame_length(header)))
                 assert resp.status == 500
