@@ -93,9 +93,10 @@ class ArtifactCache:
         <root>/<analyzer>/<version>/<md5[:2]>/<md5>.json
 
     Each file wraps its payload with the key it was stored under; a
-    ``get`` whose wrapper does not match (or whose file is truncated or
-    not JSON at all) counts as ``corrupt`` and behaves as a miss, so a
-    damaged cache degrades to recomputation instead of wrong results.
+    ``get`` whose wrapper does not match (or whose file is truncated,
+    nested too deep to decode, or not JSON at all) counts as ``corrupt``
+    and behaves as a miss, so a damaged cache degrades to recomputation
+    instead of wrong results.
     """
 
     def __init__(self, root: os.PathLike):
@@ -125,7 +126,7 @@ class ArtifactCache:
             ):
                 raise ValueError("cache entry key mismatch")
             payload = doc["payload"]
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):
             with self._lock:
                 self.stats.corrupt += 1
                 self.stats.misses += 1

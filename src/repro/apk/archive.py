@@ -208,8 +208,9 @@ def parse_apk(blob: bytes) -> ParsedApk:
     """Parse a serialized APK blob.
 
     Raises :class:`ApkParseError` on malformed input (bad magic,
-    truncation, corrupt payload, a document inflating past
-    :data:`MAX_DOCUMENT_BYTES`, or schema violations).
+    truncation, corrupt payload or JSON nested too deep to decode, a
+    document inflating past :data:`MAX_DOCUMENT_BYTES`, or schema
+    violations), never anything else.
     """
     if len(blob) < len(MAGIC) + 4:
         raise ApkParseError("blob too short")
@@ -229,7 +230,8 @@ def parse_apk(blob: bytes) -> ParsedApk:
         if not inflater.eof:
             raise ApkParseError("corrupt payload: truncated stream")
         doc = json.loads(document.decode("utf-8"))
-    except (zlib.error, ValueError) as exc:
+    except (zlib.error, ValueError, RecursionError) as exc:
+        # RecursionError: JSON nested too deep for the decoder's stack.
         raise ApkParseError(f"corrupt payload: {exc}") from exc
 
     try:
@@ -261,5 +263,5 @@ def parse_apk(blob: bytes) -> ParsedApk:
             md5=hashlib.md5(blob).hexdigest(),
             size_bytes=len(blob),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ApkParseError(f"schema violation: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ApkParseError(f"schema violation: {exc!r}") from exc

@@ -43,7 +43,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from repro.apk.archive import ApkParseError, parse_apk
 from repro.crawler.backfill import ArchiveBackfill
 from repro.crawler.engine import CrawlEngine
-from repro.crawler.journal import CampaignJournal, CrawlJournal, LaneJournal
+from repro.crawler.journal import CampaignJournal, CrawlJournal
 from repro.crawler.snapshot import (
     APK_FROM_ARCHIVE,
     APK_FROM_MARKET,
@@ -439,62 +439,44 @@ class CrawlCoordinator:
                 if cached is not None:
                     span["replayed"] = True
                     return cached
-                values: List[object] = []
+                # A lost query gets an empty hit list (keeping the merge
+                # step's offsets aligned) and, unless the answer was
+                # definitive, a dead letter.
+                hits: List[List[Metadata]] = []
+                dead: List[List[str]] = []
+                quarantined = False
                 for query in queries:
                     try:
-                        values.append(client.get_json("/search", {"q": query}))
-                    except MarketQuarantinedError as exc:
+                        hits.append(client.get_json("/search", {"q": query}))
+                        continue
+                    except MarketQuarantinedError:
                         if self._fail_fast:
                             raise
                         # Stop sending: every remaining query is lost
                         # to the same quarantine.
-                        values += [exc] * (len(queries) - len(values))
+                        quarantined = True
+                        for lost in queries[len(hits):]:
+                            hits.append([])
+                            dead.append([lost, REASON_QUARANTINED])
                         break
-                    except HttpError as exc:
-                        values.append(exc)
-                result = self._classify_search(queries, values)
+                    except ForbiddenError as exc:
+                        # An anti-bot ban that rotation/waiting could not
+                        # clear is lost work; a policy 403 is a definitive
+                        # answer (like 404).
+                        if exc.retry_after is not None:
+                            dead.append([query, REASON_BANNED])
+                    except RateLimitedError:
+                        dead.append([query, REASON_RATE_LIMITED])
+                    except HttpError:
+                        dead.append([query, REASON_RETRY_EXHAUSTED])
+                    hits.append([])
+                result = {"hits": hits, "quarantined": quarantined, "dead": dead}
                 if lane is not None:
                     lane.record("search", key, result, self._checkpoint(market_id))
-                span["quarantined"] = result["quarantined"]
+                span["quarantined"] = quarantined
                 return result
 
         return run
-
-    def _classify_search(self, queries: Sequence[str], values: Sequence[object]) -> dict:
-        """Map each query's answer (hits or exception) to hits and dead letters.
-
-        ``values`` holds one entry per query in submission order.  A
-        lost query gets an empty hit list (keeping the merge step's
-        offsets aligned) and, unless the answer was definitive, a
-        dead-letter reason.  Nothing is sent after a quarantine, so
-        every later query carries the quarantine error.
-        """
-        hits: List[List[Metadata]] = []
-        dead: List[List[str]] = []
-        quarantined = False
-        for query, value in zip(queries, values):
-            if not isinstance(value, BaseException):
-                hits.append(value)
-                continue
-            hits.append([])
-            if isinstance(value, MarketQuarantinedError):
-                if self._fail_fast:
-                    raise value
-                quarantined = True
-                dead.append([query, REASON_QUARANTINED])
-            elif isinstance(value, ForbiddenError):
-                if value.retry_after is not None:
-                    # Anti-bot ban that rotation/waiting could not clear;
-                    # a policy 403 is a definitive answer (like 404), not
-                    # lost work.
-                    dead.append([query, REASON_BANNED])
-            elif isinstance(value, RateLimitedError):
-                dead.append([query, REASON_RATE_LIMITED])
-            elif isinstance(value, HttpError):
-                dead.append([query, REASON_RETRY_EXHAUSTED])
-            else:
-                raise value  # not crawl weather: propagate
-        return {"hits": hits, "quarantined": quarantined, "dead": dead}
 
     # ------------------------------------------------------------------
     # APKs
@@ -550,7 +532,6 @@ class CrawlCoordinator:
         backfill = self._backfill
         lane_clock = self._engine.lane(market_id).clock
         lane = journal.lane(market_id) if journal is not None else None
-        store = journal.apks if journal is not None else None
 
         def fetch(record: CrawlRecord, quarantined: bool) -> Tuple[dict, object, bool]:
             """One live (market, package) fetch -> (doc, parsed, quarantined)."""
@@ -600,7 +581,7 @@ class CrawlCoordinator:
                     None,
                     quarantined,
                 )
-            md5 = store.put(parsed) if store is not None else parsed.md5
+            md5 = journal.apks.put(parsed) if journal is not None else parsed.md5
             return (
                 {"outcome": source, "md5": md5, "source": source,
                  "rate_limited": rate_limited, "reason": None},
@@ -635,7 +616,7 @@ class CrawlCoordinator:
                         if doc is None:
                             doc, parsed, quarantined = fetch(record, quarantined)
                             if lane is not None:
-                                # The APK doc is in the content store before
+                                # The APK doc is in the vault before
                                 # this line lands, so a torn entry never
                                 # dangles.
                                 lane.record(
@@ -651,7 +632,7 @@ class CrawlCoordinator:
                             )
                         if doc["md5"] is not None:
                             if parsed is None:
-                                parsed = store.get(doc["md5"])  # replayed
+                                parsed = journal.apk(doc["md5"])  # replayed
                             snapshot.attach_apk(record, parsed, doc["source"])
                             parsed = None  # released once attached
                         span["outcome"] = doc["outcome"]

@@ -18,13 +18,15 @@ digest equality at arbitrary cut points).
 
 Layout under the checkpoint root::
 
-    <root>/apks/<md5>.json             content-addressed parsed APKs
-    <root>/<campaign>/<market>.jsonl   one WAL per market lane
+    <root>/journal.json                  format version
+    <root>/apks/<md5[:2]>/<md5>.json     parsed APKs (a BlobVault)
+    <root>/<campaign>/<market>.jsonl     one WAL per market lane
 
-APK payloads are stored once by content digest and referenced from
-journal entries by MD5, so a lane entry stays small and replay
-re-hydrates :class:`~repro.apk.archive.ParsedApk` objects from the
-offline store.
+APK documents live in a :class:`~repro.store.blobs.BlobVault` — the
+same sharded, MD5-keyed store the out-of-core corpus uses — and journal
+entries reference them by MD5, so a lane entry stays small, replay
+re-hydrates :class:`~repro.apk.archive.ParsedApk` objects through the
+vault's bounded LRU, and the journal never holds the corpus in RAM.
 
 Entries are JSON lines ``{"kind", "key", "result", "state"}``.  The
 first entry of each lane is ``begin`` — the state at campaign start,
@@ -41,17 +43,18 @@ campaigns.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.apk.archive import ParsedApk
+from repro.store.blobs import BlobVault
 
-__all__ = ["CrawlJournal", "CampaignJournal", "LaneJournal", "ApkStore", "JournalError"]
+__all__ = ["CrawlJournal", "CampaignJournal", "LaneJournal", "JournalError"]
 
-#: Version 2: lane state journals the campaign's client counters plus
-#: the client's lifetime send ordinal (``sent``).
-JOURNAL_FORMAT_VERSION = 2
+#: Version 3: APK documents live in a sharded blob vault
+#: (``apks/<md5[:2]>/<md5>.json``).  Version 2 added the client's
+#: lifetime send ordinal (``sent``) to the lane state.
+JOURNAL_FORMAT_VERSION = 3
 
 KIND_BEGIN = "begin"
 
@@ -99,55 +102,6 @@ def _entry_problem(entry: object, first: bool) -> Optional[str]:
     return None
 
 
-class ApkStore:
-    """Content-addressed store of parsed APKs, shared by all lanes.
-
-    ``put`` is idempotent (same digest, same content) and crash-safe:
-    the doc is written to a unique temp file and atomically renamed, so
-    a journal entry never references a half-written APK as long as the
-    caller stores the APK *before* appending the entry.
-    """
-
-    def __init__(self, root: Union[str, Path]):
-        self._root = Path(root)
-        self._root.mkdir(parents=True, exist_ok=True)
-        self._cache: Dict[str, ParsedApk] = {}
-
-    def _path(self, md5: str) -> Path:
-        return self._root / f"{_sanitize(md5)}.json"
-
-    def put(self, apk: ParsedApk) -> str:
-        """Store one APK; returns its MD5 (the reference key)."""
-        from repro.crawler.dataset import _apk_to_doc
-
-        md5 = apk.md5
-        path = self._path(md5)
-        if md5 not in self._cache and not path.exists():
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.{id(apk):x}.tmp")
-            tmp.write_text(
-                json.dumps(_apk_to_doc(apk), separators=(",", ":")), encoding="utf-8"
-            )
-            os.replace(tmp, path)
-        self._cache[md5] = apk
-        return md5
-
-    def get(self, md5: str) -> ParsedApk:
-        """Load one APK by digest (cached)."""
-        from repro.crawler.dataset import _apk_from_doc
-
-        apk = self._cache.get(md5)
-        if apk is not None:
-            return apk
-        path = self._path(md5)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            apk = _apk_from_doc(doc)
-        except (OSError, ValueError, KeyError) as exc:
-            raise JournalError(f"APK store entry {md5} unreadable: {exc}") from exc
-        self._cache[md5] = apk
-        return apk
-
-
 class LaneJournal:
     """One market lane's WAL within one campaign.
 
@@ -175,8 +129,9 @@ class LaneJournal:
                 continue
             try:
                 entry = json.loads(line)
-            except ValueError as exc:
-                if lineno == len(lines) - 1:
+            except (ValueError, RecursionError) as exc:
+                # Nesting too deep to decode is damage, never a torn write.
+                if lineno == len(lines) - 1 and isinstance(exc, ValueError):
                     # Torn final line: the process died mid-append.  The
                     # WAL contract is that everything *before* it is
                     # complete, so resume simply loses the last unit.
@@ -267,7 +222,7 @@ class LaneJournal:
 class CampaignJournal:
     """All lane journals of one labeled campaign."""
 
-    def __init__(self, root: Path, label: str, apks: ApkStore, resume: bool):
+    def __init__(self, root: Path, label: str, apks: BlobVault, resume: bool):
         self.label = label
         self.apks = apks
         self._dir = root / _sanitize(label)
@@ -277,6 +232,14 @@ class CampaignJournal:
                 stale.unlink()
         self._dir.mkdir(parents=True, exist_ok=True)
         self._lanes: Dict[str, LaneJournal] = {}
+
+    def apk(self, md5: str) -> ParsedApk:
+        """A journaled entry's APK, read back from the vault."""
+        try:
+            return self.apks.load(md5)
+        except (OSError, ValueError, KeyError, TypeError, OverflowError,
+                RecursionError) as exc:
+            raise JournalError(f"APK vault entry {md5} unreadable: {exc!r}") from exc
 
     def lane(self, market_id: str) -> LaneJournal:
         lane = self._lanes.get(market_id)
@@ -291,11 +254,11 @@ class CampaignJournal:
 
 
 class CrawlJournal:
-    """One checkpoint directory: a shared APK store + per-campaign WALs.
+    """One checkpoint directory: a shared APK vault + per-campaign WALs.
 
     ``resume=False`` (the default) starts every campaign clean, deleting
     any stale lane journals under the same label; ``resume=True`` replays
-    whatever the directory already holds.  The APK store is kept either
+    whatever the directory already holds.  The APK vault is kept either
     way — it is content-addressed, so stale entries are harmless.
     """
 
@@ -305,7 +268,7 @@ class CrawlJournal:
         self.root.mkdir(parents=True, exist_ok=True)
         self._meta_path = self.root / "journal.json"
         self._check_version()
-        self.apks = ApkStore(self.root / "apks")
+        self.apks = BlobVault(self.root / "apks")
         self._campaigns: Dict[str, CampaignJournal] = {}
 
     def _check_version(self) -> None:

@@ -29,14 +29,12 @@ additionally:
   the earliest release — and transparently decodes binary wire payloads
   in :meth:`get_json`.
 
-Sans-IO: every decision lives in one generator,
-:meth:`ClientCore._exchange`, which yields each attempt's ``Request``
-(and is sent its ``Response``) or a :class:`TokenNeeded` step (and is
-sent a token).  Back-off advances the simulated clock, so it stays in
-the generator.  The driver owns the I/O and the login lock:
-:class:`HttpClient`, the one blocking driver, pushes each ``Request``
-through its transport (a server's ``handle`` or a
-:class:`~repro.net.transport.SocketTransport`), one in flight at a time.
+One request, one loop: every decision (pacing, identity checkout,
+token attachment, breaker accounting, re-login, ban rotation, 429 and
+transient retry budgets) lives in :meth:`HttpClient._request`, which
+pushes each attempt's ``Request`` through the client's transport (a
+server's ``handle`` or a :class:`~repro.net.transport.SocketTransport`),
+one in flight at a time.  Back-off advances the simulated clock.
 
 Jitter: a fleet of identical clients sleeping exactly ``retry_after``
 wakes up in lockstep and re-synchronizes the very storm the 429s were
@@ -52,9 +50,7 @@ from __future__ import annotations
 import operator
 import time
 from contextlib import contextmanager
-from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Generator, Iterator, Mapping, NamedTuple, Optional,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Mapping, Optional
 
 from repro.net import wire
 from repro.net.http import (
@@ -86,7 +82,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.identity import IdentityPool
     from repro.obs import LaneObs
 
-__all__ = ["ClientCore", "HttpClient", "ClientStats", "TokenNeeded", "counter_property",
+__all__ = ["HttpClient", "ClientStats", "counter_property",
            "RATE_LIMIT_JITTER_MAX", "MAX_AUTH_RETRIES"]
 
 #: Upper bound of the multiplicative jitter applied to rate-limit sleeps.
@@ -188,20 +184,14 @@ def _span_counters(stats: ClientStats) -> tuple:
             stats.logins, stats.bans_hit, stats.identity_rotations)
 
 
-class TokenNeeded(NamedTuple):
-    """A decision-loop step: the driver answers with a token valid at ``now``."""
-
-    now: float
-
-
-class ClientCore:
-    """Everything a crawl client decides, with no I/O of its own.
-
-    :class:`HttpClient` subclasses it, takes its I/O endpoint as the
-    first constructor argument, and passes the rest through.
+class HttpClient:
+    """A retrying client bound to one server endpoint.
 
     Parameters
     ----------
+    handler:
+        The server's ``handle(Request) -> Response`` callable, or any
+        transport of that shape.
     clock:
         Clock whose ``advance`` absorbs this client's sleeps.  Under the
         parallel crawl engine this is a per-market lane clock, so one
@@ -242,14 +232,16 @@ class ClientCore:
     obs:
         Optional :class:`~repro.obs.LaneObs` instrumentation binding.
         ``None`` (the default) is the fast path: per-request work is a
-        single ``is None`` branch, nothing is recorded.  Otherwise the
-        driver enters :meth:`_traced` around each logical request; its
-        ``http.request`` span attributes are deltas of this client's
-        counters, exact because one request is in flight at a time.
+        single ``is None`` branch, nothing is recorded.  Otherwise
+        :meth:`request` enters :meth:`_traced` around each logical
+        request; its ``http.request`` span attributes are deltas of this
+        client's counters, exact because one request is in flight at a
+        time.
     """
 
     def __init__(
         self,
+        handler: Callable[[Request], Response],
         clock: SimClock,
         retry_policy: Optional[RetryPolicy] = None,
         max_rate_limit_waits: int = 2,
@@ -262,6 +254,7 @@ class ClientCore:
         auth_path: str = "/login",
         obs: Optional["LaneObs"] = None,
     ):
+        self._handler = handler
         self._clock = clock
         self._retry_policy = retry_policy or RetryPolicy()
         self._max_rate_limit_waits = max_rate_limit_waits
@@ -298,7 +291,7 @@ class ClientCore:
 
     @contextmanager
     def _traced(self, path: str) -> Iterator[None]:
-        """Instrument one logical request; the driver enters it.
+        """Instrument one logical request.
 
         Feeds the lane's histograms and, when tracing, wraps the whole
         retry loop in one ``http.request`` span whose attributes report
@@ -346,15 +339,46 @@ class ClientCore:
                     if rotations:
                         span["identity_rotations"] = rotations
 
-    def _exchange(
-        self, path: str, params: Optional[Mapping[str, Any]]
-    ) -> Generator[Any, Any, Response]:
-        """One logical request's decision loop (see the module docstring).
+    def request(self, path: str, params: Optional[Mapping[str, Any]] = None) -> Response:
+        """Issue a request, retrying transient failures.
 
-        Returns (as ``StopIteration.value``) the successful response;
-        raises what the driver's ``request`` documents.  The headers
-        are rebuilt per attempt because the identity, the token, and
-        the lane-time stamp can all change between retries.
+        Raises
+        ------
+        NotFoundError
+            On 404.
+        RateLimitedError
+            When the server keeps answering 429 past the waits budget,
+            or hints a wait above ``max_rate_limit_wait``.
+        AuthError
+            When the server keeps answering 401 past the re-login
+            budget (or no credentials are installed).
+        ForbiddenError
+            On a policy 403 (``retry_after`` unset — definitive, like a
+            404), or when identity rotation and waiting could not clear
+            an anti-bot ban.
+        RequestTimeoutError
+            When timeouts persist past the retry budget.
+        MalformedPayloadError
+            When garbled payloads persist past the retry budget.
+        ServerError
+            When 5xx persists past the retry budget.
+        CircuitOpenError / MarketQuarantinedError
+            From the circuit breaker, before any request is sent, when
+            the market's circuit is open (cooling down) or the market
+            has been quarantined outright.
+        """
+        if self.obs is None:
+            return self._request(path, params)
+        with self._traced(path):
+            return self._request(path, params)
+
+    def _request(self, path: str, params: Optional[Mapping[str, Any]]) -> Response:
+        """One logical request's decision loop, uninstrumented.
+
+        Returns the successful response; raises what :meth:`request`
+        documents.  The headers are rebuilt per attempt because the
+        identity, the token, and the lane-time stamp can all change
+        between retries.
         """
         if self.breaker is not None:
             try:
@@ -381,10 +405,10 @@ class ClientCore:
                                 identity=identity.ip)
                 headers.update(identity.headers())
             if self.credentials is not None and path != self._auth_path:
-                headers["authorization"] = yield TokenNeeded(now)
+                headers["authorization"] = self._token(now)
             self.stats.requests += 1
             self.sent += 1
-            resp = yield Request(path=path, params=base_params, headers=headers)
+            resp = self._handler(Request(path=path, params=base_params, headers=headers))
             if resp.ok:
                 if self.breaker is not None:
                     self.breaker.record_success()
@@ -459,6 +483,15 @@ class ClientCore:
             self.stats.retries += 1
             self._sleep(self._retry_policy.delay(transient_retries))
 
+    def _token(self, now: float) -> str:
+        """A session token valid at ``now``, logging in single-flight."""
+        creds = self.credentials
+        with creds.lock:
+            token = creds.token_if_valid(now)
+            if token is None:
+                token = self._install_token(self._request(self._auth_path, None))
+            return token
+
     def _rotate_off_ban(self, now: float) -> bool:
         """Advance the pool past banned identities; True when rotated."""
         if self.identities is not None and self.identities.rotate_to_available(now):
@@ -520,86 +553,13 @@ class ClientCore:
             return wire.decode(resp.body)
         return resp.json
 
-    @staticmethod
-    def _body(path: str, resp: Response) -> bytes:
-        """The response's binary body; a bodyless answer is a server error."""
-        if resp.body is None:
-            raise ServerError(path)
-        return resp.body
-
-
-class HttpClient(ClientCore):
-    """The blocking driver: a retrying client bound to one server endpoint.
-
-    ``handler`` is the server's ``handle(Request) -> Response`` callable
-    (or any transport of that shape); the remaining parameters are
-    :class:`ClientCore`'s.
-    """
-
-    def __init__(self, handler: Callable[[Request], Response], *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._handler = handler
-
-    def request(self, path: str, params: Optional[Mapping[str, Any]] = None) -> Response:
-        """Issue a request, retrying transient failures.
-
-        Raises
-        ------
-        NotFoundError
-            On 404.
-        RateLimitedError
-            When the server keeps answering 429 past the waits budget,
-            or hints a wait above ``max_rate_limit_wait``.
-        AuthError
-            When the server keeps answering 401 past the re-login
-            budget (or no credentials are installed).
-        ForbiddenError
-            On a policy 403 (``retry_after`` unset — definitive, like a
-            404), or when identity rotation and waiting could not clear
-            an anti-bot ban.
-        RequestTimeoutError
-            When timeouts persist past the retry budget.
-        MalformedPayloadError
-            When garbled payloads persist past the retry budget.
-        ServerError
-            When 5xx persists past the retry budget.
-        CircuitOpenError / MarketQuarantinedError
-            From the circuit breaker, before any request is sent, when
-            the market's circuit is open (cooling down) or the market
-            has been quarantined outright.
-        """
-        if self.obs is None:
-            return self._request(path, params)
-        with self._traced(path):
-            return self._request(path, params)
-
-    def _request(self, path: str, params: Optional[Mapping[str, Any]]) -> Response:
-        """The uninstrumented request: drive the decision loop."""
-        steps = self._exchange(path, params)
-        reply = None
-        while True:
-            try:
-                step = steps.send(reply)
-            except StopIteration as done:
-                return done.value
-            if step.__class__ is TokenNeeded:
-                reply = self._token(step.now)
-            else:
-                reply = self._handler(step)
-
-    def _token(self, now: float) -> str:
-        """A session token valid at ``now``, logging in single-flight."""
-        creds = self.credentials
-        with creds.lock:
-            token = creds.token_if_valid(now)
-            if token is None:
-                token = self._install_token(self._request(self._auth_path, None))
-            return token
-
     def get_json(self, path: str, params: Optional[Mapping[str, Any]] = None) -> Any:
         """Request and return the payload (binary wire decoded)."""
         return self._payload(self.request(path, params))
 
     def get_bytes(self, path: str, params: Optional[Mapping[str, Any]] = None) -> bytes:
-        """Request and return the binary body."""
-        return self._body(path, self.request(path, params))
+        """Request and return the binary body; a bodyless answer is a server error."""
+        body = self.request(path, params).body
+        if body is None:
+            raise ServerError(path)
+        return body

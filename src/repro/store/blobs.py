@@ -1,8 +1,8 @@
 """Content-addressed APK blob vault with lazy proxies.
 
-The vault stores parsed-APK documents on disk keyed by MD5 (the same
-content address the crawl journal's :class:`~repro.crawler.journal.ApkStore`
-uses), sharded two hex characters deep, and serves reads through
+The vault stores parsed-APK documents on disk keyed by MD5 (the crawl
+journal keeps its APKs in one too, at ``<checkpoint>/apks``), sharded
+two hex characters deep, and serves reads through
 ``mmap`` so repeated loads of a hot shard stay in the page cache rather
 than duplicating bytes per reader.  A bounded LRU of decoded
 :class:`~repro.apk.archive.ParsedApk` objects sits on top; the bound is

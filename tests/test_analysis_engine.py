@@ -74,6 +74,14 @@ class TestArtifactCache:
         assert cache.stats.corrupt == 1
         assert cache.stats.misses == 1
 
+    def test_deeply_nested_entry_is_corrupt_miss(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        cache.put("lib", "1", "ab" * 16, {"x": 1})
+        cache.entry_path("lib", "1", "ab" * 16).write_text("[" * 200_000)
+        assert cache.get("lib", "1", "ab" * 16) is None
+        assert cache.stats.corrupt == 1
+        assert cache.stats.misses == 1
+
     def test_key_mismatch_is_corrupt_miss(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put("lib", "1", "ab" * 16, 42)

@@ -1,6 +1,8 @@
 """Tests for APK serialization/parsing, including property-based roundtrips."""
 
 import hashlib
+import json
+import re
 import struct
 import zlib
 
@@ -8,10 +10,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apk.archive import MAGIC, ApkParseError, parse_apk, serialize_apk
+from repro.apk.archive import (
+    MAGIC,
+    MAX_DOCUMENT_BYTES,
+    ApkParseError,
+    parse_apk,
+    serialize_apk,
+)
 from repro.apk.models import Apk, ChannelFile, CodePackage, FEATURE_SPACE, Manifest
 
 from conftest import make_apk_bytes
+
+
+_VALID = make_apk_bytes()
+_DOCUMENT = zlib.decompress(_VALID[len(MAGIC) + 4:])
+
+
+def _wrap(document: bytes) -> bytes:
+    """A well-framed blob around an arbitrary inflated document."""
+    payload = zlib.compress(document, 6)
+    return MAGIC + struct.pack(">I", len(payload)) + payload
 
 
 class TestRoundtrip:
@@ -112,6 +130,18 @@ class TestMalformed:
     def test_magic_prefix(self):
         assert make_apk_bytes().startswith(MAGIC)
 
+    def test_deep_nesting_is_a_parse_error(self):
+        # ~200 KB inflated, under the document cap: the JSON decoder runs
+        # out of stack, which must surface as a typed parse failure.
+        with pytest.raises(ApkParseError, match="corrupt payload"):
+            parse_apk(_wrap(b"[" * 200_000))
+
+    def test_non_finite_integer_is_a_schema_violation(self):
+        doc = json.loads(_DOCUMENT)
+        doc["manifest"]["version_code"] = float("inf")
+        with pytest.raises(ApkParseError, match="schema violation"):
+            parse_apk(_wrap(json.dumps(doc).encode()))
+
 
 # ---------------------------------------------------------------------------
 # property-based roundtrip
@@ -171,3 +201,96 @@ def test_digest_stable_under_roundtrip(apk):
     parsed = parse_apk(serialize_apk(apk))
     for original, restored in zip(apk.packages, parsed.packages):
         assert original.feature_digest == restored.feature_digest
+
+
+# ---------------------------------------------------------------------------
+# property-based hostile input
+# ---------------------------------------------------------------------------
+
+#: Every cause parse_apk names, as the first words of its message.
+_CAUSES = re.compile(
+    r"(blob too short|bad magic|payload length mismatch: |corrupt payload: "
+    r"|payload inflates past |schema violation: )"
+)
+
+
+def _parse_outcome(blob):
+    """parse_apk's outcome: a ParsedApk, or the message of its ApkParseError."""
+    try:
+        return parse_apk(blob)
+    except ApkParseError as exc:
+        assert _CAUSES.match(str(exc)), str(exc)
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=len(_VALID) - 1))
+def test_truncated_blob_is_a_parse_error(cut):
+    assert isinstance(_parse_outcome(_VALID[:cut]), str)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=len(_VALID) - 1), st.integers(0, 7))
+def test_bit_flipped_blob_parses_or_names_its_cause(offset, bit):
+    blob = bytearray(_VALID)
+    blob[offset] ^= 1 << bit
+    _parse_outcome(bytes(blob))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                               max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(value, prefix=()):
+    """Every path (a tuple of keys and indexes) inside a decoded document."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            yield from _paths(child, prefix + (index,))
+
+
+_DOC_PATHS = [path for path in _paths(json.loads(_DOCUMENT)) if path]
+
+
+@st.composite
+def mutated_documents(draw):
+    """The valid document, mutated at the byte or the JSON level."""
+    kind = draw(st.sampled_from(["replace", "delete", "bytes", "nest", "pad"]))
+    if kind in ("replace", "delete"):
+        doc = json.loads(_DOCUMENT)
+        *parents, last = draw(st.sampled_from(_DOC_PATHS))
+        node = doc
+        for step in parents:
+            node = node[step]
+        if kind == "delete":
+            del node[last]
+        else:
+            node[last] = draw(_JSON_VALUES)
+        return json.dumps(doc).encode()
+    if kind == "nest":
+        depth = draw(st.integers(min_value=1, max_value=300_000))
+        return b"[" * depth + _DOCUMENT + b"]" * draw(st.integers(0, depth))
+    if kind == "pad":
+        return _DOCUMENT + b" " * draw(st.integers(min_value=0, max_value=300_000))
+    data = bytearray(_DOCUMENT)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        offset = draw(st.integers(min_value=0, max_value=len(data) - 1))
+        data[offset] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_recompressed_mutation_parses_or_names_its_cause(document):
+    outcome = _parse_outcome(_wrap(document))
+    if len(document) > MAX_DOCUMENT_BYTES:
+        assert outcome == (
+            f"payload inflates past the {MAX_DOCUMENT_BYTES}-byte document cap"
+        )

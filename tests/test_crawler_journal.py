@@ -1,15 +1,17 @@
 """Checkpoint journal: WAL mechanics and full-fidelity replay."""
 
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apk.archive import parse_apk
 from repro.crawler.backfill import ArchiveBackfill
 from repro.crawler.crawler import CrawlCoordinator
 from repro.crawler.journal import (
-    ApkStore,
     CrawlJournal,
     JournalError,
     LaneJournal,
@@ -18,6 +20,7 @@ from repro.crawler.snapshot import CrawlRecord
 from repro.ecosystem.generator import EcosystemGenerator
 from repro.markets.server import MarketServer
 from repro.markets.store import build_stores
+from repro.store.corpus import CorpusStore
 from repro.util.rng import stable_hash32
 from repro.util.simtime import SimClock
 
@@ -30,7 +33,7 @@ def world():
 
 
 def crawl_once(world, root, resume=False, workers=1, faults=None,
-               download_apks=True, label="campaign"):
+               download_apks=True, label="campaign", corpus=None):
     """One full campaign against freshly built servers."""
     stores = build_stores(world)
     clock = SimClock()
@@ -49,6 +52,7 @@ def crawl_once(world, root, resume=False, workers=1, faults=None,
         download_apks=download_apks,
         workers=workers,
         journal=journal,
+        corpus=corpus,
     )
     snapshot = coordinator.crawl(label, duration_days=15.0)
     if journal is not None:
@@ -84,26 +88,57 @@ def assert_records_identical(a, b):
 
 
 class TestApkStore:
+    """The journal's APK vault (``<ckpt>/apks``)."""
+
     def test_put_get_roundtrip(self, tmp_path):
-        store = ApkStore(tmp_path / "apks")
         apk = make_parsed(package="com.store.roundtrip")
-        md5 = store.put(apk)
-        fresh = ApkStore(tmp_path / "apks")  # cold cache: reads the file
-        loaded = fresh.get(md5)
+        md5 = CrawlJournal(tmp_path).apks.put(apk)
+        fresh = CrawlJournal(tmp_path, resume=True)  # cold cache: reads the file
+        loaded = fresh.campaign("c").apk(md5)
         assert loaded.md5 == apk.md5
         assert loaded.manifest == apk.manifest
         assert loaded.package_digests() == apk.package_digests()
 
     def test_put_is_idempotent(self, tmp_path):
-        store = ApkStore(tmp_path / "apks")
+        vault = CrawlJournal(tmp_path).apks
         apk = make_parsed()
-        assert store.put(apk) == store.put(apk)
-        assert len(list((tmp_path / "apks").glob("*.json"))) == 1
+        assert vault.put(apk) == vault.put(apk)
+        assert len(list((tmp_path / "apks").rglob("*.json"))) == 1
 
     def test_missing_entry_raises(self, tmp_path):
-        store = ApkStore(tmp_path / "apks")
-        with pytest.raises(JournalError):
-            store.get("0" * 32)
+        campaign = CrawlJournal(tmp_path).campaign("c")
+        with pytest.raises(JournalError, match="0" * 32):
+            campaign.apk("0" * 32)
+
+    @pytest.mark.parametrize("content", [b"", b"{not json", b"[]", b"[" * 200_000],
+                             ids=["empty", "not-json", "array", "deep"])
+    def test_unreadable_entry_raises(self, tmp_path, content):
+        journal = CrawlJournal(tmp_path)
+        md5 = journal.apks.put(make_parsed())
+        next((tmp_path / "apks").rglob(f"{md5}.json")).write_bytes(content)
+        with pytest.raises(JournalError, match=md5):
+            journal.campaign("c").apk(md5)
+
+    def test_spilled_campaign_keeps_no_parsed_apk_alive(self, world, tmp_path, monkeypatch):
+        # Every APK a spilled campaign parses goes to disk twice (corpus
+        # vault, journal vault); once attached, nothing may pin it.
+        import repro.crawler.crawler as crawler_module
+
+        parsed = []
+
+        def tracking_parse(blob):
+            apk = parse_apk(blob)
+            parsed.append(weakref.ref(apk))
+            return apk
+
+        monkeypatch.setattr(crawler_module, "parse_apk", tracking_parse)
+        corpus = CorpusStore(tmp_path / "store", spill_threshold=0)
+        snapshot, coordinator = crawl_once(world, tmp_path / "ckpt", corpus=corpus)
+        gc.collect()
+        assert sum(r.apk is not None for r in snapshot) == len(parsed) > 100
+        assert [ref for ref in parsed if ref() is not None] == []
+        assert coordinator._journal.apks.loads == 0
+        corpus.close()
 
 
 class TestLaneJournal:
@@ -160,6 +195,19 @@ class TestLaneJournal:
         path.write_text('not json\n{"kind": "apk", "key": "a", "result": {}, "state": {}}\n')
         with pytest.raises(JournalError):
             LaneJournal(path, "tencent")
+
+    @pytest.mark.parametrize("final", [False, True])
+    def test_deeply_nested_line_is_corrupt(self, tmp_path, final):
+        # Too deep for the decoder's stack: damage, not a torn write,
+        # even as the final line.
+        good = '{"kind": "begin", "key": "tencent", "state": {}}'
+        nested = "[" * 100_000 + "]" * 100_000
+        lines = [good, nested] if final else [nested, good]
+        path = tmp_path / "tencent.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(JournalError) as err:
+            LaneJournal(path, "tencent")
+        assert str(err.value) == f"{path}:{2 if final else 1}: corrupt entry"
 
 
 _JSON = st.recursive(
@@ -272,8 +320,11 @@ class TestCrawlJournalLifecycle:
         resumed.close()
 
     def test_version_mismatch_raises(self, tmp_path):
-        (tmp_path / "journal.json").write_text(json.dumps({"version": 99}))
-        with pytest.raises(JournalError):
+        # A checkpoint written before APKs moved into the sharded vault.
+        (tmp_path / "journal.json").write_text(
+            json.dumps({"format": "repro-crawl-journal", "version": 2})
+        )
+        with pytest.raises(JournalError, match="unsupported journal version 2"):
             CrawlJournal(tmp_path)
 
 

@@ -10,6 +10,7 @@ The two acceptance properties of the robustness layer:
   campaign — unless the operator asked for ``fail_fast``.
 """
 
+import json
 import shutil
 
 import pytest
@@ -23,8 +24,9 @@ from repro.crawler.snapshot import HEALTH_DEGRADED
 from repro.ecosystem.generator import EcosystemGenerator
 from repro.markets.server import MarketServer
 from repro.markets.store import build_stores
-from repro.net.breaker import MarketQuarantinedError
+from repro.net.breaker import BreakerPolicy, MarketQuarantinedError
 from repro.net.faults import FaultPlan
+from repro.net.http import Response
 from repro.util.rng import stable_hash32
 from repro.util.simtime import FIRST_CRAWL_DAY, SimClock
 
@@ -322,3 +324,69 @@ class TestStudyLevelResume:
         assert (resumed.second_snapshot.content_digest()
                 == original.second_snapshot.content_digest())
         assert resumed.presence == original.presence
+
+
+class TestSearchPhaseClassification:
+    """Characterization of one lane's search round: every way a query
+    can end maps to the same journaled result document."""
+
+    MARKET = "tencent"
+    HIT = {"package": "com.hit", "app_name": "Hit"}
+    QUERIES = ["q-hits", "q-policy", "q-ban", "q-429", "q-5xx", "q-quarantine", "q-after"]
+
+    def _run(self, world, fail_fast):
+        sent = []
+
+        def stub(request):
+            query = request.params["q"]
+            sent.append(query)
+            if query == "q-policy":
+                return Response.forbidden()
+            if query == "q-ban":
+                return Response.forbidden(retry_after=0.5)
+            if query == "q-429":
+                return Response.rate_limited(0.01)
+            if query == "q-5xx":
+                return Response(status=500)
+            return Response.json_ok([dict(self.HIT)])
+
+        clock = SimClock()
+        store = build_stores(world)[self.MARKET]
+        coordinator = CrawlCoordinator(
+            {self.MARKET: MarketServer(store, clock)},
+            clock,
+            download_apks=False,
+            fail_fast=fail_fast,
+            # The 5xx give-up trips the breaker past its budget, so the
+            # query after it meets the quarantine.
+            breaker_policy=BreakerPolicy(failure_threshold=1, trip_budget=0),
+            transports={self.MARKET: stub},
+        )
+        run = coordinator._search_task(self.MARKET, self.QUERIES, 1, None)
+        return run, sent
+
+    def test_result_document(self, world):
+        run, sent = self._run(world, fail_fast=False)
+        result = run()
+        # Compared as the journal writes it: same keys, same order.
+        assert json.dumps(result, separators=(",", ":")) == json.dumps({
+            "hits": [[self.HIT], [], [], [], [], [], []],
+            "quarantined": True,
+            "dead": [
+                ["q-ban", "banned"],
+                ["q-429", "rate limited"],
+                ["q-5xx", "retry exhausted"],
+                ["q-quarantine", "market quarantined"],
+                ["q-after", "market quarantined"],
+            ],
+        }, separators=(",", ":"))
+        # 429 and 5xx ran out their budgets; nothing was sent once the
+        # market was quarantined.
+        assert sent.count("q-429") > 1 and sent.count("q-5xx") > 1
+        assert "q-quarantine" not in sent and "q-after" not in sent
+
+    def test_fail_fast_raises(self, world):
+        run, sent = self._run(world, fail_fast=True)
+        with pytest.raises(MarketQuarantinedError):
+            run()
+        assert "q-quarantine" not in sent
