@@ -1,37 +1,24 @@
-"""Benchmarks for sharded world generation and the segment cache.
+"""Benchmark for the segment cache's world-generation side.
 
-Two enforced floors, mirroring the crawl/analysis engines' bench
-contracts:
+One enforced floor: warm segment-cache blob building must beat the cold
+path by ``MIN_SEGMENT_SPEEDUP``× (zlib still runs per blob, so the win
+is bounded; the point is that it is real and never changes bytes).  The
+timed variants must also produce byte-identical blobs — a fast wrong
+answer fails the bench.
 
-* ``--gen-workers 4`` must generate at least ``MIN_PARALLEL_SPEEDUP``×
-  faster than serial at a scale large enough to amortize pool startup
-  (the plan/submit/injection stages stay serial, so the ceiling at 4
-  workers is ~2.3× with ~75% of generation time in the sharded build
-  and finalize passes).
-* Warm segment-cache blob building must beat the cold path by
-  ``MIN_SEGMENT_SPEEDUP``× (zlib still runs per blob, so the win is
-  bounded; the point is that it is real and never changes bytes).
+World generation itself is held by a count, not a timer:
+``tests/test_ecosystem_generator.py::TestWorldgenCallBudget`` bounds its
+Python calls per app.
 
-Every timed variant must also produce bit-identical output — the world
-content digest for the parallel run, blob md5s for the cached build.  A
-fast wrong answer fails the bench.
-
-These tests intentionally do NOT use the pytest-benchmark fixture: they
-enforce floors with their own timers (like the analysis-engine speedup
-benches) and must run in a plain ``pytest`` invocation — the CI worldgen
-job runs this file directly and uploads ``BENCH_worldgen.json`` next to
-BENCH_crawl/BENCH_analysis.
-
-The speedup floor needs real CPUs; it skips on machines with fewer than
-4 (CI's ubuntu runners have 4).  Determinism and byte-equality checks
-run everywhere.
+This test intentionally does NOT use the pytest-benchmark fixture: it
+enforces its floor with its own timers (like the analysis-engine
+speedup benches) and must run in a plain ``pytest`` invocation — the CI
+worldgen job runs this file directly and uploads ``BENCH_worldgen.json``
+next to BENCH_crawl/BENCH_analysis.
 """
 
 import hashlib
-import os
 import time
-
-import pytest
 
 from repro.apk.archive import SegmentCache
 from repro.ecosystem.generator import EcosystemGenerator
@@ -40,62 +27,12 @@ from repro.markets.store import build_stores
 from repro.obs.results import BenchResults
 
 WORLDGEN_SEED = 21
-#: Scale for the speedup bench: ~9.4K apps, ~8s serial — enough to
-#: amortize fork/pickle overhead while staying CI-sized.
-SPEEDUP_SCALE = 0.002
 #: Scale for the segment-cache bench (every blob is built twice).
 SEGMENT_SCALE = 0.0005
 
-MIN_PARALLEL_SPEEDUP = 2.0
 MIN_SEGMENT_SPEEDUP = 1.05
 
-_record = BenchResults("worldgen", seed=WORLDGEN_SEED, scale=SPEEDUP_SCALE).record
-
-
-def _cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def _generate(workers):
-    return EcosystemGenerator(
-        WORLDGEN_SEED, SPEEDUP_SCALE, gen_workers=workers
-    ).generate()
-
-
-def test_bench_parallel_speedup():
-    if _cpus() < 4:
-        pytest.skip("speedup floor needs >= 4 CPUs")
-
-    start = time.perf_counter()
-    serial_world = _generate(1)
-    serial_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel_world = _generate(4)
-    parallel_s = time.perf_counter() - start
-
-    # Identical worlds at any width — the sharding contract.
-    assert parallel_world.content_digest() == serial_world.content_digest()
-
-    speedup = serial_s / parallel_s
-    _record(
-        "parallel",
-        serial_s=round(serial_s, 3),
-        parallel_s=round(parallel_s, 3),
-        workers=4,
-        speedup=round(speedup, 2),
-        apps=len(serial_world.apps),
-        digest=serial_world.content_digest(),
-    )
-    print(f"\ngenerate serial {serial_s:.2f}s vs 4 workers {parallel_s:.2f}s "
-          f"-> {speedup:.1f}x")
-    assert speedup >= MIN_PARALLEL_SPEEDUP, (
-        f"4-worker generation only {speedup:.1f}x faster than serial "
-        f"({serial_s:.2f}s vs {parallel_s:.2f}s)"
-    )
+_record = BenchResults("worldgen", seed=WORLDGEN_SEED, scale=SEGMENT_SCALE).record
 
 
 def _build_all_blobs(stores):

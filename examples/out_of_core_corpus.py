@@ -3,7 +3,7 @@
 
 ``examples/scaled_world.py`` generates a 10x world; this one runs a
 **50x study** (scale 0.02 — fifty times the other examples' 0.0004) end
-to end on the out-of-core sqlite backend: sharded generation, spill to
+to end on the out-of-core sqlite backend: world generation, spill to
 segment tables, the APK-downloading crawl (records land in the corpus
 store, parsed APKs in the blob vault behind ``LazyApk`` proxies), the
 recheck campaign, and **all 24 experiment renders**.
@@ -46,7 +46,6 @@ import time
 
 from repro.core.config import StudyConfig
 from repro.core.study import Study
-from repro.ecosystem.sharding import resolve_gen_workers
 from repro.experiments.runner import run_all
 from repro.obs import Observability
 from repro.obs.results import BenchResults
@@ -95,7 +94,6 @@ def _run(backend: str):
         store_backend=backend,
         crawl_workers=workers,
         analysis_workers=workers,
-        gen_workers=resolve_gen_workers(0),
     )
     start = time.perf_counter()
     result = Study(config, obs=obs).run()

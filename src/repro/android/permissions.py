@@ -11,7 +11,7 @@ way the paper consumed the published PScout dataset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Mapping, Tuple
 
 import numpy as np
@@ -91,18 +91,26 @@ class PermissionSpec:
 
     feature_permission: Mapping[int, str]
     permission_features: Mapping[str, FrozenSet[int]]
+    #: ``permission_features`` with each set sorted once, for codegen draws.
+    sorted_features: Mapping[str, Tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sorted_features", {
+            perm: tuple(sorted(fids))
+            for perm, fids in self.permission_features.items()
+        })
 
     def permissions_for(self, feature_ids) -> FrozenSet[str]:
         """Set of permissions required by the given feature ids."""
-        return frozenset(
-            self.feature_permission[fid]
-            for fid in feature_ids
-            if fid in self.feature_permission
-        )
+        # Permission names are non-empty, so ``filter(None, ...)`` drops
+        # exactly the unguarded features.
+        return frozenset(filter(None, map(self.feature_permission.get, feature_ids)))
 
     def sample_feature(self, permission: str, rng: np.random.Generator) -> int:
         """Pick one feature id guarded by ``permission`` (for codegen)."""
-        features = sorted(self.permission_features[permission])
+        features = self.sorted_features[permission]
         return features[int(rng.integers(0, len(features)))]
 
     def is_dangerous(self, permission: str) -> bool:

@@ -87,10 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="analysis-engine threads, 0 = auto (every "
                             "artifact and report identical at any width)")
-        p.add_argument("--gen-workers", type=workers_arg, default=1,
-                       metavar="N",
-                       help="world-generation worker processes, 0 = auto "
-                            "(world bit-identical at any width)")
         p.add_argument("--artifact-cache", default=None, metavar="DIR",
                        help="persist per-APK analysis artifacts under DIR "
                             "(default: <checkpoint-dir>/artifacts when "
@@ -283,7 +279,6 @@ def _artifact_cache_dir(args: argparse.Namespace) -> Optional[str]:
 def _config_from(args: argparse.Namespace) -> StudyConfig:
     from repro.analysis.engine import resolve_analysis_workers
     from repro.crawler.workers import resolve_thread_workers
-    from repro.ecosystem.sharding import resolve_gen_workers
 
     return StudyConfig(
         seed=args.seed,
@@ -305,7 +300,6 @@ def _config_from(args: argparse.Namespace) -> StudyConfig:
         stall_budget=args.stall_budget,
         analysis_workers=resolve_analysis_workers(args.analysis_workers),
         artifact_cache_dir=_artifact_cache_dir(args),
-        gen_workers=resolve_gen_workers(args.gen_workers),
         store_backend=args.store_backend,
         store_batch_size=args.store_batch_size,
         **(
@@ -352,10 +346,19 @@ def _cmd_markets(out) -> int:
 
 
 def _run_study(args, out):
+    """Run the configured study; ``None`` (after one stderr line) when
+    the checkpoint directory holds a journal this checkout cannot read."""
+    from repro.crawler.journal import JournalError
+
     config = _config_from(args)
     print(f"running study: seed={config.seed} scale={config.scale}", file=out)
     start = time.time()
-    result = Study(config).run()
+    try:
+        result = Study(config).run()
+    except JournalError as exc:
+        print(f"repro: checkpoint dir {config.checkpoint_dir} is unusable "
+              f"({exc}); delete it and rerun", file=sys.stderr)
+        return None
     print(f"done in {time.time() - start:.1f}s: "
           f"{len(result.snapshot):,} listings, "
           f"{len(result.snapshot.packages()):,} packages", file=out)
@@ -375,6 +378,8 @@ def _finish_observability(result, out) -> None:
 
 def _cmd_run(args, out) -> int:
     result = _run_study(args, out)
+    if result is None:
+        return 2
     snapshot = result.snapshot
     print(file=out)
     print(result.crawl_report(), file=out)
@@ -403,6 +408,8 @@ def _cmd_experiment(args, out) -> int:
               f"(try 'repro list')", file=sys.stderr)
         return 2
     result = _run_study(args, out)
+    if result is None:
+        return 2
     for experiment_id in args.ids:
         print(file=out)
         print(run_experiment(experiment_id, result).render(), file=out)
@@ -414,6 +421,8 @@ def _cmd_report(args, out) -> int:
     from repro.experiments import run_all
 
     result = _run_study(args, out)
+    if result is None:
+        return 2
     reports = run_all(result)
     lines = ["# EXPERIMENTS — paper vs. measured", ""]
     for experiment_id in EXPERIMENT_IDS:

@@ -99,10 +99,6 @@ class StudyConfig:
     #: (``(apk_md5, analyzer, version)`` -> result).  ``None`` disables
     #: caching; re-runs then recompute every per-APK artifact.
     artifact_cache_dir: Optional[str] = None
-    #: World-generation worker processes.  The world is bit-identical at
-    #: any width (index-keyed RNG substreams — see DESIGN.md's sharding
-    #: contract); only generation wall-clock time changes.
-    gen_workers: int = 1
     #: Corpus storage backend.  ``"memory"`` (default) holds world,
     #: snapshot, and units fully in RAM — today's behavior.  ``"sqlite"``
     #: spills record families to disk-backed segment tables once they
@@ -176,8 +172,6 @@ class StudyConfig:
             raise ValueError(
                 f"analysis_workers must be positive, got {self.analysis_workers}"
             )
-        if self.gen_workers < 1:
-            raise ValueError(f"gen_workers must be positive, got {self.gen_workers}")
         if self.store_backend not in ("memory", "sqlite"):
             raise ValueError(
                 f"store_backend must be 'memory' or 'sqlite', "

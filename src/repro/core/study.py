@@ -388,7 +388,6 @@ class Study:
                 seed=config.seed,
                 scale=config.scale,
                 min_market_size=config.min_market_size,
-                gen_workers=config.gen_workers,
                 obs=obs,
                 repackaging=RepackagingModel.for_profile(config.clone_families),
             ).generate()

@@ -11,6 +11,7 @@ a market serves for a given version and channel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from hashlib import blake2b
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -135,6 +136,12 @@ class AppBlueprint:
         return self.versions[index]
 
 
+_API_LO = API_FEATURE_RANGE[0]
+#: Own code calls only the unguarded lower half of the API space.
+_UNGUARDED_SPAN = (API_FEATURE_RANGE[1] - _API_LO) // 2
+_OWNBLOCK_PREFIX = repr("ownblock") + "\x1f"
+
+
 def generate_own_code(
     rng: np.random.Generator,
     spec: PermissionSpec,
@@ -150,20 +157,22 @@ def generate_own_code(
     couple of guarded APIs per used permission, which is what the
     over-privilege analysis statically recovers.
     """
-    api_lo, api_hi = API_FEATURE_RANGE
-    unguarded_hi = api_lo + (api_hi - api_lo) // 2
-
     seed = template_seed if template_seed is not None else int(rng.integers(0, 2**62))
     code_rng = np.random.default_rng(stable_hash64("owncode", seed) % 2**63)
 
     # Own code carries enough call volume that a small injected payload
     # (or a couple of cosmetic edits) keeps a clone within WuKong's 0.05
-    # normalized-Manhattan distance of its source.
+    # normalized-Manhattan distance of its source.  Each sized draw is the
+    # scalar loop it replaces, draw for draw (see DESIGN.md).
     size = int(code_rng.integers(16, 34))
-    ids = code_rng.choice(np.arange(api_lo, unguarded_hi), size=size, replace=False)
-    features: Dict[int, int] = {int(f): int(code_rng.integers(4, 20)) for f in ids}
+    ids = code_rng.choice(_UNGUARDED_SPAN, size=size, replace=False) + _API_LO
+    features: Dict[int, int] = dict(
+        zip(ids.tolist(), code_rng.integers(4, 20, size=size).tolist())
+    )
+    # Block ``i`` is ``stable_hash64("ownblock", seed, i)``'s low 32 bits.
+    prefix = _OWNBLOCK_PREFIX + repr(seed) + "\x1f"
     blocks = [
-        int(stable_hash64("ownblock", seed, i) & 0xFFFFFFFF)
+        int.from_bytes(blake2b(f"{prefix}{i}".encode(), digest_size=8).digest()[4:], "big")
         for i in range(int(code_rng.integers(22, 42)))
     ]
 

@@ -10,11 +10,13 @@ the paper's named Table 5 apps which we seed verbatim for fidelity.
 from __future__ import annotations
 
 import datetime
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.util.rng import choice_cdf
 from repro.util.simtime import FIRST_CRAWL_DAY, date_to_day
 
 __all__ = [
@@ -83,23 +85,32 @@ _CN_2017_RECENT_SHARE = 0.5
 _GP_2017_RECENT_SHARE = 0.7
 
 
+def _year_table(weights: Sequence[Tuple[int, float]]) -> Tuple[Tuple[int, ...], List[float]]:
+    return tuple(y for y, _ in weights), choice_cdf([w for _, w in weights])
+
+
+_GP_YEARS = _year_table(_GP_YEAR_WEIGHTS)
+_CN_YEARS = _year_table(_CN_YEAR_WEIGHTS)
+#: First and last day of each pre-2017 year, for the uniform in-year draw.
+_YEAR_DAYS: Dict[int, Tuple[int, int]] = {
+    year: (date_to_day(datetime.date(year, 1, 1)), date_to_day(datetime.date(year, 12, 31)))
+    for year, _ in _CN_YEAR_WEIGHTS + _GP_YEAR_WEIGHTS
+}
+_START_2017 = date_to_day(datetime.date(2017, 1, 1))
+_RECENT_BOUNDARY = FIRST_CRAWL_DAY - 182
+
+
 def sample_release_day(scope: str, rng: np.random.Generator) -> int:
     """Sample a last-update day (days since epoch) for the given scope."""
-    weights = _GP_YEAR_WEIGHTS if scope == "global" else _CN_YEAR_WEIGHTS
-    years = [y for y, _ in weights]
-    probs = np.asarray([w for _, w in weights])
-    probs = probs / probs.sum()
-    year = int(rng.choice(years, p=probs))
+    years, cdf = _GP_YEARS if scope == "global" else _CN_YEARS
+    year = years[bisect_right(cdf, rng.random())]
     if year < 2017:
-        start = date_to_day(datetime.date(year, 1, 1))
-        end = date_to_day(datetime.date(year, 12, 31))
+        start, end = _YEAR_DAYS[year]
         return int(rng.integers(start, end + 1))
     recent_share = _GP_2017_RECENT_SHARE if scope == "global" else _CN_2017_RECENT_SHARE
-    boundary = FIRST_CRAWL_DAY - 182
     if rng.random() < recent_share:
-        return int(rng.integers(boundary, FIRST_CRAWL_DAY))
-    start = date_to_day(datetime.date(2017, 1, 1))
-    return int(rng.integers(start, boundary))
+        return int(rng.integers(_RECENT_BOUNDARY, FIRST_CRAWL_DAY))
+    return int(rng.integers(_START_2017, _RECENT_BOUNDARY))
 
 
 # Min-SDK distributions by developer scope.  Chinese developers declare
@@ -117,20 +128,24 @@ _MIN_SDK_BY_SCOPE: Dict[str, Sequence[Tuple[int, float]]] = {
 }
 
 
+_MIN_SDK_TABLES = {
+    scope: (tuple(lvl for lvl, _ in options), choice_cdf([w for _, w in options]))
+    for scope, options in _MIN_SDK_BY_SCOPE.items()
+}
+#: Releases on or after this day fall in 2016 or later.
+_FIRST_DAY_2016 = date_to_day(datetime.date(2016, 1, 1))
+
+
 def sample_min_sdk(
     release_day: int, rng: np.random.Generator, scope: str = "china"
 ) -> int:
     """Sample a minimum SDK level for an app of the given scope."""
-    from repro.util.simtime import day_to_date
-
-    options = _MIN_SDK_BY_SCOPE[scope]
-    levels = [lvl for lvl, _ in options]
-    probs = np.asarray([w for _, w in options])
-    level = int(rng.choice(levels, p=probs / probs.sum()))
+    levels, cdf = _MIN_SDK_TABLES[scope]
+    level = levels[bisect_right(cdf, rng.random())]
     # Recent global releases rarely keep Gingerbread support.
     if (
         scope != "china"
-        and day_to_date(release_day).year >= 2016
+        and release_day >= _FIRST_DAY_2016
         and level < 9
         and rng.random() < 0.5
     ):
@@ -192,13 +207,14 @@ OVERPRIV_PERMISSION_WEIGHTS: Dict[str, float] = {
 }
 
 
+_OVERPRIV_COUNT_CDF = choice_cdf(_OVERPRIV_COUNT_WEIGHTS)
+
+
 def sample_overprivilege_count(scope: str, rng: np.random.Generator) -> int:
     """How many unused permissions this app requests on top of used ones."""
     if rng.random() >= _OVERPRIV_ANY[scope]:
         return 0
-    counts = np.arange(1, len(_OVERPRIV_COUNT_WEIGHTS) + 1)
-    weights = np.asarray(_OVERPRIV_COUNT_WEIGHTS)
-    return int(rng.choice(counts, p=weights / weights.sum()))
+    return bisect_right(_OVERPRIV_COUNT_CDF, rng.random()) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,13 @@ paper's post-vetting rates, and every submission really passes through
 :class:`~repro.markets.vetting.VettingPipeline`, so stricter markets
 genuinely reject more attempts on the way to the same final rate.
 
-The base population and the per-listing finalize pass — the two stages
-that dominate wall time — run on :class:`~repro.ecosystem.sharding.ShardPool`
-when ``gen_workers > 1``.  Generation there splits into a serial *plan*
-phase (quota accounting, market picks, package claims), a parallel
-*build* phase (body sampling from index-keyed RNG substreams), and a
-serial *submit* phase (vetting + registration in plan order); the world
-is bit-identical at any worker count (see DESIGN.md's sharding
-contract).  Stages report to the ``repro.obs`` profiler when one is
-passed in.
+The base population splits into a *plan* phase (quota accounting,
+market picks, package claims), a *build* phase (body sampling from
+index-keyed RNG substreams), and a *submit* phase (vetting +
+registration in plan order); per-listing finalize draws are keyed by
+``(market, app)`` the same way, so no draw depends on the order work is
+done in (see DESIGN.md's index-keyed contract).  Stages report to the
+``repro.obs`` profiler when one is passed in.
 """
 
 from __future__ import annotations
@@ -68,14 +66,13 @@ from repro.ecosystem.calibration import (
 )
 from repro.ecosystem.developers import Developer
 from repro.ecosystem.libraries import LibraryCatalog, default_catalog
+from repro.ecosystem.popularity import sample_listing_rating
 from repro.ecosystem.sharding import (
     AppBody,
     AppPlan,
     BodySampler,
-    FinalizeJob,
-    ShardPool,
-    _build_chunk,
-    _finalize_chunk,
+    build_bodies,
+    downloads_for_percentile,
 )
 from repro.ecosystem.threats import (
     CHINESE_FAMILY_WEIGHTS,
@@ -85,6 +82,7 @@ from repro.ecosystem.threats import (
     ThreatProfile,
 )
 from repro.ecosystem.world import VettingRecord, World
+from repro.markets.categories import taxonomy_for
 from repro.markets.profiles import (
     ALL_MARKET_IDS,
     CHINESE_MARKET_IDS,
@@ -121,20 +119,16 @@ class EcosystemGenerator:
         scale: float,
         catalog: Optional[LibraryCatalog] = None,
         min_market_size: int = 40,
-        gen_workers: int = 1,
         obs: Observability = NULL_OBS,
         repackaging: Optional[RepackagingModel] = None,
     ):
         if not 0 < scale <= 1:
             raise ValueError(f"scale must be in (0, 1], got {scale}")
-        if gen_workers < 1:
-            raise ValueError(f"gen_workers must be positive, got {gen_workers}")
         self._seed = seed
         self._scale = scale
         self._rngs = RngFactory(seed).child("ecosystem")
         self._catalog = catalog or default_catalog()
         self._min_market_size = min_market_size
-        self._gen_workers = gen_workers
         self._obs = obs
         self._repackaging = repackaging or RepackagingModel.default()
         self._persona_devs: Dict[str, Developer] = {}
@@ -163,28 +157,22 @@ class EcosystemGenerator:
             self._build_name_pool(sum(quotas.values()))
             self._sampler = BodySampler(self._catalog, self._name_pool)
             plans = self._plan_base_population(quotas)
-        pool = ShardPool(
-            self._gen_workers, self._rngs.seed, self._catalog, self._name_pool
-        )
-        try:
-            with obs.stage("ecosystem.build"):
-                bodies = pool.map_chunks(_build_chunk, plans)
-            with obs.stage("ecosystem.submit"):
-                self._register_base_population(plans, bodies)
-            with obs.stage("ecosystem.developers"):
-                self._assign_developers()
-            with obs.stage("ecosystem.misbehavior"):
-                self._seed_celebrities()
-                self._inject_fakes()
-                self._inject_sb_clones()
-                self._inject_cb_clones()
-                self._inject_template_spam()
-            with obs.stage("ecosystem.threats"):
-                self._inject_threats()
-            with obs.stage("ecosystem.finalize"):
-                self._finalize_listings(pool)
-        finally:
-            pool.shutdown()
+        with obs.stage("ecosystem.build"):
+            bodies = build_bodies(self._rngs, self._sampler, plans)
+        with obs.stage("ecosystem.submit"):
+            self._register_base_population(plans, bodies)
+        with obs.stage("ecosystem.developers"):
+            self._assign_developers()
+        with obs.stage("ecosystem.misbehavior"):
+            self._seed_celebrities()
+            self._inject_fakes()
+            self._inject_sb_clones()
+            self._inject_cb_clones()
+            self._inject_template_spam()
+        with obs.stage("ecosystem.threats"):
+            self._inject_threats()
+        with obs.stage("ecosystem.finalize"):
+            self._finalize_listings()
         from repro.store.corpus import AppTable
 
         self._world.apps = AppTable.of(self._world.apps)
@@ -1119,20 +1107,20 @@ class EcosystemGenerator:
     # stage 9: finalize listings
     # ------------------------------------------------------------------
 
-    def _finalize_listings(self, pool: ShardPool) -> None:
+    def _finalize_listings(self) -> None:
         """Assign downloads, ratings, and category labels.
 
-        The rank assignment stays serial: per-market noise draws come
-        from one stream per market, consumed in membership order, and
-        the sort that turns scores into ranks is global to the market.
-        The per-listing draws (bin placement, rating, label) are pure
-        per-listing work keyed by ``(market, app)``, so they shard.
+        Ranks come from one noise stream per market, consumed in
+        membership order, and a sort global to the market.  The
+        per-listing draws (bin placement, rating, label) come from the
+        stream keyed by ``(market, app)``.
         """
-        jobs: List[FinalizeJob] = []
         for market_id in ALL_MARKET_IDS:
             members = self._market_members[market_id]
             if not members:
                 continue
+            profile = get_profile(market_id)
+            taxonomy = taxonomy_for(market_id)
             # Noise keeps per-market rankings correlated with global
             # popularity without being identical across stores.  It
             # shrinks toward the top of the ranking: globally famous apps
@@ -1149,20 +1137,19 @@ class EcosystemGenerator:
             n = len(scores)
             for rank, (_, app_id) in enumerate(scores):
                 app = self._world.apps[app_id]
-                jobs.append(
-                    FinalizeJob(
-                        market_id=market_id,
-                        app_id=app_id,
-                        percentile=(rank + 0.5) / n,
-                        quality=app.quality,
-                        category=app.category,
-                        is_fake=app.provenance == PROVENANCE_FAKE,
-                    )
+                rng = self._rngs.stream("finalize-listing", market_id, app_id)
+                downloads = downloads_for_percentile(rng, profile, (rank + 0.5) / n)
+                if app.provenance == PROVENANCE_FAKE and downloads is not None:
+                    downloads = min(downloads, int(rng.integers(40, 1000)))
+                placement = app.placements[market_id]
+                placement.downloads = downloads
+                placement.rating = sample_listing_rating(
+                    profile, app.quality, downloads, rng
                 )
-        for market_id, app_id, downloads, rating, label in pool.map_chunks(
-            _finalize_chunk, jobs
-        ):
-            placement = self._world.apps[app_id].placements[market_id]
-            placement.downloads = downloads
-            placement.rating = rating
-            placement.category_label = label
+                if (
+                    profile.category_null_share > 0
+                    and rng.random() < profile.category_null_share
+                ):
+                    placement.category_label = taxonomy.null_label(rng)
+                else:
+                    placement.category_label = taxonomy.market_label(app.category)

@@ -1,44 +1,34 @@
-"""Sharded world generation: index-keyed shards over a worker pool.
+"""Index-keyed world generation: app plans, app bodies, and their sampler.
 
-World generation splits into three phases so the expensive middle can
-run on a process pool without perturbing a single byte of output:
+Base-population generation runs in three phases:
 
-1. **Plan** (serial, cheap): quota accounting, popularity draws, market
-   picks, and unique-package claims — everything whose draws depend on
-   shared mutable state (remaining quotas, the package registry).
-2. **Build** (parallel): body sampling — version history, libraries,
-   permissions, own code, display name — the ~75-80% of generation time
-   that is embarrassingly parallel once planned.
-3. **Submit** (serial, in index order): vetting, placement, and world
+1. **Plan** (cheap): quota accounting, popularity draws, market picks,
+   and unique-package claims — everything whose draws depend on shared
+   mutable state (remaining quotas, the package registry).
+2. **Build**: body sampling — version history, libraries, permissions,
+   own code, display name — a pure function of the plan and its
+   index-keyed RNG substream.
+3. **Submit** (in index order): vetting, placement, and world
    registration, which consume the per-market vetting streams and the
    append-only world lists.
 
-The determinism contract matches the crawl and analysis engines: the
-merged :class:`~repro.ecosystem.world.World` is bit-identical at any
-worker count.  The mechanism is *index-keyed RNG substreams*: the body
-for plan ``i`` always draws from ``rngs.stream("app-body", i)`` and the
-finalize pass for listing ``(market, app)`` always draws from
-``rngs.stream("finalize-listing", market, app)`` — keyed by the stable
-identity of the work item, never by which shard or worker executed it.
-Re-chunking the work list therefore cannot move a single draw.
+The determinism contract: the body for plan ``i`` always draws from
+``rngs.stream("app-body", i)`` and the finalize pass for listing
+``(market, app)`` always draws from ``rngs.stream("finalize-listing",
+market, app)`` — keyed by the stable identity of the work item, never by
+the order or batch it was built in.  Re-ordering or re-chunking the
+build therefore cannot move a single draw.
 
-The pool itself is a plain ``ProcessPoolExecutor`` (generation is
-CPU-bound pure Python + numpy, so threads cannot help).  Workers are
-primed once via an initializer with the factory seed, library catalog,
-and shared name pool; every chunk call ships only the small plan/job
-records.  Any pool failure (sandboxed environments without working
-multiprocessing, pickling regressions) degrades to an in-process serial
-run of the same chunk functions — same streams, same output, just slower.
+Body sampling reads tables built once per :class:`BodySampler` (or at
+import) and batches same-kind draws; DESIGN.md lists the exact-draw
+rewrites that keep every world digest unchanged.
 """
 
 from __future__ import annotations
 
-import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -57,40 +47,23 @@ from repro.ecosystem.calibration import (
     sample_version_count,
 )
 from repro.ecosystem.libraries import LibraryCatalog
-from repro.ecosystem.popularity import sample_listing_rating
-from repro.markets.categories import CANONICAL_WEIGHTS, VENDOR_WEIGHTS, taxonomy_for
-from repro.markets.profiles import MarketProfile, get_profile
+from repro.markets.categories import CANONICAL_WEIGHTS, VENDOR_WEIGHTS
+from repro.markets.profiles import DOWNLOAD_BIN_EDGES, MarketProfile, iter_profiles
 from repro.util import text
-from repro.util.rng import RngFactory
+from repro.util.rng import RngFactory, choice_cdf
 
 __all__ = [
     "AppPlan",
     "AppBody",
-    "FinalizeJob",
     "BodySampler",
-    "ShardPool",
-    "resolve_gen_workers",
+    "build_bodies",
     "downloads_for_percentile",
 ]
 
 
-def resolve_gen_workers(workers: int = 0) -> int:
-    """Resolve a generation worker count (``0`` = one per CPU, capped).
-
-    The cap reflects Amdahl: planning, vetting, and world registration
-    stay serial, so beyond ~8 workers extra processes only add fork and
-    pickling overhead.
-    """
-    if workers < 0:
-        raise ValueError(f"workers must be non-negative, got {workers}")
-    if workers:
-        return workers
-    return max(1, min(8, os.cpu_count() or 1))
-
-
 @dataclass(frozen=True)
 class AppPlan:
-    """The serial-phase decision record for one base-population app.
+    """The plan-phase decision record for one base-population app.
 
     Everything here was drawn from shared mutable state (market quotas,
     the package registry); everything *not* here is a pure function of
@@ -106,7 +79,7 @@ class AppPlan:
 
 @dataclass(frozen=True)
 class AppBody:
-    """The parallel-phase product: one app's sampled content."""
+    """The build-phase product: one app's sampled content."""
 
     display_name: str
     category: str
@@ -119,30 +92,89 @@ class AppBody:
     permissions_requested: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FinalizeJob:
-    """One listing's finalize work item (rank already assigned)."""
+#: The scopes a body is sampled for (see :class:`AppPlan`).
+_SCOPES = ("global", "china", "mixed")
 
-    market_id: str
-    app_id: int
-    percentile: float
-    quality: float
-    category: str
-    is_fake: bool
+_OVERPRIV_PERMS = tuple(OVERPRIV_PERMISSION_WEIGHTS)
+_OVERPRIV_CDF = choice_cdf(list(OVERPRIV_PERMISSION_WEIGHTS.values()))
+
+
+def _category_table(weights) -> Tuple[Tuple[str, ...], List[float]]:
+    names = tuple(c for c, w in weights.items() if w > 0)
+    return names, choice_cdf([weights[c] for c in names])
 
 
 class BodySampler:
     """Samples app bodies from an explicit RNG stream.
 
     Pure with respect to its inputs: holds only immutable shared context
-    (library catalog, platform permission spec, display-name pool), so
-    the same instance semantics hold in-process and inside pool workers.
+    (library catalog, platform permission spec, display-name pool), so a
+    body depends on nothing but its plan and its stream.
+
+    Every table a draw reads is built here once, not per app: per-market
+    library targets and vendor flags, the category CDFs, and per-scope
+    library adoption rows.  Each table-driven draw consumes exactly the
+    draws of the numpy call it replaces (see DESIGN.md), so world
+    digests do not move.  The tables are per market or per scope, never
+    per market *set*, so their size is fixed.
     """
 
     def __init__(self, catalog: LibraryCatalog, name_pool: Sequence[str]):
         self._catalog = catalog
         self._name_pool = list(name_pool)
         self._spec = platform_spec()
+        profiles = list(iter_profiles())
+        self._tpl_presence = {p.market_id: p.tpl_presence for p in profiles}
+        self._tpl_avg_count = {p.market_id: p.tpl_avg_count for p in profiles}
+        self._is_vendor = {p.market_id: p.kind == "vendor" for p in profiles}
+        self._categories = {
+            False: _category_table(CANONICAL_WEIGHTS),
+            True: _category_table(VENDOR_WEIGHTS),
+        }
+        self._libraries = {scope: self._library_table(scope) for scope in _SCOPES}
+        self._lib_permissions = {
+            lib.package: frozenset(lib.permissions) for lib in catalog
+        }
+
+    def _library_table(self, scope: str):
+        """``(named expected count, tail divisor, rows)`` for one scope.
+
+        A row is ``(package, n_versions, usage, tail)``; a named row's
+        usage is already capped at 0.97, a tail row's is capped after
+        the per-app tail bias scales it.
+        """
+        catalog = self._catalog
+        if scope == "mixed":
+            def expected(tier: str) -> float:
+                return 0.5 * (
+                    catalog.expected_count("global", tier)
+                    + catalog.expected_count("china", tier)
+                )
+
+            def usage(lib) -> float:
+                return 0.5 * (lib.gp_usage + lib.cn_usage)
+        else:
+            region = "global" if scope == "global" else "china"
+
+            def expected(tier: str) -> float:
+                return catalog.expected_count(region, tier)
+
+            def usage(lib) -> float:
+                return catalog.usage(lib, region)
+
+        rows = [
+            (lib.package, lib.n_versions,
+             usage(lib) if lib.tail else min(0.97, usage(lib)), lib.tail)
+            for lib in catalog
+        ]
+        return expected("named"), max(expected("tail"), 1e-9), rows
+
+    @staticmethod
+    def _market_mean(values, markets: Sequence[str]) -> float:
+        """``np.mean`` of a per-market value over ``markets``, bit for bit:
+        numpy's own pairwise sum divided by the count."""
+        total = np.add.reduce(np.array(list(map(values.__getitem__, markets))))
+        return float(total) / len(markets)
 
     # -- individual draws ----------------------------------------------
 
@@ -165,11 +197,9 @@ class BodySampler:
     def sample_category(
         self, rng: np.random.Generator, markets: Sequence[str]
     ) -> str:
-        vendorish = sum(1 for m in markets if get_profile(m).kind == "vendor")
-        weights = VENDOR_WEIGHTS if vendorish > len(markets) / 2 else CANONICAL_WEIGHTS
-        names = [c for c, w in weights.items() if w > 0]
-        probs = np.asarray([weights[c] for c in names])
-        return str(rng.choice(names, p=probs / probs.sum()))
+        vendorish = sum(map(self._is_vendor.__getitem__, markets))
+        names, cdf = self._categories[vendorish > len(markets) / 2]
+        return names[bisect_right(cdf, rng.random())]
 
     def sample_versions(
         self, rng: np.random.Generator, popularity: float, scope: str
@@ -179,7 +209,7 @@ class BodySampler:
         days = [last_day]
         for _ in range(n - 1):
             days.append(days[-1] - int(rng.integers(20, 260)))
-        days = sorted(max(d, 400) for d in days)
+        days = sorted([max(d, 400) for d in days])
         versions = []
         for i, day in enumerate(days):
             code = (i + 1) * int(rng.integers(1, 4))
@@ -210,10 +240,10 @@ class BodySampler:
         if own is None:
             n_dangerous = int(rng.integers(1, 5))
             n_normal = int(rng.integers(2, 5))
-            own = set(
-                rng.choice(DANGEROUS_PERMISSIONS, size=n_dangerous, replace=False)
-            )
-            own |= set(rng.choice(NORMAL_PERMISSIONS, size=n_normal, replace=False))
+            picked = rng.choice(len(DANGEROUS_PERMISSIONS), size=n_dangerous, replace=False)
+            own = set(map(DANGEROUS_PERMISSIONS.__getitem__, picked.tolist()))
+            picked = rng.choice(len(NORMAL_PERMISSIONS), size=n_normal, replace=False)
+            own.update(map(NORMAL_PERMISSIONS.__getitem__, picked.tolist()))
         used = own | lib_perms
 
         # Developers habitually paste permission boilerplate; each line
@@ -223,56 +253,34 @@ class BodySampler:
         # funnel probability mass into the rarer permissions and invert
         # the paper's READ_PHONE_STATE-first ranking.
         extra_count = sample_overprivilege_count(scope, rng)
-        extras: Set[str] = set()
-        perms = list(OVERPRIV_PERMISSION_WEIGHTS)
-        probs = np.asarray([OVERPRIV_PERMISSION_WEIGHTS[p] for p in perms])
-        probs = probs / probs.sum()
-        for _ in range(extra_count):
-            p = str(rng.choice(perms, p=probs))
-            if p not in used:
-                extras.add(p)
-        requested = tuple(sorted(str(p) for p in used | extras))
-        return tuple(sorted(str(p) for p in own)), requested
+        attempted = {
+            _OVERPRIV_PERMS[bisect_right(_OVERPRIV_CDF, u)]
+            for u in rng.random(extra_count).tolist()
+        }
+        return tuple(sorted(own)), tuple(sorted(used | attempted))
 
     def sample_libraries(
         self, rng: np.random.Generator, scope: str, markets: Sequence[str]
     ) -> Tuple[Tuple[str, int], ...]:
-        profiles = [get_profile(m) for m in markets]
-        presence = float(np.mean([p.tpl_presence for p in profiles]))
-        if rng.random() >= presence:
+        if rng.random() >= self._market_mean(self._tpl_presence, markets):
             return ()
-        target_count = float(np.mean([p.tpl_avg_count for p in profiles]))
-        region = "global" if scope == "global" else "china"
-
-        def expected(tier: str) -> float:
-            if scope == "mixed":
-                return 0.5 * (
-                    self._catalog.expected_count("global", tier)
-                    + self._catalog.expected_count("china", tier)
-                )
-            return self._catalog.expected_count(region, tier)
+        target_count = self._market_mean(self._tpl_avg_count, markets)
+        named_expected, tail_divisor, rows = self._libraries[scope]
 
         # Named libraries are adopted at their Table 2 usage rates; the
         # anonymous long tail absorbs per-market library-count targets
         # (Figure 5a) so measured top-10 usages stay faithful.
-        tail_bias = max(
-            0.0, (target_count - expected("named")) / max(expected("tail"), 1e-9)
-        )
+        tail_bias = max(0.0, (target_count - named_expected) / tail_divisor)
 
+        # Aggressive ad SDK adoption is never amplified: markets whose
+        # apps embed more libraries overall do not proportionally
+        # attract more grayware (the Table 4 ">=1" top-up handles
+        # per-market grayware calibration).  A hit draws its version at
+        # once, so these draws stay scalar.
         chosen: List[Tuple[str, int]] = []
-        for lib in self._catalog:
-            if scope == "mixed":
-                usage = 0.5 * (lib.gp_usage + lib.cn_usage)
-            else:
-                usage = self._catalog.usage(lib, region)
-            # Aggressive ad SDK adoption is never amplified: markets whose
-            # apps embed more libraries overall do not proportionally
-            # attract more grayware (the Table 4 ">=1" top-up handles
-            # per-market grayware calibration).
-            p = min(0.97, usage * tail_bias if lib.tail else usage)
-            if rng.random() < p:
-                version = int(rng.integers(0, lib.n_versions))
-                chosen.append((lib.package, version))
+        for package, n_versions, usage, tail in rows:
+            if rng.random() < (min(0.97, usage * tail_bias) if tail else usage):
+                chosen.append((package, int(rng.integers(0, n_versions))))
         return tuple(chosen)
 
     # -- the full body --------------------------------------------------
@@ -302,7 +310,7 @@ class BodySampler:
             libraries = self.sample_libraries(rng, scope, markets)
         lib_perms: Set[str] = set()
         for lib_package, _ in libraries:
-            lib_perms |= set(self._catalog.get(lib_package).permissions)
+            lib_perms |= self._lib_permissions[lib_package]
         if own_code is None:
             own_perms, requested = self.sample_permissions(rng, scope, lib_perms)
             own_code = generate_own_code(rng, self._spec, package, own_perms)
@@ -313,9 +321,8 @@ class BodySampler:
             _, requested = self.sample_permissions(
                 rng, scope, lib_perms, own=inherited
             )
-        quality = float(
-            np.clip(0.30 + 0.45 * popularity + rng.normal(0, 0.15), 0.05, 1.0)
-        )
+        # min/max is np.clip on a scalar, without its Python overhead.
+        quality = min(max(0.30 + 0.45 * popularity + rng.normal(0, 0.15), 0.05), 1.0)
         if display_name is None:
             display_name = self.sample_display_name(rng)
         category = self.sample_category(rng, markets)
@@ -334,6 +341,35 @@ class BodySampler:
         )
 
 
+@lru_cache(maxsize=64)
+def _download_bins(shares: Tuple[float, ...]):
+    """Per-bin ``(lo, cdf_lo, span, log10 lo, log10 span)`` and the bin CDF
+    for one Figure 2 row (``None`` for an all-zero row).
+
+    Keyed by the row itself, so the table is one entry per market row.
+    The log terms stay numpy scalars, which keeps ``10 ** exponent`` a
+    numpy float64 power, bit for bit the per-call formula's.
+    """
+    arr = np.asarray(shares, dtype=float)
+    total = arr.sum()
+    if total <= 0:
+        return None
+    cdf = np.cumsum(arr / total)
+    bins = []
+    for bin_idx, lo in enumerate(DOWNLOAD_BIN_EDGES):
+        hi = (
+            DOWNLOAD_BIN_EDGES[bin_idx + 1]
+            if bin_idx + 1 < len(DOWNLOAD_BIN_EDGES)
+            else 5_000_000_000
+        )
+        bin_lo_p = cdf[bin_idx - 1] if bin_idx > 0 else 0.0
+        span = max(cdf[bin_idx] - bin_lo_p, 1e-9)
+        log_lo = np.log10(lo) if lo else None
+        log_span = np.log10(hi) - log_lo if lo else None
+        bins.append((lo, float(bin_lo_p), float(span), log_lo, log_span))
+    return cdf.tolist(), bins
+
+
 def downloads_for_percentile(
     rng: np.random.Generator, profile: MarketProfile, percentile: float
 ) -> Optional[int]:
@@ -348,195 +384,33 @@ def downloads_for_percentile(
     """
     if not profile.reports_downloads:
         return None
-    shares = np.asarray(profile.download_bin_shares, dtype=float)
-    total = shares.sum()
-    if total <= 0:
+    table = _download_bins(profile.download_bin_shares)
+    if table is None:
         return None
-    cdf = np.cumsum(shares / total)
-    bin_idx = int(np.searchsorted(cdf, percentile, side="right"))
-    bin_idx = min(bin_idx, len(shares) - 1)
-    from repro.markets.profiles import DOWNLOAD_BIN_EDGES
-
-    lo = DOWNLOAD_BIN_EDGES[bin_idx]
-    hi = (
-        DOWNLOAD_BIN_EDGES[bin_idx + 1]
-        if bin_idx + 1 < len(DOWNLOAD_BIN_EDGES)
-        else 5_000_000_000
-    )
+    cdf, bins = table
+    lo, bin_lo_p, span, log_lo, log_span = bins[
+        min(bisect_right(cdf, percentile), len(bins) - 1)
+    ]
     if lo == 0:
         return int(rng.integers(0, 10))
-    bin_lo_p = cdf[bin_idx - 1] if bin_idx > 0 else 0.0
-    bin_hi_p = cdf[bin_idx] if bin_idx < len(cdf) else 1.0
-    span = max(bin_hi_p - bin_lo_p, 1e-9)
     within = min(1.0, max(0.0, (percentile - bin_lo_p) / span))
     position = 0.7 * within + 0.3 * rng.random()
-    exponent = np.log10(lo) + (np.log10(hi) - np.log10(lo)) * position
-    return int(10 ** exponent)
+    return int(10 ** (log_lo + log_span * position))
 
 
-# ----------------------------------------------------------------------
-# worker-side chunk execution
-# ----------------------------------------------------------------------
-
-
-class _ShardContext:
-    """What a shard needs to execute work items: streams + sampler."""
-
-    def __init__(self, factory_seed: int, catalog: LibraryCatalog,
-                 name_pool: Sequence[str]):
-        self.rngs = RngFactory(factory_seed)
-        self.sampler = BodySampler(catalog, name_pool)
-
-
-_WORKER_CONTEXT: Optional[_ShardContext] = None
-
-
-def _init_worker(factory_seed: int, catalog: LibraryCatalog,
-                 name_pool: Sequence[str]) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = _ShardContext(factory_seed, catalog, name_pool)
-
-
-def _build_chunk(
-    plans: Sequence[AppPlan], ctx: Optional[_ShardContext] = None
+def build_bodies(
+    rngs: RngFactory, sampler: BodySampler, plans: Sequence[AppPlan]
 ) -> List[AppBody]:
-    """Sample bodies for one chunk of plans.
-
-    Each body draws from the stream keyed by its plan *index* — the
-    chunk boundaries and executing worker are invisible to the output.
-    """
-    ctx = ctx or _WORKER_CONTEXT
-    out = []
-    for plan in plans:
-        rng = ctx.rngs.stream("app-body", plan.index)
-        out.append(
-            ctx.sampler.sample_body(
-                rng,
-                scope=plan.scope,
-                popularity=plan.popularity,
-                markets=plan.markets,
-                package=plan.package,
-            )
+    """Sample the body of every plan, each from the stream keyed by its
+    plan *index*, so the order or batching of ``plans`` is invisible to
+    the output."""
+    return [
+        sampler.sample_body(
+            rngs.stream("app-body", plan.index),
+            scope=plan.scope,
+            popularity=plan.popularity,
+            markets=plan.markets,
+            package=plan.package,
         )
-    return out
-
-
-def _finalize_chunk(
-    jobs: Sequence[FinalizeJob], ctx: Optional[_ShardContext] = None
-) -> List[Tuple[str, int, Optional[int], Optional[float], str]]:
-    """Finalize one chunk of listings: downloads, rating, category label.
-
-    Streams are keyed by the listing's stable ``(market, app)`` identity.
-    """
-    ctx = ctx or _WORKER_CONTEXT
-    out = []
-    for job in jobs:
-        rng = ctx.rngs.stream("finalize-listing", job.market_id, job.app_id)
-        profile = get_profile(job.market_id)
-        taxonomy = taxonomy_for(job.market_id)
-        downloads = downloads_for_percentile(rng, profile, job.percentile)
-        if job.is_fake and downloads is not None:
-            downloads = min(downloads, int(rng.integers(40, 1000)))
-        rating = sample_listing_rating(profile, job.quality, downloads, rng)
-        if (
-            profile.category_null_share > 0
-            and rng.random() < profile.category_null_share
-        ):
-            label = taxonomy.null_label(rng)
-        else:
-            label = taxonomy.market_label(job.category)
-        out.append((job.market_id, job.app_id, downloads, rating, label))
-    return out
-
-
-# ----------------------------------------------------------------------
-# the pool
-# ----------------------------------------------------------------------
-
-
-class ShardPool:
-    """A process pool for generation shards, with a serial fallback.
-
-    ``map_chunks`` partitions a work list into contiguous chunks and
-    applies a chunk function, returning results in work-list order.
-    Because every work item derives its RNG stream from its own stable
-    key, the chunking (and the pool itself) cannot affect the results —
-    which is also why the serial fallback is safe to take mid-run.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        factory_seed: int,
-        catalog: LibraryCatalog,
-        name_pool: Sequence[str],
-    ):
-        self.workers = max(1, workers)
-        self._initargs = (factory_seed, catalog, list(name_pool))
-        self._local: Optional[_ShardContext] = None
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._broken = False
-
-    # -- internals -------------------------------------------------------
-
-    def _local_context(self) -> _ShardContext:
-        if self._local is None:
-            self._local = _ShardContext(*self._initargs)
-        return self._local
-
-    def _ensure_executor(self) -> Optional[ProcessPoolExecutor]:
-        if self._executor is None and not self._broken:
-            try:
-                try:
-                    mp_context = multiprocessing.get_context("fork")
-                except ValueError:  # platforms without fork
-                    mp_context = multiprocessing.get_context()
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=mp_context,
-                    initializer=_init_worker,
-                    initargs=self._initargs,
-                )
-            except (OSError, ValueError, RuntimeError):
-                self._broken = True
-        return self._executor
-
-    @staticmethod
-    def _chunked(items: Sequence, n_chunks: int) -> List[Sequence]:
-        size = max(1, math.ceil(len(items) / n_chunks))
-        return [items[i : i + size] for i in range(0, len(items), size)]
-
-    # -- public API ------------------------------------------------------
-
-    def map_chunks(self, chunk_fn, items: Sequence) -> List:
-        """Apply ``chunk_fn`` over ``items`` in contiguous chunks."""
-        items = list(items)
-        if not items:
-            return []
-        if self.workers <= 1:
-            return list(chunk_fn(items, self._local_context()))
-        # Over-chunk (4x workers) so a slow chunk cannot straggle the pool.
-        chunks = self._chunked(items, self.workers * 4)
-        executor = self._ensure_executor()
-        if executor is not None:
-            try:
-                futures = [executor.submit(chunk_fn, chunk) for chunk in chunks]
-                out: List = []
-                for future in futures:
-                    out.extend(future.result())
-                return out
-            except (BrokenProcessPool, OSError, RuntimeError):
-                # Sandboxes without working multiprocessing land here;
-                # index-keyed streams make the serial re-run identical.
-                self._broken = True
-                self.shutdown()
-        ctx = self._local_context()
-        out = []
-        for chunk in chunks:
-            out.extend(chunk_fn(chunk, ctx))
-        return out
-
-    def shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        for plan in plans
+    ]

@@ -106,8 +106,8 @@ class World:
         Covers apps (including code features and version history),
         developers, placements, the vetting log, and the threat feed —
         if two runs disagree anywhere, their digests differ.  This is
-        the sharding contract's check: the digest must be identical for
-        any ``gen_workers`` value (see DESIGN.md).
+        the index-keyed contract's check: the digest must be identical
+        however the build phase is ordered or batched (see DESIGN.md).
         """
         h = hashlib.blake2b(digest_size=16)
 

@@ -60,7 +60,7 @@ RUN_SCHEMA = "repro.run/1"
 #: cache/storage/output plumbing, monitoring) — the digest-invariance
 #: contract the repo's tests enforce.  Everything else fingerprints.
 DIGEST_INVARIANT_FIELDS = frozenset({
-    "crawl_workers", "analysis_workers", "gen_workers",
+    "crawl_workers", "analysis_workers",
     "checkpoint_dir", "resume", "artifact_cache_dir",
     "store_backend", "store_batch_size", "store_spill_threshold",
     "store_dir",
@@ -68,9 +68,10 @@ DIGEST_INVARIANT_FIELDS = frozenset({
     "monitor", "monitor_interval", "stall_budget",
     "transport",
     # No longer StudyConfig fields, but manifests ingested before the
-    # asyncio crawl engine was removed carry them; excluding them keeps
-    # those runs on the same fingerprint as today's.
-    "crawl_engine", "crawl_pipeline",
+    # asyncio crawl engine and the generation process pool were removed
+    # carry them; excluding them keeps those runs on the same
+    # fingerprint as today's.
+    "crawl_engine", "crawl_pipeline", "gen_workers",
 })
 
 

@@ -9,10 +9,11 @@ seed; components ask for streams by name.
 from __future__ import annotations
 
 import hashlib
+from typing import List
 
 import numpy as np
 
-__all__ = ["RngFactory", "stable_hash32", "stable_hash64"]
+__all__ = ["RngFactory", "choice_cdf", "stable_hash32", "stable_hash64"]
 
 
 def stable_hash32(*parts: object) -> int:
@@ -27,9 +28,25 @@ def stable_hash32(*parts: object) -> int:
 
 def stable_hash64(*parts: object) -> int:
     """Return a stable 64-bit hash of the given parts."""
-    key = "\x1f".join(repr(p) for p in parts).encode("utf-8")
+    key = "\x1f".join(map(repr, parts)).encode("utf-8")
     digest = hashlib.blake2b(key, digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def choice_cdf(weights) -> List[float]:
+    """The table a weighted ``rng.choice`` searches, built once.
+
+    ``values[bisect_right(cdf, rng.random())]`` returns what
+    ``rng.choice(values, p=w / w.sum())`` returns and consumes the same
+    single ``random()`` draw: numpy's weighted pick is ``cdf =
+    p.cumsum(); cdf /= cdf[-1]`` and a right-sided search of one uniform
+    draw.  Building the table once skips numpy's per-call validation of
+    ``p``; ``tests/test_util_rng.py`` holds the equivalence.
+    """
+    w = np.asarray(weights, dtype=float)
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 class RngFactory:

@@ -202,6 +202,23 @@ class TestObservabilityCommands:
         assert "records, campaigns: first" in text
         assert "crawl.campaign" in text
 
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_old_journal_format_is_one_line_error(self, command, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / "journal.json").write_text(
+            '{"format": "repro-crawl-journal", "version": 2}'
+        )
+        argv = [command, "--scale", "0.0002", "--no-apks",
+                "--checkpoint-dir", str(ckpt), "--resume"]
+        if command == "report":
+            argv += ["--output", str(tmp_path / "EXPERIMENTS.md")]
+        assert main(argv, out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert str(ckpt) in err and "delete it" in err
+
     def test_run_report_requires_an_artifact(self):
         assert main(["run-report"], out=io.StringIO()) == 2
 

@@ -5,6 +5,8 @@ assert the generator's ground truth lands near the paper's targets.
 Detection-side fidelity is covered in test_calibration_shapes.py.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -314,3 +316,44 @@ class TestTemplateSpam:
                 assert overlap < 0.7
                 shared = set(a.own_code.blocks) & set(b.own_code.blocks)
                 assert shared  # but they do share template code
+
+
+class TestWorldDigestPins:
+    """Literal world digests: a draw that moves anywhere in generation
+    changes these (the e2e pins at seeds 1-10 and 42 sit outside the
+    unit suite)."""
+
+    @pytest.mark.parametrize("seed,digest", [
+        (1, "acff74d7b23958ff3fdb9c9cc78aa30d"),
+        (2, "9cb7d666677c33408d80af98a4419c21"),
+        (42, "c3867e70a709c7d003e4862e61bdddc1"),
+    ])
+    def test_pinned_digest(self, seed, digest):
+        assert EcosystemGenerator(seed, 0.0001).generate().content_digest() == digest
+
+
+class TestWorldgenCallBudget:
+    """World generation's cost as a count, so host noise cannot blur it:
+    Python-level calls per generated app, counted the way
+    ``TestFrameBudget`` counts (``sys.setprofile`` "call" events)."""
+
+    #: Rebuilding every weight table and library row per app, and
+    #: paying numpy's ``choice`` validation per pick, made 775 calls per
+    #: app; precomputed tables and batched draws make 174.  The bound
+    #: leaves headroom for interpreter and numpy drift.
+    CALLS_PER_APP = 250
+
+    def test_calls_per_app(self):
+        calls = 0
+
+        def profile(frame, event, _arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            world = EcosystemGenerator(42, 0.0002).generate()
+        finally:
+            sys.setprofile(None)
+        assert calls / len(world.apps) <= self.CALLS_PER_APP

@@ -1,12 +1,12 @@
-"""Sharded generation and the segment cache: the determinism contracts.
+"""Index-keyed generation and the segment cache: the determinism contracts.
 
-The sharding contract (DESIGN.md): the generated ``World`` is
-bit-identical at any ``gen_workers`` width, because every parallel work
-item draws from an RNG substream keyed by its stable identity (app
-index, listing key) — never by shard or worker.  The segment-cache
-contract: every served APK blob is byte-identical with the cache on or
-off.  Both are checked here at test scale; the enforced performance
-floors live in ``benchmarks/test_bench_worldgen.py``.
+The index-keyed contract (DESIGN.md): the generated ``World`` is
+bit-identical however the build phase is ordered or batched, because
+every body draws from an RNG substream keyed by its stable identity
+(app index, listing key) — never by its position in the work list.  The
+segment-cache contract: every served APK blob is byte-identical with
+the cache on or off.  Both are checked here at test scale; the enforced
+segment-cache floor lives in ``benchmarks/test_bench_worldgen.py``.
 """
 
 import hashlib
@@ -15,10 +15,9 @@ import pytest
 
 from repro.apk.archive import SegmentCache, parse_apk, serialize_apk
 from repro.apk.models import Apk, CodePackage, Manifest
-from repro.core.config import StudyConfig
 from repro.crawler.journal import CrawlJournal
+from repro.ecosystem import generator
 from repro.ecosystem.generator import EcosystemGenerator
-from repro.ecosystem.sharding import ShardPool, resolve_gen_workers
 from repro.markets.profiles import ALL_MARKET_IDS
 from repro.markets.store import build_stores
 
@@ -27,47 +26,29 @@ from test_crawler_journal import assert_records_identical, crawl_once
 
 class TestShardedDeterminism:
     @pytest.mark.parametrize("seed,scale", [(7, 0.0003), (99, 0.0005)])
-    def test_world_digest_identical_at_any_width(self, seed, scale):
-        digests = {
-            workers: EcosystemGenerator(
-                seed, scale, gen_workers=workers
-            ).generate().content_digest()
-            for workers in (1, 2, 8)
-        }
-        assert len(set(digests.values())) == 1, digests
+    def test_world_digest_identical_at_any_chunking(self, seed, scale, monkeypatch):
+        reference = EcosystemGenerator(seed, scale).generate().content_digest()
+        build = generator.build_bodies
+
+        def reversed_chunks(rngs, sampler, plans):
+            # Build in chunks of 7, last chunk first, then reassemble.
+            chunks = [plans[i:i + 7] for i in range(0, len(plans), 7)]
+            built = [build(rngs, sampler, chunk) for chunk in reversed(chunks)]
+            return [body for bodies in reversed(built) for body in bodies]
+
+        monkeypatch.setattr(generator, "build_bodies", reversed_chunks)
+        assert EcosystemGenerator(seed, scale).generate().content_digest() == reference
 
     def test_digest_distinguishes_worlds(self):
         a = EcosystemGenerator(7, 0.0003).generate()
         b = EcosystemGenerator(8, 0.0003).generate()
         assert a.content_digest() != b.content_digest()
 
-    def test_serial_fallback_identical(self):
-        world = EcosystemGenerator(7, 0.0003, gen_workers=4)
-        # Sabotage the pool before it spawns: map_chunks must fall back
-        # to the in-process path and still produce the identical world.
-        reference = EcosystemGenerator(7, 0.0003).generate().content_digest()
-        original = ShardPool._ensure_executor
-        try:
-            ShardPool._ensure_executor = lambda self: None
-            assert world.generate().content_digest() == reference
-        finally:
-            ShardPool._ensure_executor = original
-
-    def test_resolve_gen_workers(self):
-        assert resolve_gen_workers(3) == 3
-        assert 1 <= resolve_gen_workers(0) <= 8
-        with pytest.raises(ValueError):
-            resolve_gen_workers(-1)
-
-    def test_config_rejects_nonpositive_workers(self):
-        with pytest.raises(ValueError):
-            StudyConfig(gen_workers=0)
-
 
 class TestSegmentCache:
     @pytest.fixture(scope="class")
     def world(self):
-        return EcosystemGenerator(seed=17, scale=0.0003, gen_workers=2).generate()
+        return EcosystemGenerator(seed=17, scale=0.0003).generate()
 
     def test_blobs_byte_identical_cache_on_vs_off(self, world):
         segments = SegmentCache()
@@ -160,11 +141,11 @@ class TestMemoization:
 
 
 class TestShardedWorldCrawl:
-    """The PR 2 checkpoint contract holds over a sharded-generated world."""
+    """The checkpoint contract holds over an index-keyed generated world."""
 
     @pytest.fixture(scope="class")
     def world(self):
-        return EcosystemGenerator(seed=31, scale=0.0002, gen_workers=2).generate()
+        return EcosystemGenerator(seed=31, scale=0.0002).generate()
 
     def test_kill_and_resume_matches_uninterrupted(self, world, tmp_path_factory):
         baseline, _ = crawl_once(world, None)

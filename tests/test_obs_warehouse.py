@@ -104,7 +104,7 @@ class TestConfigFingerprint:
         base = StudyConfig(seed=7, scale=0.001)
         wide = StudyConfig(
             seed=7, scale=0.001, crawl_workers=8, analysis_workers=4,
-            gen_workers=4, store_backend="sqlite", monitor=True,
+            store_backend="sqlite", monitor=True,
             monitor_interval=0.5, stall_budget=2.0, profile=True,
             trace_out="t.jsonl", metrics_out="m.jsonl",
         )
