@@ -1,8 +1,6 @@
-"""Benchmarks for the section-level extras and the dataset facility."""
+"""Benchmarks for the section-level extras."""
 
 from conftest import run_and_report
-
-from repro.crawler.dataset import load_snapshot, save_snapshot
 
 
 def test_bench_section52(benchmark, bench_study):
@@ -18,19 +16,6 @@ def test_bench_section53(benchmark, bench_study):
 def test_bench_section64(benchmark, bench_study):
     report = run_and_report(benchmark, "section64", bench_study)
     assert report.data["malware_units"] > 0
-
-
-def test_bench_dataset_roundtrip(benchmark, bench_study, tmp_path):
-    path = tmp_path / "snapshot.jsonl.gz"
-
-    def roundtrip():
-        save_snapshot(bench_study.snapshot, path)
-        return load_snapshot(path)
-
-    loaded = benchmark.pedantic(roundtrip, rounds=2, iterations=1)
-    assert len(loaded) == len(bench_study.snapshot)
-    print(f"\ndataset file size: {path.stat().st_size / 1e6:.1f} MB "
-          f"for {len(loaded):,} records")
 
 
 def test_bench_fidelity(benchmark, bench_study):

@@ -5,7 +5,7 @@
 **50x study** (scale 0.02 — fifty times the other examples' 0.0004) end
 to end on the out-of-core sqlite backend: world generation, spill to
 segment tables, the APK-downloading crawl (records land in the corpus
-store, parsed APKs in the blob vault behind ``LazyApk`` proxies), the
+store, served APK bytes in the blob vault behind ``LazyApk`` proxies), the
 recheck campaign, and **all 24 experiment renders**.
 
 The gate reads ``resource.getrusage(RUSAGE_SELF).ru_maxrss`` — the
@@ -142,7 +142,7 @@ def main() -> int:
     assert len(reports) == 24, f"expected the full suite, got {len(reports)}"
     print(obs.profile_report())
     vault = result.corpus.vault
-    stored_blobs = sum(1 for _ in vault.root.rglob("*.json"))
+    stored_blobs = len(vault)
     print(f"blob vault: {vault.loads:,} loads, {vault.decodes:,} decodes of "
           f"{stored_blobs:,} stored blobs "
           f"({vault.decodes / max(1, stored_blobs):.2f} decodes per blob)")

@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "in-memory)")
         p.add_argument("--store-dir", default=None, metavar="DIR",
                        help="root for the sqlite backend's segment tables "
-                            "and APK vault (default: <checkpoint-dir>/store "
+                            "and APK vault (default: <checkpoint-dir>/store, "
+                            "whose APKs stay in the checkpoint's own vault, "
                             "or a temporary directory)")
         p.add_argument("--hostility", default=None, metavar="SPEC",
                        help="make market servers hostile: a comma-joined "

@@ -115,8 +115,9 @@ class StudyConfig:
     #: the memory backend in layout as well as digest.
     store_spill_threshold: int = 5000
     #: Root directory for the sqlite backend's segment tables and APK
-    #: blob vault.  ``None`` resolves to ``<checkpoint_dir>/store`` when
-    #: checkpointing is on, else a self-cleaning temporary directory.
+    #: blob vault (a checkpointed run keeps its APKs in the journal's
+    #: vault instead).  ``None`` resolves to ``<checkpoint_dir>/store``
+    #: when checkpointing is on, else a self-cleaning temporary directory.
     store_dir: Optional[str] = None
     #: Hostility spec applied to every market server (``None`` = polite
     #: fleet, today's behavior).  A comma-joined behavior list

@@ -379,7 +379,16 @@ class Study:
         rngs = RngFactory(config.seed)
         from repro.store.corpus import CorpusStore
 
-        corpus = CorpusStore.from_config(config)
+        journal = (
+            CrawlJournal(config.checkpoint_dir, resume=config.resume)
+            if config.checkpoint_dir
+            else None
+        )
+        # One vault per run: a checkpointed corpus keeps its APKs in the
+        # journal's.
+        corpus = CorpusStore.from_config(
+            config, vault=journal.apks if journal is not None else None
+        )
 
         with obs.stage("ecosystem"):
             from repro.ecosystem.threats import RepackagingModel
@@ -424,11 +433,6 @@ class Study:
         def lane_transports():
             return tier.transports() if tier is not None else None
 
-        journal = (
-            CrawlJournal(config.checkpoint_dir, resume=config.resume)
-            if config.checkpoint_dir
-            else None
-        )
         backfill = (
             ArchiveBackfill(world, segments=segments)
             if config.download_apks

@@ -533,8 +533,10 @@ class CrawlCoordinator:
         lane_clock = self._engine.lane(market_id).clock
         lane = journal.lane(market_id) if journal is not None else None
 
-        def fetch(record: CrawlRecord, quarantined: bool) -> Tuple[dict, object, bool]:
-            """One live (market, package) fetch -> (doc, parsed, quarantined)."""
+        def fetch(
+            record: CrawlRecord, quarantined: bool
+        ) -> Tuple[dict, object, Optional[bytes], bool]:
+            """One live (market, package) fetch -> (doc, parsed, blob, quarantined)."""
             blob: Optional[bytes] = None
             source: Optional[str] = None
             rate_limited = False
@@ -570,6 +572,7 @@ class CrawlCoordinator:
                     {"outcome": outcome, "md5": None, "source": None,
                      "rate_limited": rate_limited, "reason": reason},
                     None,
+                    None,
                     quarantined,
                 )
             try:
@@ -579,13 +582,15 @@ class CrawlCoordinator:
                     {"outcome": _DL_PARSE_ERROR, "md5": None, "source": None,
                      "rate_limited": rate_limited, "reason": None},
                     None,
+                    None,
                     quarantined,
                 )
-            md5 = journal.apks.put(parsed) if journal is not None else parsed.md5
+            md5 = journal.apks.put(parsed, blob) if journal is not None else parsed.md5
             return (
                 {"outcome": source, "md5": md5, "source": source,
                  "rate_limited": rate_limited, "reason": None},
                 parsed,
+                blob,
                 quarantined,
             )
 
@@ -607,16 +612,16 @@ class CrawlCoordinator:
                         clock=lane_clock,
                         package=record.package,
                     ) as span:
-                        parsed = None
+                        parsed = blob = None
                         doc = (
                             lane.replay("apk", record.package)
                             if lane is not None
                             else None
                         )
                         if doc is None:
-                            doc, parsed, quarantined = fetch(record, quarantined)
+                            doc, parsed, blob, quarantined = fetch(record, quarantined)
                             if lane is not None:
-                                # The APK doc is in the vault before
+                                # The APK's row is committed before
                                 # this line lands, so a torn entry never
                                 # dangles.
                                 lane.record(
@@ -633,8 +638,8 @@ class CrawlCoordinator:
                         if doc["md5"] is not None:
                             if parsed is None:
                                 parsed = journal.apk(doc["md5"])  # replayed
-                            snapshot.attach_apk(record, parsed, doc["source"])
-                            parsed = None  # released once attached
+                            snapshot.attach_apk(record, parsed, doc["source"], blob)
+                            parsed = blob = None  # released once attached
                         span["outcome"] = doc["outcome"]
                         span["source"] = doc["source"]
                         outcomes.append(doc["outcome"])

@@ -19,14 +19,15 @@ digest equality at arbitrary cut points).
 Layout under the checkpoint root::
 
     <root>/journal.json                  format version
-    <root>/apks/<md5[:2]>/<md5>.json     parsed APKs (a BlobVault)
+    <root>/apks.db                       served APK bytes (a BlobVault)
     <root>/<campaign>/<market>.jsonl     one WAL per market lane
 
-APK documents live in a :class:`~repro.store.blobs.BlobVault` — the
-same sharded, MD5-keyed store the out-of-core corpus uses — and journal
-entries reference them by MD5, so a lane entry stays small, replay
-re-hydrates :class:`~repro.apk.archive.ParsedApk` objects through the
-vault's bounded LRU, and the journal never holds the corpus in RAM.
+APKs live in a :class:`~repro.store.blobs.BlobVault` — one SQLite row
+of served RAPK1 bytes per MD5, the vault a checkpointed out-of-core
+corpus shares — and journal entries reference them by MD5, so a lane
+entry stays small, replay re-parses
+:class:`~repro.apk.archive.ParsedApk` objects through the vault's
+bounded LRU, and the journal never holds the corpus in RAM.
 
 Entries are JSON lines ``{"kind", "key", "result", "state"}``.  The
 first entry of each lane is ``begin`` — the state at campaign start,
@@ -43,18 +44,20 @@ campaigns.
 from __future__ import annotations
 
 import json
+import sqlite3
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.apk.archive import ParsedApk
-from repro.store.blobs import BlobVault
+from repro.apk.archive import ApkParseError, ParsedApk
+from repro.store.blobs import BlobVault, VaultError
 
 __all__ = ["CrawlJournal", "CampaignJournal", "LaneJournal", "JournalError"]
 
-#: Version 3: APK documents live in a sharded blob vault
-#: (``apks/<md5[:2]>/<md5>.json``).  Version 2 added the client's
-#: lifetime send ordinal (``sent``) to the lane state.
-JOURNAL_FORMAT_VERSION = 3
+#: Version 4: the vault keeps served APK bytes as SQLite rows
+#: (``apks.db``).  Version 3 kept parsed-APK JSON documents in a sharded
+#: file tree; version 2 added the client's lifetime send ordinal
+#: (``sent``) to the lane state.
+JOURNAL_FORMAT_VERSION = 4
 
 KIND_BEGIN = "begin"
 
@@ -237,8 +240,7 @@ class CampaignJournal:
         """A journaled entry's APK, read back from the vault."""
         try:
             return self.apks.load(md5)
-        except (OSError, ValueError, KeyError, TypeError, OverflowError,
-                RecursionError) as exc:
+        except (ApkParseError, VaultError, sqlite3.Error) as exc:
             raise JournalError(f"APK vault entry {md5} unreadable: {exc!r}") from exc
 
     def lane(self, market_id: str) -> LaneJournal:
@@ -259,7 +261,9 @@ class CrawlJournal:
     ``resume=False`` (the default) starts every campaign clean, deleting
     any stale lane journals under the same label; ``resume=True`` replays
     whatever the directory already holds.  The APK vault is kept either
-    way — it is content-addressed, so stale entries are harmless.
+    way — it is content-addressed, so stale entries are harmless — and
+    stays open past :meth:`close`, since a checkpointed corpus reads
+    from it.
     """
 
     def __init__(self, root: Union[str, Path], resume: bool = False):
@@ -268,7 +272,7 @@ class CrawlJournal:
         self.root.mkdir(parents=True, exist_ok=True)
         self._meta_path = self.root / "journal.json"
         self._check_version()
-        self.apks = BlobVault(self.root / "apks")
+        self.apks = BlobVault(self.root / "apks.db")
         self._campaigns: Dict[str, CampaignJournal] = {}
 
     def _check_version(self) -> None:

@@ -11,8 +11,8 @@ every accessor has one implementation over it.  The family starts in
 memory and holds the record objects themselves.  Handing the
 constructor a :class:`~repro.store.corpus.CorpusStore` arms the spill:
 once the record count crosses the store's spill threshold, the rows are
-copied into a per-campaign SQLite family (APK documents into the blob
-vault, records re-served with :class:`~repro.store.blobs.LazyApk`
+copied into a per-campaign SQLite family (served APK bytes into the
+blob vault, records re-served with :class:`~repro.store.blobs.LazyApk`
 proxies through batched streaming cursors).
 ``content_digest()`` is backend-invariant: the streaming fold below
 reproduces :func:`~repro.util.rng.stable_hash64` over the canonical row
@@ -223,31 +223,65 @@ def _apk_columns(apk) -> Tuple:
 _APK_COLUMNS = ("md5", "signer", "vc_hint", "min_sdk", "obfuscated_by")
 
 
+def _record_to_doc(record: CrawlRecord) -> dict:
+    """A record's metadata as a JSON object; its APK and provenance
+    ride on the row's columns."""
+    return {
+        "market": record.market_id,
+        "package": record.package,
+        "name": record.app_name,
+        "version_name": record.version_name,
+        "version_code": record.version_code,
+        "category": record.category,
+        "downloads": record.downloads,
+        "install_range": list(record.install_range) if record.install_range else None,
+        "rating": record.rating,
+        "updated_day": record.updated_day,
+        "developer": record.developer_name,
+        "crawl_day": record.crawl_day,
+    }
+
+
+def _record_from_doc(doc: dict) -> CrawlRecord:
+    install_range = doc.get("install_range")
+    return CrawlRecord(
+        market_id=doc["market"],
+        package=doc["package"],
+        app_name=doc["name"],
+        version_name=doc["version_name"],
+        version_code=int(doc["version_code"]),
+        category=doc["category"],
+        downloads=doc.get("downloads"),
+        install_range=tuple(install_range) if install_range else None,
+        rating=float(doc["rating"]),
+        updated_day=int(doc["updated_day"]),
+        developer_name=doc["developer"],
+        crawl_day=float(doc["crawl_day"]),
+    )
+
+
 class _ResidentRecords(ResidentCodec):
     """The memory family's codec: records and APKs stay as they are."""
 
-    keep_apk = staticmethod(ResidentCodec.encode)
+    @staticmethod
+    def keep_apk(apk: ParsedApk, blob: Optional[bytes] = None) -> ParsedApk:
+        return apk
 
 
 class _VaultRecords:
-    """The sqlite family's codec: APK-free JSON payloads, APK documents
-    in the blob vault, and :class:`LazyApk` proxies on decoded records."""
+    """The sqlite family's codec: APK-free JSON payloads, served APK
+    bytes in the blob vault, and :class:`LazyApk` proxies on decoded
+    records."""
 
     def __init__(self, vault):
         self.vault = vault
 
     def encode(self, record: CrawlRecord) -> str:
-        from repro.crawler.dataset import _record_to_doc
-
         if isinstance(record.apk, ParsedApk):
             self.vault.put(record.apk)
-        doc = _record_to_doc(record)
-        doc["apk"] = None
-        doc["apk_source"] = None  # provenance rides on the column
-        return json.dumps(doc, separators=(",", ":"))
+        return json.dumps(_record_to_doc(record), separators=(",", ":"))
 
     def decode(self, row: Tuple) -> CrawlRecord:
-        from repro.crawler.dataset import _record_from_doc
         from repro.store.blobs import LazyApk
 
         _, _, md5, signer, vc_hint, min_sdk, obfuscated_by, apk_source, payload = row
@@ -257,9 +291,9 @@ class _VaultRecords:
             record.apk_source = apk_source
         return record
 
-    def keep_apk(self, apk: ParsedApk):
-        """Store the APK in the vault; the record keeps its lazy proxy."""
-        return self.vault.lazy(apk)
+    def keep_apk(self, apk: ParsedApk, blob: Optional[bytes] = None):
+        """Store the APK's served bytes; the record keeps its lazy proxy."""
+        return self.vault.lazy(apk, blob)
 
 
 class Snapshot:
@@ -333,18 +367,23 @@ class Snapshot:
         return True
 
     def attach_apk(
-        self, record: CrawlRecord, apk: ParsedApk, source: Optional[str]
+        self,
+        record: CrawlRecord,
+        apk: ParsedApk,
+        source: Optional[str],
+        blob: Optional[bytes] = None,
     ) -> None:
         """Attach a downloaded APK to a record, writing through the family.
 
         The record's row gets the APK identity columns and the caller's
         record object gets the APK (on the memory family that object is
-        the stored record).  Once spilled, the APK document goes to the
-        blob vault and the record holds a :class:`LazyApk` — the parsed
-        APK is released as soon as the caller drops it, so the download
-        phase never accumulates the corpus in RAM.
+        the stored record).  Once spilled, the APK's served bytes
+        (``blob``, which ``apk`` was parsed from) go to the blob vault
+        and the record holds a :class:`LazyApk` — the parsed APK is
+        released as soon as the caller drops it, so the download phase
+        never accumulates the corpus in RAM.
         """
-        apk = self._codec.keep_apk(apk)
+        apk = self._codec.keep_apk(apk, blob)
         columns = dict(zip(_APK_COLUMNS, _apk_columns(apk)), apk_source=source)
         self._family.update(
             columns, {"market_id": record.market_id, "package": record.package}

@@ -1035,11 +1035,13 @@ class EcosystemGenerator:
         if not aggressive:
             return
         aggressive_packages = {lib.package for lib in aggressive}
-
-        def flaggable(app: AppBlueprint) -> bool:
-            if app.threat is not None:
-                return True
-            return any(pkg in aggressive_packages for pkg, _ in app.libraries)
+        # Flaggable: a threat, or an aggressive library.  Decided once per
+        # app, before any placement is topped up.
+        flaggable = {
+            a.app_id for a in self._world.apps
+            if a.threat is not None
+            or not aggressive_packages.isdisjoint(dict(a.libraries))
+        }
 
         deficits: Dict[str, int] = {}
         for m in ALL_MARKET_IDS:
@@ -1048,15 +1050,12 @@ class EcosystemGenerator:
             rate = profile.av1_rate / 100.0
             if profile.requires_obfuscation:
                 rate = max(0.0, (rate - _JIAGU_FLAG_SHARE) / (1.0 - _JIAGU_FLAG_SHARE))
-            flagged = sum(
-                1 for app_id in self._market_members[m]
-                if flaggable(self._world.apps[app_id])
-            )
+            flagged = sum(map(flaggable.__contains__, self._market_members[m]))
             deficits[m] = self._bernoulli_round(rng, rate * size) - flagged
 
         pool = [
             a for a in self._world.apps
-            if not flaggable(a) and a.popularity < 0.95
+            if a.app_id not in flaggable and a.popularity < 0.95
         ]
         rng.shuffle(pool)
         attempts = 0

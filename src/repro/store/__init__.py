@@ -6,9 +6,9 @@ family interface (:mod:`repro.store.columnar`) with two
 implementations: a :class:`~repro.store.columnar.MemoryFamily` that
 holds rows as Python objects, and a SQLite
 :class:`~repro.store.columnar.Family` (one segment table per family in
-a :class:`~repro.store.columnar.ColumnStore`).  A content-addressed,
-mmap-read :class:`~repro.store.blobs.BlobVault` holds APK documents,
-and the :class:`~repro.store.corpus.CorpusStore` facade that a
+a :class:`~repro.store.columnar.ColumnStore`).  A content-addressed
+:class:`~repro.store.blobs.BlobVault` holds the served APK bytes, and
+the :class:`~repro.store.corpus.CorpusStore` facade that a
 :class:`~repro.core.config.StudyConfig` resolves to bundles the two
 disk layers.
 

@@ -1,13 +1,23 @@
 """Content-addressed APK blob vault with lazy proxies.
 
-The vault stores parsed-APK documents on disk keyed by MD5 (the crawl
-journal keeps its APKs in one too, at ``<checkpoint>/apks``), sharded
-two hex characters deep, and serves reads through
-``mmap`` so repeated loads of a hot shard stay in the page cache rather
-than duplicating bytes per reader.  A bounded LRU of decoded
-:class:`~repro.apk.archive.ParsedApk` objects sits on top; the bound is
-what keeps the resident set flat when a streaming cursor walks millions
-of records.
+The vault keeps each APK as the market served it: the RAPK1 bytes
+:func:`~repro.apk.archive.parse_apk` decodes, one row
+``(md5 TEXT PRIMARY KEY, blob BLOB)`` per APK in a single SQLite
+database (the crawl journal keeps its APKs in one too, at
+``<checkpoint>/apks.db``, and a checkpointed corpus shares it).  An
+APK's ``md5`` is the MD5 of its blob, so every read is self-verifying:
+:meth:`BlobVault.load` refuses a blob over :data:`MAX_BLOB_BYTES`
+before parsing it, and one that does not hash to its key after.  A
+bounded LRU of decoded :class:`~repro.apk.archive.ParsedApk` objects
+sits on top; the bound is what keeps the resident set flat when a
+streaming cursor walks millions of records.
+
+The database runs in WAL mode with ``synchronous=NORMAL`` (as the
+record families' :class:`~repro.store.columnar.ColumnStore` does), in
+autocommit, so a put is committed when it returns: the crawl journal
+writes the line that names an APK only after the APK's row.  The
+connection gets a small page cache and no mmap, so the vault adds
+next to nothing to the resident set; its hot set is the LRU.
 
 :class:`LazyApk` is the out-of-core stand-in for a ``ParsedApk`` held
 by a crawl record or app unit.  It carries the manifest scalars the
@@ -28,62 +38,96 @@ every analyzer that needs it on that one decode.  ``loads`` and
 
 from __future__ import annotations
 
-import json
-import mmap
-import os
+import hashlib
 import re
+import sqlite3
 import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Optional, Union
 
-__all__ = ["BlobVault", "LazyApk", "DEFAULT_VAULT_CACHE"]
+from repro.apk.archive import MAX_DOCUMENT_BYTES, parse_apk, serialize_apk
+
+__all__ = ["BlobVault", "LazyApk", "VaultError", "DEFAULT_VAULT_CACHE", "MAX_BLOB_BYTES"]
 
 #: Decoded-APK LRU size.  ~200 ParsedApks is a few MiB — enough to keep
 #: one analysis batch hot without letting the cache become the corpus.
 DEFAULT_VAULT_CACHE = 256
 
+#: Largest stored blob :meth:`BlobVault.load` parses.  A served blob is
+#: a compressed document, so it never comes near the inflated-document
+#: cap ``parse_apk`` enforces; a row past it is damage.
+MAX_BLOB_BYTES = MAX_DOCUMENT_BYTES
+
+#: SQLite page cache of the vault's connection, in KiB.
+_CACHE_KIB = 64
+
+#: Page size of a new vault database.  Served blobs are a few KiB, so
+#: 1 KiB pages leave under a page of slack per row, and the WAL (1,000
+#: pages between automatic checkpoints) stays near 1 MiB.
+_PAGE_BYTES = 1024
+
 _MD5 = re.compile(r"[0-9a-f]{32}")
 
 
-class BlobVault:
-    """Disk store of parsed-APK docs: ``root/<md5[:2]>/<md5>.json``."""
+class VaultError(ValueError):
+    """A vault key that is not an MD5, or a row that is missing,
+    oversized, or not the APK its key names."""
 
-    def __init__(self, root: Union[str, Path], cache_size: int = DEFAULT_VAULT_CACHE):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+
+def _key(md5: str) -> str:
+    if not _MD5.fullmatch(md5):
+        raise VaultError(f"not an MD5 hex digest: {md5!r}")
+    return md5
+
+
+class BlobVault:
+    """Served APK bytes keyed by MD5, one row each in one SQLite file."""
+
+    def __init__(self, path: Union[str, Path], cache_size: int = DEFAULT_VAULT_CACHE):
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._cache: "OrderedDict[str, object]" = OrderedDict()
         self._cache_size = max(1, cache_size)
         self._lock = threading.Lock()
         #: ``load`` calls, and those that missed the LRU and decoded.
         self.loads = 0
         self.decodes = 0
+        self._conn = sqlite3.connect(self.path, check_same_thread=False, isolation_level=None)
+        self._conn.execute(f"PRAGMA page_size={_PAGE_BYTES}")
+        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.execute(f"PRAGMA cache_size=-{_CACHE_KIB}")
+        self._conn.execute("PRAGMA mmap_size=0")
+        self._conn.execute(
+            "CREATE TABLE IF NOT EXISTS apks (md5 TEXT PRIMARY KEY, blob BLOB NOT NULL)"
+        )
 
-    def _path(self, md5: str) -> Path:
-        if not _MD5.fullmatch(md5):
-            raise ValueError(f"not an MD5 hex digest: {md5!r}")
-        return self.root / md5[:2] / f"{md5}.json"
+    def put(self, apk, blob: Optional[bytes] = None) -> str:
+        """Store one APK's served bytes; idempotent; returns its MD5.
 
-    def put(self, apk) -> str:
-        """Store one parsed APK; idempotent; returns its MD5."""
-        from repro.crawler.dataset import _apk_to_doc
-
+        ``blob`` is the bytes ``apk`` was parsed from.  Without it the
+        APK is re-encoded, unless its MD5 is stored already, and the put
+        is refused when the re-encoding does not hash to ``apk.md5``.
+        """
         md5 = apk.md5
-        path = self._path(md5)
-        if not path.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.{id(apk):x}.tmp")
-            tmp.write_text(
-                json.dumps(_apk_to_doc(apk), separators=(",", ":")),
-                encoding="utf-8",
-            )
-            os.replace(tmp, path)
+        if blob is None:
+            if md5 in self:
+                return md5
+            blob = serialize_apk(apk)
+            if hashlib.md5(blob).hexdigest() != md5:
+                raise VaultError(f"APK {md5} does not re-encode to its served bytes")
+        with self._lock:
+            self._conn.execute("INSERT OR IGNORE INTO apks VALUES (?, ?)", (md5, blob))
         return md5
 
     def load(self, md5: str):
-        """Decode one APK by digest, through the bounded LRU."""
-        from repro.crawler.dataset import _apk_from_doc
+        """Decode one APK by digest, through the bounded LRU.
 
+        Raises :class:`VaultError` for a missing, oversized or
+        mismatched row and :class:`~repro.apk.archive.ApkParseError` for
+        one that does not parse.
+        """
         with self._lock:
             self.loads += 1
             apk = self._cache.get(md5)
@@ -91,11 +135,19 @@ class BlobVault:
                 self._cache.move_to_end(md5)
                 return apk
             self.decodes += 1
-        path = self._path(md5)
-        with open(path, "rb") as handle:
-            with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as view:
-                doc = json.loads(view[:])
-        apk = _apk_from_doc(doc)
+            row = self._conn.execute(
+                "SELECT length(blob), CASE WHEN length(blob) <= ? THEN blob END "
+                "FROM apks WHERE md5 = ?",
+                (MAX_BLOB_BYTES, _key(md5)),
+            ).fetchone()
+        if row is None:
+            raise VaultError(f"no APK {md5} in {self.path}")
+        size, blob = row
+        if blob is None:
+            raise VaultError(f"APK {md5} is {size} bytes, over the {MAX_BLOB_BYTES}-byte cap")
+        apk = parse_apk(blob)
+        if apk.md5 != md5:
+            raise VaultError(f"vault row {md5} holds APK {apk.md5}")
         with self._lock:
             self._cache[md5] = apk
             self._cache.move_to_end(md5)
@@ -107,11 +159,16 @@ class BlobVault:
         with self._lock:
             if md5 in self._cache:
                 return True
-        return self._path(md5).exists()
+            query = "SELECT 1 FROM apks WHERE md5 = ?"
+            return self._conn.execute(query, (_key(md5),)).fetchone() is not None
 
-    def lazy(self, apk) -> "LazyApk":
-        """Store ``apk`` and return its lazy stand-in."""
-        self.put(apk)
+    def __len__(self) -> int:
+        with self._lock:
+            return self._conn.execute("SELECT count(*) FROM apks").fetchone()[0]
+
+    def lazy(self, apk, blob: Optional[bytes] = None) -> "LazyApk":
+        """Store ``apk`` (see :meth:`put`) and return its lazy stand-in."""
+        self.put(apk, blob)
         return LazyApk(
             self,
             apk.md5,
@@ -120,6 +177,10 @@ class BlobVault:
             apk.min_sdk,
             apk.obfuscated_by,
         )
+
+    def close(self) -> None:
+        with self._lock:
+            self._conn.close()
 
 
 class LazyApk:

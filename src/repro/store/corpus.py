@@ -2,9 +2,11 @@
 
 :class:`CorpusStore` bundles the two disk layers one study run needs —
 a :class:`~repro.store.columnar.ColumnStore` of record-family segment
-tables and a :class:`~repro.store.blobs.BlobVault` of parsed-APK
-documents — under one root directory, and resolves itself from a
+tables and a :class:`~repro.store.blobs.BlobVault` of served APK bytes —
+under one root directory, and resolves itself from a
 :class:`~repro.core.config.StudyConfig` (``store_backend="sqlite"``).
+A checkpointed run hands it the crawl journal's vault instead, so each
+APK is stored once per run.
 It also declares the schema of each record family, which the memory and
 the sqlite family of that record kind share.
 
@@ -107,6 +109,7 @@ class CorpusStore:
         root: Optional[Union[str, Path]] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         spill_threshold: int = DEFAULT_SPILL_THRESHOLD,
+        vault: Optional[BlobVault] = None,
     ):
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         if root is None:
@@ -117,11 +120,18 @@ class CorpusStore:
         self.batch_size = batch_size
         self.spill_threshold = spill_threshold
         self.columns = ColumnStore(self.root / "corpus.db", batch_size=batch_size)
-        self.vault = BlobVault(self.root / "apks")
+        self._own_vault = vault is None
+        self.vault = BlobVault(self.root / "apks.db") if vault is None else vault
 
     @classmethod
-    def from_config(cls, config) -> Optional["CorpusStore"]:
-        """The store a config asks for — None for the memory backend."""
+    def from_config(
+        cls, config, vault: Optional[BlobVault] = None
+    ) -> Optional["CorpusStore"]:
+        """The store a config asks for — None for the memory backend.
+
+        ``vault`` is a vault the run already has (the crawl journal's);
+        without one the store opens its own under its root.
+        """
         if getattr(config, "store_backend", "memory") != "sqlite":
             return None
         root = getattr(config, "store_dir", None)
@@ -133,6 +143,7 @@ class CorpusStore:
             spill_threshold=getattr(
                 config, "store_spill_threshold", DEFAULT_SPILL_THRESHOLD
             ),
+            vault=vault,
         )
 
     # -- families ----------------------------------------------------------
@@ -146,6 +157,8 @@ class CorpusStore:
 
     def close(self) -> None:
         self.columns.close()
+        if self._own_vault:
+            self.vault.close()
         if self._tmp is not None:
             self._tmp.cleanup()
             self._tmp = None

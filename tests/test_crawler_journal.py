@@ -2,6 +2,7 @@
 
 import gc
 import json
+import sqlite3
 import weakref
 
 import pytest
@@ -87,13 +88,19 @@ def assert_records_identical(a, b):
             assert ra.apk.signer_fingerprint == rb.apk.signer_fingerprint
 
 
+def _overwrite_row(vault, md5, content):
+    """Replace one vault row's blob in place, through a second connection."""
+    with sqlite3.connect(vault.path) as conn:
+        conn.execute("UPDATE apks SET blob = ? WHERE md5 = ?", (content, md5))
+
+
 class TestApkStore:
-    """The journal's APK vault (``<ckpt>/apks``)."""
+    """The journal's APK vault (``<ckpt>/apks.db``)."""
 
     def test_put_get_roundtrip(self, tmp_path):
         apk = make_parsed(package="com.store.roundtrip")
         md5 = CrawlJournal(tmp_path).apks.put(apk)
-        fresh = CrawlJournal(tmp_path, resume=True)  # cold cache: reads the file
+        fresh = CrawlJournal(tmp_path, resume=True)  # cold cache: reads the row
         loaded = fresh.campaign("c").apk(md5)
         assert loaded.md5 == apk.md5
         assert loaded.manifest == apk.manifest
@@ -103,7 +110,8 @@ class TestApkStore:
         vault = CrawlJournal(tmp_path).apks
         apk = make_parsed()
         assert vault.put(apk) == vault.put(apk)
-        assert len(list((tmp_path / "apks").rglob("*.json"))) == 1
+        assert len(vault) == 1
+        assert [p.name for p in tmp_path.rglob("*.json")] == ["journal.json"]
 
     def test_missing_entry_raises(self, tmp_path):
         campaign = CrawlJournal(tmp_path).campaign("c")
@@ -115,13 +123,13 @@ class TestApkStore:
     def test_unreadable_entry_raises(self, tmp_path, content):
         journal = CrawlJournal(tmp_path)
         md5 = journal.apks.put(make_parsed())
-        next((tmp_path / "apks").rglob(f"{md5}.json")).write_bytes(content)
+        _overwrite_row(journal.apks, md5, content)
         with pytest.raises(JournalError, match=md5):
             journal.campaign("c").apk(md5)
 
     def test_spilled_campaign_keeps_no_parsed_apk_alive(self, world, tmp_path, monkeypatch):
-        # Every APK a spilled campaign parses goes to disk twice (corpus
-        # vault, journal vault); once attached, nothing may pin it.
+        # Every APK a spilled campaign parses goes to disk (corpus vault,
+        # journal vault); once attached, nothing may pin it.
         import repro.crawler.crawler as crawler_module
 
         parsed = []
@@ -320,11 +328,11 @@ class TestCrawlJournalLifecycle:
         resumed.close()
 
     def test_version_mismatch_raises(self, tmp_path):
-        # A checkpoint written before APKs moved into the sharded vault.
+        # A checkpoint written while the vault held JSON documents.
         (tmp_path / "journal.json").write_text(
-            json.dumps({"format": "repro-crawl-journal", "version": 2})
+            json.dumps({"format": "repro-crawl-journal", "version": 3})
         )
-        with pytest.raises(JournalError, match="unsupported journal version 2"):
+        with pytest.raises(JournalError, match="unsupported journal version 3"):
             CrawlJournal(tmp_path)
 
 

@@ -189,7 +189,7 @@ class TestReopen:
 
 class TestBlobVault:
     def test_put_load_roundtrip(self, tmp_path):
-        vault = BlobVault(tmp_path)
+        vault = BlobVault(tmp_path / "apks.db")
         apk = make_parsed(package="com.vault.app")
         vault.put(apk)
         assert apk.md5 in vault
@@ -198,12 +198,12 @@ class TestBlobVault:
         assert loaded.manifest.package == "com.vault.app"
 
     def test_put_is_idempotent(self, tmp_path):
-        vault = BlobVault(tmp_path)
+        vault = BlobVault(tmp_path / "apks.db")
         apk = make_parsed()
         assert vault.put(apk) == vault.put(apk) == apk.md5
 
     def test_lazy_proxy_defers_and_delegates(self, tmp_path):
-        vault = BlobVault(tmp_path)
+        vault = BlobVault(tmp_path / "apks.db")
         apk = make_parsed(package="com.lazy.app", version_code=9)
         lazy = vault.lazy(apk)
         assert isinstance(lazy, LazyApk)
@@ -215,14 +215,14 @@ class TestBlobVault:
 
     @pytest.mark.parametrize("key", ["ab/cd", "abcd", "AB" * 16, "g" * 32, "0" * 33])
     def test_rejects_keys_that_are_not_md5_hex(self, tmp_path, key):
-        vault = BlobVault(tmp_path)
+        vault = BlobVault(tmp_path / "apks.db")
         with pytest.raises(ValueError):
             vault.load(key)
         with pytest.raises(ValueError):
             key in vault
 
     def test_counts_loads_and_decodes(self, tmp_path):
-        vault = BlobVault(tmp_path, cache_size=1)
+        vault = BlobVault(tmp_path / "apks.db", cache_size=1)
         first, second = make_parsed(package="com.a"), make_parsed(package="com.b")
         vault.put(first)
         vault.put(second)
@@ -231,7 +231,7 @@ class TestBlobVault:
         assert (vault.loads, vault.decodes) == (4, 3)
 
     def test_cache_is_bounded(self, tmp_path):
-        vault = BlobVault(tmp_path, cache_size=2)
+        vault = BlobVault(tmp_path / "apks.db", cache_size=2)
         md5s = []
         for i in range(4):
             apk = make_parsed(package=f"com.bound.app{i}", version_code=i + 1)

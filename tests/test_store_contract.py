@@ -321,7 +321,7 @@ class TestVaultLoadBudget:
 
     def test_whole_run_within_budget(self, counted):
         result, loads = counted
-        stored = sum(1 for _ in (result.corpus.root / "apks").rglob("*.json"))
+        stored = len(result.corpus.vault)
         apk_units = sum(1 for unit in result.units if unit.apk_md5 is not None)
         total = sum(loads.values())
         assert 0 < total <= stored + 2 * apk_units, dict(loads)
