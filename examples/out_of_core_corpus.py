@@ -57,13 +57,14 @@ SEED = 7
 SCALE = float(os.environ.get("REPRO_CORPUS_SCALE", "0.02"))
 
 #: The CI-enforced ceiling on peak RSS (MiB) for the full 50x run on
-#: the sqlite backend.  Calibrated 2026-08: sqlite peaks at ~1570 MiB
-#: (the generation transient — the world materializes before it
-#: spills); the in-memory backend at the same scale peaks at ~8300 MiB
-#: holding every record and parsed APK live.  The ceiling sits between
-#: the two with headroom on both sides (sqlite clears it by ~24%, the
-#: memory backend overshoots it 4x), so allocator or interpreter drift
-#: does not flap the gate.
+#: the sqlite backend.  Calibrated 2026-08 with sqlite at ~1570 MiB;
+#: re-measured 2026-10 with the blob vault at 1,917-1,918 MiB (the
+#: generation transient — the world materializes before it spills).
+#: The in-memory backend at the same scale peaks at ~8300 MiB holding
+#: every record and parsed APK live.  The ceiling sits between the two:
+#: the memory backend overshoots it 4x, but sqlite now clears it by
+#: only ~6%, so a change that adds to the generation transient can trip
+#: the gate.
 PEAK_CEILING_MIB = 2048
 
 #: What the in-memory backend measured at calibration time, for the

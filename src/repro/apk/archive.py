@@ -6,13 +6,29 @@ Analyzers only ever receive blobs (from crawler downloads) and work on
 the resulting :class:`ParsedApk` — this enforces the boundary between
 the synthetic world and the measurement code.
 
-A :class:`SegmentCache` may be passed to :func:`serialize_apk`: the
-per-code-package ``dex`` segments (the bulk of every blob, and the part
-shared verbatim across a package's 16-market × version fan-out — per
-§5.3 placements differ only by manifest, channel file, and signature)
-are then JSON-encoded once and spliced by bytes thereafter.  The cache
-only changes who pays the encoding cost; the emitted bytes are
-identical with or without it.
+The per-code-package ``dex`` segments are the bulk of every blob, and
+the part shared verbatim across a package's 16-market × version
+fan-out (per §5.3 placements differ only by manifest, channel file,
+and signature).  Each distinct segment is therefore encoded once and
+decoded once:
+
+* **Encode once.**  A :class:`SegmentCache` passed to
+  :func:`serialize_apk` JSON-encodes each distinct package once and
+  splices the bytes thereafter.  The emitted bytes are identical with
+  or without it.
+* **Decode once.**  :func:`parse_apk` keeps a table of the
+  :class:`CodePackage` objects it has decoded, keyed by the exact JSON
+  text of their ``dex`` entry and holding them by weak reference, and
+  returns the one already built for an entry of the same text without
+  decoding it again.  A package lives exactly as long as some
+  :class:`ParsedApk` holds it: a resident snapshot shares one copy of
+  every library, a spilled run keeps no more than its vault LRU holds.
+  A hit returns exactly what a cold decode would: JSON text decodes to
+  one value, and a JSON object ends at its closing brace, so an entry
+  that starts with a stored text decodes as that text did.  Only a
+  successful cold decode stores a text, and a document laid out other
+  than :func:`serialize_apk` writes it (whitespace, key order, invalid
+  JSON) goes through ``json.loads`` and decodes, or fails, cold.
 """
 
 from __future__ import annotations
@@ -21,6 +37,7 @@ import hashlib
 import json
 import struct
 import threading
+import weakref
 import zlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -204,8 +221,98 @@ class ParsedApk:
         return (self.manifest.package, self.manifest.version_code)
 
 
+#: Decoded code packages by the exact JSON text of their ``dex`` entry.
+#: Values are weak, so the table never keeps a package alive by itself.
+_PACKAGES: "weakref.WeakValueDictionary[str, CodePackage]" = weakref.WeakValueDictionary()
+_PACKAGES_LOCK = threading.Lock()
+
+#: The scanner ``json.loads`` runs, called here one document part at a time.
+_scan = json.JSONDecoder().scan_once
+
+#: The document's keys in the order :func:`serialize_apk` writes them.
+_LAYOUT = ("manifest", "dex", "signature", "meta_inf", "obfuscated_by")
+
+
+def _scan_dex(text: str, i: int) -> Tuple[list, int]:
+    """The ``dex`` list at ``text[i]``: the shared package of each entry
+    whose exact text the table holds, and ``(value, text)`` of the rest.
+
+    A JSON object ends at its closing brace whatever follows it, so an
+    entry that starts with a stored text *is* that text, and decodes as
+    it did.  A compact entry ends at the first ``]}`` (its ``blocks``
+    list closing); where that guess is wrong, the lookup just misses.
+    """
+    if text[i : i + 1] != "[":
+        raise ValueError("not a dex list")
+    if text[i + 1 : i + 2] == "]":
+        return [], i + 2
+    entries: list = []
+    # An empty table cannot hit; a spilled crawl's stays empty, as each
+    # parsed APK dies once the vault holds its bytes.
+    lookup = len(_PACKAGES) > 0
+    while True:
+        i += 1
+        item = None
+        if lookup:
+            end = text.find("]}", i) + 2
+            with _PACKAGES_LOCK:
+                item = _PACKAGES.get(text[i:end])
+        if item is None:
+            value, end = _scan(text, i)
+            item = (value, text[i:end])
+        entries.append(item)
+        i = end
+        separator = text[i : i + 1]
+        if separator == "]":
+            return entries, i + 1
+        if separator != ",":
+            raise ValueError("not a dex list")
+
+
+def _load_compact(text: str) -> Optional[dict]:
+    """``json.loads(text)`` for a document laid out as :func:`serialize_apk`
+    writes it, with ``dex`` as :func:`_scan_dex` reads it; None for any
+    other text, which ``json.loads`` then decodes, or refuses, itself.
+    """
+    doc = {}
+    i = 0
+    try:
+        for n, name in enumerate(_LAYOUT):
+            head = ('{"' if n == 0 else ',"') + name + '":'
+            if not text.startswith(head, i):
+                return None
+            read = _scan_dex if name == "dex" else _scan
+            doc[name], i = read(text, i + len(head))
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    return doc if i == len(text) - 1 and text.endswith("}") else None
+
+
+def _cold_package(entry) -> CodePackage:
+    return CodePackage(
+        name=entry["name"],
+        features={int(fid): int(count) for fid, count in entry["features"]},
+        blocks=tuple(map(int, entry["blocks"])),
+    )
+
+
+def _shared_package(item) -> CodePackage:
+    """The package of one item of a :func:`_scan_dex` list: a hit as it
+    is, a miss decoded cold and, once that succeeds, stored."""
+    if type(item) is not tuple:
+        return item
+    value, text = item
+    pkg = _cold_package(value)
+    with _PACKAGES_LOCK:
+        return _PACKAGES.setdefault(text, pkg)
+
+
 def parse_apk(blob: bytes) -> ParsedApk:
     """Parse a serialized APK blob.
+
+    Code packages are shared: a ``dex`` entry of the same text as one an
+    earlier parse decoded, while that package is alive, comes back as
+    the same :class:`CodePackage` object (see the module docstring).
 
     Raises :class:`ApkParseError` on malformed input (bad magic,
     truncation, corrupt payload or JSON nested too deep to decode, a
@@ -229,7 +336,9 @@ def parse_apk(blob: bytes) -> ParsedApk:
             )
         if not inflater.eof:
             raise ApkParseError("corrupt payload: truncated stream")
-        doc = json.loads(document.decode("utf-8"))
+        text = document.decode("utf-8")
+        compact = _load_compact(text)
+        doc = compact or json.loads(text)
     except (zlib.error, ValueError, RecursionError) as exc:
         # RecursionError: JSON nested too deep for the decoder's stack.
         raise ApkParseError(f"corrupt payload: {exc}") from exc
@@ -244,14 +353,7 @@ def parse_apk(blob: bytes) -> ParsedApk:
             target_sdk=int(mdoc["target_sdk"]),
             permissions=tuple(mdoc["permissions"]),
         )
-        packages = tuple(
-            CodePackage(
-                name=p["name"],
-                features={int(fid): int(count) for fid, count in p["features"]},
-                blocks=tuple(int(b) for b in p["blocks"]),
-            )
-            for p in doc["dex"]
-        )
+        packages = tuple(map(_shared_package if compact else _cold_package, doc["dex"]))
         meta_inf = tuple(ChannelFile(name, content) for name, content in doc["meta_inf"])
         return ParsedApk(
             manifest=manifest,

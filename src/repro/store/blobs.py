@@ -47,6 +47,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.apk.archive import MAX_DOCUMENT_BYTES, parse_apk, serialize_apk
+from repro.store.columnar import WAL_LIMIT_BYTES
 
 __all__ = ["BlobVault", "LazyApk", "VaultError", "DEFAULT_VAULT_CACHE", "MAX_BLOB_BYTES"]
 
@@ -97,6 +98,7 @@ class BlobVault:
         self._conn.execute(f"PRAGMA page_size={_PAGE_BYTES}")
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.execute(f"PRAGMA journal_size_limit={WAL_LIMIT_BYTES}")
         self._conn.execute(f"PRAGMA cache_size=-{_CACHE_KIB}")
         self._conn.execute("PRAGMA mmap_size=0")
         self._conn.execute(

@@ -50,12 +50,26 @@ __all__ = [
     "ResidentCodec",
     "StoreError",
     "DEFAULT_BATCH_SIZE",
+    "WAL_LIMIT_BYTES",
 ]
 
 DEFAULT_BATCH_SIZE = 512
 
 #: How much of the database file SQLite may serve via mmap (bytes).
 _MMAP_BYTES = 256 * 1024 * 1024
+
+#: Size SQLite truncates a store database's ``-wal`` file back to
+#: (bytes), here and in the blob vault.  Without a limit the WAL keeps
+#: its high-water mark until the last connection closes: after a
+#: spilled report run (seed 42, scale 0.0001) the corpus WAL stood at
+#: 4.1 MB beside a 2.1 MB database.  Between checkpoints it still grows
+#: to one checkpoint interval (SQLite's 1,000 pages: 4 MiB of the
+#: corpus's 4 KiB pages, 1 MiB of the vault's 1 KiB ones) plus the
+#: commit that crosses it; the limit cuts it back each time the WAL
+#: restarts.  A 128-page interval kept the corpus WAL under 1.2 MB but
+#: made the spilled crawl about 4% slower, so the interval stays
+#: SQLite's.
+WAL_LIMIT_BYTES = 2 * 1024 * 1024
 
 
 class StoreError(Exception):
@@ -350,6 +364,7 @@ class ColumnStore:
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.execute(f"PRAGMA journal_size_limit={WAL_LIMIT_BYTES}")
         self._conn.execute(f"PRAGMA mmap_size={_MMAP_BYTES}")
         self._families: Dict[str, Family] = {}
 

@@ -1,15 +1,20 @@
 """Tests for APK serialization/parsing, including property-based roundtrips."""
 
+import contextlib
+import gc
 import hashlib
 import json
 import re
 import struct
+import weakref
 import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.apk.archive as archive
+from repro import Study, StudyConfig
 from repro.apk.archive import (
     MAGIC,
     MAX_DOCUMENT_BYTES,
@@ -294,3 +299,268 @@ def test_recompressed_mutation_parses_or_names_its_cause(document):
         assert outcome == (
             f"payload inflates past the {MAX_DOCUMENT_BYTES}-byte document cap"
         )
+
+
+# ---------------------------------------------------------------------------
+# the decoded-package table: a hit is a cold decode
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _fresh_table(shared=True):
+    """parse_apk with an empty package table, restored afterwards; with
+    ``shared=False`` every document goes through ``json.loads`` and every
+    dex entry is decoded cold."""
+    saved = archive._PACKAGES, archive._load_compact
+    archive._PACKAGES = type(saved[0])()  # empty, of the program's kind
+    if not shared:
+        archive._load_compact = lambda text: None
+    try:
+        yield archive._PACKAGES
+    finally:
+        archive._PACKAGES, archive._load_compact = saved
+
+
+def _assert_warm_is_cold(blob, *warmers):
+    """``blob`` parses alike with every entry decoded cold, with an empty
+    table, with the table warm from the ``warmers`` (held alive), and
+    again once its own packages are in the table."""
+    with _fresh_table(shared=False):
+        cold = _parse_outcome(blob)
+    with _fresh_table():
+        empty = _parse_outcome(blob)
+    with _fresh_table():
+        held = [_parse_outcome(warmer) for warmer in warmers]
+        warm = _parse_outcome(blob)
+        again = _parse_outcome(blob)
+        del held
+    for outcome in (empty, warm, again):
+        assert type(outcome) is type(cold)
+        assert outcome == cold
+        # repr tells 1 from True and 1.0, and shows dict order.
+        assert repr(outcome) == repr(cold)
+
+
+def _compact(doc) -> bytes:
+    return json.dumps(doc, separators=(",", ":")).encode()
+
+
+def _blob_with(*entries):
+    """The valid document, compact, with ``entries`` as its dex list."""
+    doc = json.loads(_DOCUMENT)
+    doc["dex"] = list(entries)
+    return _wrap(_compact(doc))
+
+
+def _entry(name="com.lib", features=None, blocks=None):
+    """A raw dex entry; by default the exact-integer one."""
+    return {
+        "name": name,
+        "features": [[1, 2], [9, 4]] if features is None else features,
+        "blocks": [7, 8] if blocks is None else blocks,
+    }
+
+
+#: Raw dex entries next to the exact-integer entry they resemble.  Each
+#: must decode, or fail, with a warm table exactly as with a cold one.
+_LOOKALIKES = {
+    "float-count": _entry(features=[[1, 2.0], [9, 4]]),
+    "bool-id": _entry(features=[[True, 2], [9, 4]]),
+    "bool-count": _entry(features=[[1, True]]),
+    "string-id": _entry(features=[["1", 2], [9, 4]]),
+    "three-element-pair": _entry(features=[[1, 2, 3], [9, 4]]),
+    "one-element-pair": _entry(features=[[1], [2, 9, 4]]),
+    "dict-features": _entry(features={"12": 0, "94": 0}),
+    "duplicate-ids": _entry(features=[[1, 7], [1, 2], [9, 4]]),
+    "reordered-pairs": _entry(features=[[9, 4], [1, 2]]),
+    "out-of-space-id": _entry(features=[[FEATURE_SPACE, 2]]),
+    "string-blocks": _entry(blocks="78"),
+    "float-block": _entry(blocks=[7.0, 8]),
+    "unhashable-block": _entry(blocks=[[7], 8]),
+    "empty-blocks": _entry(blocks=[]),
+    "no-features": _entry(features=[]),
+    "int-name": _entry(name=1),
+    "bool-name": _entry(name=True),
+    "float-name": _entry(name=1.0),
+    "unhashable-name": _entry(name=["com", "lib"]),
+    "dict-name": _entry(name={"com": "lib"}),
+    "bracket-name": _entry(name="com.lib]},{"),
+    "reordered-keys": {"blocks": [7, 8], "features": [[1, 2], [9, 4]], "name": "com.lib"},
+    "extra-key": {**_entry(), "extra": [1]},
+    "missing-name": {"features": [[1, 2]], "blocks": [7]},
+    "not-an-object": [["com.lib"], [[1, 2]], [7]],
+}
+
+
+class TestPackageTable:
+    def test_equal_entries_share_one_package(self):
+        with _fresh_table():
+            a = parse_apk(make_apk_bytes(version_code=1))
+            b = parse_apk(make_apk_bytes(version_code=2))
+        assert a.md5 != b.md5
+        assert a.packages[0] is b.packages[0]
+
+    def test_table_holds_packages_weakly(self):
+        with _fresh_table() as table:
+            parsed = parse_apk(make_apk_bytes())
+            assert list(table.values()) == list(parsed.packages)
+            del parsed
+            gc.collect()
+            assert len(table) == 0
+
+    def test_failed_decode_stores_nothing(self):
+        blob = _blob_with(_LOOKALIKES["out-of-space-id"])
+        with _fresh_table() as table:
+            with pytest.raises(ApkParseError, match="outside feature space"):
+                parse_apk(blob)
+            assert len(table) == 0
+
+    def test_only_the_same_text_shares(self):
+        # [[1, 2.0]] decodes as [[1, 2]] does, but is another text.
+        with _fresh_table():
+            exact = parse_apk(_blob_with(_entry()))
+            floats = parse_apk(_blob_with(_LOOKALIKES["float-count"]))
+            again = parse_apk(_blob_with(_LOOKALIKES["float-count"]))
+        assert floats.packages[0] == exact.packages[0]
+        assert floats.packages[0] is not exact.packages[0]
+        assert again.packages[0] is floats.packages[0]
+
+    def test_other_layouts_decode_cold(self):
+        # serialize_apk writes compact JSON; any other layout still
+        # parses, through json.loads, without the table.
+        spaced = _wrap(json.dumps(json.loads(_DOCUMENT)).encode())
+        with _fresh_table() as table:
+            parsed = parse_apk(spaced)
+            assert len(table) == 0
+        assert parsed.packages == parse_apk(_VALID).packages
+
+    @pytest.mark.parametrize("case", sorted(_LOOKALIKES))
+    def test_warm_table_decodes_like_cold(self, case):
+        warmers = [_blob_with(_entry())] + [_blob_with(e) for e in _LOOKALIKES.values()]
+        _assert_warm_is_cold(_blob_with(_LOOKALIKES[case]), *warmers)
+
+    @pytest.mark.parametrize("case", sorted(_LOOKALIKES))
+    def test_lookalike_next_to_its_exact_twin(self, case):
+        # The exact entry and the look-alike in one dex list, both orders.
+        for entries in ((_entry(), _LOOKALIKES[case]), (_LOOKALIKES[case], _entry())):
+            _assert_warm_is_cold(_blob_with(*entries), _blob_with(_entry()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=len(_VALID) - 1))
+def test_truncated_blob_decodes_warm_as_cold(cut):
+    _assert_warm_is_cold(_VALID[:cut], _VALID)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=len(_VALID) - 1), st.integers(0, 7))
+def test_bit_flipped_blob_decodes_warm_as_cold(offset, bit):
+    blob = bytearray(_VALID)
+    blob[offset] ^= 1 << bit
+    _assert_warm_is_cold(bytes(blob), _VALID)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_recompressed_mutation_decodes_warm_as_cold(document):
+    _assert_warm_is_cold(_wrap(document), _VALID)
+
+
+#: A compact document whose dex list repeats an entry, has an empty
+#: ``blocks`` list and a name holding ``]}``: the shapes the table's
+#: text lookup must read right.
+_MULTI = zlib.decompress(make_apk_bytes(packages=(
+    CodePackage("com.a", {1: 2, 9: 4}, (11, 12)),
+    CodePackage("x]},{", {5: 5}, ()),
+    CodePackage("com.a", {1: 2, 9: 4}, (11, 12)),
+    CodePackage("com.lib", {3: 1}, (21,)),
+))[len(MAGIC) + 4:])
+_MULTI_PATHS = [path for path in _paths(json.loads(_MULTI)) if path]
+
+
+@st.composite
+def compact_mutations(draw):
+    """The compact multi-entry document, mutated and still compact."""
+    kind = draw(st.sampled_from(["replace", "delete", "bytes", "insert", "splice"]))
+    data = bytearray(_MULTI)
+    if kind in ("replace", "delete"):
+        doc = json.loads(_MULTI)
+        *parents, last = draw(st.sampled_from(_MULTI_PATHS))
+        node = doc
+        for step in parents:
+            node = node[step]
+        if kind == "delete":
+            del node[last]
+        else:
+            node[last] = draw(_JSON_VALUES)
+        return _compact(doc)
+    if kind == "splice":
+        # Cut a span out, or copy one elsewhere: entries that end early,
+        # run on, or repeat.
+        a, b, c = sorted(draw(st.integers(0, len(data))) for _ in range(3))
+        return bytes(data[:a] + data[b:]) if draw(st.booleans()) else bytes(
+            data[:c] + data[a:b] + data[c:])
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        offset = draw(st.integers(min_value=0, max_value=len(data) - 1))
+        if kind == "bytes":
+            data[offset] = draw(st.sampled_from(b'[]{},:"0123456789 .etrufalsn\\'))
+        else:
+            data[offset:offset] = draw(st.sampled_from([b"]}", b",", b"]", b"}", b" ", b"[]"]))
+    return bytes(data)
+
+
+@pytest.mark.parametrize("separator", [b"", b" ", b":", b"x", b"]", b"}", b"]}", b",,"])
+def test_corrupt_dex_separator_decodes_warm_as_cold(separator):
+    cut = _MULTI.index(b"]},{") + 2
+    document = _MULTI[:cut] + separator + _MULTI[cut + 1:]
+    _assert_warm_is_cold(_wrap(document), _wrap(_MULTI))
+
+
+@settings(max_examples=400, deadline=None)
+@given(compact_mutations())
+def test_compact_mutation_decodes_warm_as_cold(document):
+    _assert_warm_is_cold(_wrap(document), _wrap(_MULTI))
+
+
+class TestDecodeBudget:
+    """A crawl decodes each distinct code package once.
+
+    A memory-backend study keeps every parsed APK in its snapshot, so
+    every package it decodes stays alive and each repeat of a content
+    is a table hit.  At seed 42, scale 0.0001 the snapshot's 1,259 APKs
+    hold 15,293 code packages of 2,179 distinct contents.  Without the
+    table, ``parse_apk`` built all 15,293 and the snapshot held 15,293
+    feature dicts.
+    """
+
+    @pytest.fixture(scope="class")
+    def counted(self):
+        constructions = [0]
+        code_package = archive.CodePackage
+
+        def counting(*args, **kwargs):
+            constructions[0] += 1
+            return code_package(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(archive, "CodePackage", counting)
+            # An empty table, so no package another test keeps alive
+            # (the session study has the same seed) is a hit here.
+            patch.setattr(archive, "_PACKAGES", weakref.WeakValueDictionary(),
+                          raising=False)
+            result = Study(StudyConfig(seed=42, scale=0.0001)).run()
+        packages = [
+            pkg for record in result.snapshot if record.apk is not None
+            for pkg in record.apk.packages
+        ]
+        contents = {(pkg.name, tuple(pkg.features.items()), pkg.blocks) for pkg in packages}
+        return constructions[0], packages, contents
+
+    def test_one_construction_per_distinct_content(self, counted):
+        constructions, packages, contents = counted
+        assert len(packages) > 5 * len(contents) > 0
+        assert constructions == len(contents)
+
+    def test_one_feature_dict_per_distinct_content(self, counted):
+        _, packages, contents = counted
+        assert len({id(pkg.features) for pkg in packages}) == len(contents)

@@ -21,6 +21,7 @@ from repro.crawler.snapshot import CrawlRecord
 from repro.ecosystem.generator import EcosystemGenerator
 from repro.markets.server import MarketServer
 from repro.markets.store import build_stores
+from repro.store.blobs import BlobVault
 from repro.store.corpus import CorpusStore
 from repro.util.rng import stable_hash32
 from repro.util.simtime import SimClock
@@ -147,6 +148,31 @@ class TestApkStore:
         assert [ref for ref in parsed if ref() is not None] == []
         assert coordinator._journal.apks.loads == 0
         corpus.close()
+
+    def test_package_table_follows_the_vault_lru(self, world, tmp_path, monkeypatch):
+        # parse_apk shares decoded packages through a weak table, so on
+        # the spilled path it keeps alive no more than the vault's LRU.
+        import repro.apk.archive as archive
+
+        table = type(archive._PACKAGES)()  # empty, of the program's kind
+        monkeypatch.setattr(archive, "_PACKAGES", table)
+        vault = BlobVault(tmp_path / "store" / "apks.db", cache_size=32)
+        corpus = CorpusStore(tmp_path / "store", spill_threshold=0, vault=vault)
+        snapshot, _ = crawl_once(world, tmp_path / "ckpt", corpus=corpus)
+
+        def lru_packages():
+            return {id(pkg) for apk in vault._cache.values() for pkg in apk.packages}
+
+        gc.collect()
+        assert {id(pkg) for pkg in table.values()} <= lru_packages()
+        # Resolve every APK, several times the LRU's size.
+        resolved = sum(record.apk.resolve() is not None for record in snapshot if record.apk)
+        assert resolved > 3 * 32
+        gc.collect()
+        live = {id(pkg) for pkg in table.values()}
+        assert live and live <= lru_packages()
+        corpus.close()
+        vault.close()
 
 
 class TestLaneJournal:

@@ -11,8 +11,10 @@ import threading
 
 import pytest
 
+from repro import Study, StudyConfig
+from repro.experiments import run_all
 from repro.store.blobs import BlobVault, LazyApk
-from repro.store.columnar import ColumnStore, MemoryFamily, StoreError
+from repro.store.columnar import WAL_LIMIT_BYTES, ColumnStore, MemoryFamily, StoreError
 
 from conftest import make_parsed
 
@@ -240,3 +242,26 @@ class TestBlobVault:
         for md5 in md5s:
             assert vault.load(md5).md5 == md5
         assert len(vault._cache) <= 2
+
+
+class TestWalBound:
+    """A spilled report run leaves every ``-wal`` file within the limit.
+
+    The run is the benchmark's ``report_spilled`` (seed 42, scale
+    0.0001).  Without ``journal_size_limit`` the corpus WAL stayed at its
+    4,140,632-byte high-water mark beside a 2,076,672-byte database.
+    """
+
+    def test_wal_within_limit_after_the_run(self, tmp_path):
+        result = Study(StudyConfig(
+            seed=42, scale=0.0001, store_backend="sqlite",
+            store_spill_threshold=0, store_dir=str(tmp_path),
+        )).run()
+        try:
+            result.materialize()
+            run_all(result)
+            sizes = {wal.name: wal.stat().st_size for wal in tmp_path.rglob("*-wal")}
+        finally:
+            result.corpus.close()
+        assert set(sizes) == {"corpus.db-wal", "apks.db-wal"}
+        assert max(sizes.values()) <= WAL_LIMIT_BYTES, sizes
