@@ -9,23 +9,24 @@ skips them entirely.  CPU-bound stages (library features, clone
 scoring) run under the same engine but are not what the speedup floors
 measure.
 
-Results accumulate into ``BENCH_analysis.json`` (uploaded by the CI
-bench job next to ``BENCH_crawl.json``):
+Each bench asserts its floor and prints the numbers behind it:
 
-* serial vs. 8-worker ``run_all`` wall time and speedup,
-* cold-cache vs. warm-cache wall time and speedup (at 1 worker, so the
-  cache effect is isolated from threading),
-* clone candidate-pair counts and wall time for all three candidate
-  strategies (exhaustive, prefix, minhash) plus the minhash strategy's
-  measured pair recall against the exhaustive reference,
+* 8-worker ``run_all`` at least ``MIN_PARALLEL_SPEEDUP`` faster than
+  serial,
+* a warm artifact cache at least ``MIN_CACHE_SPEEDUP`` faster than a
+  cold one (at 1 worker, so the cache effect is isolated from
+  threading),
+* the same clone set from all three candidate strategies (exhaustive,
+  prefix, minhash), with the minhash strategy's pair recall against the
+  exhaustive reference at least ``MIN_MINHASH_RECALL``,
 * the adversarial-families contrast: on a hostile corpus (repackaging
   chains + app-factory template spam via ``clone_families=
   "adversarial"``) MinHash-LSH candidate generation must beat prefix
   blocking by ``MIN_MINHASH_SPEEDUP`` while keeping
   ``MIN_MINHASH_RECALL`` of the exhaustive strategy's reported pairs.
 
-The scale is pinned (independent of REPRO_BENCH_SCALE) so the latency
-budget — and therefore the speedup floors — is stable in CI smoke runs.
+The scale is pinned so the latency budget — and therefore the speedup
+floors — is stable in CI smoke runs.
 Every timed variant must also produce bit-identical report digests;
 a fast wrong answer fails the bench.
 """
@@ -40,20 +41,15 @@ from repro.analysis.clones import CodeCloneDetector, measure_strategy_recall
 from repro.analysis.engine import AnalysisEngine, ArtifactCache
 from repro.analysis.virustotal import VirusTotalService
 from repro.core.study import StudyResult
-from repro.obs.results import BenchResults
 from repro.experiments import digest_reports, run_all
 
-BENCH_ANALYSIS_SEED = 11
-BENCH_ANALYSIS_SCALE = 0.0003
+ANALYSIS_SEED = 11
+ANALYSIS_SCALE = 0.0003
 SCAN_LATENCY_S = 0.004  # per-APK upload latency; ~1.3K scans ≈ 5s serial
 MIN_PARALLEL_SPEEDUP = 2.0
 MIN_CACHE_SPEEDUP = 5.0
 MIN_MINHASH_SPEEDUP = 3.0  # vs prefix, adversarial corpus, best-of-3
 MIN_MINHASH_RECALL = 0.99  # of the exhaustive strategy's reported pairs
-
-_record = BenchResults(
-    "analysis", seed=BENCH_ANALYSIS_SEED, scale=BENCH_ANALYSIS_SCALE
-).record
 
 
 class SlowVirusTotal(VirusTotalService):
@@ -76,7 +72,7 @@ class SlowVirusTotal(VirusTotalService):
 @pytest.fixture(scope="module")
 def base_result():
     """One crawl, shared; each bench re-analyzes it with its own engine."""
-    config = StudyConfig(seed=BENCH_ANALYSIS_SEED, scale=BENCH_ANALYSIS_SCALE)
+    config = StudyConfig(seed=ANALYSIS_SEED, scale=ANALYSIS_SCALE)
     return Study(config).run()
 
 
@@ -105,14 +101,6 @@ def _analyze(base, engine):
     return digest_reports(run_all(result)), result
 
 
-def test_bench_analysis_serial(benchmark, base_result):
-    digests, _ = benchmark.pedantic(
-        _analyze, args=(base_result, AnalysisEngine(workers=1)),
-        rounds=1, iterations=1,
-    )
-    assert digests
-
-
 def test_bench_analysis_parallel_speedup(base_result):
     start = time.perf_counter()
     serial_digests, _ = _analyze(base_result, AnalysisEngine(workers=1))
@@ -126,14 +114,6 @@ def test_bench_analysis_parallel_speedup(base_result):
     assert parallel_digests == serial_digests
 
     speedup = serial_s / parallel_s
-    _record(
-        "parallel",
-        serial_s=round(serial_s, 3),
-        parallel_s=round(parallel_s, 3),
-        workers=8,
-        speedup=round(speedup, 2),
-        scans=len(result.vt_scan.reports),
-    )
     print(f"\nrun_all serial {serial_s:.2f}s vs 8 workers {parallel_s:.2f}s "
           f"-> {speedup:.1f}x")
     assert speedup >= MIN_PARALLEL_SPEEDUP, (
@@ -161,14 +141,6 @@ def test_bench_artifact_cache_speedup(base_result, tmp_path):
     assert warm_digests == cold_digests
 
     speedup = cold_s / warm_s
-    _record(
-        "artifact_cache",
-        cold_s=round(cold_s, 3),
-        warm_s=round(warm_s, 3),
-        speedup=round(speedup, 2),
-        hits=stats.hits,
-        stores=cold_result.engine.cache.stats.stores,
-    )
     print(f"\ncold cache {cold_s:.2f}s vs warm {warm_s:.2f}s "
           f"-> {speedup:.1f}x ({stats.hits} hits)")
     assert speedup >= MIN_CACHE_SPEEDUP, (
@@ -184,18 +156,10 @@ def test_bench_candidate_blocking(base_result):
     corpus = detector.extract(units, lib)
     engine = AnalysisEngine(workers=1)
 
-    start = time.perf_counter()
     exhaustive = detector._candidate_pairs_exhaustive(corpus.residual_blocks)
-    exhaustive_s = time.perf_counter() - start
-
-    start = time.perf_counter()
     prefix = detector._candidate_pairs_prefix(corpus.residual_blocks)
-    prefix_s = time.perf_counter() - start
-
     minhash_det = CodeCloneDetector(candidate_strategy="minhash")
-    start = time.perf_counter()
     minhash = minhash_det._candidate_pairs_minhash(corpus, engine)
-    minhash_s = time.perf_counter() - start
 
     # All three strategies must report the identical clone set end-to-end.
     pairs_prefix = CodeCloneDetector(candidate_strategy="prefix").detect(
@@ -210,21 +174,6 @@ def test_bench_candidate_blocking(base_result):
     assert recall.recall >= MIN_MINHASH_RECALL
 
     reduction = 1 - len(prefix) / max(1, len(exhaustive))
-    _record(
-        "candidate_blocking",
-        units=len(corpus.units),
-        candidates_exhaustive=len(exhaustive),
-        candidates_prefix=len(prefix),
-        candidates_minhash=len(minhash),
-        reduction=round(reduction, 4),
-        exhaustive_s=round(exhaustive_s, 4),
-        prefix_s=round(prefix_s, 4),
-        minhash_s=round(minhash_s, 4),
-        clones_prefix=len(pairs_prefix),
-        clones_exhaustive=len(pairs_exhaustive),
-        clones_minhash=len(pairs_minhash),
-        minhash_recall=round(recall.recall, 4),
-    )
     print(f"\ncandidates: exhaustive {len(exhaustive)} vs prefix {len(prefix)} "
           f"vs minhash {len(minhash)} ({reduction:.1%} pruned), "
           f"minhash recall {recall.recall:.4f}")
@@ -255,12 +204,6 @@ def test_bench_strategy_digests_identical(base_result):
         )
         per_width[workers] = digest_reports(run_all(result))
     assert per_width[1] == per_width[4] == per_width[8]
-    _record(
-        "strategy_digests",
-        strategies=sorted(digests),
-        identical=True,
-        minhash_worker_widths=[1, 4, 8],
-    )
 
 
 @pytest.fixture(scope="module")
@@ -268,8 +211,8 @@ def adversarial_result():
     """A hostile corpus: boosted repackaging families, clone chains,
     shared-signing-key clusters, and app-factory template spam."""
     config = StudyConfig(
-        seed=BENCH_ANALYSIS_SEED,
-        scale=BENCH_ANALYSIS_SCALE,
+        seed=ANALYSIS_SEED,
+        scale=ANALYSIS_SCALE,
         clone_families="adversarial",
     )
     return Study(config).run()
@@ -298,21 +241,6 @@ def test_bench_adversarial_families(adversarial_result):
     recall = measure_strategy_recall(units, lib)
     speedup = min(prefix_s) / min(minhash_s)
     spam = adversarial_result.world.summary()["template_spam"]
-    _record(
-        "adversarial_families",
-        units=len(corpus.units),
-        template_spam_apps=spam,
-        cb_clones=adversarial_result.world.summary()["cb_clones"],
-        candidates_prefix=len(prefix),
-        candidates_minhash=len(minhash),
-        candidates_exhaustive=recall.reference_candidates,
-        prefix_s=round(min(prefix_s), 4),
-        minhash_s=round(min(minhash_s), 4),
-        speedup=round(speedup, 2),
-        reference_pairs=recall.reference_pairs,
-        recovered_pairs=recall.recovered_pairs,
-        recall=round(recall.recall, 4),
-    )
     print(f"\nadversarial corpus ({len(corpus.units)} units, {spam} spam): "
           f"prefix {min(prefix_s):.3f}s ({len(prefix)} candidates) vs "
           f"minhash {min(minhash_s):.3f}s ({len(minhash)}) -> {speedup:.1f}x, "

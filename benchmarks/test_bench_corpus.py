@@ -1,42 +1,30 @@
 """Benchmarks for the out-of-core corpus store.
 
 Times one full streaming pass over a spilled world against the same
-pass on the in-memory list, at the shared bench scale
-(``REPRO_BENCH_SCALE``, like every other bench in this directory), and
-records wall time *and* the tracemalloc peak of each pass in
-``BENCH_corpus.json`` under the ``"bench"`` key — next to the 50x smoke
-numbers ``examples/out_of_core_corpus.py`` writes under ``"smoke"``.
+pass on the in-memory list and prints wall time *and* the tracemalloc
+peak of each pass.
 
 Correctness anchors, enforced here like the worldgen floors: the world
 content digest must be identical before and after the spill, and the
 streaming cursor's traced heap peak must stay under the materialized
 pass's peak plus a fixed allowance (the cursor holds one batch, not the
-corpus).
-
-Like the worldgen benches this file uses its own timers, not the
-pytest-benchmark fixture: ``--benchmark-only`` runs skip it, and the CI
-``corpus`` job invokes it directly.
+corpus).  The CI ``corpus`` job runs this file.
 """
 
-import os
 import time
 import tracemalloc
 
 from repro.ecosystem.generator import EcosystemGenerator
-from repro.obs.results import BenchResults
 from repro.store import CorpusStore
 
-BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "42"))
-BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.002"))
+CORPUS_SEED = 42
+CORPUS_SCALE = 0.0005
 
 #: The streaming pass re-decodes rows, so its *allocation* peak may sit
 #: above the materialized pass (whose list pre-exists the trace); what
-#: it must never do is scale with the corpus.  At bench scale the
+#: it must never do is scale with the corpus.  At this scale the
 #: cursor's peak stays within this multiple of the materialized pass.
 MAX_PEAK_RATIO = 1.5
-
-
-_record = BenchResults("corpus", seed=BENCH_SEED, scale=BENCH_SCALE).record
 
 
 def _traced_pass(fn):
@@ -51,7 +39,7 @@ def _traced_pass(fn):
 
 
 def test_bench_streaming_cursor(tmp_path):
-    world = EcosystemGenerator(seed=BENCH_SEED, scale=BENCH_SCALE).generate()
+    world = EcosystemGenerator(seed=CORPUS_SEED, scale=CORPUS_SCALE).generate()
     digest_before = world.content_digest()
     n_apps = len(world.apps)
 
@@ -74,17 +62,6 @@ def test_bench_streaming_cursor(tmp_path):
     assert streamed == listings
     assert world.content_digest() == digest_before
 
-    _record(
-        "bench",
-        apps=n_apps,
-        listings=listings,
-        memory_pass_s=round(memory_s, 3),
-        memory_peak_mib=round(memory_peak / 2**20, 2),
-        spill_s=round(spill_s, 3),
-        stream_pass_s=round(stream_s, 3),
-        stream_peak_mib=round(stream_peak / 2**20, 2),
-        digest=digest_before,
-    )
     print(
         f"\nspill {n_apps:,} apps in {spill_s:.2f}s; "
         f"materialized pass {memory_s:.2f}s @ {memory_peak / 2**20:.1f}MiB vs "

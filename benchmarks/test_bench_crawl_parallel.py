@@ -7,11 +7,9 @@ slowest schedule of lanes.  Load is near-uniform across the 17 markets,
 so the engine should clear 3x comfortably (~5-6x in practice) while
 producing the bit-identical snapshot the determinism suite demands.
 
-The scale is pinned (independent of REPRO_BENCH_SCALE) so the latency
-budget — and therefore the speedup floor — is stable in CI smoke runs.
+The scale is pinned so the latency budget — and therefore the speedup
+floor — is stable in CI smoke runs.
 """
-
-import time
 
 import pytest
 
@@ -21,46 +19,37 @@ from repro.markets.server import MarketServer
 from repro.markets.store import build_stores
 from repro.util.simtime import SimClock
 
-BENCH_CRAWL_SEED = 7
-BENCH_CRAWL_SCALE = 0.0001
+from conftest import best_of
+
+CRAWL_SEED = 7
+CRAWL_SCALE = 0.0001
 LATENCY_S = 0.0003  # per-request server latency; ~17K requests ≈ 5s serial
 MIN_SPEEDUP = 3.0
 
 
 @pytest.fixture(scope="module")
 def crawl_world():
-    return EcosystemGenerator(seed=BENCH_CRAWL_SEED, scale=BENCH_CRAWL_SCALE).generate()
+    return EcosystemGenerator(seed=CRAWL_SEED, scale=CRAWL_SCALE).generate()
 
 
-def _crawl(world, workers, latency_s=LATENCY_S):
+def _crawl(world, workers):
     clock = SimClock()
     servers = {
-        m: MarketServer(store, clock, latency_s=latency_s)
+        m: MarketServer(store, clock, latency_s=LATENCY_S)
         for m, store in build_stores(world).items()
     }
     coordinator = CrawlCoordinator(servers, clock, download_apks=False, workers=workers)
     return coordinator.crawl("bench-parallel", duration_days=5.0)
 
 
-def test_bench_crawl_serial(benchmark, crawl_world):
-    snapshot = benchmark.pedantic(_crawl, args=(crawl_world, 1), rounds=1, iterations=1)
-    assert len(snapshot) > 0
-
-
-def test_bench_crawl_parallel_speedup(benchmark, crawl_world):
-    start = time.perf_counter()
-    serial = _crawl(crawl_world, workers=1)
-    serial_elapsed = time.perf_counter() - start
-
-    parallel = benchmark.pedantic(
-        _crawl, args=(crawl_world, 8), rounds=2, iterations=1
-    )
+def test_bench_crawl_parallel_speedup(crawl_world):
+    serial, serial_elapsed = best_of(1, _crawl, crawl_world, 1)
+    parallel, parallel_elapsed = best_of(2, _crawl, crawl_world, 8)
 
     # Identical output at any width — the whole point of the lane model.
     assert parallel.content_digest() == serial.content_digest()
     assert parallel.stats.telemetry.workers == 8
 
-    parallel_elapsed = benchmark.stats.stats.min
     speedup = serial_elapsed / parallel_elapsed
     print(
         f"\nserial {serial_elapsed:.2f}s vs 8 workers {parallel_elapsed:.2f}s "
@@ -71,11 +60,3 @@ def test_bench_crawl_parallel_speedup(benchmark, crawl_world):
         f"({serial_elapsed:.2f}s vs {parallel_elapsed:.2f}s)"
     )
 
-
-def test_bench_crawl_overhead_without_latency(benchmark, crawl_world):
-    # The engine's scheduling overhead on a zero-latency server: this
-    # bounds what the thread pool costs when there is nothing to hide.
-    snapshot = benchmark.pedantic(
-        _crawl, args=(crawl_world, 8), kwargs={"latency_s": 0.0}, rounds=3, iterations=1
-    )
-    assert len(snapshot) > 0

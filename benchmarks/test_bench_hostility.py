@@ -3,24 +3,16 @@
 Three campaigns against the same world: a polite baseline, a naive
 crawler against a fully hostile fleet (no identity pool — every ban is
 a dead letter), and a rotation-enabled crawler against the same fleet.
-The scale is pinned (independent of REPRO_BENCH_SCALE) so the hostility
-pressure — and therefore the enforced floor — is stable in CI smoke
-runs.
-
-Results accumulate into ``BENCH_hostility.json`` (uploaded by the CI
-bench job next to ``BENCH_crawl.json``):
-
-* records, wall time, and hostility counters for all three postures,
-* the naive crawler's coverage collapse (the contrast the pack exists
-  to fix),
-* the rotation-enabled crawler's recovery share per market.
+The scale is pinned so the hostility pressure — and therefore the
+enforced floor — is stable in CI smoke runs.  The bench prints records
+and wall time for all three postures, the naive crawler's dead letters
+(the coverage collapse the pack exists to fix), and the rotation-enabled
+crawler's smallest recovery share.
 
 Enforced floor: the rotation-enabled crawler recovers at least 90% of
 the polite baseline's coverage on every market — in practice it
 converges to the bit-identical snapshot digest, which is also asserted.
 """
-
-import time
 
 import pytest
 
@@ -30,24 +22,19 @@ from repro.markets.hostility import HostilityPolicy
 from repro.markets.server import MarketServer
 from repro.markets.store import build_stores
 from repro.net.identity import IdentityPolicy
-from repro.obs.results import BenchResults
 from repro.util.rng import stable_hash32
 from repro.util.simtime import SimClock
 
-BENCH_HOSTILE_SEED = 7
-BENCH_HOSTILE_SCALE = 0.0002
-RECOVERY_FLOOR = 0.90
+from conftest import best_of
 
-_record = BenchResults(
-    "hostility", seed=BENCH_HOSTILE_SEED, scale=BENCH_HOSTILE_SCALE
-).record
+HOSTILE_SEED = 7
+HOSTILE_SCALE = 0.0002
+RECOVERY_FLOOR = 0.90
 
 
 @pytest.fixture(scope="module")
 def hostile_world():
-    return EcosystemGenerator(
-        seed=BENCH_HOSTILE_SEED, scale=BENCH_HOSTILE_SCALE
-    ).generate()
+    return EcosystemGenerator(seed=HOSTILE_SEED, scale=HOSTILE_SCALE).generate()
 
 
 def _crawl(world, hostile=False, identity_pool=0):
@@ -67,56 +54,23 @@ def _crawl(world, hostile=False, identity_pool=0):
         identity_policy=(
             IdentityPolicy(size=identity_pool) if identity_pool else None
         ),
-        identity_seed=BENCH_HOSTILE_SEED,
+        identity_seed=HOSTILE_SEED,
     )
     return coordinator.crawl("bench-hostility", duration_days=15.0)
 
 
-def _timed(fn, *args, **kwargs):
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start
-
-
-def test_bench_hostility_recovery_floor(benchmark, hostile_world):
-    polite, polite_s = _timed(_crawl, hostile_world)
-    naive, naive_s = _timed(_crawl, hostile_world, hostile=True)
-
-    rotated = benchmark.pedantic(
-        _crawl, args=(hostile_world,),
-        kwargs={"hostile": True, "identity_pool": 4},
-        rounds=2, iterations=1,
+def test_bench_hostility_recovery_floor(hostile_world):
+    polite, polite_s = best_of(1, _crawl, hostile_world)
+    naive = _crawl(hostile_world, hostile=True)
+    rotated, rotated_s = best_of(
+        2, _crawl, hostile_world, hostile=True, identity_pool=4
     )
-    rotated_s = benchmark.stats.stats.min
-    telemetry = rotated.stats.telemetry
 
     shares = {
         m: (rotated.market_size(m) / polite.market_size(m))
         for m in polite.markets()
         if polite.market_size(m)
     }
-    _record(
-        "recovery",
-        polite={"records": len(polite), "wall_s": polite_s},
-        naive={
-            "records": len(naive),
-            "wall_s": naive_s,
-            "dead_letters": len(naive.dead_letters),
-            "dead_letter_reasons": naive.stats.telemetry.dead_letter_reasons(),
-        },
-        rotated={
-            "records": len(rotated),
-            "wall_s": rotated_s,
-            "logins": telemetry.total_logins,
-            "token_refreshes": telemetry.total_token_refreshes,
-            "bans_hit": telemetry.total_bans_hit,
-            "identity_rotations": telemetry.total_identity_rotations,
-        },
-        recovery_share_min=min(shares.values()),
-        recovery_shares=shares,
-        digest_match=rotated.content_digest() == polite.content_digest(),
-        floor=RECOVERY_FLOOR,
-    )
     print(
         f"\npolite {len(polite)} rec/{polite_s:.2f}s, "
         f"naive {len(naive)} rec ({len(naive.dead_letters)} dead letters), "

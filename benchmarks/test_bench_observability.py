@@ -28,11 +28,10 @@ from repro.markets.store import build_stores
 from repro.net.client import HttpClient
 from repro.net.http import Response
 from repro.obs import NULL_OBS, Observability
-from repro.obs.results import BenchResults
 from repro.util.simtime import SimClock
 
-BENCH_OBS_SEED = 7
-BENCH_OBS_SCALE = 0.0001
+OBS_SEED = 7
+OBS_SCALE = 0.0001
 #: Scale for the monitor-overhead bench: long enough crawls that the
 #: interleaved best-of-N walls sit well above timer noise.
 MONITOR_SCALE = 0.0002
@@ -43,9 +42,6 @@ OVERHEAD_BUDGET = 0.03
 MONITOR_BUDGET = 1.0 + OVERHEAD_BUDGET
 
 WRAPPER_CALLS = 50_000
-
-_results = BenchResults("obs", seed=BENCH_OBS_SEED, scale=BENCH_OBS_SCALE)
-_record = _results.record
 
 
 def _noop_client() -> HttpClient:
@@ -78,7 +74,7 @@ def _crawl(world, obs: Observability):
 
 
 def test_bench_disabled_path_within_budget():
-    world = EcosystemGenerator(seed=BENCH_OBS_SEED, scale=BENCH_OBS_SCALE).generate()
+    world = EcosystemGenerator(seed=OBS_SEED, scale=OBS_SCALE).generate()
 
     client = _noop_client()
     wrapped = _per_call(client.request, "/app", WRAPPER_CALLS)
@@ -91,13 +87,6 @@ def test_bench_disabled_path_within_budget():
     per_request = wall / requests
 
     overhead = wrapper_delta / per_request
-    _record(
-        "disabled_path",
-        wrapper_delta_ns=round(wrapper_delta * 1e9, 1),
-        per_request_us=round(per_request * 1e6, 2),
-        overhead=round(overhead, 5),
-        budget=OVERHEAD_BUDGET,
-    )
     print(
         f"\ndisabled-path overhead: wrapper {wrapper_delta * 1e9:.0f}ns/req "
         f"vs crawl {per_request * 1e6:.1f}us/req -> {overhead:.3%} "
@@ -111,7 +100,7 @@ def test_bench_disabled_path_within_budget():
 
 
 def test_bench_enabled_vs_disabled_crawl():
-    world = EcosystemGenerator(seed=BENCH_OBS_SEED, scale=BENCH_OBS_SCALE).generate()
+    world = EcosystemGenerator(seed=OBS_SEED, scale=OBS_SCALE).generate()
 
     baseline_snapshot, baseline_wall = _crawl(world, NULL_OBS)
     obs = Observability.from_flags(trace=True, metrics=True)
@@ -123,13 +112,6 @@ def test_bench_enabled_vs_disabled_crawl():
     assert len(obs.metrics) > 0
 
     ratio = traced_wall / baseline_wall if baseline_wall > 0 else 1.0
-    _record(
-        "full_recording",
-        disabled_s=round(baseline_wall, 4),
-        traced_s=round(traced_wall, 4),
-        ratio=round(ratio, 4),
-        trace_records=len(obs.tracer),
-    )
     print(
         f"\nfull recording: disabled {baseline_wall:.2f}s vs "
         f"trace+metrics {traced_wall:.2f}s ({ratio:.2f}x, "
@@ -147,11 +129,11 @@ def test_bench_monitor_overhead():
     the live engine/telemetry the crawl used, multiply by the counts
     the monitored crawl actually performed, and take the total as a
     fraction of the crawl's wall time.  The raw wall-clock comparison
-    is recorded as context only (``wall_ratio``).
+    is printed as context only.
     """
     from repro.obs import CampaignMonitor, MetricsRegistry
 
-    world = EcosystemGenerator(seed=BENCH_OBS_SEED, scale=MONITOR_SCALE).generate()
+    world = EcosystemGenerator(seed=OBS_SEED, scale=MONITOR_SCALE).generate()
 
     baseline_obs = Observability.from_flags(trace=False, metrics=True)
     baseline_snapshot, baseline_wall = _crawl(world, baseline_obs)
@@ -211,23 +193,6 @@ def test_bench_monitor_overhead():
     crawl_wall = min(baseline_wall, monitored_wall)
     overhead = (ticks * per_tick + beats * per_beat) / crawl_wall
     ratio = 1.0 + overhead
-    wall_ratio = monitored_wall / baseline_wall if baseline_wall > 0 else 1.0
-    _record(
-        "monitor_overhead",
-        baseline_s=round(baseline_wall, 4),
-        monitored_s=round(monitored_wall, 4),
-        wall_ratio=round(wall_ratio, 4),
-        per_tick_us=round(per_tick * 1e6, 2),
-        per_beat_us=round(per_beat * 1e6, 2),
-        ticks=ticks,
-        beats=beats,
-        overhead=round(overhead, 6),
-        ratio=round(ratio, 4),
-        budget=MONITOR_BUDGET,
-        heartbeats=monitor.heartbeats,
-        stalls=monitor.stalls,
-        digest=monitored_snapshot.content_digest(),
-    )
     print(
         f"\nmonitor overhead: {ticks} ticks x {per_tick * 1e6:.1f}us + "
         f"{beats} beats x {per_beat * 1e6:.1f}us over a {crawl_wall:.3f}s "

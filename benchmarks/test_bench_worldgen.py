@@ -10,11 +10,7 @@ World generation itself is held by a count, not a timer:
 ``tests/test_ecosystem_generator.py::TestWorldgenCallBudget`` bounds its
 Python calls per app.
 
-This test intentionally does NOT use the pytest-benchmark fixture: it
-enforces its floor with its own timers (like the analysis-engine
-speedup benches) and must run in a plain ``pytest`` invocation — the CI
-worldgen job runs this file directly and uploads ``BENCH_worldgen.json``
-next to BENCH_crawl/BENCH_analysis.
+The CI worldgen job runs this file.
 """
 
 import hashlib
@@ -24,15 +20,12 @@ from repro.apk.archive import SegmentCache
 from repro.ecosystem.generator import EcosystemGenerator
 from repro.markets.profiles import ALL_MARKET_IDS
 from repro.markets.store import build_stores
-from repro.obs.results import BenchResults
 
 WORLDGEN_SEED = 21
 #: Scale for the segment-cache bench (every blob is built twice).
 SEGMENT_SCALE = 0.0005
 
 MIN_SEGMENT_SPEEDUP = 1.05
-
-_record = BenchResults("worldgen", seed=WORLDGEN_SEED, scale=SEGMENT_SCALE).record
 
 
 def _build_all_blobs(stores):
@@ -66,14 +59,6 @@ def test_bench_segment_cache():
     assert stats["hits"] > stats["misses"] > 0, stats
 
     speedup = cold_s / warm_s
-    _record(
-        "segment_cache",
-        cold_s=round(cold_s, 3),
-        warm_s=round(warm_s, 3),
-        speedup=round(speedup, 2),
-        blobs=len(cold_md5s),
-        **stats,
-    )
     print(f"\nblob build cold {cold_s:.2f}s vs segment cache {warm_s:.2f}s "
           f"-> {speedup:.1f}x ({stats['hits']} hits / {stats['misses']} misses)")
     assert speedup >= MIN_SEGMENT_SPEEDUP, (

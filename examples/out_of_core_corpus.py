@@ -20,11 +20,9 @@ in-memory backend at the same scale blows through it; the spilled
 corpus' peak is set by the *generation transient* (the world
 materializes before it spills), not by crawl or analysis, which stream.
 
-Results (per-stage wall, the peak, the gate verdict, and the blob
-vault's read cost: ``load`` calls and decodes against the number of
-stored APK blobs) are written to ``BENCH_corpus.json`` under the
-``"smoke"`` key, next to the cursor numbers from
-``benchmarks/test_bench_corpus.py``.
+The run prints per-stage wall, the peak, the gate verdict, and the
+blob vault's read cost: ``load`` calls and decodes against the number
+of stored APK blobs.
 
     python examples/out_of_core_corpus.py
     REPRO_CORPUS_COMPARE=1 python examples/out_of_core_corpus.py   # + memory run
@@ -48,7 +46,6 @@ from repro.core.config import StudyConfig
 from repro.core.study import Study
 from repro.experiments.runner import run_all
 from repro.obs import Observability
-from repro.obs.results import BenchResults
 
 SEED = 7
 #: 50x the other examples' 0.0004.  ``REPRO_CORPUS_SCALE`` is a dev
@@ -68,7 +65,7 @@ SCALE = float(os.environ.get("REPRO_CORPUS_SCALE", "0.02"))
 PEAK_CEILING_MIB = 2048
 
 #: What the in-memory backend measured at calibration time, for the
-#: skip message and the JSON record.
+#: skip message.
 MEMORY_PEAK_CALIBRATED_MIB = 8315
 
 def peak_rss_mib() -> float:
@@ -148,32 +145,10 @@ def main() -> int:
           f"{stored_blobs:,} stored blobs "
           f"({vault.decodes / max(1, stored_blobs):.2f} decodes per blob)")
 
-    ok = peak_mib <= PEAK_CEILING_MIB
-    smoke = {
-        "scale": SCALE,
-        "seed": SEED,
-        "backend": "sqlite",
-        "apps": n_apps,
-        "records": n_records,
-        "reports": len(reports),
-        "wall_s": round(wall, 1),
-        "peak_rss_mib": round(peak_mib, 1),
-        "ceiling_mib": PEAK_CEILING_MIB,
-        "within_ceiling": ok,
-        "stored_blobs": stored_blobs,
-        "vault_loads": vault.loads,
-        "vault_decodes": vault.decodes,
-        "decodes_per_blob": round(vault.decodes / max(1, stored_blobs), 3),
-        "memory_backend_peak_mib": None,
-        "memory_backend_calibrated_mib": MEMORY_PEAK_CALIBRATED_MIB,
-        "stages": obs.stage_rows(),
-    }
-
     if os.environ.get("REPRO_CORPUS_COMPARE"):
         print("\nre-running on the in-memory backend (fresh process) "
               "for comparison...")
         mem_peak = _memory_backend_peak()
-        smoke["memory_backend_peak_mib"] = round(mem_peak, 1)
         print(f"memory backend: peak RSS {mem_peak:.0f}MiB")
         # The separation claim is calibrated at the default 50x scale;
         # under the dev knob the comparison is informational only.
@@ -189,7 +164,7 @@ def main() -> int:
               f"pinned its peak at ~{MEMORY_PEAK_CALIBRATED_MIB}MiB — "
               f"over the {PEAK_CEILING_MIB}MiB ceiling.")
 
-    BenchResults("corpus", seed=SEED, scale=SCALE).record("smoke", **smoke)
+    ok = peak_mib <= PEAK_CEILING_MIB
     verdict = "within" if ok else "EXCEEDS"
     print(f"\npeak RSS {peak_mib:.0f}MiB {verdict} the "
           f"{PEAK_CEILING_MIB}MiB ceiling")

@@ -221,9 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="a --trace-out artifact")
     ingest_parser.add_argument("--profile", default=None, metavar="PATH",
                                help="a --profile-out artifact")
-    ingest_parser.add_argument("--bench", action="append", default=[],
-                               metavar="PATH",
-                               help="a BENCH_*.json artifact (repeatable)")
 
     runs_parser = obs_sub.add_parser(
         "runs", help="list ingested runs (ingest order)")
@@ -493,7 +490,6 @@ def _cmd_obs(args, out) -> int:
                     metrics=args.metrics,
                     trace=args.trace,
                     profile=args.profile,
-                    bench=args.bench,
                 )
             except (OSError, SchemaError, WarehouseError) as exc:
                 print(f"obs ingest: {exc}", file=sys.stderr)

@@ -48,11 +48,9 @@ class StudyConfig:
     #: Crawl-engine thread width (one lane per market; the snapshot is
     #: identical at any width, only wall-clock time changes).
     crawl_workers: int = 1
-    #: Fault mix every market server injects (None = clean servers).
-    fault_plan: Optional[FaultPlan] = None
-    #: Per-market fault-plan overrides; a market listed here ignores
-    #: ``fault_plan``.  This is how a single market is blacked out while
-    #: the rest of the fleet stays healthy.
+    #: Per-market fault plans (a market not listed serves clean).  This
+    #: is how a single market is blacked out while the rest of the fleet
+    #: stays healthy.
     market_fault_plans: Optional[Mapping[str, FaultPlan]] = None
     #: Directory for the crawl's checkpoint journal (None disables
     #: checkpointing).  With ``resume=True`` a restarted study replays
@@ -125,10 +123,6 @@ class StudyConfig:
     #: ``"profile"`` to give each market the behaviors its
     #: :class:`~repro.markets.profiles.MarketProfile` declares.
     hostility: Optional[str] = None
-    #: Per-market hostility-spec overrides; a market listed here ignores
-    #: ``hostility`` (an empty/``"none"`` spec makes just that market
-    #: polite).
-    market_hostility: Optional[Mapping[str, str]] = None
     #: Client identities per market lane (0 disables identity rotation;
     #: hostile antibot markets then ban the lane's single identity).
     identity_pool: int = 0
@@ -192,10 +186,6 @@ class StudyConfig:
 
         if self.hostility is not None and self.hostility != "profile":
             HostilityPolicy.from_spec(self.hostility)  # validates the spec
-        if self.market_hostility:
-            for market_id, spec in self.market_hostility.items():
-                if spec != "profile":
-                    HostilityPolicy.from_spec(spec)
         if self.identity_pool < 0:
             raise ValueError(
                 f"identity_pool must be non-negative, got {self.identity_pool}"

@@ -164,8 +164,11 @@ class StudyResult:
         import json
         from dataclasses import asdict
 
-        from repro.obs.results import current_git_commit
-        from repro.obs.warehouse import RUN_SCHEMA, config_fingerprint
+        from repro.obs.warehouse import (
+            RUN_SCHEMA,
+            config_fingerprint,
+            current_git_commit,
+        )
 
         config = self.config
         meta = {
@@ -351,7 +354,7 @@ class Study:
         from dataclasses import replace
 
         config = self.config
-        spec = (config.market_hostility or {}).get(market_id, config.hostility)
+        spec = config.hostility
         if spec is None:
             return None
         if spec == "profile":
@@ -413,7 +416,7 @@ class Study:
             m: MarketServer(
                 store,
                 clock,
-                faults=overrides.get(m, config.fault_plan),
+                faults=overrides.get(m),
                 hostility=self._hostility_policy(m),
             )
             for m, store in stores.items()

@@ -3,7 +3,7 @@
 ``run_experiment("table4", result)`` regenerates the corresponding
 artifact from a :class:`~repro.core.study.StudyResult`.  The DESIGN.md
 per-experiment index maps each id to its paper artifact, workload, and
-bench target.
+end-to-end benchmark timing.
 """
 
 from repro.experiments.runner import (

@@ -47,7 +47,6 @@ from repro.obs.monitor import (
 )
 from repro.obs.profiler import (
     STAGE_PREFIX,
-    StagePeaks,
     export_profile,
     render_profile,
     stage_rows,
@@ -108,11 +107,8 @@ class Observability:
 
     ``tracer`` records every span and event.  ``profile`` records the
     pipeline's stage spans even without one — into a private tracer that
-    sees nothing else, so a profiled run's stage peaks are not inflated
-    by a crawl's worth of request spans.  Stage spans are wall-only by
-    default; ``trace_memory`` (opt-in, effective only with ``profile``)
-    runs ``tracemalloc`` and gives each stage span a ``peak_bytes``
-    attribute, at several times the wall cost.
+    sees nothing else, so a profiled run does not hold a crawl's worth
+    of request spans.  Stage spans are wall-only.
     """
 
     def __init__(
@@ -121,14 +117,12 @@ class Observability:
         metrics: Optional[MetricsRegistry] = None,
         profile: bool = False,
         monitor: Optional[CampaignMonitor] = None,
-        trace_memory: bool = False,
     ):
         self.tracer = tracer
         self.metrics = metrics
         self.monitor = monitor
         #: Where stage spans are recorded (``None``: stages are no-ops).
         self.stage_tracer = SpanTracer() if profile and tracer is None else tracer
-        self._peaks = StagePeaks() if profile and trace_memory else None
 
     @classmethod
     def from_flags(
@@ -196,8 +190,7 @@ class Observability:
         tracing nor profiling is on)."""
         if self.stage_tracer is None:
             return NULL_SPAN
-        span = self.stage_tracer.span(STAGE_PREFIX + name)
-        return span if self._peaks is None else self._peaks.track(span)
+        return self.stage_tracer.span(STAGE_PREFIX + name)
 
     def lane(self, market: str, clock) -> Optional[LaneObs]:
         """The hot-path binding for one market lane (None = all off)."""

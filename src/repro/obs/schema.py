@@ -2,8 +2,8 @@
 
 The trace (``--trace-out``) and metrics (``--metrics-out``) artifacts
 are JSONL: one self-describing object per line.  Downstream tooling —
-the CI observability job, ``run-report``, the bench-trajectory
-collector — validates every line against the schemas here before
+the CI observability job, ``run-report``, the run warehouse —
+validates every line against the schemas here before
 trusting it, so a format drift fails loudly at the artifact boundary
 instead of corrupting a report three tools later.
 
@@ -83,7 +83,8 @@ PROFILE_FIELDS: FieldSpec = {
     "kind": (True, (str,)),
     "name": (True, (str,)),
     "wall_seconds": (True, NUMBER),
-    "peak_bytes": (True, (int,)),
+    # Written by profiles from before stages became wall-only.
+    "peak_bytes": (False, (int,)),
     "depth": (True, (int,)),
 }
 
@@ -158,7 +159,7 @@ def validate_profile_obj(obj: Mapping) -> None:
     _check_fields(obj, PROFILE_FIELDS, "stage")
     if obj["kind"] != "stage":
         raise SchemaError(f"profile line: kind must be stage, got {obj['kind']!r}")
-    if obj["depth"] < 0 or obj["peak_bytes"] < 0:
+    if obj["depth"] < 0 or obj.get("peak_bytes", 0) < 0:
         raise SchemaError("stage: depth and peak_bytes must be non-negative")
 
 

@@ -2,7 +2,7 @@
 
 Rules live in a committed TOML file (``slo.toml``) and are evaluated
 against one ingested run — CI gates on the exit status, so a latency
-blow-up, a dead-letter surge, or a bench-floor regression fails the
+blow-up, a dead-letter surge, or a wall-time regression fails the
 build with a *named* rule instead of a number someone has to notice.
 
 Rule kinds:
@@ -13,10 +13,6 @@ Rule kinds:
 * ``ratio_max``      — ``sum(numerator) / sum(denominator)`` at or
   below ``max`` (a zero denominator passes with ratio 0).
 * ``counter_max`` / ``counter_min`` — a summed metric against a bound.
-* ``bench_max`` / ``bench_min`` — a field of an ingested
-  ``BENCH_*.json`` section against a bound; a missing artifact SKIPs
-  (benches are optional per run), because a missing bench is a coverage
-  gap, not a regression.
 * ``regression_max`` — the run's summed metric divided by the median of
   the same metric over the fingerprint's run history must stay at or
   below ``max_ratio``; fewer than ``min_history`` baseline runs SKIPs
@@ -34,7 +30,7 @@ import json
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.obs.warehouse import RunWarehouse, robust_score
 
@@ -45,7 +41,7 @@ PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
 
 RULE_KINDS = (
     "quantile_max", "ratio_max", "counter_max", "counter_min",
-    "bench_max", "bench_min", "regression_max",
+    "regression_max",
 )
 
 
@@ -84,8 +80,6 @@ _REQUIRED = {
     "ratio_max": ("numerator", "denominator", "max"),
     "counter_max": ("metric", "max"),
     "counter_min": ("metric", "min"),
-    "bench_max": ("bench", "section", "field", "max"),
-    "bench_min": ("bench", "section", "field", "min"),
     "regression_max": ("metric", "max_ratio"),
 }
 
@@ -210,19 +204,6 @@ def evaluate_rule(
         value = warehouse.metric_total(run_id, str(rule.param("metric")))
         bound = float(rule.param("max" if upper else "min"))
         return _bound_result(rule, value, bound, upper=upper)
-    if rule.kind in ("bench_max", "bench_min"):
-        upper = rule.kind == "bench_max"
-        value = warehouse.bench_value(
-            run_id, str(rule.param("bench")), str(rule.param("section")),
-            str(rule.param("field")),
-        )
-        bound = float(rule.param("max" if upper else "min"))
-        return _bound_result(
-            rule, value, bound, upper=upper,
-            detail=f"{rule.param('bench')}/{rule.param('section')}"
-                   f".{rule.param('field')}"
-                   + ("" if value is not None else " not ingested"),
-        )
     if rule.kind == "regression_max":
         metric = str(rule.param("metric"))
         min_history = int(rule.params.get("min_history", 3))

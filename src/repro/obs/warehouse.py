@@ -1,7 +1,7 @@
 """The run warehouse: every campaign's artifacts in one queryable store.
 
 Single runs already export rich artifacts (trace/metrics JSONL, stage
-profiles, ``BENCH_*.json``), but each file was an island — nothing
+profiles), but each file was an island — nothing
 compared round N against rounds 1..N-1, which is exactly the run-over-
 run bookkeeping the paper's fleet lived on.  :class:`RunWarehouse`
 ingests a run's artifacts into one SQLite database (reusing
@@ -18,7 +18,6 @@ Families (see DESIGN.md for the schema contract):
 * ``spans``     — per ``(name, market)`` span aggregates.
 * ``events``    — per ``(name, market)`` event counts.
 * ``stages``    — the stage profile, in recorded order.
-* ``bench``     — one row per ``BENCH_*.json`` section.
 
 :meth:`RunWarehouse.diff` compares two runs: **deterministic** series
 (everything that does not measure wall time) must match exactly — any
@@ -33,11 +32,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.obs.results import load_bench_artifact
 from repro.obs.schema import (
     SchemaError,
     validate_metrics_file,
@@ -51,6 +51,7 @@ __all__ = [
     "WarehouseError",
     "RUN_SCHEMA",
     "config_fingerprint",
+    "current_git_commit",
     "is_timing_metric",
 ]
 
@@ -74,6 +75,13 @@ DIGEST_INVARIANT_FIELDS = frozenset({
     "crawl_engine", "crawl_pipeline", "gen_workers",
 })
 
+#: Removed fault knobs, at the default every manifest carries them at:
+#: folded back in before hashing, so those runs and today's share a
+#: fingerprint (a manifest that set one still fingerprints apart).
+RETIRED_FIELD_DEFAULTS: Mapping[str, object] = {
+    "fault_plan": None, "market_hostility": None,
+}
+
 
 class WarehouseError(Exception):
     """Invalid warehouse usage (unknown run, ambiguous reference, ...)."""
@@ -95,10 +103,30 @@ def config_fingerprint(config: object) -> str:
     else:
         raise TypeError(f"cannot fingerprint a {type(config).__name__}")
     relevant = {
-        str(k): v for k, v in doc.items() if k not in DIGEST_INVARIANT_FIELDS
+        str(k): v for k, v in {**RETIRED_FIELD_DEFAULTS, **doc}.items()
+        if k not in DIGEST_INVARIANT_FIELDS
     }
     blob = json.dumps(relevant, sort_keys=True, default=repr)
     return hashlib.blake2b(blob.encode("utf-8"), digest_size=8).hexdigest()
+
+
+def current_git_commit() -> Optional[str]:
+    """The commit a run manifest was produced from, or None off-repo.
+
+    CI exposes the sha directly (``GITHUB_SHA``); local runs ask git.
+    """
+    sha = os.environ.get("GITHUB_SHA")
+    if sha:
+        return sha
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    sha = out.stdout.strip()
+    return sha if out.returncode == 0 and sha else None
 
 
 def is_timing_metric(name: str) -> bool:
@@ -201,13 +229,6 @@ class RunWarehouse:
             ],
             indexes=[["run_id"]],
         )
-        self._bench = self._store.family(
-            "bench",
-            key_columns=[
-                ("run_id", "TEXT"), ("bench", "TEXT"), ("section", "TEXT"),
-            ],
-            indexes=[["run_id"]],
-        )
 
     def close(self) -> None:
         self._store.close()
@@ -228,7 +249,6 @@ class RunWarehouse:
         metrics: Optional[Union[str, Path]] = None,
         trace: Optional[Union[str, Path]] = None,
         profile: Optional[Union[str, Path]] = None,
-        bench: Sequence[Union[str, Path]] = (),
     ) -> dict:
         """Ingest one run's artifacts; returns the stored manifest.
 
@@ -257,25 +277,17 @@ class RunWarehouse:
             json.dumps(meta, sort_keys=True, default=repr).encode("utf-8")
         )
         metric_docs = trace_docs = stage_docs = None
-        bench_docs: List[Tuple[str, dict, Dict[str, dict]]] = []
         for tag, path in (("metrics", metrics), ("trace", trace),
                           ("profile", profile)):
             if path is None:
                 continue
             hasher.update(tag.encode() + b"\x00" + Path(path).read_bytes())
-        for path in bench:
-            hasher.update(b"bench\x00" + Path(path).read_bytes())
         if metrics is not None:
             metric_docs = validate_metrics_file(metrics)
         if trace is not None:
             trace_docs = validate_trace_file(trace)
         if profile is not None:
             stage_docs = validate_profile_file(profile)
-        for path in bench:
-            try:
-                bench_docs.append(load_bench_artifact(path))
-            except ValueError as exc:
-                raise SchemaError(str(exc)) from exc
         run_id = hasher.hexdigest()
 
         existing = self._runs.get(run_id=run_id)
@@ -288,7 +300,6 @@ class RunWarehouse:
             "metrics": len(metric_docs or ()),
             "trace": len(trace_docs or ()),
             "stages": len(stage_docs or ()),
-            "bench_sections": sum(len(s) for _, _, s in bench_docs),
         }
         fingerprint = ""
         if isinstance(meta.get("config"), Mapping):
@@ -307,7 +318,6 @@ class RunWarehouse:
                 "metrics": str(metrics) if metrics is not None else None,
                 "trace": str(trace) if trace is not None else None,
                 "profile": str(profile) if profile is not None else None,
-                "bench": [str(p) for p in bench],
             },
             "counts": counts,
         }
@@ -331,13 +341,6 @@ class RunWarehouse:
                 float(doc["wall_seconds"]), int(doc.get("peak_bytes", 0)),
                 json.dumps(doc, sort_keys=True),
             )
-        for bench_name, bench_meta, sections in bench_docs:
-            for section, data in sorted(sections.items()):
-                self._bench.append(
-                    run_id, bench_name, section,
-                    json.dumps({"meta": bench_meta, "data": data},
-                               sort_keys=True),
-                )
         self._store.flush()
         manifest["created"] = True
         return manifest
@@ -422,16 +425,6 @@ class RunWarehouse:
             if int(depth) == 0:
                 walls[name] = walls.get(name, 0.0) + float(wall)
         return walls
-
-    def bench_value(
-        self, run_id: str, bench: str, section: str, field: str
-    ) -> Optional[float]:
-        row = self._bench.get(run_id=run_id, bench=bench, section=section)
-        if row is None:
-            return None
-        data = json.loads(row[-1]).get("data", {})
-        value = data.get(field)
-        return float(value) if isinstance(value, (int, float)) else None
 
     def history(
         self, fingerprint: str, exclude: Sequence[str] = ()
@@ -549,7 +542,7 @@ class RunWarehouse:
     def render_runs(manifests: Sequence[Mapping]) -> str:
         header = (
             f"{'run_id':<18}{'label':<16}{'seed':>6}{'scale':>10}"
-            f"{'fingerprint':>18}{'metrics':>9}{'stages':>8}{'bench':>7}"
+            f"{'fingerprint':>18}{'metrics':>9}{'stages':>8}"
         )
         lines = [header, "-" * len(header)]
         for m in manifests:
@@ -560,7 +553,6 @@ class RunWarehouse:
                 f"{m['scale'] if m['scale'] is not None else '-':>10}"
                 f"{m['fingerprint'] or '-':>18}"
                 f"{counts.get('metrics', 0):>9}{counts.get('stages', 0):>8}"
-                f"{counts.get('bench_sections', 0):>7}"
             )
         return "\n".join(lines)
 

@@ -78,15 +78,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--transport", "carrier-pigeon"])
 
-    def test_obs_ingest_collects_bench_artifacts(self):
-        args = build_parser().parse_args(
-            ["obs", "ingest", "--db", "w.sqlite", "--meta", "r.json",
-             "--bench", "BENCH_a.json", "--bench", "BENCH_b.json"]
-        )
-        assert args.obs_command == "ingest"
-        assert args.db == "w.sqlite"
-        assert args.bench == ["BENCH_a.json", "BENCH_b.json"]
-
     def test_obs_defaults(self):
         args = build_parser().parse_args(["obs", "diff", "a", "b"])
         assert args.db == "warehouse.sqlite"

@@ -10,8 +10,8 @@ from repro.obs import Observability
 from repro.obs.profiler import render_profile
 
 
-def _profiled(trace_memory=False) -> Observability:
-    return Observability(profile=True, trace_memory=trace_memory)
+def _profiled() -> Observability:
+    return Observability(profile=True)
 
 
 def _rows(obs):
@@ -38,42 +38,12 @@ class TestStageProfiler:
                 pass
         assert _rows(obs) == [("inner", 1), ("outer", 0)]
 
-    def test_peak_memory_tracked(self):
-        obs = _profiled(trace_memory=True)
-        with obs.stage("alloc"):
-            blob = bytearray(4 * 1024 * 1024)
-            del blob
-        (record,) = obs.stage_rows()
-        assert record["peak_bytes"] >= 4 * 1024 * 1024
-
-    def test_nested_peaks_fold_into_parent(self):
-        obs = _profiled(trace_memory=True)
-        with obs.stage("outer"):
-            with obs.stage("inner"):
-                blob = bytearray(4 * 1024 * 1024)
-                del blob
-        inner, outer = obs.stage_rows()
-        assert inner["peak_bytes"] >= 4 * 1024 * 1024
-        # The child's peak must not vanish from the enclosing stage.
-        assert outer["peak_bytes"] >= inner["peak_bytes"]
-
-    def test_parent_segment_peak_survives_child_reset(self):
-        obs = _profiled(trace_memory=True)
-        with obs.stage("outer"):
-            blob = bytearray(8 * 1024 * 1024)
-            del blob
-            with obs.stage("inner"):
-                pass
-        inner, outer = obs.stage_rows()
-        assert outer["peak_bytes"] >= 8 * 1024 * 1024
-        assert inner["peak_bytes"] < 8 * 1024 * 1024
-
     def test_profile_flag_is_wall_only(self):
         obs = Observability.from_flags(profile=True)
         with obs.stage("crawl"):
             assert not tracemalloc.is_tracing()
         (record,) = obs.stage_rows()
-        assert record["peak_bytes"] == 0
+        assert set(record) == {"name", "wall_seconds", "depth"}
 
     def test_stage_exception_still_records(self):
         obs = _profiled()
@@ -91,7 +61,7 @@ class TestStageProfiler:
             "alpha": lambda result: object(), "beta": lambda result: object(),
         })
         monkeypatch.setattr(runner, "EXPERIMENT_IDS", ("alpha", "beta"))
-        obs = _profiled(trace_memory=True)
+        obs = _profiled()
         result = SimpleNamespace(
             obs=obs,
             materialize=lambda: None,
@@ -106,10 +76,6 @@ class TestStageProfiler:
         for exp_id in ("alpha", "beta"):
             assert spans[f"stage.experiment.{exp_id}"]["parent_id"] == run_all_id
             assert rows[f"experiment.{exp_id}"]["depth"] == 2
-            # The high-water mark is process-wide: only the thread that
-            # started tracing measures.
-            assert rows[f"experiment.{exp_id}"]["peak_bytes"] == 0
-        assert rows["report"]["peak_bytes"] > 0
 
 
 class TestReport:
@@ -128,9 +94,8 @@ class TestReport:
         assert "stage profile" in report
         assert "fast" in report and "slow" in report
         assert "critical path: slowest stage 'slow'" in report
-        assert "peak memory:" in report
-        # No stage traced a peak, so none is named.
-        assert "peak memory:   not traced" in report
+        # Stages are wall-only: the table has no memory column.
+        assert "peak" not in report
 
     def test_critical_path_ignores_nested_stages(self):
         obs = _profiled()
