@@ -1,14 +1,14 @@
 """Benchmarks for the out-of-core corpus store.
 
 Times one full streaming pass over a spilled world against the same
-pass on the in-memory list and prints wall time *and* the tracemalloc
-peak of each pass.
+pass on the in-memory list, and prints both wall times and the
+streaming pass's tracemalloc peak.
 
 Correctness anchors, enforced here like the worldgen floors: the world
 content digest must be identical before and after the spill, and the
-streaming cursor's traced heap peak must stay under the materialized
-pass's peak plus a fixed allowance (the cursor holds one batch, not the
-corpus).  The CI ``corpus`` job runs this file.
+streaming cursor's traced heap peak must stay under a fixed cap (the
+cursor holds one batch, not the corpus).  The CI ``corpus`` job runs
+this file.
 """
 
 import time
@@ -20,11 +20,13 @@ from repro.store import CorpusStore
 CORPUS_SEED = 42
 CORPUS_SCALE = 0.0005
 
-#: The streaming pass re-decodes rows, so its *allocation* peak may sit
-#: above the materialized pass (whose list pre-exists the trace); what
-#: it must never do is scale with the corpus.  At this scale the
-#: cursor's peak stays within this multiple of the materialized pass.
-MAX_PEAK_RATIO = 1.5
+#: Cap on the streaming pass's traced heap peak.  The cursor holds one
+#: 256-row batch of decoded apps, so its peak must not scale with the
+#: corpus: at this scale it reads 4.3 MiB, against 3.5 MiB for 1-row
+#: batches and 7.3 MiB for one batch of the whole corpus.  It is a fixed
+#: cap, not a ratio to the materialized pass: that pass sums over a list
+#: already in memory and allocates nothing.
+MAX_STREAM_PEAK_BYTES = 6 * 2**20
 
 
 def _traced_pass(fn):
@@ -46,7 +48,9 @@ def test_bench_streaming_cursor(tmp_path):
     def sweep():
         return sum(len(app.placements) for app in world.apps)
 
-    memory_s, memory_peak, listings = _traced_pass(sweep)
+    start = time.perf_counter()
+    listings = sweep()
+    memory_s = time.perf_counter() - start
 
     store = CorpusStore(tmp_path, spill_threshold=0)
     start = time.perf_counter()
@@ -64,10 +68,10 @@ def test_bench_streaming_cursor(tmp_path):
 
     print(
         f"\nspill {n_apps:,} apps in {spill_s:.2f}s; "
-        f"materialized pass {memory_s:.2f}s @ {memory_peak / 2**20:.1f}MiB vs "
+        f"materialized pass {memory_s:.2f}s vs "
         f"streaming pass {stream_s:.2f}s @ {stream_peak / 2**20:.1f}MiB"
     )
-    assert stream_peak <= MAX_PEAK_RATIO * max(memory_peak, 8 * 2**20), (
-        f"streaming cursor peaked at {stream_peak / 2**20:.1f}MiB vs "
-        f"materialized {memory_peak / 2**20:.1f}MiB"
+    assert stream_peak <= MAX_STREAM_PEAK_BYTES, (
+        f"streaming cursor peaked at {stream_peak / 2**20:.1f}MiB, over the "
+        f"{MAX_STREAM_PEAK_BYTES / 2**20:.0f}MiB cap"
     )

@@ -32,7 +32,7 @@ def run_session(checkpoint_dir, resume):
         scale=SCALE,
         checkpoint_dir=checkpoint_dir,
         resume=resume,
-        analysis_workers=4,
+        workers=4,
         artifact_cache_dir=f"{checkpoint_dir}/artifacts",
     )
     result = Study(config).run()

@@ -52,7 +52,7 @@ def main() -> None:
         servers, clock, gp_seeds=seeds, backfill=ArchiveBackfill(world)
     )
     print(f"\ncrawling all 17 markets from {len(seeds)} Google Play seeds...")
-    snapshot = coordinator.crawl("august-2017")
+    snapshot = coordinator.crawl("august-2017", duration_days=15.0)
     stats = snapshot.stats
     lanes = stats.telemetry.markets.values()
 

@@ -84,14 +84,12 @@ def _workers() -> int:
 def _run(backend: str):
     """One full study + experiment suite, profiled wall-only."""
     obs = Observability(profile=True)
-    workers = _workers()
     config = StudyConfig(
         seed=SEED,
         scale=SCALE,
         download_apks=True,
         store_backend=backend,
-        crawl_workers=workers,
-        analysis_workers=workers,
+        workers=_workers(),
     )
     start = time.perf_counter()
     result = Study(config, obs=obs).run()

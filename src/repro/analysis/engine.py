@@ -16,9 +16,10 @@ bytes and the analyzer version, so re-running an experiment, the
 April-2018 recheck, or ``run_all`` after a code-irrelevant change skips
 every unchanged per-APK computation (incremental analysis).
 Invalidation is bump-the-version: an analyzer that changes behavior
-bumps its version constant and every stale entry misses.  Writes are
-atomic (temp file + ``os.replace``), and a corrupted or truncated entry
-falls back to recompute — the cache can never poison a run.
+bumps its version constant and every stale entry misses.  Entries are
+rows of one SQLite table, each committed by its put, and a corrupted or
+truncated entry falls back to recompute — the cache can never poison a
+run.
 
 Per-APK analyzers are declared as :class:`UnitAnalyzer` specs and run
 together: one :meth:`AnalysisEngine.map_units_cached` walk asks the
@@ -33,13 +34,15 @@ from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, NULL_SPAN, Observability
+from repro.store.columnar import WAL_LIMIT_BYTES
 
 __all__ = [
     "AnalysisEngine",
@@ -47,20 +50,14 @@ __all__ = [
     "CacheStats",
     "UnitAnalyzer",
     "UnitWalk",
-    "resolve_analysis_workers",
 ]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-
-def resolve_analysis_workers(workers: int = 0) -> int:
-    """Resolve an analysis worker count (``0`` = one per CPU)."""
-    if workers < 0:
-        raise ValueError(f"workers must be non-negative, got {workers}")
-    if workers:
-        return workers
-    return max(1, os.cpu_count() or 1)
+#: Page cache of the artifact database, in KiB.  Each row is read at
+#: most once per walk, so a small cache costs no reads.
+_CACHE_KIB = 256
 
 
 @dataclass
@@ -88,35 +85,57 @@ class CacheStats:
 class ArtifactCache:
     """Content-addressed per-APK analyzer result store.
 
-    Layout on disk (one JSON file per artifact)::
+    Layout on disk: one SQLite database, ``<root>/artifacts.db``, with
+    one row per artifact keyed by ``(analyzer, version, md5)``.  A file
+    per artifact cost a file creation, a rename and often a directory
+    per put: a cold checkpointed report run (seed 42, scale 0.0001,
+    about 1,900 puts, 2-vCPU VM on an ext4 disk) spent 1.7-2.3 s of its
+    5.3-6.4 s in puts, against 0.13 s as rows, each one WAL append.
+    The database runs like the blob vault's: WAL, ``synchronous=NORMAL``,
+    autocommit (a put is committed when it returns), a bounded ``-wal``
+    file and a small page cache.
 
-        <root>/<analyzer>/<version>/<md5[:2]>/<md5>.json
-
-    Each file wraps its payload with the key it was stored under; a
-    ``get`` whose wrapper does not match (or whose file is truncated,
-    nested too deep to decode, or not JSON at all) counts as ``corrupt``
-    and behaves as a miss, so a damaged cache degrades to recomputation
-    instead of wrong results.
+    Each row's document wraps its payload with the key it was stored
+    under; a ``get`` whose wrapper does not match (or whose text is
+    truncated, nested too deep to decode, or not JSON at all) counts as
+    ``corrupt`` and behaves as a miss, so a damaged cache degrades to
+    recomputation instead of wrong results.
     """
 
     def __init__(self, root: os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self.path = self.root / "artifacts.db"
         self.stats = CacheStats()
         self._lock = threading.Lock()
+        self._conn = sqlite3.connect(self.path, check_same_thread=False, isolation_level=None)
+        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.execute(f"PRAGMA journal_size_limit={WAL_LIMIT_BYTES}")
+        self._conn.execute(f"PRAGMA cache_size=-{_CACHE_KIB}")
+        self._conn.execute("PRAGMA mmap_size=0")
+        self._conn.execute(
+            "CREATE TABLE IF NOT EXISTS artifacts (analyzer TEXT NOT NULL,"
+            " version TEXT NOT NULL, md5 TEXT NOT NULL, doc TEXT NOT NULL,"
+            " PRIMARY KEY (analyzer, version, md5)) WITHOUT ROWID"
+        )
 
-    def entry_path(self, analyzer: str, version: str, md5: str) -> Path:
-        return self.root / analyzer / version / md5[:2] / f"{md5}.json"
+    def close(self) -> None:
+        """Close the database; every put is already committed."""
+        with self._lock:
+            self._conn.close()
 
     def get(self, analyzer: str, version: str, md5: str) -> Optional[object]:
         """The stored payload, or None on miss/corruption."""
-        path = self.entry_path(analyzer, version, md5)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
-            with self._lock:
+        with self._lock:
+            row = self._conn.execute(
+                "SELECT doc FROM artifacts WHERE analyzer = ? AND version = ? AND md5 = ?",
+                (analyzer, version, md5),
+            ).fetchone()
+            if row is None:
                 self.stats.misses += 1
-            return None
+                return None
+        raw = row[0]
         try:
             doc = json.loads(raw)
             if (
@@ -136,21 +155,19 @@ class ArtifactCache:
         return payload
 
     def put(self, analyzer: str, version: str, md5: str, payload: object) -> None:
-        """Store a payload atomically (temp file + rename)."""
-        path = self.entry_path(analyzer, version, md5)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        """Store a payload; the row is committed when this returns."""
         doc = {
             "analyzer": analyzer,
             "version": version,
             "md5": md5,
             "payload": payload,
         }
-        tmp = path.with_name(
-            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        tmp.write_text(json.dumps(doc, separators=(",", ":")), encoding="utf-8")
-        os.replace(tmp, path)
+        raw = json.dumps(doc, separators=(",", ":"))
         with self._lock:
+            self._conn.execute(
+                "INSERT OR REPLACE INTO artifacts VALUES (?, ?, ?, ?)",
+                (analyzer, version, md5, raw),
+            )
             self.stats.stores += 1
 
     def count_corrupt_hit(self) -> None:
@@ -264,7 +281,7 @@ class AnalysisEngine:
             else None
         )
         return cls(
-            workers=getattr(config, "analysis_workers", 1),
+            workers=getattr(config, "workers", 1),
             cache=ArtifactCache(cache_dir) if cache_dir else None,
             obs=obs,
             batch_size=batch_size,
@@ -309,7 +326,7 @@ class AnalysisEngine:
         still bit-identical to the unbatched path.
         """
         items = list(items)
-        cm = self.obs.span(stage, n_items=len(items)) if stage else _NULL_CM
+        cm = self.obs.span(stage, n_items=len(items)) if stage else NULL_SPAN
         with cm:
             if self.workers == 1 or len(items) <= 1:
                 return [fn(item) for item in items]
@@ -374,18 +391,6 @@ class AnalysisEngine:
         rows = self.map(units, one, stage=stage)
         return [[row[i] for row in rows] for i in range(len(analyzers))]
 
-
-class _NullCM:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_CM = _NullCM()
 
 #: A shared serial, cache-less engine: the default for analyzers called
 #: without an engine, so the serial path stays the unthreaded baseline.

@@ -62,8 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--full-second-crawl", action="store_true",
                        help="run a full second campaign (enables 'churn')")
         p.add_argument("--workers", type=workers_arg, default=1,
-                       help="crawl-engine threads, 0 = auto "
-                            "(snapshot identical at any width)")
+                       help="crawl- and analysis-engine threads, 0 = one "
+                            "per CPU (snapshot, artifacts and reports "
+                            "identical at any width)")
         p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                        help="journal completed crawl work under DIR "
                             "(enables crash-safe campaigns)")
@@ -74,19 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="consecutive failures before a market's circuit "
                             "breaker opens (default: policy default)")
-        failure_mode = p.add_mutually_exclusive_group()
-        failure_mode.add_argument(
-            "--fail-fast", action="store_true",
-            help="abort the study when a market exhausts its breaker "
-                 "trip budget")
-        failure_mode.add_argument(
-            "--degrade", action="store_true",
-            help="complete the study with dead markets marked degraded "
-                 "(the default)")
-        p.add_argument("--analysis-workers", type=workers_arg, default=1,
-                       metavar="N",
-                       help="analysis-engine threads, 0 = auto (every "
-                            "artifact and report identical at any width)")
+        p.add_argument("--fail-fast", action="store_true",
+                       help="abort the study when a market exhausts its "
+                            "breaker trip budget (default: complete it "
+                            "with that market marked degraded)")
         p.add_argument("--artifact-cache", default=None, metavar="DIR",
                        help="persist per-APK analysis artifacts under DIR "
                             "(default: <checkpoint-dir>/artifacts when "
@@ -275,15 +267,14 @@ def _artifact_cache_dir(args: argparse.Namespace) -> Optional[str]:
 
 
 def _config_from(args: argparse.Namespace) -> StudyConfig:
-    from repro.analysis.engine import resolve_analysis_workers
-    from repro.crawler.workers import resolve_thread_workers
+    from repro.core.config import resolve_workers
 
     return StudyConfig(
         seed=args.seed,
         scale=args.scale,
         download_apks=not args.no_apks,
         full_second_crawl=args.full_second_crawl,
-        crawl_workers=resolve_thread_workers(args.workers),
+        workers=resolve_workers(args.workers),
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
         fail_fast=args.fail_fast,
@@ -296,7 +287,6 @@ def _config_from(args: argparse.Namespace) -> StudyConfig:
         monitor=args.monitor,
         monitor_interval=args.monitor_interval,
         stall_budget=args.stall_budget,
-        analysis_workers=resolve_analysis_workers(args.analysis_workers),
         artifact_cache_dir=_artifact_cache_dir(args),
         store_backend=args.store_backend,
         store_batch_size=args.store_batch_size,

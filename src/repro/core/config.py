@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.net.faults import FaultPlan
 
-__all__ = ["StudyConfig"]
+__all__ = ["StudyConfig", "resolve_workers"]
+
+
+def resolve_workers(workers: int = 0) -> int:
+    """Resolve a thread-pool width (``0`` = one per CPU).
+
+    The crawl engine caps its pool at the number of market lanes, so
+    one width serves both pools.
+    """
+    if workers < 0:
+        raise ValueError(f"workers must be non-negative, got {workers}")
+    if workers:
+        return workers
+    return max(1, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -26,28 +40,21 @@ class StudyConfig:
     download_apks:
         Whether the crawler downloads and parses APKs.  Metadata-only
         runs are much faster and still support Figures 1-2, 4, 6-9.
-    gp_seed_share:
-        Share of Google Play packages present in the public seed list
-        (PrivacyGrade supplied ~74% of the catalog in the paper).
-    first_crawl_days / second_crawl_days:
-        Simulated duration of the two campaigns (the paper's took ~15
-        days and ~1 week).
     """
 
     seed: int = 42
     scale: float = 0.002
     download_apks: bool = True
-    gp_seed_share: float = 0.74
-    first_crawl_days: float = 15.0
-    second_crawl_days: float = 7.0
-    min_market_size: int = 40
     #: Run a full second campaign (metadata for every market) in
     #: addition to the targeted recheck; enables the longitudinal churn
     #: analysis at the cost of roughly doubling crawl time.
     full_second_crawl: bool = False
-    #: Crawl-engine thread width (one lane per market; the snapshot is
-    #: identical at any width, only wall-clock time changes).
-    crawl_workers: int = 1
+    #: Thread width of the crawl engine (one lane per market) and of the
+    #: analysis engine (per-APK library features, VT scans, permission
+    #: extraction, clone scoring, experiment renders).  Every snapshot,
+    #: artifact and report is identical at any width; only wall-clock
+    #: time changes.
+    workers: int = 1
     #: Per-market fault plans (a market not listed serves clean).  This
     #: is how a single market is blacked out while the rest of the fleet
     #: stays healthy.
@@ -88,11 +95,6 @@ class StudyConfig:
     #: Simulated days a lane may advance without frontier progress
     #: before the watchdog flags it stalled.
     stall_budget: float = 5.0
-    #: Analysis-engine worker width for the post-crawl pipeline (per-APK
-    #: library features, VT scans, permission extraction, clone scoring,
-    #: experiment renders).  Every analysis artifact is bit-identical at
-    #: any width; only wall-clock time changes.
-    analysis_workers: int = 1
     #: Directory of the persistent content-addressed artifact cache
     #: (``(apk_md5, analyzer, version)`` -> result).  ``None`` disables
     #: caching; re-runs then recompute every per-APK artifact.
@@ -153,19 +155,13 @@ class StudyConfig:
     def __post_init__(self) -> None:
         if not 0 < self.scale <= 1:
             raise ValueError(f"scale must be in (0, 1], got {self.scale}")
-        if not 0 < self.gp_seed_share <= 1:
-            raise ValueError("gp_seed_share must be in (0, 1]")
-        if self.crawl_workers < 1:
-            raise ValueError(f"crawl_workers must be positive, got {self.crawl_workers}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be positive, got {self.workers}")
         if self.resume and not self.checkpoint_dir:
             raise ValueError("resume requires checkpoint_dir")
         if self.breaker_threshold is not None and self.breaker_threshold < 1:
             raise ValueError(
                 f"breaker_threshold must be positive, got {self.breaker_threshold}"
-            )
-        if self.analysis_workers < 1:
-            raise ValueError(
-                f"analysis_workers must be positive, got {self.analysis_workers}"
             )
         if self.store_backend not in ("memory", "sqlite"):
             raise ValueError(

@@ -69,6 +69,15 @@ from repro.util.simtime import SECOND_CRAWL_DAY, SimClock
 
 __all__ = ["Study", "StudyResult"]
 
+#: Share of Google Play packages in the public seed list (PrivacyGrade
+#: supplied ~74% of the catalog in the paper).
+GP_SEED_SHARE = 0.74
+
+#: Simulated durations of the two campaigns: about 15 days in August
+#: 2017 and one week in April 2018.
+FIRST_CAMPAIGN_DAYS = 15.0
+SECOND_CAMPAIGN_DAYS = 7.0
+
 
 class StudyResult:
     """Everything one study run produced."""
@@ -334,7 +343,7 @@ class Study:
     def _gp_seeds(self, stores: Mapping[str, MarketStore], clock: SimClock) -> List[str]:
         """The public seed list (PrivacyGrade substitution): a stable
         ~74% sample of Google Play package names."""
-        cutoff = int(self.config.gp_seed_share * 10_000)
+        cutoff = int(GP_SEED_SHARE * 10_000)
         return [
             listing.package
             for listing in stores[GOOGLE_PLAY].iter_live(clock.now)
@@ -399,7 +408,6 @@ class Study:
             world = EcosystemGenerator(
                 seed=config.seed,
                 scale=config.scale,
-                min_market_size=config.min_market_size,
                 obs=obs,
                 repackaging=RepackagingModel.for_profile(config.clone_families),
             ).generate()
@@ -425,31 +433,30 @@ class Study:
         # The socket transport promotes the fleet to a real serving
         # tier: every lane's traffic crosses a local TCP listener while
         # checkpointing keeps using direct object references (the tier
-        # lives in-process).  Fresh transports per coordinator — socket
-        # state is connection-scoped and not shared across campaigns.
+        # lives in-process).
         tier = None
         if config.transport == "socket":
             from repro.serving import ServingTier
 
             tier = ServingTier(servers).start()
 
-        def lane_transports():
-            return tier.transports() if tier is not None else None
-
         backfill = (
             ArchiveBackfill(world, segments=segments)
             if config.download_apks
             else None
         )
-        coordinators = []
-        try:
-            coordinator = CrawlCoordinator(
+        coordinators: List[CrawlCoordinator] = []
+
+        def coordinator_for(download_apks: bool) -> CrawlCoordinator:
+            # Fresh transports per coordinator: socket state is
+            # connection-scoped and not shared across campaigns.
+            built = CrawlCoordinator(
                 servers,
                 clock,
                 gp_seeds=self._gp_seeds(stores, clock),
-                backfill=backfill,
-                download_apks=config.download_apks,
-                workers=config.crawl_workers,
+                backfill=backfill if download_apks else None,
+                download_apks=download_apks,
+                workers=config.workers,
                 journal=journal,
                 fail_fast=config.fail_fast,
                 breaker_policy=self._breaker_policy(),
@@ -457,12 +464,16 @@ class Study:
                 corpus=corpus,
                 identity_policy=self._identity_policy(),
                 identity_seed=config.seed,
-                transports=lane_transports(),
+                transports=tier.transports() if tier is not None else None,
             )
-            coordinators.append(coordinator)
+            coordinators.append(built)
+            return built
+
+        try:
+            coordinator = coordinator_for(config.download_apks)
             with obs.stage("crawl.first"):
                 snapshot = coordinator.crawl(
-                    "first", duration_days=config.first_crawl_days
+                    "first", duration_days=FIRST_CAMPAIGN_DAYS
                 )
 
             # Between campaigns: markets clean up flagged apps, developers'
@@ -488,31 +499,15 @@ class Study:
                 # Second campaign: targeted recheck of every flagged app.
                 with obs.stage("crawl.recheck"):
                     result.presence = coordinator.recheck(
-                        result.flagged_by_market, duration_days=config.second_crawl_days
+                        result.flagged_by_market, duration_days=SECOND_CAMPAIGN_DAYS
                     )
             if config.full_second_crawl:
                 # The paper's one-week April 2018 campaign, in full.  APKs
                 # are skipped: the longitudinal analysis is metadata-driven.
-                second_coordinator = CrawlCoordinator(
-                    servers,
-                    clock,
-                    gp_seeds=self._gp_seeds(stores, clock),
-                    backfill=None,
-                    download_apks=False,
-                    workers=config.crawl_workers,
-                    journal=journal,
-                    fail_fast=config.fail_fast,
-                    breaker_policy=self._breaker_policy(),
-                    obs=obs,
-                    corpus=corpus,
-                    identity_policy=self._identity_policy(),
-                    identity_seed=config.seed,
-                    transports=lane_transports(),
-                )
-                coordinators.append(second_coordinator)
+                second_coordinator = coordinator_for(download_apks=False)
                 with obs.stage("crawl.second"):
                     result.second_snapshot = second_coordinator.crawl(
-                        "second", duration_days=config.second_crawl_days
+                        "second", duration_days=SECOND_CAMPAIGN_DAYS
                     )
             if journal is not None:
                 journal.close()

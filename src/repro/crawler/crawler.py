@@ -55,7 +55,6 @@ from repro.crawler.snapshot import (
 )
 from repro.crawler.strategies import strategy_for
 from repro.crawler.telemetry import CrawlTelemetry
-from repro.crawler.workers import WorkerPool
 from repro.markets.server import MarketServer
 from repro.net.breaker import (
     DEFAULT_BREAKER_POLICY,
@@ -65,7 +64,6 @@ from repro.net.breaker import (
 from repro.net.client import HttpClient
 from repro.net.http import ForbiddenError, HttpError, NotFoundError, RateLimitedError
 from repro.net.identity import IdentityPolicy
-from repro.net.ratelimit import PerMarketRateLimiter
 from repro.obs import NULL_OBS, Observability
 from repro.util.rng import stable_hash64
 from repro.util.simtime import SimClock
@@ -122,10 +120,7 @@ class CrawlCoordinator:
         gp_seeds: Iterable[str] = (),
         backfill: Optional[ArchiveBackfill] = None,
         download_apks: bool = True,
-        search_by_name: bool = True,
-        worker_pool: Optional[WorkerPool] = None,
         workers: int = 1,
-        rate_limiter: Optional[PerMarketRateLimiter] = None,
         journal: Optional[CrawlJournal] = None,
         fail_fast: bool = False,
         breaker_policy: Optional[BreakerPolicy] = DEFAULT_BREAKER_POLICY,
@@ -143,8 +138,6 @@ class CrawlCoordinator:
         self._gp_seeds = list(gp_seeds)
         self._backfill = backfill
         self._download_apks = download_apks
-        self._search_by_name = search_by_name
-        self._worker_pool = worker_pool or WorkerPool()
         self._journal = journal
         self._fail_fast = fail_fast
         self._obs = obs
@@ -153,7 +146,6 @@ class CrawlCoordinator:
             self._servers,
             clock,
             workers=workers,
-            rate_limiter=rate_limiter,
             breaker_policy=breaker_policy,
             obs=obs,
             identity_policy=identity_policy,
@@ -193,13 +185,11 @@ class CrawlCoordinator:
     # campaign
     # ------------------------------------------------------------------
 
-    def crawl(self, label: str, duration_days: Optional[float] = 15.0) -> Snapshot:
+    def crawl(self, label: str, duration_days: float) -> Snapshot:
         """Run one full campaign and return its snapshot.
 
-        ``duration_days=None`` derives the campaign's simulated duration
-        from the number of requests issued, under the worker-pool model
-        (the paper's 50-server fleet); a float pins it explicitly (the
-        paper's campaign dates).
+        The shared clock advances by ``duration_days`` once the campaign
+        ends (the paper's campaign dates pin it).
 
         With tracing enabled the campaign is one trace (id = the
         campaign label): a root ``crawl.campaign`` span over per-market
@@ -215,7 +205,7 @@ class CrawlCoordinator:
         return snapshot
 
     def _run_campaign(
-        self, label: str, duration_days: Optional[float], campaign_span
+        self, label: str, duration_days: float, campaign_span
     ) -> Snapshot:
         started = time.perf_counter()
         journal = self._journal.campaign(label) if self._journal is not None else None
@@ -299,19 +289,17 @@ class CrawlCoordinator:
             telemetry.observe_queue_depth(
                 len(batch), at=self._clock.now + self._engine.max_lane_backoff
             )
-            queries = self._batch_queries(batch)
+            # Each package is searched by package name and by app name.
+            queries = [query for pair in batch for query in pair]
             round_no = telemetry.search_rounds
             results = self._engine.run(
                 {m: self._search_task(m, queries, round_no, journal) for m in active}
             )
-            offset = 0
-            for _package, _app_name in batch:
-                width = 2 if self._search_by_name else 1
+            for offset in range(0, len(queries), 2):
                 for market_id in active:
-                    for j in range(width):
-                        for meta in results[market_id]["hits"][offset + j]:
+                    for hits in results[market_id]["hits"][offset:offset + 2]:
+                        for meta in hits:
                             ingest(market_id, meta)
-                offset += width
             for market_id in active:
                 doc = results[market_id]
                 telemetry.market(market_id).searches += len(queries)
@@ -353,11 +341,6 @@ class CrawlCoordinator:
         campaign_span["searches"] = sum(m.searches for m in telemetry.markets.values())
         campaign_span["search_rounds"] = telemetry.search_rounds
         campaign_span["degraded_markets"] = sorted(stats.degraded_markets)
-        if duration_days is None:
-            duration_days = max(
-                self._worker_pool.duration_days(telemetry.total_requests),
-                self._engine.max_campaign_backoff,
-            )
         self._clock.advance(duration_days)
         return snapshot
 
@@ -404,14 +387,6 @@ class CrawlCoordinator:
                 return result
 
         return run
-
-    def _batch_queries(self, batch: Sequence[Tuple[str, str]]) -> List[str]:
-        queries: List[str] = []
-        for package, app_name in batch:
-            queries.append(package)
-            if self._search_by_name:
-                queries.append(app_name)
-        return queries
 
     def _search_task(
         self,

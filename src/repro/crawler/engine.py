@@ -5,11 +5,10 @@ The paper's campaign ran on a 50-server fleet issuing requests to all
 concurrency while keeping every run bit-reproducible:
 
 * **One lane per market.**  Each market gets its own
-  :class:`~repro.net.client.HttpClient`, its own :class:`LaneClock`,
-  and (optionally) its own token-bucket pacer.  Within a lane requests
-  are strictly sequential, so the request-ordinal sequence a server
-  observes — and therefore its deterministic fault injection — is
-  identical at any worker count.
+  :class:`~repro.net.client.HttpClient` and its own :class:`LaneClock`.
+  Within a lane requests are strictly sequential, so the request-ordinal
+  sequence a server observes — and therefore its deterministic fault
+  injection — is identical at any worker count.
 * **Lanes never touch shared state.**  Client back-off advances only
   the lane clock; the shared campaign clock stays frozen until the
   coordinator accounts the campaign duration.  A stalled, 429-happy
@@ -41,7 +40,6 @@ from repro.net.breaker import DEFAULT_BREAKER_POLICY, BreakerPolicy, CircuitBrea
 from repro.net.client import ClientStats, HttpClient
 from repro.net.credentials import CredentialManager
 from repro.net.identity import IdentityPolicy, IdentityPool
-from repro.net.ratelimit import PerMarketRateLimiter
 from repro.net.retry import RetryPolicy
 from repro.obs import NULL_OBS, Observability, breaker_listener
 from repro.util.simtime import SimClock
@@ -70,10 +68,10 @@ class LaneClock:
     """One market lane's view of campaign time.
 
     ``now`` is the shared campaign clock plus a lane-local offset; all
-    of the lane's sleeps (back-off, pacing) land in the offset.  Lanes
-    therefore wait concurrently — as fleet workers do — instead of
-    serializing their waits through the shared clock, and the shared
-    clock never moves mid-campaign, which keeps record timestamps and
+    of the lane's back-off sleeps land in the offset.  Lanes therefore
+    wait concurrently — as fleet workers do — instead of serializing
+    their waits through the shared clock, and the shared clock never
+    moves mid-campaign, which keeps record timestamps and
     market availability stable no matter how requests interleave.
     """
 
@@ -101,7 +99,6 @@ class MarketLane:
         transport,
         base_clock: SimClock,
         retry_policy: Optional[RetryPolicy],
-        rate_limiter: Optional[PerMarketRateLimiter],
         max_rate_limit_waits: int,
         max_rate_limit_wait: Optional[float],
         breaker_policy: Optional[BreakerPolicy] = None,
@@ -114,7 +111,6 @@ class MarketLane:
         a :class:`~repro.net.transport.SocketTransport`."""
         self.market_id = market_id
         self.clock = LaneClock(base_clock)
-        pacer = rate_limiter.bind(market_id, self.clock) if rate_limiter else None
         self.breaker = (
             CircuitBreaker(
                 market_id,
@@ -133,40 +129,24 @@ class MarketLane:
             retry_policy=retry_policy,
             max_rate_limit_waits=max_rate_limit_waits,
             max_rate_limit_wait=max_rate_limit_wait,
-            pacer=pacer,
             jitter_key=market_id,
             breaker=self.breaker,
             credentials=credentials,
             identities=identities,
             obs=obs.lane(market_id, self.clock),
         )
-        self._offset_baseline = 0.0
-        self._paced_baseline = 0.0
 
-    def begin_campaign(
-        self, rate_limiter: Optional[PerMarketRateLimiter], stats: ClientStats
-    ) -> None:
+    def begin_campaign(self, stats: ClientStats) -> None:
         """Bind the client's counters to ``stats`` (the campaign's lane)."""
         self.client.stats = stats
-        self._offset_baseline = self.clock.offset
-        if rate_limiter is not None:
-            self._paced_baseline = rate_limiter.sim_days_waited(self.market_id)
         if self.breaker is not None:
             # A new campaign starts with a clean bill of health: markets
             # that died last campaign get re-probed, not written off.
             self.breaker.reset()
 
-    def campaign_backoff(self) -> float:
-        return self.clock.offset - self._offset_baseline
-
-    def campaign_paced(self, rate_limiter: Optional[PerMarketRateLimiter]) -> float:
-        if rate_limiter is None:
-            return 0.0
-        return rate_limiter.sim_days_waited(self.market_id) - self._paced_baseline
-
     # -- checkpoint plumbing ----------------------------------------------
 
-    def export_state(self, rate_limiter: Optional[PerMarketRateLimiter]) -> dict:
+    def export_state(self) -> dict:
         """The lane-side state one journal entry snapshots."""
         state: dict = {
             "stats": self.client.stats.export_state(),
@@ -175,26 +155,18 @@ class MarketLane:
         }
         if self.breaker is not None:
             state["breaker"] = self.breaker.export_state()
-        if rate_limiter is not None:
-            bucket = rate_limiter.export_state(self.market_id)
-            if bucket is not None:
-                state["pacer"] = bucket
         if self.credentials is not None:
             state["auth"] = self.credentials.export_state()
         if self.identities is not None:
             state["identities"] = self.identities.export_state()
         return state
 
-    def restore_state(
-        self, state: dict, rate_limiter: Optional[PerMarketRateLimiter]
-    ) -> None:
+    def restore_state(self, state: dict) -> None:
         self.client.stats.restore_state(state["stats"])
         self.client.sent = int(state["sent"])
         self.clock.offset = float(state["offset"])
         if self.breaker is not None and "breaker" in state:
             self.breaker.restore_state(state["breaker"])
-        if rate_limiter is not None and "pacer" in state:
-            rate_limiter.restore_state(self.market_id, state["pacer"])
         if self.credentials is not None and "auth" in state:
             self.credentials.restore_state(state["auth"])
         if self.identities is not None and "identities" in state:
@@ -214,7 +186,6 @@ class CrawlEngine:
         servers: Mapping[str, object],
         clock: SimClock,
         workers: int = 1,
-        rate_limiter: Optional[PerMarketRateLimiter] = None,
         retry_policy: Optional[RetryPolicy] = None,
         max_rate_limit_waits: int = DEFAULT_RATE_LIMIT_WAITS,
         max_rate_limit_wait: Optional[float] = RATE_LIMIT_WAIT_CAP,
@@ -240,7 +211,6 @@ class CrawlEngine:
             raise ValueError(f"workers must be positive, got {workers}")
         self.workers = workers
         self._clock = clock
-        self._rate_limiter = rate_limiter
         self.obs = obs
         self._transports: Dict[str, object] = dict(transports or {})
         self._lanes: Dict[str, MarketLane] = {}
@@ -253,7 +223,6 @@ class CrawlEngine:
                 transport if transport is not None else server.handle,
                 clock,
                 retry_policy,
-                rate_limiter,
                 max_rate_limit_waits,
                 max_rate_limit_wait,
                 breaker_policy,
@@ -292,11 +261,6 @@ class CrawlEngine:
         """The slowest lane's accumulated sleep (simulated days)."""
         return max((lane.clock.offset for lane in self._lanes.values()), default=0.0)
 
-    @property
-    def max_campaign_backoff(self) -> float:
-        """The slowest lane's sleep since the campaign began."""
-        return max((lane.campaign_backoff() for lane in self._lanes.values()), default=0.0)
-
     # -- campaign bookkeeping ---------------------------------------------
 
     def begin_campaign(self, label: str) -> CrawlTelemetry:
@@ -312,32 +276,28 @@ class CrawlEngine:
             label=label, workers=self.workers, registry=self.obs.metrics
         )
         for market_id, lane in self._lanes.items():
-            lane.begin_campaign(self._rate_limiter, telemetry.market(market_id))
+            lane.begin_campaign(telemetry.market(market_id))
         return telemetry
 
     def end_campaign(self, telemetry: CrawlTelemetry) -> None:
-        """Add the engine-owned lane counters, then unbind the clients.
+        """Add the breaker trips, then unbind the clients.
 
         Traffic between campaigns (the targeted recheck) counts into a
         detached :class:`ClientStats` and so lands in no campaign.
         """
         for market_id, lane in self._lanes.items():
-            market = telemetry.market(market_id)
-            market.sim_days_paced += lane.campaign_paced(self._rate_limiter)
             if lane.breaker is not None:
-                market.breaker_trips += lane.breaker.trips
-            if self._rate_limiter is not None:
-                market.rate_budget = self._rate_limiter.params_for(market_id)[0]
+                telemetry.market(market_id).breaker_trips += lane.breaker.trips
             lane.client.stats = ClientStats()
 
     # -- checkpoint plumbing ----------------------------------------------
 
     def lane_state(self, market_id: str) -> dict:
-        """Export one lane's client/breaker/pacer state for the journal."""
-        return self._lanes[market_id].export_state(self._rate_limiter)
+        """Export one lane's client/breaker state for the journal."""
+        return self._lanes[market_id].export_state()
 
     def restore_lane_state(self, market_id: str, state: dict) -> None:
-        self._lanes[market_id].restore_state(state, self._rate_limiter)
+        self._lanes[market_id].restore_state(state)
 
     # -- scheduling --------------------------------------------------------
 

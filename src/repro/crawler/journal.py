@@ -7,7 +7,7 @@ unit of work (discovery sweep, search round, per-package APK fetch) to
 its own append-only file, together with a snapshot of the
 deterministic state the unit left behind (server request ordinal and
 fault-injector streak, download quota, client counters, lane-clock
-offset, breaker and pacer state).
+offset and breaker state).
 
 A resumed campaign replays the journal instead of re-issuing requests:
 journaled work is applied verbatim, the last entry's state snapshot is

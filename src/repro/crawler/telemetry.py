@@ -51,12 +51,6 @@ _LANE_COUNTERS = {
 #: Gauge marking a market the breaker quarantined (0 ok / 1 degraded).
 DEGRADED_METRIC = "crawl_market_degraded"
 
-#: Gauge holding a market's token-bucket budget (requests per simulated
-#: day; 0 = unlimited).  Set by the engine at campaign end so the
-#: operator table can render each lane's *effective* request rate
-#: against the rate it was allowed — limiter saturation at a glance.
-RATE_BUDGET_METRIC = "crawl_rate_budget"
-
 #: Dead-letter counter broken down by cause.  Labeled ``{campaign,
 #: market, reason}``, so the export answers *why* work was lost (ban
 #: vs. retry exhaustion vs. breaker quarantine), not just how much.
@@ -69,18 +63,14 @@ class MarketTelemetry(ClientStats):
     The :class:`~repro.net.client.ClientStats` counters are written by
     the lane's client, which the engine binds to this object for the
     campaign; the coordinator adds the crawl-level counters (records,
-    searches, APK outcomes, dead letters) and the engine the paced
-    days, breaker trips and rate budget.  Every counter is a property
-    over a registry series labeled with this market and its campaign.
+    searches, APK outcomes, dead letters) and the engine the breaker
+    trips.  Every counter is a property over a registry series labeled
+    with this market and its campaign.
     """
 
-    METRICS = {
-        **ClientStats.METRICS,
-        **_LANE_COUNTERS,
-        "sim_days_paced": "crawl_paced_sim_days_total",
-    }
+    METRICS = {**ClientStats.METRICS, **_LANE_COUNTERS}
 
-    __slots__ = ("market_id", "_degraded", "_rate_budget")
+    __slots__ = ("market_id", "_degraded")
 
     def __init__(
         self,
@@ -94,9 +84,6 @@ class MarketTelemetry(ClientStats):
         self._degraded = registry.gauge(
             DEGRADED_METRIC, campaign=campaign, market=market_id
         )
-        self._rate_budget = registry.gauge(
-            RATE_BUDGET_METRIC, campaign=campaign, market=market_id
-        )
 
     @property
     def health(self) -> str:
@@ -107,19 +94,9 @@ class MarketTelemetry(ClientStats):
     def health(self, value: str) -> None:
         self._degraded.set(0.0 if value == "ok" else 1.0)
 
-    @property
-    def rate_budget(self) -> float:
-        """Token-bucket budget (req/sim-day); 0 when unlimited."""
-        return self._rate_budget.value
-
-    @rate_budget.setter
-    def rate_budget(self, value: float) -> None:
-        self._rate_budget.set(float(value))
-
 
 for _field in _LANE_COUNTERS:
     setattr(MarketTelemetry, _field, counter_property(_field))
-MarketTelemetry.sim_days_paced = counter_property("sim_days_paced", as_int=False)
 del _field
 
 
@@ -316,7 +293,7 @@ class CrawlTelemetry:
         header = (
             f"{'market':<14}{'requests':>10}{'retries':>9}{'429s':>7}"
             f"{'404s':>7}{'timeouts':>10}{'garbled':>9}{'failed':>8}{'trips':>7}"
-            f"{'backoff(d)':>12}{'paced(d)':>10}{'records':>9}  {'health':<9}"
+            f"{'backoff(d)':>12}{'records':>9}  {'health':<9}"
         )
         title = (
             f"crawl telemetry [{self.label}] — workers={self.workers}, "
@@ -337,7 +314,7 @@ class CrawlTelemetry:
                 f"{lane.rate_limited:>7}{lane.not_found:>7}{lane.timeouts:>10}"
                 f"{lane.malformed:>9}"
                 f"{lane.failures:>8}{lane.breaker_trips:>7}"
-                f"{lane.sim_days_backoff:>12.4f}{lane.sim_days_paced:>10.4f}"
+                f"{lane.sim_days_backoff:>12.4f}"
                 f"{lane.records:>9}  {lane.health:<9}"
             )
         lines.append("-" * len(header))
@@ -350,7 +327,6 @@ class CrawlTelemetry:
             f"{sum(m.malformed for m in self.markets.values()):>9}"
             f"{self.total_failures:>8}{self.total_breaker_trips:>7}"
             f"{sum(m.sim_days_backoff for m in self.markets.values()):>12.4f}"
-            f"{sum(m.sim_days_paced for m in self.markets.values()):>10.4f}"
             f"{self.total_records:>9}  "
             f"{('degraded:' + str(len(degraded))) if degraded else 'ok':<9}"
         )
@@ -380,27 +356,4 @@ class CrawlTelemetry:
                 )
                 line += f" ({breakdown})"
             lines.append(line)
-        budgeted = sorted(
-            (m for m in self.markets.values() if m.rate_budget > 0),
-            key=lambda m: m.market_id,
-        )
-        if budgeted:
-            # Effective rate = requests over the lane's elapsed sim time
-            # (back-off includes pacing sleeps), against the bucket's
-            # budget.  A lane pinned near 100% is limiter-saturated: the
-            # bucket, not the market, is its throughput ceiling.
-            parts = []
-            for lane in budgeted:
-                elapsed = lane.sim_days_backoff
-                if elapsed > 0:
-                    effective = lane.requests / elapsed
-                    parts.append(
-                        f"{lane.market_id} {effective:.1f}/{lane.rate_budget:g} "
-                        f"req/d ({effective / lane.rate_budget:.0%})"
-                    )
-                else:
-                    parts.append(
-                        f"{lane.market_id} burst ({lane.requests} req, no waits)"
-                    )
-            lines.append("limiter: " + ", ".join(parts))
         return "\n".join(lines)

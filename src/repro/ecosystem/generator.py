@@ -109,6 +109,10 @@ _MALWARE_DETECTION_RATE = 0.97
 _DEV_SIZES = (1, 2, 3, 4, 5, 6, 8, 12, 20, 40)
 _DEV_SIZE_WEIGHTS = (0.45, 0.20, 0.12, 0.07, 0.05, 0.03, 0.03, 0.03, 0.015, 0.005)
 
+#: Floor on a market's synthesized size, so tiny scales still give
+#: every market enough listings to measure.
+MIN_MARKET_SIZE = 40
+
 
 class EcosystemGenerator:
     """Generates a :class:`~repro.ecosystem.world.World`."""
@@ -118,7 +122,7 @@ class EcosystemGenerator:
         seed: int,
         scale: float,
         catalog: Optional[LibraryCatalog] = None,
-        min_market_size: int = 40,
+        min_market_size: int = MIN_MARKET_SIZE,
         obs: Observability = NULL_OBS,
         repackaging: Optional[RepackagingModel] = None,
     ):

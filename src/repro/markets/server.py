@@ -24,7 +24,7 @@ from typing import Optional
 
 from repro.markets.hostility import HostileGate, HostilityPolicy
 from repro.markets.store import MarketStore
-from repro.net.faults import FaultInjector, FaultPlan
+from repro.net.faults import CLEAN_PLAN, FaultInjector, FaultPlan
 from repro.net.http import Request, Response
 from repro.net.ratelimit import QuotaLimiter
 from repro.util.simtime import SimClock, date_to_day
@@ -51,24 +51,18 @@ class MarketServer:
         store: MarketStore,
         clock: SimClock,
         apk_quota: Optional[int] = None,
-        flakiness: float = 0.0,
         faults: Optional[FaultPlan] = None,
         latency_s: float = 0.0,
         hostility: Optional[HostilityPolicy] = None,
     ):
         """``faults`` injects transient failures (500s, timeouts,
         malformed payloads, burst 429s) deterministically per request
-        ordinal; ``flakiness`` is the legacy shorthand for a plain
-        transient-500 plan.  ``latency_s`` adds a real (wall-clock)
-        per-request service delay — it models network I/O for the
-        parallel-crawl benchmarks and never touches simulated time.
+        ordinal.  ``latency_s`` adds a real (wall-clock) per-request
+        service delay — it models network I/O for the parallel-crawl
+        benchmarks and never touches simulated time.
         ``hostility`` attaches a :class:`HostileGate` enforcing the
         market's adversarial behaviors (auth sessions, binary wire
         payloads, anti-bot bans, package-list-only enumeration)."""
-        if not 0.0 <= flakiness < 1.0:
-            raise ValueError(f"flakiness must be in [0, 1), got {flakiness}")
-        if faults is not None and flakiness:
-            raise ValueError("pass either faults or flakiness, not both")
         if latency_s < 0:
             raise ValueError(f"latency_s must be non-negative, got {latency_s}")
         self._store = store
@@ -76,9 +70,7 @@ class MarketServer:
         if apk_quota is None and store.profile.apk_rate_limited:
             apk_quota = max(1, int(len(store) * DEFAULT_GP_APK_QUOTA_SHARE))
         self._apk_quota = QuotaLimiter(apk_quota) if apk_quota is not None else None
-        if faults is None:
-            faults = FaultPlan(transient_500=flakiness)
-        self._faults = FaultInjector(store.market_id, faults)
+        self._faults = FaultInjector(store.market_id, faults or CLEAN_PLAN)
         self._latency_s = latency_s
         self.hostility: Optional[HostileGate] = (
             HostileGate(store.market_id, hostility)
@@ -103,11 +95,6 @@ class MarketServer:
     def faults(self) -> FaultInjector:
         """The server's fault injector (counters + plan)."""
         return self._faults
-
-    @property
-    def transient_failures(self) -> int:
-        """Injected transient 500s (legacy counter name)."""
-        return self._faults.injected_500
 
     @property
     def web_available(self) -> bool:

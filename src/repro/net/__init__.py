@@ -1,10 +1,10 @@
 """In-process network substrate.
 
 The crawler talks to market servers through an HTTP-like request/response
-layer with status codes, a token-bucket rate limiter driven by simulated
-time, and a retry policy with exponential back-off.  Nothing here touches
-a real socket; the point is that the crawler exercises exactly the logic
-it would need against the 2017 market web interfaces.
+layer with status codes and a retry policy with exponential back-off.
+Nothing here touches a real socket; the point is that the crawler
+exercises exactly the logic it would need against the 2017 market web
+interfaces.
 """
 
 from repro.net.http import (
@@ -18,7 +18,6 @@ from repro.net.http import (
     Response,
 )
 from repro.net.client import HttpClient
-from repro.net.ratelimit import TokenBucket
 from repro.net.retry import RetryPolicy
 
 __all__ = [
@@ -31,6 +30,5 @@ __all__ = [
     "Request",
     "Response",
     "HttpClient",
-    "TokenBucket",
     "RetryPolicy",
 ]

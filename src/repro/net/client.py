@@ -29,8 +29,8 @@ additionally:
   the earliest release — and transparently decodes binary wire payloads
   in :meth:`get_json`.
 
-One request, one loop: every decision (pacing, identity checkout,
-token attachment, breaker accounting, re-login, ban rotation, 429 and
+One request, one loop: every decision (identity checkout, token
+attachment, breaker accounting, re-login, ban rotation, 429 and
 transient retry budgets) lives in :meth:`HttpClient._request`, which
 pushes each attempt's ``Request`` through the client's transport (a
 server's ``handle`` or a :class:`~repro.net.transport.SocketTransport`),
@@ -142,7 +142,7 @@ class ClientStats:
     (the subset of logins that replaced an earlier token),
     ``bans_hit`` (anti-bot 403s received), and ``identity_rotations``
     (pool advances, whatever triggered them).  ``sim_days_backoff`` is
-    the simulated time the client slept (back-off and pacing).
+    the simulated time the client slept (back-off).
     """
 
     #: Counter attribute -> registry series name.
@@ -211,10 +211,6 @@ class HttpClient:
         burst 429s hint minutes and are worth riding through.  ``None``
         honors any hint.  Also caps how long ban recovery will wait for
         an identity to free up.
-    pacer:
-        Optional ``reserve() -> float`` callable consulted before every
-        attempt; a positive return is slept first.  The crawl engine
-        installs a per-market token bucket here.
     jitter_key:
         Stable identity mixed into the rate-limit jitter so distinct
         clients desynchronize while reruns reproduce exactly.
@@ -246,7 +242,6 @@ class HttpClient:
         retry_policy: Optional[RetryPolicy] = None,
         max_rate_limit_waits: int = 2,
         max_rate_limit_wait: Optional[float] = None,
-        pacer: Optional[Callable[[], float]] = None,
         jitter_key: str = "",
         breaker: Optional["CircuitBreaker"] = None,
         credentials: Optional["CredentialManager"] = None,
@@ -259,7 +254,6 @@ class HttpClient:
         self._retry_policy = retry_policy or RetryPolicy()
         self._max_rate_limit_waits = max_rate_limit_waits
         self._max_rate_limit_wait = max_rate_limit_wait
-        self._pacer = pacer
         self._jitter_key = jitter_key
         self.breaker = breaker
         self.credentials = credentials
@@ -391,10 +385,6 @@ class HttpClient:
         base_params = dict(params or {})
         rate_limit_waits = ban_waits = transient_retries = auth_retries = 0
         while True:
-            if self._pacer is not None:
-                pace = self._pacer()
-                if pace > 0:
-                    self._sleep(pace)
             now = self._clock.now
             headers: Dict[str, str] = {"x-sim-time": repr(now)}
             if self.identities is not None:

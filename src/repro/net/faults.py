@@ -10,7 +10,7 @@ a crawl is bit-reproducible at any worker count.
 Modes
 -----
 ``transient_500``
-    Share of requests answered with a 500 (the legacy ``flakiness``).
+    Share of requests answered with a 500.
 ``timeout``
     Share of requests that hang until the client-side timeout (599).
 ``malformed``
@@ -64,11 +64,8 @@ class FaultPlan:
     burst_429_length: int = 2
     burst_retry_after: float = BURST_RETRY_AFTER
     max_consecutive: Optional[int] = None
-    blackout_start: Optional[float] = None  # legacy single-window form
-    blackout_days: float = 0.0
-    #: Canonical outage windows as ``(start_day, duration)`` pairs;
-    #: normalized (sorted + merged) by ``__post_init__``.  The legacy
-    #: single-window fields above are folded in when set.
+    #: Outage windows as ``(start_day, duration)`` pairs; normalized
+    #: (sorted + merged) by ``__post_init__``.
     blackout_windows: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
@@ -82,25 +79,14 @@ class FaultPlan:
             raise ValueError("burst_429_period must exceed burst_429_length")
         if self.max_consecutive is not None and self.max_consecutive < 1:
             raise ValueError("max_consecutive must be positive")
-        if self.blackout_start is not None and self.blackout_days <= 0:
-            raise ValueError("blackout_days must be positive when blackout_start is set")
-        if self.blackout_start is None and self.blackout_days:
-            raise ValueError("blackout_days requires blackout_start")
-        windows = list(self.blackout_windows)
-        if self.blackout_start is not None:
-            windows.append((self.blackout_start, self.blackout_days))
-            # Fold the legacy single-window form into the canonical
-            # tuple so equivalent plans compare equal however written.
-            object.__setattr__(self, "blackout_start", None)
-            object.__setattr__(self, "blackout_days", 0.0)
         object.__setattr__(
-            self, "blackout_windows", _normalize_windows(windows)
+            self, "blackout_windows", _normalize_windows(self.blackout_windows)
         )
 
     @classmethod
     def blackout(cls, start_day: float, duration: float, **extra) -> "FaultPlan":
         """A plan whose market serves 100% timeouts for a time window."""
-        return cls(blackout_start=float(start_day), blackout_days=float(duration), **extra)
+        return cls.blackouts([(start_day, duration)], **extra)
 
     @classmethod
     def blackouts(
@@ -227,8 +213,8 @@ class FaultInjector:
         if plan.burst_429_period and ordinal % plan.burst_429_period < plan.burst_429_length:
             self.injected_429 += 1
             return Response.rate_limited(retry_after=plan.burst_retry_after)
-        # Keep the legacy salt for 500s so seeds reproduce the exact
-        # failure positions the old ``flakiness`` parameter produced.
+        # The 500 roll keeps its original "transient" salt, so a seed
+        # reproduces the same failure positions as earlier releases.
         if plan.transient_500 and self._roll("transient", ordinal) < plan.transient_500:
             self.injected_500 += 1
             return Response(status=500)

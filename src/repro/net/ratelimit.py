@@ -1,85 +1,15 @@
-"""Token-bucket rate limiting over simulated time.
+"""Server-side download quota.
 
-Google Play's APK download endpoint rate-limited the paper's crawler (the
-reason their APK sample stops at 287,110 files); the market server uses a
-:class:`TokenBucket` to reproduce that mechanic, and the crawler's client
-backs off when it sees 429s.
-
-:class:`PerMarketRateLimiter` is the client-side counterpart: one bucket
-per market, bound to that market's lane clock, so the crawl engine can
-pace each market independently — a throttled market spends its own lane
-time waiting and never stalls the rest of the fleet.
+Google Play's APK download endpoint rate-limited the paper's crawler
+(the reason their APK sample stops at 287,110 files); the market server
+uses a :class:`QuotaLimiter` to reproduce that mechanic, and the
+crawler's client surfaces the resulting 429s so the coordinator can
+fall back to the offline archive.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Tuple
-
-from repro.util.simtime import SimClock
-
-__all__ = ["TokenBucket", "QuotaLimiter", "PerMarketRateLimiter"]
-
-
-class TokenBucket:
-    """Classic token bucket: ``rate`` tokens per simulated day, up to ``burst``."""
-
-    def __init__(self, clock: SimClock, rate: float, burst: float):
-        if rate <= 0 or burst <= 0:
-            raise ValueError("rate and burst must be positive")
-        self._clock = clock
-        self._rate = float(rate)
-        self._burst = float(burst)
-        self._tokens = float(burst)
-        self._last = clock.now
-
-    def _refill(self) -> None:
-        now = self._clock.now
-        elapsed = now - self._last
-        if elapsed > 0:
-            self._tokens = min(self._burst, self._tokens + elapsed * self._rate)
-            self._last = now
-
-    def try_acquire(self, tokens: float = 1.0) -> bool:
-        """Take ``tokens`` if available; return whether the take succeeded."""
-        self._refill()
-        if self._tokens >= tokens:
-            self._tokens -= tokens
-            return True
-        return False
-
-    def time_until_available(self, tokens: float = 1.0) -> float:
-        """Simulated days until ``tokens`` would be available (0 if now)."""
-        self._refill()
-        deficit = tokens - self._tokens
-        if deficit <= 0:
-            return 0.0
-        return deficit / self._rate
-
-    def reserve(self, tokens: float = 1.0) -> float:
-        """Commit ``tokens`` now and return the wait (days) to honor them.
-
-        Unlike :meth:`try_acquire`, the balance may go negative: the
-        caller promises to sleep the returned duration, after which the
-        refill brings the bucket back to zero.  This is the pacing
-        primitive clients use — reserve, sleep, send.
-        """
-        self._refill()
-        self._tokens -= tokens
-        if self._tokens >= 0:
-            return 0.0
-        return -self._tokens / self._rate
-
-    @property
-    def available(self) -> float:
-        self._refill()
-        return self._tokens
-
-    def export_state(self) -> dict:
-        return {"tokens": self._tokens, "last": self._last}
-
-    def restore_state(self, state: dict) -> None:
-        self._tokens = float(state["tokens"])
-        self._last = float(state["last"])
+__all__ = ["QuotaLimiter"]
 
 
 class QuotaLimiter:
@@ -115,68 +45,3 @@ class QuotaLimiter:
         if used < 0:
             raise ValueError("used must be non-negative")
         self._used = int(used)
-
-
-class PerMarketRateLimiter:
-    """Client-side politeness pacing, one token bucket per market.
-
-    Rates are requests per simulated day.  ``overrides`` tightens or
-    loosens individual markets (e.g. a 429-happy market gets a lower
-    rate so the client sheds load before the server has to).
-
-    Each market's bucket is bound to that market's lane clock via
-    :meth:`bind`, which the crawl engine calls once per market at
-    client-construction time; afterwards the bucket is touched only by
-    the market's own lane thread, so no locking is needed.
-    """
-
-    def __init__(
-        self,
-        rate: float,
-        burst: float,
-        overrides: Optional[Mapping[str, Tuple[float, float]]] = None,
-    ):
-        if rate <= 0 or burst <= 0:
-            raise ValueError("rate and burst must be positive")
-        self._rate = float(rate)
-        self._burst = float(burst)
-        self._overrides = dict(overrides or {})
-        self._buckets: Dict[str, TokenBucket] = {}
-        self._waited: Dict[str, float] = {}
-
-    def params_for(self, market_id: str) -> Tuple[float, float]:
-        return self._overrides.get(market_id, (self._rate, self._burst))
-
-    def bind(self, market_id: str, clock: SimClock) -> Callable[[], float]:
-        """Create the market's bucket and return its pacer callable."""
-        rate, burst = self.params_for(market_id)
-        bucket = TokenBucket(clock, rate=rate, burst=burst)
-        self._buckets[market_id] = bucket
-        self._waited[market_id] = 0.0
-
-        def pace() -> float:
-            wait = bucket.reserve()
-            if wait > 0:
-                self._waited[market_id] += wait
-            return wait
-
-        return pace
-
-    def sim_days_waited(self, market_id: str) -> float:
-        """Total pacing delay charged to one market's lane."""
-        return self._waited.get(market_id, 0.0)
-
-    def export_state(self, market_id: str) -> Optional[dict]:
-        bucket = self._buckets.get(market_id)
-        if bucket is None:
-            return None
-        state = bucket.export_state()
-        state["waited"] = self._waited.get(market_id, 0.0)
-        return state
-
-    def restore_state(self, market_id: str, state: dict) -> None:
-        bucket = self._buckets.get(market_id)
-        if bucket is None:
-            return
-        bucket.restore_state(state)
-        self._waited[market_id] = float(state.get("waited", 0.0))

@@ -48,7 +48,7 @@ DEFAULT_WALL_BUCKETS = (
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0
 )
 
-#: Simulated-day buckets for back-off/pacing durations: minutes up to
+#: Simulated-day buckets for back-off durations: minutes up to
 #: the multi-day quota hints Google Play answers with.
 DEFAULT_SIM_DAY_BUCKETS = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 5.0, 30.0

@@ -12,10 +12,9 @@ spans by :func:`stage_rows`.
 
 ``render_profile()`` renders the stage table plus the critical path:
 the slowest stage by wall time and — when given the campaign telemetry
-— the slowest market lane by accumulated simulated waiting (back-off +
-pacing), which is what stretches a real fleet's calendar.  A run's
-memory is measured as a whole (the end-to-end benchmark's peak RSS),
-not per stage.
+— the slowest market lane by accumulated simulated back-off, which is
+what stretches a real fleet's calendar.  A run's memory is measured as
+a whole (the end-to-end benchmark's peak RSS), not per stage.
 """
 
 from __future__ import annotations
@@ -97,10 +96,8 @@ def _slowest_lane(telemetry) -> Optional[str]:
     if telemetry is None or not getattr(telemetry, "markets", None):
         return None
     lanes = list(telemetry.markets.values())
-    slowest = max(lanes, key=lambda m: m.sim_days_backoff + m.sim_days_paced)
-    waited = slowest.sim_days_backoff + slowest.sim_days_paced
+    slowest = max(lanes, key=lambda m: m.sim_days_backoff)
     return (
-        f"slowest lane:  '{slowest.market_id}' waited {waited:.4f} sim days "
-        f"(back-off {slowest.sim_days_backoff:.4f} + pacing "
-        f"{slowest.sim_days_paced:.4f}) over {slowest.requests} requests"
+        f"slowest lane:  '{slowest.market_id}' waited "
+        f"{slowest.sim_days_backoff:.4f} sim days over {slowest.requests} requests"
     )

@@ -61,7 +61,7 @@ RUN_SCHEMA = "repro.run/1"
 #: cache/storage/output plumbing, monitoring) — the digest-invariance
 #: contract the repo's tests enforce.  Everything else fingerprints.
 DIGEST_INVARIANT_FIELDS = frozenset({
-    "crawl_workers", "analysis_workers",
+    "workers",
     "checkpoint_dir", "resume", "artifact_cache_dir",
     "store_backend", "store_batch_size", "store_spill_threshold",
     "store_dir",
@@ -69,17 +69,22 @@ DIGEST_INVARIANT_FIELDS = frozenset({
     "monitor", "monitor_interval", "stall_budget",
     "transport",
     # No longer StudyConfig fields, but manifests ingested before the
-    # asyncio crawl engine and the generation process pool were removed
-    # carry them; excluding them keeps those runs on the same
-    # fingerprint as today's.
+    # asyncio crawl engine and the generation process pool were removed,
+    # or before the two worker widths became ``workers``, carry them;
+    # excluding them keeps those runs on the same fingerprint as today's.
     "crawl_engine", "crawl_pipeline", "gen_workers",
+    "crawl_workers", "analysis_workers",
 })
 
-#: Removed fault knobs, at the default every manifest carries them at:
+#: Removed config fields, at the value every manifest carries them at:
 #: folded back in before hashing, so those runs and today's share a
-#: fingerprint (a manifest that set one still fingerprints apart).
+#: fingerprint (a manifest that set one otherwise still fingerprints
+#: apart).  The last four are module constants now, with the same
+#: values and types.
 RETIRED_FIELD_DEFAULTS: Mapping[str, object] = {
     "fault_plan": None, "market_hostility": None,
+    "gp_seed_share": 0.74, "first_crawl_days": 15.0,
+    "second_crawl_days": 7.0, "min_market_size": 40,
 }
 
 

@@ -1,6 +1,10 @@
 """Tests for the parallel analysis engine and artifact cache."""
 
 import json
+import sqlite3
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import pytest
 
@@ -9,11 +13,11 @@ from repro.analysis.engine import (
     ArtifactCache,
     CacheStats,
     UnitAnalyzer,
-    resolve_analysis_workers,
 )
 from repro.analysis.malware import scan_units
 from repro.analysis.permissions import analyze_overprivilege
 from repro.analysis.virustotal import VirusTotalService, default_engines
+from repro.core.config import resolve_workers
 from repro.core.study import StudyResult
 from repro.experiments import digest_reports, run_all
 
@@ -31,16 +35,31 @@ def _unit_like(apk):
     return Unit(apk)
 
 
+def _rewrite(cache, key, edit):
+    """Replace one stored entry's document with ``edit(document)``."""
+    with closing(sqlite3.connect(cache.path)) as conn:
+        (raw,) = conn.execute(
+            "SELECT doc FROM artifacts WHERE analyzer = ? AND version = ? AND md5 = ?", key
+        ).fetchone()
+        with conn:
+            conn.execute(
+                "UPDATE artifacts SET doc = ? WHERE analyzer = ? AND version = ? AND md5 = ?",
+                (edit(raw), *key),
+            )
+
+
 class TestResolveAnalysisWorkers:
+    """The one width resolver serves the analysis pool too."""
+
     def test_explicit(self):
-        assert resolve_analysis_workers(3) == 3
+        assert resolve_workers(3) == 3
 
     def test_auto_is_positive(self):
-        assert resolve_analysis_workers(0) >= 1
+        assert resolve_workers(0) >= 1
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            resolve_analysis_workers(-1)
+            resolve_workers(-1)
 
 
 class TestArtifactCache:
@@ -68,8 +87,7 @@ class TestArtifactCache:
     def test_truncated_entry_is_corrupt_miss(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put("lib", "1", "ab" * 16, {"x": 1})
-        path = cache.entry_path("lib", "1", "ab" * 16)
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
+        _rewrite(cache, ("lib", "1", "ab" * 16), lambda raw: raw[: len(raw) // 2])
         assert cache.get("lib", "1", "ab" * 16) is None
         assert cache.stats.corrupt == 1
         assert cache.stats.misses == 1
@@ -77,7 +95,7 @@ class TestArtifactCache:
     def test_deeply_nested_entry_is_corrupt_miss(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put("lib", "1", "ab" * 16, {"x": 1})
-        cache.entry_path("lib", "1", "ab" * 16).write_text("[" * 200_000)
+        _rewrite(cache, ("lib", "1", "ab" * 16), lambda raw: "[" * 200_000)
         assert cache.get("lib", "1", "ab" * 16) is None
         assert cache.stats.corrupt == 1
         assert cache.stats.misses == 1
@@ -85,25 +103,61 @@ class TestArtifactCache:
     def test_key_mismatch_is_corrupt_miss(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put("lib", "1", "ab" * 16, 42)
-        path = cache.entry_path("lib", "1", "ab" * 16)
-        doc = json.loads(path.read_text())
-        doc["md5"] = "ee" * 16
-        path.write_text(json.dumps(doc))
+
+        def rekey(raw):
+            doc = json.loads(raw)
+            doc["md5"] = "ee" * 16
+            return json.dumps(doc)
+
+        _rewrite(cache, ("lib", "1", "ab" * 16), rekey)
         assert cache.get("lib", "1", "ab" * 16) is None
         assert cache.stats.corrupt == 1
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
+        """Puts write rows of one database, never a file per entry."""
         cache = ArtifactCache(tmp_path)
         for i in range(20):
             cache.put("lib", "1", f"{i:032x}", list(range(i)))
-        leftovers = [p for p in tmp_path.rglob("*.tmp")]
-        assert leftovers == []
+        names = {p.name for p in tmp_path.rglob("*")}
+        assert names <= {"artifacts.db", "artifacts.db-wal", "artifacts.db-shm"}
+        assert "artifacts.db" in names
 
     def test_layout(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         md5 = "ab" * 16
-        path = cache.entry_path("virustotal", "3", md5)
-        assert path == tmp_path / "virustotal" / "3" / "ab" / f"{md5}.json"
+        cache.put("virustotal", "3", md5, [1])
+        assert cache.path == tmp_path / "artifacts.db"
+        with closing(sqlite3.connect(cache.path)) as conn:
+            rows = conn.execute("SELECT analyzer, version, md5 FROM artifacts").fetchall()
+        assert rows == [("virustotal", "3", md5)]
+
+    def test_concurrent_puts_and_gets_lose_nothing(self, tmp_path):
+        """Analysis threads share one connection; no put or count is lost."""
+        cache = ArtifactCache(tmp_path)
+        threads, per_thread = 8, 40
+
+        def work(t):
+            for i in range(per_thread):
+                md5 = f"{t:02x}{i:030x}"
+                cache.put("lib", "1", md5, [t, i])
+                assert cache.get("lib", "1", md5) == [t, i]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                futures = [pool.submit(work, t) for t in range(threads)]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        total = threads * per_thread
+        assert cache.stats.as_dict() == {
+            "hits": total, "misses": 0, "stores": total, "corrupt": 0,
+        }
+        cache.close()
+        with closing(sqlite3.connect(tmp_path / "artifacts.db")) as conn:
+            assert conn.execute("SELECT COUNT(*) FROM artifacts").fetchone() == (total,)
 
     def test_stats_accounting(self, tmp_path):
         cache = ArtifactCache(tmp_path)

@@ -9,6 +9,59 @@ from repro.cli import build_parser, main
 from repro.experiments import EXPERIMENT_IDS
 
 
+#: The study subcommands' shared options, spelled out: a new knob
+#: shows up here as a visible diff (``--help`` excluded).
+STUDY_OPTIONS = frozenset({
+    "--seed", "--scale", "--no-apks", "--full-second-crawl", "--workers",
+    "--checkpoint-dir", "--resume", "--breaker-threshold", "--fail-fast",
+    "--artifact-cache", "--no-artifact-cache",
+    "--store-backend", "--store-batch-size", "--store-spill-threshold",
+    "--store-dir",
+    "--hostility", "--identity-pool", "--identity-rotation",
+    "--credential-ttl", "--transport",
+    "--clone-strategy", "--clone-families",
+    "--trace-out", "--metrics-out", "--profile", "--profile-out",
+    "--run-meta", "--monitor", "--monitor-interval", "--stall-budget",
+})
+
+#: Every ``StudyConfig`` field, spelled out for the same reason.
+STUDY_CONFIG_FIELDS = frozenset({
+    "seed", "scale", "download_apks", "full_second_crawl", "workers",
+    "market_fault_plans", "checkpoint_dir", "resume", "fail_fast",
+    "breaker_threshold", "trace_out", "metrics_out", "profile",
+    "profile_out", "run_meta", "monitor", "monitor_interval",
+    "stall_budget", "artifact_cache_dir", "store_backend",
+    "store_batch_size", "store_spill_threshold", "store_dir", "hostility",
+    "identity_pool", "identity_rotation", "credential_ttl", "transport",
+    "clone_strategy", "clone_families",
+})
+
+
+class TestOptionSurface:
+    def test_study_config_fields(self):
+        from dataclasses import fields
+
+        from repro import StudyConfig
+
+        assert {f.name for f in fields(StudyConfig)} == STUDY_CONFIG_FIELDS
+
+    def test_study_subcommand_options(self):
+        import argparse
+
+        parser = build_parser()
+        (commands,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        extra = {"run": set(), "experiment": set(), "report": {"--output"}}
+        for name, own in extra.items():
+            options = {
+                option
+                for action in commands.choices[name]._actions
+                for option in action.option_strings
+            } - {"-h", "--help"}
+            assert options == STUDY_OPTIONS | own, name
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -19,10 +19,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             StudyConfig(scale=1.5)
 
-    def test_invalid_seed_share(self):
-        with pytest.raises(ValueError):
-            StudyConfig(gp_seed_share=0)
-
 
 class TestStudyResult:
     def test_snapshot_covers_all_markets(self, study):

@@ -14,7 +14,6 @@ from repro.ecosystem.generator import EcosystemGenerator
 from repro.markets.server import MarketServer
 from repro.markets.store import build_stores
 from repro.net.faults import FaultPlan
-from repro.net.ratelimit import PerMarketRateLimiter
 from repro.util.rng import stable_hash32
 from repro.util.simtime import SimClock
 
@@ -24,10 +23,14 @@ def world():
     return EcosystemGenerator(seed=93, scale=0.0002).generate()
 
 
-def _crawl(world, workers, faults=None, download_apks=True, rate_limiter=None):
+def _crawl(world, workers, faults=None, download_apks=True, market_faults=None):
     stores = build_stores(world)
     clock = SimClock()
-    servers = {m: MarketServer(s, clock, faults=faults) for m, s in stores.items()}
+    plans = market_faults or {}
+    servers = {
+        m: MarketServer(s, clock, faults=plans.get(m, faults))
+        for m, s in stores.items()
+    }
     seeds = [
         listing.package
         for listing in stores["google_play"].iter_live(clock.now)
@@ -40,7 +43,6 @@ def _crawl(world, workers, faults=None, download_apks=True, rate_limiter=None):
         backfill=ArchiveBackfill(world) if download_apks else None,
         download_apks=download_apks,
         workers=workers,
-        rate_limiter=rate_limiter,
     )
     snapshot = coordinator.crawl("parallel-test", duration_days=15.0)
     return snapshot, snapshot.stats, coordinator
@@ -134,25 +136,18 @@ class TestEngine:
 
 class TestPerMarketPacing:
     def test_throttled_market_does_not_stall_fleet(self, world):
-        # Tencent is paced hard; every other market is effectively
-        # unpaced.  Only tencent's lane should accumulate pacing delay.
-        limiter = PerMarketRateLimiter(
-            rate=1e9, burst=1e9, overrides={"tencent": (2000.0, 1.0)}
-        )
+        # Tencent answers bursts of 429s; every other market serves
+        # clean.  Only tencent's lane should accumulate back-off.
         snapshot, stats, coordinator = _crawl(
-            world, workers=8, download_apks=False, rate_limiter=limiter
+            world, workers=8, download_apks=False,
+            market_faults={"tencent": FaultPlan(burst_429_period=40)},
         )
         assert len(snapshot) > 0
-        assert limiter.sim_days_waited("tencent") > 0
+        assert coordinator.engine.lane("tencent").clock.offset > 0
         for market_id in coordinator.engine.market_ids:
             if market_id != "tencent":
-                assert limiter.sim_days_waited(market_id) == 0.0
+                assert coordinator.engine.lane(market_id).clock.offset == 0.0
         lanes = stats.telemetry.markets
-        assert lanes["tencent"].sim_days_paced > 0
-        assert lanes["google_play"].sim_days_paced == 0.0
-
-    def test_pacing_does_not_change_snapshot(self, world):
-        plain, _, _ = _crawl(world, workers=4, download_apks=False)
-        limiter = PerMarketRateLimiter(rate=5000.0, burst=10.0)
-        paced, _, _ = _crawl(world, workers=4, download_apks=False, rate_limiter=limiter)
-        assert paced.content_digest() == plain.content_digest()
+        assert lanes["tencent"].rate_limited > 0
+        assert lanes["tencent"].sim_days_backoff > 0
+        assert lanes["google_play"].sim_days_backoff == 0.0

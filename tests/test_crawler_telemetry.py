@@ -173,26 +173,6 @@ class TestCrawlTelemetry:
         report = telemetry.stats_report()
         assert "dead letters:" not in report
         assert "degraded markets" not in report
-        assert "limiter:" not in report  # no rate budgets recorded
-
-    def test_stats_report_limiter_line_renders_effective_rate(self):
-        telemetry = CrawlTelemetry(label="t")
-        lane = telemetry.market("tencent")
-        lane.requests = 500
-        lane.sim_days_backoff = 2.0  # 250 req/day effective
-        lane.rate_budget = 1000.0
-        telemetry.market("baidu").requests = 9  # unbudgeted: not listed
-        report = telemetry.stats_report()
-        assert "limiter: tencent 250.0/1000 req/d (25%)" in report
-        assert "baidu" in report  # still in the lane table...
-        assert "limiter: tencent" == report.splitlines()[-1][:16]
-
-    def test_stats_report_limiter_burst_when_no_waits(self):
-        telemetry = CrawlTelemetry(label="t")
-        lane = telemetry.market("oppo")
-        lane.requests = 42
-        lane.rate_budget = 500.0  # budgeted but never paced or backed off
-        assert "limiter: oppo burst (42 req, no waits)" in telemetry.stats_report()
 
 
 class TestRegistryView:
@@ -215,7 +195,8 @@ class TestRegistryView:
         telemetry = CrawlTelemetry(label="first", workers=4, registry=registry)
         lane = telemetry.market("baidu")
         lane.requests, lane.records, lane.not_found = 11, 2, 1
-        lane.rate_budget = 800.0  # the limiter footer must re-hydrate too
+        # The dead-letter footer must re-hydrate too.
+        telemetry.record_dead_letter("baidu", "banned")
         telemetry.market("oppo").health = "degraded"
         telemetry.search_rounds = 3
         telemetry.wall_seconds = 1.25

@@ -18,24 +18,24 @@ def world():
 
 
 class TestFlakyServer:
-    def test_flakiness_validated(self, world):
-        stores = build_stores(world)
+    def test_flakiness_validated(self):
         with pytest.raises(ValueError):
-            MarketServer(stores["tencent"], SimClock(), flakiness=1.5)
+            FaultPlan(transient_500=1.5)
 
     def test_failures_injected_deterministically(self, world):
         clock = SimClock()
         stores = build_stores(world)
-        server = MarketServer(stores["tencent"], clock, flakiness=0.2)
+        server = MarketServer(stores["tencent"], clock,
+                              faults=FaultPlan(transient_500=0.2))
         statuses = [
             server.handle(Request("/categories")).status for _ in range(200)
         ]
-        assert statuses.count(500) == server.transient_failures
+        assert statuses.count(500) == server.faults.injected_500
         assert 15 < statuses.count(500) < 70  # ~20%
 
         # Same construction, same failure positions.
         server2 = MarketServer(build_stores(world)["tencent"], SimClock(),
-                               flakiness=0.2)
+                               faults=FaultPlan(transient_500=0.2))
         statuses2 = [
             server2.handle(Request("/categories")).status for _ in range(200)
         ]
@@ -44,7 +44,7 @@ class TestFlakyServer:
     def test_client_retries_through_flakiness(self, world):
         clock = SimClock()
         server = MarketServer(build_stores(world)["tencent"], clock,
-                              flakiness=0.2)
+                              faults=FaultPlan(transient_500=0.2))
         client = HttpClient(server.handle, clock)
         # Every request eventually succeeds despite 20% transient 500s.
         for _ in range(50):
@@ -57,7 +57,7 @@ class TestFlakyServer:
         clock = SimClock()
         stores = build_stores(world)
         servers = {
-            m: MarketServer(s, clock, flakiness=0.05)
+            m: MarketServer(s, clock, faults=FaultPlan(transient_500=0.05))
             for m, s in stores.items()
         }
         seeds = [
@@ -124,22 +124,13 @@ class TestFaultModeConvergence:
         assert telemetry is not None
         assert telemetry.total_faults_absorbed > 0
 
-    def test_faults_and_flakiness_mutually_exclusive(self, world):
-        stores = build_stores(world)
-        with pytest.raises(ValueError):
-            MarketServer(
-                stores["tencent"],
-                SimClock(),
-                flakiness=0.1,
-                faults=FaultPlan(timeout=0.1),
-            )
-
 
 class TestExtremes:
     def test_extreme_flakiness_degrades_gracefully(self, world):
         clock = SimClock()
         stores = build_stores(world)
-        server = MarketServer(stores["tencent"], clock, flakiness=0.95)
+        server = MarketServer(stores["tencent"], clock,
+                              faults=FaultPlan(transient_500=0.95))
         client = HttpClient(server.handle, clock)
         failures = 0
         for _ in range(20):

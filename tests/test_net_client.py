@@ -223,20 +223,6 @@ class TestHttpClient:
         assert len(sleeps) > 1
         assert all(1.0 <= s <= 1.0 + RATE_LIMIT_JITTER_MAX for s in sleeps)
 
-    def test_pacer_sleeps_before_sending(self):
-        clock = SimClock()
-        waits = iter([0.25, 0.0])
-        client = HttpClient(
-            _handler_sequence([Response.json_ok("a"), Response.json_ok("b")]),
-            clock,
-            pacer=lambda: next(waits),
-        )
-        start = clock.now
-        assert client.get_json("/x") == "a"
-        assert clock.now == pytest.approx(start + 0.25)
-        assert client.get_json("/x") == "b"
-        assert clock.now == pytest.approx(start + 0.25)
-
     def test_get_bytes(self):
         client = HttpClient(_handler_sequence([Response.bytes_ok(b"apk")]), SimClock())
         assert client.get_bytes("/download") == b"apk"

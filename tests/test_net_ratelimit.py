@@ -1,102 +1,8 @@
-"""Tests for rate limiting primitives."""
+"""Tests for the server-side download quota."""
 
 import pytest
 
-from repro.net.ratelimit import PerMarketRateLimiter, QuotaLimiter, TokenBucket
-from repro.util.simtime import SimClock
-
-
-class TestTokenBucket:
-    def test_burst_capacity(self):
-        bucket = TokenBucket(SimClock(), rate=10, burst=3)
-        assert bucket.try_acquire()
-        assert bucket.try_acquire()
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-
-    def test_refills_over_time(self):
-        clock = SimClock()
-        bucket = TokenBucket(clock, rate=10, burst=1)
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-        clock.advance(0.2)  # 2 tokens worth, capped at burst=1
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-
-    def test_time_until_available(self):
-        clock = SimClock()
-        bucket = TokenBucket(clock, rate=2, burst=1)
-        bucket.try_acquire()
-        assert bucket.time_until_available() == pytest.approx(0.5)
-
-    def test_cap_at_burst(self):
-        clock = SimClock()
-        bucket = TokenBucket(clock, rate=100, burst=2)
-        clock.advance(10)
-        assert bucket.available == pytest.approx(2)
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            TokenBucket(SimClock(), rate=0, burst=1)
-
-    def test_reserve_within_burst_is_free(self):
-        bucket = TokenBucket(SimClock(), rate=10, burst=2)
-        assert bucket.reserve() == 0.0
-        assert bucket.reserve() == 0.0
-
-    def test_reserve_goes_negative_and_prices_the_wait(self):
-        clock = SimClock()
-        bucket = TokenBucket(clock, rate=10, burst=1)
-        assert bucket.reserve() == 0.0
-        # Bucket is empty: the next reservation owes one token at 10/day.
-        assert bucket.reserve() == pytest.approx(0.1)
-        # Honoring the promised sleep clears the debt exactly.
-        clock.advance(0.1)
-        assert bucket.available == pytest.approx(0.0)
-        assert bucket.reserve() == pytest.approx(0.1)
-
-    def test_reserve_debt_accumulates(self):
-        bucket = TokenBucket(SimClock(), rate=2, burst=1)
-        bucket.reserve()
-        assert bucket.reserve() == pytest.approx(0.5)
-        assert bucket.reserve() == pytest.approx(1.0)
-
-
-class TestPerMarketRateLimiter:
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            PerMarketRateLimiter(rate=0, burst=1)
-        with pytest.raises(ValueError):
-            PerMarketRateLimiter(rate=1, burst=0)
-
-    def test_params_for_overrides(self):
-        limiter = PerMarketRateLimiter(rate=100, burst=5, overrides={"gp": (2, 1)})
-        assert limiter.params_for("gp") == (2, 1)
-        assert limiter.params_for("tencent") == (100, 5)
-
-    def test_bound_pacer_charges_the_right_market(self):
-        limiter = PerMarketRateLimiter(rate=10, burst=1, overrides={"slow": (2, 1)})
-        slow_clock, fast_clock = SimClock(), SimClock()
-        slow = limiter.bind("slow", slow_clock)
-        fast = limiter.bind("fast", fast_clock)
-        assert slow() == 0.0  # burst token
-        assert slow() == pytest.approx(0.5)  # 2/day ⇒ half a day owed
-        assert fast() == 0.0
-        assert limiter.sim_days_waited("slow") == pytest.approx(0.5)
-        assert limiter.sim_days_waited("fast") == 0.0
-
-    def test_unbound_market_has_no_waits(self):
-        assert PerMarketRateLimiter(rate=1, burst=1).sim_days_waited("ghost") == 0.0
-
-    def test_pacer_tracks_its_lane_clock(self):
-        limiter = PerMarketRateLimiter(rate=4, burst=1)
-        clock = SimClock()
-        pace = limiter.bind("m", clock)
-        pace()
-        assert pace() == pytest.approx(0.25)
-        clock.advance(0.25)  # the lane honors the sleep
-        assert pace() == pytest.approx(0.25)
-        assert limiter.sim_days_waited("m") == pytest.approx(0.5)
+from repro.net.ratelimit import QuotaLimiter
 
 
 class TestQuotaLimiter:

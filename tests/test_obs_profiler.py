@@ -115,7 +115,7 @@ class TestReport:
         quick = telemetry.market("oppo")
         quick.requests, quick.sim_days_backoff = 10, 0.5
         slow = telemetry.market("google_play")
-        slow.requests, slow.sim_days_backoff, slow.sim_days_paced = 90, 1.5, 0.75
+        slow.requests, slow.sim_days_backoff = 90, 2.25
         report = obs.profile_report(telemetry)
         assert "slowest lane:  'google_play' waited 2.2500 sim days" in report
         assert "over 90 requests" in report

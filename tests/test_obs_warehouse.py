@@ -18,6 +18,7 @@ from repro.obs.slo import (
 )
 from repro.obs.trace import SpanTracer
 from repro.obs.warehouse import (
+    RETIRED_FIELD_DEFAULTS,
     RUN_SCHEMA,
     RunWarehouse,
     WarehouseError,
@@ -99,7 +100,7 @@ class TestConfigFingerprint:
     def test_digest_invariant_fields_do_not_change_it(self):
         base = StudyConfig(seed=7, scale=0.001)
         wide = StudyConfig(
-            seed=7, scale=0.001, crawl_workers=8, analysis_workers=4,
+            seed=7, scale=0.001, workers=8,
             store_backend="sqlite", monitor=True,
             monitor_interval=0.5, stall_budget=2.0, profile=True,
             trace_out="t.jsonl", metrics_out="m.jsonl",
@@ -129,6 +130,21 @@ class TestConfigFingerprint:
 
         legacy = {**asdict(config), "crawl_engine": "asyncio", "crawl_pipeline": 8}
         assert config_fingerprint(legacy) == config_fingerprint(config)
+
+    def test_manifest_with_split_widths_and_constant_fields_matches_today(self):
+        # Manifests written before the two worker widths became
+        # ``workers`` and four fields became module constants carry the
+        # two widths and the retired fields at their old defaults.  The
+        # literal was computed before either change.
+        config = StudyConfig(seed=7, scale=0.001, workers=8)
+        from dataclasses import asdict
+
+        legacy = {
+            k: v for k, v in asdict(config).items() if k != "workers"
+        }
+        legacy.update(RETIRED_FIELD_DEFAULTS, crawl_workers=8, analysis_workers=4)
+        assert config_fingerprint(legacy) == config_fingerprint(config)
+        assert config_fingerprint(config) == "b06a4bc68add923c"
 
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):

@@ -226,7 +226,7 @@ class TestStudyContract:
                 store_spill_threshold=0,
                 store_batch_size=32,
                 store_dir=str(tmp_path_factory.mktemp("corpus")),
-                analysis_workers=2,
+                workers=2,
             )
         ).run()
         return memory, sqlite
