@@ -22,7 +22,8 @@ decoded once:
   returns the one already built for an entry of the same text without
   decoding it again.  A package lives exactly as long as some
   :class:`ParsedApk` holds it: a resident snapshot shares one copy of
-  every library, a spilled run keeps no more than its vault LRU holds.
+  every library, and a spilled run, whose crawl hands each parsed APK
+  to the blob vault's LRU, shares those of the APKs that LRU holds.
   A hit returns exactly what a cold decode would: JSON text decodes to
   one value, and a JSON object ends at its closing brace, so an entry
   that starts with a stored text decodes as that text did.  Only a
@@ -46,6 +47,7 @@ from repro.apk.models import Apk, ChannelFile, CodePackage, Manifest
 
 __all__ = [
     "MAGIC",
+    "MAX_BLOB_BYTES",
     "MAX_DOCUMENT_BYTES",
     "ApkParseError",
     "ParsedApk",
@@ -62,6 +64,11 @@ MAGIC = b"RAPK1"
 #: corpus (seed 7, scale 0.02: all 169,273 market placements) produces
 #: is 17,816 bytes; the cap leaves ~14x headroom above it.
 MAX_DOCUMENT_BYTES = 256 * 1024
+
+#: Largest blob :func:`parse_apk` accepts, and so the largest the blob
+#: vault stores and reads back.  A blob is a compressed document, so a
+#: served one never comes near the document cap; one past it is damage.
+MAX_BLOB_BYTES = MAX_DOCUMENT_BYTES
 
 
 class ApkParseError(Exception):
@@ -247,16 +254,11 @@ def _scan_dex(text: str, i: int) -> Tuple[list, int]:
     if text[i + 1 : i + 2] == "]":
         return [], i + 2
     entries: list = []
-    # An empty table cannot hit; a spilled crawl's stays empty, as each
-    # parsed APK dies once the vault holds its bytes.
-    lookup = len(_PACKAGES) > 0
     while True:
         i += 1
-        item = None
-        if lookup:
-            end = text.find("]}", i) + 2
-            with _PACKAGES_LOCK:
-                item = _PACKAGES.get(text[i:end])
+        end = text.find("]}", i) + 2
+        with _PACKAGES_LOCK:
+            item = _PACKAGES.get(text[i:end])
         if item is None:
             value, end = _scan(text, i)
             item = (value, text[i:end])
@@ -315,12 +317,15 @@ def parse_apk(blob: bytes) -> ParsedApk:
     the same :class:`CodePackage` object (see the module docstring).
 
     Raises :class:`ApkParseError` on malformed input (bad magic,
-    truncation, corrupt payload or JSON nested too deep to decode, a
-    document inflating past :data:`MAX_DOCUMENT_BYTES`, or schema
+    truncation, a blob over :data:`MAX_BLOB_BYTES`, corrupt payload,
+    bytes after the compressed stream, JSON nested too deep to decode,
+    a document inflating past :data:`MAX_DOCUMENT_BYTES`, or schema
     violations), never anything else.
     """
     if len(blob) < len(MAGIC) + 4:
         raise ApkParseError("blob too short")
+    if len(blob) > MAX_BLOB_BYTES:
+        raise ApkParseError(f"blob too long: {len(blob)} bytes, over the {MAX_BLOB_BYTES}-byte cap")
     if blob[: len(MAGIC)] != MAGIC:
         raise ApkParseError("bad magic")
     (length,) = struct.unpack(">I", blob[len(MAGIC) : len(MAGIC) + 4])
@@ -336,6 +341,10 @@ def parse_apk(blob: bytes) -> ParsedApk:
             )
         if not inflater.eof:
             raise ApkParseError("corrupt payload: truncated stream")
+        if inflater.unused_data:
+            raise ApkParseError(
+                f"corrupt payload: {len(inflater.unused_data)} bytes after the stream"
+            )
         text = document.decode("utf-8")
         compact = _load_compact(text)
         doc = compact or json.loads(text)

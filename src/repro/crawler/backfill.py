@@ -7,14 +7,16 @@ AndroZoo using (package name, version name) as the join key.
 :class:`ArchiveBackfill` plays AndroZoo's role: an offline archive
 indexed by the same key, covering a configurable share of the world's
 Google Play APKs.  Coverage membership is decided by a stable hash of
-the package so that repeated lookups agree.
+the package so that repeated lookups agree.  Each lookup builds its
+blob afresh and the archive keeps none: a campaign looks up each
+(package, version) once, and the build is deterministic, so a repeat
+lookup returns the same bytes.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from repro.util.rng import stable_hash32
 
@@ -26,11 +28,6 @@ __all__ = ["ArchiveBackfill", "DEFAULT_ARCHIVE_COVERAGE"]
 #: AndroZoo held APKs for ~89% of the Google Play apps the paper's crawl
 #: could not download (1,553,382 / 1,744,836).
 DEFAULT_ARCHIVE_COVERAGE = 0.89
-
-#: Archive-blob LRU bound.  Lookups are one-shot per (package, version)
-#: during a campaign, so the cache only needs to absorb retry bursts —
-#: holding every blob ever built defeats the out-of-core corpus.
-DEFAULT_ARCHIVE_CACHE = 256
 
 
 class ArchiveBackfill:
@@ -49,11 +46,9 @@ class ArchiveBackfill:
         self._market_id = market_id
         self._coverage = coverage
         self._segments = segments  # shared SegmentCache, or None
-        self._cache: "OrderedDict[Tuple[str, str], Optional[bytes]]" = OrderedDict()
-        self._cache_size = DEFAULT_ARCHIVE_CACHE
         # The archive is shared by every market's download lane; the
-        # lock keeps cache fills and hit/miss counters exact under the
-        # parallel crawl engine.
+        # lock keeps the hit/miss counters exact under the parallel
+        # crawl engine.
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -64,18 +59,8 @@ class ArchiveBackfill:
 
     def lookup(self, package: str, version_name: str) -> Optional[bytes]:
         """Fetch an APK from the archive, or None if not archived."""
-        key = (package, version_name)
+        blob = self._build(package, version_name)
         with self._lock:
-            if key in self._cache:
-                blob = self._cache[key]
-                self._cache.move_to_end(key)
-            else:
-                blob = self._build(package, version_name)
-                self._cache[key] = blob
-                while len(self._cache) > self._cache_size:
-                    self._cache.popitem(last=False)
-            # Counters tally lookup outcomes, so eviction never skews
-            # them — a rebuilt blob is still a hit.
             if blob is None:
                 self.misses += 1
             else:

@@ -14,7 +14,6 @@ crawler and analysis never see blueprint objects.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -94,13 +93,16 @@ class Listing:
 
 
 class MarketStore:
-    """The catalog one market serves, plus APK building."""
+    """The catalog one market serves, plus APK building.
+
+    :meth:`apk_bytes` builds each blob on request and keeps none: a
+    campaign downloads each listing once, so a kept blob would never be
+    served again, and the build is deterministic, so a repeat request
+    gets the same bytes.  The shared segment cache already spares a
+    rebuild its costly part, the code packages' encoding.
+    """
 
     PAGE_SIZE = 20
-    #: Built-APK LRU bound.  Downloads sweep each market's catalog once
-    #: per campaign, so an unbounded cache holds every APK the market
-    #: ever served — at out-of-core scale that alone dwarfs the corpus.
-    APK_CACHE_SIZE = 256
 
     def __init__(
         self,
@@ -116,7 +118,6 @@ class MarketStore:
         self._by_name: Dict[str, List[str]] = {}
         self._by_category: Dict[str, List[str]] = {}
         self._by_developer: Dict[str, List[str]] = {}
-        self._apk_cache: "OrderedDict[str, bytes]" = OrderedDict()
 
     @property
     def profile(self) -> MarketProfile:
@@ -148,9 +149,8 @@ class MarketStore:
         """Advance a live listing to a newer app version.
 
         ``version`` carries ``version_code``/``version_name``/
-        ``release_day`` (an ecosystem ``AppVersion``); the cached APK for
-        the package is invalidated so the next download serves the new
-        build.
+        ``release_day`` (an ecosystem ``AppVersion``); the next download
+        serves the new version's build.
         """
         listing = self._listings.get(package)
         if listing is None or listing.removed_at is not None:
@@ -161,7 +161,6 @@ class MarketStore:
         listing.version_code = version.version_code
         listing.version_name = version.version_name
         listing.update_day = version.release_day
-        self._apk_cache.pop(package, None)
         return True
 
     def remove_listing(self, package: str, day: float) -> bool:
@@ -252,24 +251,15 @@ class MarketStore:
         listing = self.get(package, day)
         if listing is None:
             return None
-        blob = self._apk_cache.get(package)
-        if blob is None:
-            from repro.ecosystem.apps import build_apk
+        from repro.ecosystem.apps import build_apk
 
-            blueprint = self._world.app(listing.app_id)
-            blob = build_apk(
-                blueprint,
-                listing.version_index,
-                self._profile,
-                self._world.catalog,
-                segments=self._segments,
-            )
-            self._apk_cache[package] = blob
-            while len(self._apk_cache) > self.APK_CACHE_SIZE:
-                self._apk_cache.popitem(last=False)
-        else:
-            self._apk_cache.move_to_end(package)
-        return blob
+        return build_apk(
+            self._world.app(listing.app_id),
+            listing.version_index,
+            self._profile,
+            self._world.catalog,
+            segments=self._segments,
+        )
 
 
 def _developer_display_name(profile: MarketProfile, app, market_id: str) -> str:

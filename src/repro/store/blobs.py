@@ -7,17 +7,20 @@ database (the crawl journal keeps its APKs in one too, at
 ``<checkpoint>/apks.db``, and a checkpointed corpus shares it).  An
 APK's ``md5`` is the MD5 of its blob, so every read is self-verifying:
 :meth:`BlobVault.load` refuses a blob over :data:`MAX_BLOB_BYTES`
-before parsing it, and one that does not hash to its key after.  A
-bounded LRU of decoded :class:`~repro.apk.archive.ParsedApk` objects
-sits on top.  It earns its keep by keeping objects alive, not by hits:
-a spilled report run (seed 42, scale 0.0001) hits it on 18 of 1,977
-loads.  The last 256 decoded APKs it holds keep their code packages in
-``parse_apk``'s weak package table, so a decode that shares a library
-with a recent APK reuses its decoded package.  With one entry instead,
-cold package decodes in analysis and the experiments rose from 2,052
-to 10,043 and that phase took 1.3-1.6x as long, for under 4 MiB less
-peak RSS (about 73 against 77 MiB).  The bound is what keeps the
-resident set flat when a streaming cursor walks millions of records.
+before parsing it, and one that does not hash to its key after
+(``parse_apk`` refuses every blob the size check would, so a blob the
+crawl parsed loads back from an intact row).  A bounded LRU of
+decoded :class:`~repro.apk.archive.ParsedApk` objects sits on top,
+holding the last 256 APKs the vault decoded or the crawl handed to
+:meth:`BlobVault.lazy`.  It earns its keep by keeping objects alive,
+not by hits: a spilled report run (seed 42, scale 0.0001) hits it on
+43 of 1,977 loads.  The APKs it holds keep their code packages in
+``parse_apk``'s weak package table, so a parse that shares a library
+with a recent APK reuses its decoded package.  In that run the crawl
+constructs 2,756 packages for 15,293 dex entries, and analysis and
+the experiments 3,345 more; with one entry instead, 14,984 and
+17,117.  The bound is what keeps the resident set flat when a
+streaming cursor walks millions of records.
 
 The database runs in WAL mode with ``synchronous=NORMAL`` (as the
 record families' :class:`~repro.store.columnar.ColumnStore` does), in
@@ -53,20 +56,15 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.apk.archive import MAX_DOCUMENT_BYTES, parse_apk, serialize_apk
+from repro.apk.archive import MAX_BLOB_BYTES, parse_apk, serialize_apk
 from repro.store.columnar import WAL_LIMIT_BYTES
 
 __all__ = ["BlobVault", "LazyApk", "VaultError", "DEFAULT_VAULT_CACHE", "MAX_BLOB_BYTES"]
 
 #: Decoded-APK LRU size.  ~200 ParsedApks is a few MiB — enough to keep
-#: the packages of recently decoded APKs in the package table (see the
-#: module docstring) without letting the cache become the corpus.
+#: the packages of recently crawled or decoded APKs in the package table
+#: (see the module docstring) without letting the cache become the corpus.
 DEFAULT_VAULT_CACHE = 256
-
-#: Largest stored blob :meth:`BlobVault.load` parses.  A served blob is
-#: a compressed document, so it never comes near the inflated-document
-#: cap ``parse_apk`` enforces; a row past it is damage.
-MAX_BLOB_BYTES = MAX_DOCUMENT_BYTES
 
 #: SQLite page cache of the vault's connection, in KiB.
 _CACHE_KIB = 64
@@ -158,12 +156,16 @@ class BlobVault:
         apk = parse_apk(blob)
         if apk.md5 != md5:
             raise VaultError(f"vault row {md5} holds APK {apk.md5}")
+        self._remember(apk)
+        return apk
+
+    def _remember(self, apk) -> None:
+        """Make ``apk`` the LRU's most recent entry, evicting past the bound."""
         with self._lock:
-            self._cache[md5] = apk
-            self._cache.move_to_end(md5)
+            self._cache[apk.md5] = apk
+            self._cache.move_to_end(apk.md5)
             while len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
-        return apk
 
     def __contains__(self, md5: str) -> bool:
         with self._lock:
@@ -177,8 +179,10 @@ class BlobVault:
             return self._conn.execute("SELECT count(*) FROM apks").fetchone()[0]
 
     def lazy(self, apk, blob: Optional[bytes] = None) -> "LazyApk":
-        """Store ``apk`` (see :meth:`put`) and return its lazy stand-in."""
+        """Store ``apk`` (see :meth:`put`), hold it in the LRU as if just
+        loaded, and return its lazy stand-in."""
         self.put(apk, blob)
+        self._remember(apk)
         return LazyApk(
             self,
             apk.md5,
@@ -200,10 +204,10 @@ class LazyApk:
     ``version_code``, ``min_sdk``, ``obfuscated_by``); everything else —
     manifest, code packages, META-INF, merged features — delegates to
     :meth:`BlobVault.load`, one ``load`` per attribute read; the vault's
-    LRU rarely answers it (18 of 1,977 loads in the run the module
-    docstring describes), so each read is usually a decode.  The proxy never pins the decoded object,
-    so holding a million proxies costs a million small structs, not a
-    million parsed APKs.
+    LRU rarely answers it (43 of 1,977 loads in the run the module
+    docstring describes), so each read is usually a decode.  The proxy
+    never pins the decoded object, so holding a million proxies costs a
+    million small structs, not a million parsed APKs.
     """
 
     __slots__ = (

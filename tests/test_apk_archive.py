@@ -17,12 +17,14 @@ import repro.apk.archive as archive
 from repro import Study, StudyConfig
 from repro.apk.archive import (
     MAGIC,
+    MAX_BLOB_BYTES,
     MAX_DOCUMENT_BYTES,
     ApkParseError,
     parse_apk,
     serialize_apk,
 )
 from repro.apk.models import Apk, ChannelFile, CodePackage, FEATURE_SPACE, Manifest
+from repro.crawler.crawler import CrawlCoordinator
 
 from conftest import make_apk_bytes
 
@@ -31,9 +33,10 @@ _VALID = make_apk_bytes()
 _DOCUMENT = zlib.decompress(_VALID[len(MAGIC) + 4:])
 
 
-def _wrap(document: bytes) -> bytes:
-    """A well-framed blob around an arbitrary inflated document."""
-    payload = zlib.compress(document, 6)
+def _wrap(document: bytes, trailer: bytes = b"") -> bytes:
+    """A well-framed blob around an arbitrary inflated document, with
+    ``trailer`` after the compressed stream (the length header counts it)."""
+    payload = zlib.compress(document, 6) + trailer
     return MAGIC + struct.pack(">I", len(payload)) + payload
 
 
@@ -132,6 +135,25 @@ class TestMalformed:
         with pytest.raises(ApkParseError):
             parse_apk(bytes(blob))
 
+    @pytest.mark.parametrize("trailer, cause", [
+        (b"\0", "corrupt payload: 1 bytes after the stream"),
+        (b"junk", "corrupt payload: 4 bytes after the stream"),
+        (_VALID, f"corrupt payload: {len(_VALID)} bytes after the stream"),
+        (bytes(300_000), "blob too long: "),
+    ], ids=["one-byte", "junk", "second-blob", "past-the-cap"])
+    def test_bytes_after_the_stream_are_refused(self, trailer, cause):
+        # A valid stream followed by bytes the length header counts: the
+        # blob vault would store it and then refuse to read it back.
+        with pytest.raises(ApkParseError, match=cause):
+            parse_apk(_wrap(_DOCUMENT, trailer))
+
+    def test_blob_over_the_cap_is_refused_before_inflating(self, monkeypatch):
+        # One byte past the blob cap: refused without decompressing.
+        monkeypatch.setattr(archive.zlib, "decompressobj", None)
+        blob = _wrap(_DOCUMENT, bytes(MAX_BLOB_BYTES))[:MAX_BLOB_BYTES + 1]
+        with pytest.raises(ApkParseError, match=f"over the {MAX_BLOB_BYTES}-byte cap"):
+            parse_apk(blob)
+
     def test_magic_prefix(self):
         assert make_apk_bytes().startswith(MAGIC)
 
@@ -214,7 +236,7 @@ def test_digest_stable_under_roundtrip(apk):
 
 #: Every cause parse_apk names, as the first words of its message.
 _CAUSES = re.compile(
-    r"(blob too short|bad magic|payload length mismatch: |corrupt payload: "
+    r"(blob too short|blob too long: |bad magic|payload length mismatch: |corrupt payload: "
     r"|payload inflates past |schema violation: )"
 )
 
@@ -564,3 +586,42 @@ class TestDecodeBudget:
     def test_one_feature_dict_per_distinct_content(self, counted):
         _, packages, contents = counted
         assert len({id(pkg.features) for pkg in packages}) == len(contents)
+
+
+class TestSpilledDecodeBudget:
+    """A spilled crawl reuses the packages of the APKs its vault LRU holds.
+
+    The crawl hands each APK it parses to the blob vault's LRU
+    (``BlobVault.lazy``), so the package table holds the code packages
+    of the last 256, as it holds every one on the memory backend.  At
+    seed 42, scale 0.0001 the first campaign constructs 2,756 packages
+    for the 15,293 dex entries of its 1,259 APKs.  When each parsed APK
+    died once the vault held its bytes, the table stayed empty and the
+    crawl constructed all 15,293.
+    """
+
+    def test_crawl_constructs_near_the_lru_bound(self, tmp_path):
+        constructions = [0]
+        after_crawl = []
+        code_package = archive.CodePackage
+        crawl = CrawlCoordinator.crawl
+
+        def counting(*args, **kwargs):
+            constructions[0] += 1
+            return code_package(*args, **kwargs)
+
+        def counted_crawl(coordinator, *args, **kwargs):
+            snapshot = crawl(coordinator, *args, **kwargs)
+            after_crawl.append(constructions[0])
+            return snapshot
+
+        config = StudyConfig(seed=42, scale=0.0001, store_backend="sqlite",
+                             store_spill_threshold=0, store_dir=str(tmp_path))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(archive, "CodePackage", counting)
+            patch.setattr(archive, "_PACKAGES", weakref.WeakValueDictionary(),
+                          raising=False)
+            patch.setattr(CrawlCoordinator, "crawl", counted_crawl)
+            result = Study(config).run()
+        result.corpus.close()
+        assert 0 < after_crawl[0] <= 3_000

@@ -130,7 +130,8 @@ class TestApkStore:
 
     def test_spilled_campaign_keeps_no_parsed_apk_alive(self, world, tmp_path, monkeypatch):
         # Every APK a spilled campaign parses goes to disk (corpus vault,
-        # journal vault); once attached, nothing may pin it.
+        # journal vault) and into the corpus vault's LRU; once attached,
+        # nothing but that bounded LRU may pin it.
         import repro.crawler.crawler as crawler_module
 
         parsed = []
@@ -141,13 +142,17 @@ class TestApkStore:
             return apk
 
         monkeypatch.setattr(crawler_module, "parse_apk", tracking_parse)
-        corpus = CorpusStore(tmp_path / "store", spill_threshold=0)
+        vault = BlobVault(tmp_path / "store" / "apks.db", cache_size=32)
+        corpus = CorpusStore(tmp_path / "store", spill_threshold=0, vault=vault)
         snapshot, coordinator = crawl_once(world, tmp_path / "ckpt", corpus=corpus)
         gc.collect()
         assert sum(r.apk is not None for r in snapshot) == len(parsed) > 100
-        assert [ref for ref in parsed if ref() is not None] == []
+        alive = {id(ref()) for ref in parsed if ref() is not None}
+        assert alive == {id(apk) for apk in vault._cache.values()}
+        assert len(alive) <= 32
         assert coordinator._journal.apks.loads == 0
         corpus.close()
+        vault.close()
 
     def test_package_table_follows_the_vault_lru(self, world, tmp_path, monkeypatch):
         # parse_apk shares decoded packages through a weak table, so on

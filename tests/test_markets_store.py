@@ -124,9 +124,10 @@ class TestApkServing:
         assert parsed.manifest.version_code == listing.version_code
 
     def test_apk_cached(self, stores):
+        # The store keeps no built blob; a rebuild serves the same bytes.
         store = stores["tencent"]
         listing = next(store.iter_live(NOW))
-        assert store.apk_bytes(listing.package, NOW) is store.apk_bytes(
+        assert store.apk_bytes(listing.package, NOW) == store.apk_bytes(
             listing.package, NOW
         )
 
@@ -190,16 +191,15 @@ class TestListingUpdates:
         from repro.ecosystem.apps import AppVersion
 
         store = stores["sougou"]
-        # Pick a listing whose app has a later version to move to.
-        target = None
-        for listing in store.iter_live(NOW):
-            app = world.app(listing.app_id)
-            if listing.version_index < app.latest_version_index:
-                target = (listing, app)
-                break
-        if target is None:
-            return  # tiny world: nothing lagged here
-        listing, app = target
+        # A listing whose app has a later version to move to: this world
+        # has 10 lagged listings in sougou.
+        lagged = [
+            (listing, world.app(listing.app_id))
+            for listing in store.iter_live(NOW)
+            if listing.version_index < world.app(listing.app_id).latest_version_index
+        ]
+        assert lagged
+        listing, app = lagged[0]
         before = parse_apk(store.apk_bytes(listing.package, NOW))
         latest = app.latest_version_index
         assert store.update_listing_version(

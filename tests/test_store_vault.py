@@ -11,13 +11,16 @@ checkpointed spilled run to one vault, one row per downloaded APK.
 import dataclasses
 import hashlib
 import sqlite3
+import struct
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.store.blobs as blobs
-from repro.apk.archive import ApkParseError, parse_apk, serialize_apk
+from repro.apk.archive import MAGIC, ApkParseError, parse_apk, serialize_apk
 from repro.core.config import StudyConfig
 from repro.core.study import Study
 from repro.crawler.journal import CrawlJournal, JournalError
@@ -79,6 +82,44 @@ class TestVaultPut:
             assert vault.put(apk) == apk.md5
             assert vault.put(apk, SERVED[0]) == apk.md5
             assert conn.execute("PRAGMA data_version").fetchone() == before
+
+
+#: Bytes after a served blob's compressed stream, counted by its length
+#: header: none, a few, or enough to cross the blob cap.
+_TRAILERS = st.one_of(
+    st.just(b""),
+    st.binary(min_size=1, max_size=8),
+    st.integers(MAX_BLOB_BYTES - 4096, MAX_BLOB_BYTES + 4096).map(bytes),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=st.integers(0, len(SERVED) - 1), trailer=_TRAILERS, data=st.data())
+def test_every_blob_parse_apk_accepts_loads_back(index, trailer, data):
+    # What the crawl accepts is what the vault can read back: a parsed
+    # blob is put with its bytes and loaded, through a cold LRU, as an
+    # equal ParsedApk.
+    payload = SERVED[index][len(MAGIC) + 4 :] + trailer
+    blob = MAGIC + struct.pack(">I", len(payload)) + payload
+    if data.draw(st.booleans(), label="flip"):
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        blob = bytes(flipped)
+    try:
+        apk = parse_apk(blob)
+    except ApkParseError:
+        return
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "apks.db"
+        vault = BlobVault(path)
+        vault.put(apk, blob)
+        vault.close()
+        vault = BlobVault(path)
+        try:
+            assert vault.load(apk.md5) == apk
+        finally:
+            vault.close()
 
 
 @pytest.fixture(scope="module")
