@@ -48,15 +48,9 @@ class IdentityStudy:
         ) / self.md5_divergent_groups
 
 
-def _dex_fingerprint(apk) -> Tuple:
-    """Fingerprint of executable content only (feature digests), ignoring
-    package names (renamed by packers) and META-INF entries."""
-    return tuple(sorted(pkg.feature_digest for pkg in apk.packages))
-
-
 def study_identity(snapshot: Snapshot, max_examples: int = 10) -> IdentityStudy:
-    # The key and the packer are row scalars: grouping decodes nothing,
-    # and only the divergent, unpacked groups below open their blobs.
+    # The key, the packer and the executable-content digest
+    # (``dex_digest``) are row scalars, so the study opens no blob.
     groups: Dict[IdentityKey, List] = {}
     for record in snapshot:
         apk = record.apk
@@ -87,7 +81,7 @@ def study_identity(snapshot: Snapshot, max_examples: int = 10) -> IdentityStudy:
             packer += 1
             kind = "store packing"
         else:
-            dex = {_dex_fingerprint(apk) for apk in by_md5.values()}
+            dex = {apk.dex_digest for apk in by_md5.values()}
             if len(dex) == 1:
                 channel_only += 1
                 kind = "channel file"

@@ -203,6 +203,20 @@ class ParsedApk:
             self._merged_features = cached
         return cached
 
+    @property
+    def dex_digest(self) -> int:
+        """One digest of the executable content alone: the sorted feature
+        digests of the code packages, ignoring package names (renamed by
+        packers) and META-INF entries.  Signed 64-bit, so an SQLite
+        INTEGER column stores it as it is.  Memoized like
+        :meth:`merged_features`."""
+        cached = getattr(self, "_dex_digest", None)
+        if cached is None:
+            key = repr(tuple(sorted(pkg.feature_digest for pkg in self.packages)))
+            digest = hashlib.blake2b(key.encode("ascii"), digest_size=8).digest()
+            cached = self._dex_digest = int.from_bytes(digest, "big", signed=True)
+        return cached
+
     def package_names(self) -> Tuple[str, ...]:
         return tuple(pkg.name for pkg in self.packages)
 

@@ -11,9 +11,11 @@ every accessor has one implementation over it.  The family starts in
 memory and holds the record objects themselves.  Handing the
 constructor a :class:`~repro.store.corpus.CorpusStore` arms the spill:
 once the record count crosses the store's spill threshold, the rows are
-copied into a per-campaign SQLite family (served APK bytes into the
-blob vault, records re-served with :class:`~repro.store.blobs.LazyApk`
-proxies through batched streaming cursors).
+copied into a per-campaign SQLite family (record metadata as typed
+columns, served APK bytes into the blob vault; records decode from
+their row alone and are re-served with
+:class:`~repro.store.blobs.LazyApk` proxies through batched streaming
+cursors).
 ``content_digest()`` is backend-invariant: the streaming fold below
 reproduces :func:`~repro.util.rng.stable_hash64` over the canonical row
 tuple byte for byte without ever materializing it.
@@ -22,14 +24,15 @@ tuple byte for byte without ever materializing it.
 from __future__ import annotations
 
 import hashlib
-import json
+import math
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.apk.archive import ParsedApk
-from repro.store.columnar import MemoryFamily, ResidentCodec
+from repro.store.blobs import LazyApk
+from repro.store.columnar import MemoryFamily, ResidentCodec, StoreError
 from repro.store.corpus import CRAWL_SCHEMA
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -209,55 +212,84 @@ def streaming_snapshot_digest(label: str, rows: Iterable[Tuple]) -> int:
 def _apk_columns(apk) -> Tuple:
     """The APK scalars a crawl row carries, of a parsed or lazy APK.
 
-    ``(md5, signer, vc_hint, min_sdk, obfuscated_by)``, or Nones when
-    the record has no APK.
+    ``(md5, signer, vc_hint, min_sdk, obfuscated_by, dex_digest)``, or
+    Nones when the record has no APK.
     """
     if apk is None:
-        return None, None, None, None, None
+        return None, None, None, None, None, None
     return (
-        apk.md5, apk.signer_fingerprint, apk.version_code, apk.min_sdk, apk.obfuscated_by,
+        apk.md5,
+        apk.signer_fingerprint,
+        apk.version_code,
+        apk.min_sdk,
+        apk.obfuscated_by,
+        apk.dex_digest,
     )
 
 
 #: The crawl schema's APK columns, in :func:`_apk_columns` order.
-_APK_COLUMNS = ("md5", "signer", "vc_hint", "min_sdk", "obfuscated_by")
+_APK_COLUMNS = ("md5", "signer", "vc_hint", "min_sdk", "obfuscated_by", "dex_digest")
 
 
-def _record_to_doc(record: CrawlRecord) -> dict:
-    """A record's metadata as a JSON object; its APK and provenance
-    ride on the row's columns."""
-    return {
-        "market": record.market_id,
-        "package": record.package,
-        "name": record.app_name,
-        "version_name": record.version_name,
-        "version_code": record.version_code,
-        "category": record.category,
-        "downloads": record.downloads,
-        "install_range": list(record.install_range) if record.install_range else None,
-        "rating": record.rating,
-        "updated_day": record.updated_day,
-        "developer": record.developer_name,
-        "crawl_day": record.crawl_day,
-    }
-
-
-def _record_from_doc(doc: dict) -> CrawlRecord:
-    install_range = doc.get("install_range")
-    return CrawlRecord(
-        market_id=doc["market"],
-        package=doc["package"],
-        app_name=doc["name"],
-        version_name=doc["version_name"],
-        version_code=int(doc["version_code"]),
-        category=doc["category"],
-        downloads=doc.get("downloads"),
-        install_range=tuple(install_range) if install_range else None,
-        rating=float(doc["rating"]),
-        updated_day=int(doc["updated_day"]),
-        developer_name=doc["developer"],
-        crawl_day=float(doc["crawl_day"]),
+def _row(record: CrawlRecord) -> Tuple:
+    """A record's crawl-schema columns, in schema order, payload excluded."""
+    low, high = record.install_range or (None, None)
+    return (
+        record.market_id,
+        record.package,
+        *_apk_columns(record.apk),
+        record.apk_source,
+        record.app_name,
+        record.version_name,
+        record.version_code,
+        record.category,
+        record.downloads,
+        low,
+        high,
+        record.rating,
+        record.updated_day,
+        record.developer_name,
+        record.crawl_day,
     )
+
+
+#: What an SQLite INTEGER holds.
+_INT64 = range(-(1 << 63), 1 << 63)
+
+
+def _check_storable(record: CrawlRecord) -> None:
+    """Refuse a record whose metadata an SQLite row would alter.
+
+    SQLite turns NaN into NULL, reads -0.0 from a REAL column back as
+    0.0, an int as a float and a number in a TEXT column as text,
+    cannot hold an int outside 64 bits, and the row decodes
+    ``install_range`` as a pair of ints.  Each of those would change
+    the record's content digest once it spills, so the record is
+    refused at ``add`` instead.
+    """
+    def bad(field: str, why: str) -> StoreError:
+        value = getattr(record, field)
+        return StoreError(f"{record.market_id}/{record.package}: {field}={value!r} {why}")
+
+    for field in ("market_id", "package", "app_name", "version_name", "category",
+                  "developer_name"):
+        if type(getattr(record, field)) is not str:
+            raise bad(field, "is not a str")
+    installs = record.install_range
+    if installs is not None and (type(installs) is not tuple or len(installs) != 2):
+        raise bad("install_range", "is not a pair")
+    ints = [("version_code", record.version_code), ("updated_day", record.updated_day)]
+    ints += [("downloads", record.downloads)] if record.downloads is not None else []
+    ints += [("install_range", bound) for bound in installs or ()]
+    for field, value in ints:
+        if type(value) is not int or value not in _INT64:
+            raise bad(field, "is not a 64-bit int")
+    for field in ("rating", "crawl_day"):
+        value = getattr(record, field)
+        if type(value) is not float or value != value:
+            raise bad(field, "is not a float other than NaN")
+        if value == 0.0 and math.copysign(1.0, value) < 0:
+            raise bad(field, "is -0.0, which SQLite reads back as 0.0")
 
 
 class _ResidentRecords(ResidentCodec):
@@ -269,27 +301,41 @@ class _ResidentRecords(ResidentCodec):
 
 
 class _VaultRecords:
-    """The sqlite family's codec: APK-free JSON payloads, served APK
-    bytes in the blob vault, and :class:`LazyApk` proxies on decoded
-    records."""
+    """The sqlite family's codec: the record lives in its row's typed
+    columns (the payload is NULL), served APK bytes in the blob vault,
+    and decoded records hold :class:`LazyApk` proxies."""
 
     def __init__(self, vault):
         self.vault = vault
 
-    def encode(self, record: CrawlRecord) -> str:
+    def encode(self, record: CrawlRecord) -> None:
+        """Store the record's APK, if parsed; the payload is NULL."""
         if isinstance(record.apk, ParsedApk):
             self.vault.put(record.apk)
-        return json.dumps(_record_to_doc(record), separators=(",", ":"))
 
     def decode(self, row: Tuple) -> CrawlRecord:
-        from repro.store.blobs import LazyApk
-
-        _, _, md5, signer, vc_hint, min_sdk, obfuscated_by, apk_source, payload = row
-        record = _record_from_doc(json.loads(payload))
-        if md5 is not None:
-            record.apk = LazyApk(self.vault, md5, signer, vc_hint, min_sdk, obfuscated_by)
-            record.apk_source = apk_source
-        return record
+        (market_id, package, md5, signer, vc_hint, min_sdk, obfuscated_by, dex_digest,
+         apk_source, app_name, version_name, version_code, category, downloads,
+         installs_low, installs_high, rating, updated_day, developer_name, crawl_day,
+         _) = row
+        return CrawlRecord(
+            market_id,
+            package,
+            app_name,
+            version_name,
+            version_code,
+            category,
+            downloads,
+            None if installs_low is None else (installs_low, installs_high),
+            rating,
+            updated_day,
+            developer_name,
+            crawl_day,
+            None if md5 is None else LazyApk(
+                self.vault, md5, signer, vc_hint, min_sdk, obfuscated_by, dex_digest
+            ),
+            apk_source,
+        )
 
     def keep_apk(self, apk: ParsedApk, blob: Optional[bytes] = None):
         """Store the APK's served bytes; the record keeps its lazy proxy."""
@@ -346,18 +392,20 @@ class Snapshot:
     # -- ingest ------------------------------------------------------------
 
     def add(self, record: CrawlRecord) -> bool:
-        """Insert a record; returns False if (market, package) already seen."""
+        """Insert a record; returns False if (market, package) already seen.
+
+        With a store armed, a record whose metadata an SQLite row would
+        alter is refused with :class:`~repro.store.columnar.StoreError`
+        before anything is stored (see :func:`_check_storable`).
+        """
         key = (record.market_id, record.package)
         if key in self._keys:
             return False
+        if self._store is not None:
+            _check_storable(record)
         self._keys.add(key)
         self._market_ids.add(record.market_id)
-        self._family.append(
-            *key,
-            *_apk_columns(record.apk),
-            record.apk_source,
-            self._codec.encode(record),
-        )
+        self._family.append(*_row(record), self._codec.encode(record))
         if (
             self._store is not None
             and not self.spilled

@@ -13,14 +13,15 @@ crawl parsed loads back from an intact row).  A bounded LRU of
 decoded :class:`~repro.apk.archive.ParsedApk` objects sits on top,
 holding the last 256 APKs the vault decoded or the crawl handed to
 :meth:`BlobVault.lazy`.  It earns its keep by keeping objects alive,
-not by hits: a spilled report run (seed 42, scale 0.0001) hits it on
-43 of 1,977 loads.  The APKs it holds keep their code packages in
-``parse_apk``'s weak package table, so a parse that shares a library
-with a recent APK reuses its decoded package.  In that run the crawl
-constructs 2,756 packages for 15,293 dex entries, and analysis and
-the experiments 3,345 more; with one entry instead, 14,984 and
-17,117.  The bound is what keeps the resident set flat when a
-streaming cursor walks millions of records.
+not by hits: a spilled report run (seed 42, scale 0.0001) makes
+1,270 loads, one per APK-backed unit in the shared analysis walk and
+one in clone extraction, and the LRU answers 25 of them.  The APKs it
+holds keep their code packages in ``parse_apk``'s weak package table,
+so a parse that shares a library with a recent APK reuses its decoded
+package.  In that run the crawl constructs 2,756 packages for 15,293
+dex entries, and analysis and the experiments 2,652 more.  The bound
+is what keeps the resident set flat when a streaming cursor walks
+millions of records.
 
 The database runs in WAL mode with ``synchronous=NORMAL`` (as the
 record families' :class:`~repro.store.columnar.ColumnStore` does), in
@@ -30,14 +31,14 @@ connection gets a small page cache and no mmap, so the vault adds
 next to nothing to the resident set beyond the LRU's decoded APKs.
 
 :class:`LazyApk` is the out-of-core stand-in for a ``ParsedApk`` held
-by a crawl record or app unit.  It carries the manifest scalars the
+by a crawl record or app unit.  It carries the scalars the
 record-level analyses read — ``md5``, ``signer_fingerprint``,
-``version_code``, ``min_sdk`` and ``obfuscated_by``, under the names
-``ParsedApk`` answers them — as columns of the snapshot row, so a walk
-over those (Figure 3, the §5.3 identity key, unit ranking) never opens
-a blob.  Every other attribute resolves through the vault on demand,
-and the proxy never caches the parsed object on itself, so a retained
-record stays a few pointers wide.
+``version_code``, ``min_sdk``, ``obfuscated_by`` and ``dex_digest``,
+under the names ``ParsedApk`` answers them — as columns of the
+snapshot row, so a walk over those (Figure 3, §5.3, unit ranking)
+never opens a blob.  Every other attribute resolves through the vault
+on demand, and the proxy never caches the parsed object on itself, so
+a retained record stays a few pointers wide.
 
 The LRU cannot absorb a cyclic scan longer than itself, so per-APK
 analyses do not walk proxies attribute by attribute: the analysis
@@ -190,6 +191,7 @@ class BlobVault:
             apk.version_code,
             apk.min_sdk,
             apk.obfuscated_by,
+            apk.dex_digest,
         )
 
     def close(self) -> None:
@@ -201,17 +203,19 @@ class LazyApk:
     """A ``ParsedApk`` proxy that re-reads from the vault on demand.
 
     The row scalars live on the proxy (``md5``, ``signer_fingerprint``,
-    ``version_code``, ``min_sdk``, ``obfuscated_by``); everything else —
-    manifest, code packages, META-INF, merged features — delegates to
-    :meth:`BlobVault.load`, one ``load`` per attribute read; the vault's
-    LRU rarely answers it (43 of 1,977 loads in the run the module
-    docstring describes), so each read is usually a decode.  The proxy
-    never pins the decoded object, so holding a million proxies costs a
-    million small structs, not a million parsed APKs.
+    ``version_code``, ``min_sdk``, ``obfuscated_by``, ``dex_digest``);
+    everything else — manifest, code packages, META-INF, merged
+    features — delegates to :meth:`BlobVault.load`, one ``load`` per
+    attribute read; the vault's LRU rarely answers it (25 of 1,270 loads
+    in the run the module docstring describes), so each read is usually
+    a decode.  The proxy never pins the decoded object, so holding a
+    million proxies costs a million small structs, not a million parsed
+    APKs.
     """
 
     __slots__ = (
         "_vault", "md5", "signer_fingerprint", "version_code", "min_sdk", "obfuscated_by",
+        "dex_digest",
     )
 
     def __init__(
@@ -222,6 +226,7 @@ class LazyApk:
         version_code: int,
         min_sdk: int,
         obfuscated_by: Optional[str],
+        dex_digest: int,
     ):
         self._vault = vault
         self.md5 = md5
@@ -229,6 +234,7 @@ class LazyApk:
         self.version_code = version_code
         self.min_sdk = min_sdk
         self.obfuscated_by = obfuscated_by
+        self.dex_digest = dex_digest
 
     def resolve(self):
         """The decoded :class:`~repro.apk.archive.ParsedApk` (one vault load)."""

@@ -36,6 +36,7 @@ Design points of the SQLite family:
 
 from __future__ import annotations
 
+import functools
 import os
 import sqlite3
 import threading
@@ -76,7 +77,10 @@ class StoreError(Exception):
     """Raised for invalid store usage or a corrupt segment database."""
 
 
+@functools.lru_cache(maxsize=None)
 def _check_identifier(name: str) -> str:
+    # Cached: every query checks its column names, and a spilled report
+    # run makes tens of thousands of queries over a few dozen names.
     if not name or not all(c.isalnum() or c == "_" for c in name):
         raise StoreError(f"invalid identifier {name!r}")
     return name
@@ -112,27 +116,32 @@ class Family:
         self._columns = [(_check_identifier(c), t) for c, t in key_columns]
         self._column_names = [c for c, _ in self._columns] + ["payload"]
         self._pending: List[Tuple] = []
-        cols = ", ".join(f"{c} {t}" for c, t in self._columns)
+        self._unique = unique
+        self._indexes = indexes
         with store._lock:
-            store._conn.execute(
-                f"CREATE TABLE IF NOT EXISTS {self.table} ({cols}, payload BLOB)"
-            )
-            if unique:
-                store._conn.execute(
-                    f"CREATE UNIQUE INDEX IF NOT EXISTS idx_{name}_key "
-                    f"ON {self.table} ({', '.join(unique)})"
-                )
-            for i, index in enumerate(indexes):
-                store._conn.execute(
-                    f"CREATE INDEX IF NOT EXISTS idx_{name}_{i} "
-                    f"ON {self.table} ({', '.join(index)})"
-                )
-            store._conn.commit()
+            self._create_locked()
         placeholders = ", ".join("?" for _ in self._column_names)
         self._insert_sql = (
             f"INSERT INTO {self.table} ({', '.join(self._column_names)}) "
             f"VALUES ({placeholders})"
         )
+
+    def _create_locked(self) -> None:
+        """Create the table and its indexes unless they exist."""
+        conn = self._store._conn
+        cols = ", ".join(f"{c} {t}" for c, t in self._columns)
+        conn.execute(f"CREATE TABLE IF NOT EXISTS {self.table} ({cols}, payload BLOB)")
+        if self._unique:
+            conn.execute(
+                f"CREATE UNIQUE INDEX IF NOT EXISTS idx_{self.name}_key "
+                f"ON {self.table} ({', '.join(self._unique)})"
+            )
+        for i, index in enumerate(self._indexes):
+            conn.execute(
+                f"CREATE INDEX IF NOT EXISTS idx_{self.name}_{i} "
+                f"ON {self.table} ({', '.join(index)})"
+            )
+        conn.commit()
 
     # -- writes ------------------------------------------------------------
 
@@ -161,11 +170,20 @@ class Family:
 
         This is how a spill lands: whatever an earlier run left in the
         table (a resumed checkpoint's store) is dropped first, because
-        every run regenerates the records it spills.
+        every run regenerates the records it spills.  A table whose
+        columns differ from the family's is dropped and created anew.
         """
         with self._store._lock:
             self._pending.clear()
-            self._store._conn.execute(f"DELETE FROM {self.table}")
+            conn = self._store._conn
+            layout = [row[1] for row in conn.execute(f"PRAGMA table_info({self.table})")]
+            if layout == self._column_names:
+                conn.execute(f"DELETE FROM {self.table}")
+            else:
+                # Left by a checkout with another column layout: the
+                # INSERT would not fit it.
+                conn.execute(f"DROP TABLE {self.table}")
+                self._create_locked()
         for row in rows:
             self.append(*row)
         self.flush()

@@ -78,9 +78,11 @@ APPS_SCHEMA = dict(
     indexes=[["package"]],
 )
 
-#: One crawl campaign's records, with the APK identity and the manifest
-#: scalars record-level analyses read as columns (a spilled record's
-#: ``LazyApk`` answers them without opening its blob).
+#: One crawl campaign's records: the APK identity and the manifest
+#: scalars record-level analyses read (a spilled record's ``LazyApk``
+#: answers them without opening its blob), then the record's metadata,
+#: so a spilled record decodes from its row alone.  The payload is the
+#: record object on the memory family and NULL on the sqlite one.
 CRAWL_SCHEMA = dict(
     key_columns=[
         ("market_id", "TEXT"),
@@ -90,7 +92,19 @@ CRAWL_SCHEMA = dict(
         ("vc_hint", "INTEGER"),
         ("min_sdk", "INTEGER"),
         ("obfuscated_by", "TEXT"),
+        ("dex_digest", "INTEGER"),
         ("apk_source", "TEXT"),
+        ("app_name", "TEXT"),
+        ("version_name", "TEXT"),
+        ("version_code", "INTEGER"),
+        ("category", "TEXT"),
+        ("downloads", "INTEGER"),
+        ("installs_low", "INTEGER"),
+        ("installs_high", "INTEGER"),
+        ("rating", "REAL"),
+        ("updated_day", "INTEGER"),
+        ("developer_name", "TEXT"),
+        ("crawl_day", "REAL"),
     ],
     unique=["market_id", "package"],
     indexes=[["market_id"], ["package"]],

@@ -1,10 +1,13 @@
 """Tests for the Section 5.3 identity study."""
 
+import pytest
+
 from repro.analysis.identity import study_identity
 from repro.apk.archive import parse_apk, serialize_apk
-from repro.apk.models import ChannelFile
+from repro.apk.models import ChannelFile, CodePackage
 from repro.apk.obfuscation import JiaguObfuscator
 from repro.crawler.snapshot import Snapshot
+from repro.store import CorpusStore
 
 from conftest import build_apk, make_record
 
@@ -71,3 +74,35 @@ class TestIdentityStudy:
         study = study_identity(snap)
         assert study.examples[0]["kind"] == "channel file"
         assert study.examples[0]["md5_count"] == 2
+
+
+class TestDexDigest:
+    def test_ignores_package_names_and_meta_inf(self):
+        base = build_apk()
+        renamed = build_apk(
+            packages=(CodePackage("o.a1b2c3", {1: 2, 5: 1, 42: 3}, (101, 102, 103)),),
+            meta_inf=(ChannelFile("META-INF/txchannel", "tencent"),),
+        )
+        changed = build_apk(packages=(CodePackage("com.example.app", {1: 3}, (101,)),))
+        digest = lambda apk: parse_apk(serialize_apk(apk)).dex_digest
+        assert digest(base) == digest(renamed)
+        assert digest(base) != digest(changed)
+        assert -(2**63) <= digest(base) < 2**63
+
+    @pytest.mark.parametrize("spilled", [False, True], ids=["memory", "sqlite"])
+    def test_study_reads_no_blob_on_either_backend(self, tmp_path, spilled):
+        store = CorpusStore(tmp_path, spill_threshold=0) if spilled else None
+        snap = Snapshot("t", store=store)
+        channels = [("tencent", "META-INF/txchannel"), ("baidu", "META-INF/bdchannel")]
+        for market, channel in channels:
+            snap.add(_record(market, build_apk(
+                meta_inf=(ChannelFile(channel, market),))))
+            snap.add(_record(market, build_apk(package="com.other", packages=(
+                CodePackage("com.other", {7: len(market)}, (7,)),))))
+        assert snap.spilled == spilled
+        study = study_identity(snap)
+        if spilled:
+            assert store.vault.loads == 0
+        assert study.md5_divergent_groups == 2
+        assert study.channel_only_groups == 1
+        assert sorted(e["kind"] for e in study.examples) == ["channel file", "unexplained"]

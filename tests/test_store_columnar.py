@@ -6,6 +6,7 @@ pagination under interleaved writes, the flush-time unique violation,
 reopening a database) stay sqlite-only.
 """
 
+import sqlite3
 import sys
 import threading
 
@@ -187,6 +188,23 @@ class TestReopen:
             assert fam.count() == 1
             assert fam.get(market="m1", package="a") == ("m1", "a", b"persisted")
             assert "records" in cs.family_names()
+
+    def test_replace_recreates_a_table_of_another_layout(self, tmp_path):
+        # A database left by a checkout whose family had fewer columns:
+        # the spill's replace must land in the family's own layout.
+        path = tmp_path / "corpus.db"
+        with ColumnStore(path, batch_size=4) as cs:
+            _records_family(cs).append("m1", "a", b"old layout")
+        wider = dict(RECORDS, key_columns=RECORDS["key_columns"] + [("extra", "INTEGER")])
+        with ColumnStore(path, batch_size=4) as cs:
+            fam = cs.family("records", **wider)
+            fam.replace([("m1", "a", 7, b"new"), ("m2", "a", None, b"rows")])
+            assert list(fam.scan()) == [("m1", "a", 7, b"new"), ("m2", "a", None, b"rows")]
+            assert fam.get(market="m2", package="a") == ("m2", "a", None, b"rows")
+            fam.append("m1", "a", 8, b"duplicate")
+            with pytest.raises(sqlite3.IntegrityError):  # the unique index is back
+                fam.flush()
+            fam._pending.clear()
 
 
 class TestBlobVault:
