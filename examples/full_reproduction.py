@@ -5,15 +5,22 @@
 
 Defaults: scale=0.002 (~12.5K listings), output=EXPERIMENTS.md in the
 repository root.  Runtime at the default scale is about a minute.
+
+The header's ``reports digest`` line is one digest over every
+experiment's ``digest_reports`` entry, in id order (the e2e benchmark's
+``reports`` digest).  It moves only when a report's content moves, so
+CI regenerates the file and compares that line with the committed one;
+the timing and date lines stay out of the comparison.
 """
 
 import datetime
+import hashlib
 import io
 import sys
 import time
 
 from repro import Study, StudyConfig
-from repro.experiments import EXPERIMENT_IDS, run_experiment
+from repro.experiments import EXPERIMENT_IDS, digest_reports, run_experiment
 
 PAPER_NOTES = {
     "table1": "sizes are paper-proportional at the configured scale; "
@@ -42,6 +49,17 @@ def main() -> None:
     result = Study(config).run()
     crawl_seconds = time.time() - start
 
+    reports = {}
+    timings = {}
+    for experiment_id in EXPERIMENT_IDS:
+        t0 = time.time()
+        reports[experiment_id] = run_experiment(experiment_id, result)
+        timings[experiment_id] = time.time() - t0
+        print(f"{experiment_id:10s} done in {timings[experiment_id]:.2f}s")
+    digest = hashlib.blake2b(digest_size=16)
+    for experiment_id, report_digest in digest_reports(reports).items():
+        digest.update(f"{experiment_id}={report_digest};".encode("utf-8"))
+
     buffer = io.StringIO()
     write = buffer.write
     write("# EXPERIMENTS — paper vs. measured\n\n")
@@ -49,6 +67,7 @@ def main() -> None:
           f"`python examples/full_reproduction.py {scale}`.\n\n")
     write(f"* config: seed={config.seed}, scale={config.scale} "
           f"(~{len(result.snapshot):,} listings of the paper's 6,267,247)\n")
+    write(f"* reports digest: {digest.hexdigest()}\n")
     write(f"* pipeline (generate + dual crawl) wall time: {crawl_seconds:.1f}s\n")
     write(f"* date: {datetime.date.today().isoformat()}\n\n")
     write("Absolute numbers are not expected to match the paper (our world\n"
@@ -57,18 +76,14 @@ def main() -> None:
           "Columns named `paper_*` carry the paper's published values for\n"
           "side-by-side comparison.\n\n")
 
-    for experiment_id in EXPERIMENT_IDS:
-        t0 = time.time()
-        report = run_experiment(experiment_id, result)
-        elapsed = time.time() - t0
+    for experiment_id, report in reports.items():
         write(f"## {experiment_id}\n\n")
         if experiment_id in PAPER_NOTES:
             write(f"_Expected shape: {PAPER_NOTES[experiment_id]}._\n\n")
         write("```\n")
         write(report.render())
         write("\n```\n")
-        write(f"\n(analysis time: {elapsed:.2f}s)\n\n")
-        print(f"{experiment_id:10s} done in {elapsed:.2f}s")
+        write(f"\n(analysis time: {timings[experiment_id]:.2f}s)\n\n")
 
     # Added value: detector quality against ground truth.
     world = result.world

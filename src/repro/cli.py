@@ -154,10 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profile-out", default=None, metavar="PATH",
                        help="write the stage profile to PATH (JSONL; "
                             "implies --profile)")
-        p.add_argument("--run-meta", default=None, metavar="PATH",
-                       help="write the run manifest (config fingerprint, "
-                            "seed/scale, content digests) to PATH for "
-                            "'repro obs ingest'")
         p.add_argument("--monitor", action="store_true",
                        help="live campaign monitoring: heartbeat metric "
                             "samples + lane stall watchdog (digest-"
@@ -193,51 +189,25 @@ def build_parser() -> argparse.ArgumentParser:
                            help="a --metrics-out artifact to re-render")
 
     obs_parser = sub.add_parser(
-        "obs", help="run warehouse: ingest, list, diff, and gate runs")
+        "obs", help="gate, compare, and flame-graph run artifacts")
     obs_sub = obs_parser.add_subparsers(dest="obs_command", required=True)
 
-    def add_db_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--db", default="warehouse.sqlite", metavar="PATH",
-                       help="warehouse database (default: warehouse.sqlite)")
-
-    ingest_parser = obs_sub.add_parser(
-        "ingest", help="ingest one run's artifacts into the warehouse")
-    add_db_arg(ingest_parser)
-    ingest_parser.add_argument("--meta", default=None, metavar="PATH",
-                               help="the run manifest written by --run-meta")
-    ingest_parser.add_argument("--label", default="run",
-                               help="run label when no --meta is given")
-    ingest_parser.add_argument("--metrics", default=None, metavar="PATH",
-                               help="a --metrics-out artifact")
-    ingest_parser.add_argument("--trace", default=None, metavar="PATH",
-                               help="a --trace-out artifact")
-    ingest_parser.add_argument("--profile", default=None, metavar="PATH",
-                               help="a --profile-out artifact")
-
-    runs_parser = obs_sub.add_parser(
-        "runs", help="list ingested runs (ingest order)")
-    add_db_arg(runs_parser)
-
-    diff_parser = obs_sub.add_parser(
-        "diff", help="compare two ingested runs (exact for deterministic "
-                     "series, median/MAD baselines for timing)")
-    add_db_arg(diff_parser)
-    diff_parser.add_argument("a", help="run id (prefix), label, or -N index")
-    diff_parser.add_argument("b", help="run id (prefix), label, or -N index")
-    diff_parser.add_argument("--strict", action="store_true",
-                             help="exit nonzero unless the diff is clean")
-
     check_parser = obs_sub.add_parser(
-        "check", help="evaluate slo.toml rules against a run; exits "
-                      "nonzero on breach")
-    add_db_arg(check_parser)
+        "check", help="evaluate slo.toml rules against a run's metrics; "
+                      "exits nonzero on breach")
+    check_parser.add_argument("metrics", help="a --metrics-out artifact")
     check_parser.add_argument("--rules", default="slo.toml", metavar="PATH",
                               help="TOML rule file (default: slo.toml)")
-    check_parser.add_argument("--run", default="-1", metavar="REF",
-                              help="run to gate: id (prefix), label, or -N "
-                                   "index (default: -1, the latest)")
     check_parser.add_argument("--json", default=None, metavar="PATH",
                               help="also write machine-readable verdicts")
+
+    diff_parser = obs_sub.add_parser(
+        "diff", help="compare two runs' metrics (exact for deterministic "
+                     "series, a -> b for timing)")
+    diff_parser.add_argument("a", help="a --metrics-out artifact")
+    diff_parser.add_argument("b", help="a --metrics-out artifact")
+    diff_parser.add_argument("--strict", action="store_true",
+                             help="exit nonzero unless the diff is clean")
 
     flame_parser = obs_sub.add_parser(
         "flame", help="export a trace as folded stacks (flamegraph.pl / "
@@ -283,7 +253,6 @@ def _config_from(args: argparse.Namespace) -> StudyConfig:
         metrics_out=args.metrics_out,
         profile=args.profile,
         profile_out=args.profile_out,
-        run_meta=args.run_meta,
         monitor=args.monitor,
         monitor_interval=args.monitor_interval,
         stall_budget=args.stall_budget,
@@ -449,8 +418,7 @@ def _cmd_run_report(args, out) -> int:
 
 
 def _cmd_obs(args, out) -> int:
-    from repro.obs.schema import SchemaError
-    from repro.obs.warehouse import RunWarehouse, WarehouseError
+    from repro.obs.schema import SchemaError, validate_metrics_file
 
     if args.obs_command == "flame":
         from repro.obs.flame import export_folded
@@ -466,76 +434,36 @@ def _cmd_obs(args, out) -> int:
         print(f"wrote {out_path} ({count} stacks)", file=out)
         return 0
 
-    try:
-        warehouse = RunWarehouse(args.db)
-    except Exception as exc:  # StoreError subclasses vary by backend
-        print(f"obs: cannot open {args.db}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if args.obs_command == "ingest":
-            try:
-                manifest = warehouse.ingest_run(
-                    label=args.label,
-                    meta=args.meta,
-                    metrics=args.metrics,
-                    trace=args.trace,
-                    profile=args.profile,
-                )
-            except (OSError, SchemaError, WarehouseError) as exc:
-                print(f"obs ingest: {exc}", file=sys.stderr)
-                return 1
-            verb = "ingested" if manifest["created"] else "already ingested"
-            print(
-                f"{verb} {manifest['run_id']} "
-                f"label={manifest['label']} "
-                f"fingerprint={manifest['fingerprint'] or '-'}",
-                file=out,
-            )
-            return 0
-        if args.obs_command == "runs":
-            print(RunWarehouse.render_runs(warehouse.runs()), file=out)
-            return 0
-        if args.obs_command == "diff":
-            try:
-                diff = warehouse.diff(args.a, args.b)
-            except WarehouseError as exc:
-                print(f"obs diff: {exc}", file=sys.stderr)
-                return 1
-            print(RunWarehouse.render_diff(diff), file=out)
-            if args.strict and not diff["clean"]:
-                return 1
-            return 0
-        if args.obs_command == "check":
-            from repro.obs.slo import (
-                SloError,
-                check_passed,
-                check_run,
-                load_rules,
-                render_check_report,
-                results_to_json,
-            )
+    from repro.obs import slo
 
-            try:
-                rules = load_rules(args.rules)
-            except (OSError, SloError) as exc:
-                print(f"obs check: {args.rules}: {exc}", file=sys.stderr)
-                return 2
-            try:
-                results, manifest = check_run(warehouse, rules, ref=args.run)
-            except WarehouseError as exc:
-                print(f"obs check: {exc}", file=sys.stderr)
-                return 2
-            print(render_check_report(results, manifest), file=out)
-            if args.json:
-                with open(args.json, "w") as handle:
-                    handle.write(results_to_json(results, manifest))
-                    handle.write("\n")
-                print(f"wrote {args.json}", file=out)
-            return 0 if check_passed(results) else 1
-        raise AssertionError(
-            f"unhandled obs command {args.obs_command}")  # pragma: no cover
-    finally:
-        warehouse.close()
+    if args.obs_command == "diff":
+        try:
+            docs_a = validate_metrics_file(args.a)
+            docs_b = validate_metrics_file(args.b)
+        except (OSError, SchemaError) as exc:
+            print(f"obs diff: {exc}", file=sys.stderr)
+            return 2
+        diff = slo.diff_metrics(docs_a, docs_b)
+        print(slo.render_diff(diff, args.a, args.b), file=out)
+        return 1 if args.strict and not diff["clean"] else 0
+
+    try:
+        rules = slo.load_rules(args.rules)
+    except (OSError, slo.SloError) as exc:
+        print(f"obs check: {args.rules}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        results = slo.check_metrics(validate_metrics_file(args.metrics), rules)
+    except (OSError, SchemaError) as exc:
+        print(f"obs check: {exc}", file=sys.stderr)
+        return 2
+    print(slo.render_check_report(results, args.metrics), file=out)
+    if args.json:
+        with open(args.json, "w") as handle:
+            handle.write(slo.results_to_json(results, args.metrics))
+            handle.write("\n")
+        print(f"wrote {args.json}", file=out)
+    return 0 if slo.check_passed(results) else 1
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:

@@ -80,13 +80,8 @@ class StudyConfig:
     #: Profile pipeline stages (wall time only) and print the
     #: critical-path report after the run.
     profile: bool = False
-    #: Write the stage profile to this JSONL path (implies profiling;
-    #: the artifact ``repro obs ingest`` reads).
+    #: Write the stage profile to this JSONL path (implies profiling).
     profile_out: Optional[str] = None
-    #: Write the run manifest (config, seed/scale, content digests, the
-    #: artifact paths above) to this JSON path — the ``--run-meta`` file
-    #: ``repro obs ingest`` keys the warehouse on.
-    run_meta: Optional[str] = None
     #: Live campaign monitoring: heartbeat gauge samples plus the lane
     #: stall watchdog.  Digest-invariant — the monitor only observes.
     monitor: bool = False

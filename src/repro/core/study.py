@@ -163,44 +163,7 @@ class StudyResult:
         if self.config.profile_out is not None:
             self.obs.export_profile(self.config.profile_out)
             written.append(self.config.profile_out)
-        if self.config.run_meta is not None:
-            self.write_run_meta(self.config.run_meta)
-            written.append(self.config.run_meta)
         return written
-
-    def write_run_meta(self, path: str) -> None:
-        """Write the run manifest ``repro obs ingest`` keys a run on."""
-        import json
-        from dataclasses import asdict
-
-        from repro.obs.warehouse import (
-            RUN_SCHEMA,
-            config_fingerprint,
-            current_git_commit,
-        )
-
-        config = self.config
-        meta = {
-            "schema": RUN_SCHEMA,
-            "label": f"study-seed{config.seed}",
-            "seed": config.seed,
-            "scale": config.scale,
-            "fingerprint": config_fingerprint(config),
-            "git_commit": current_git_commit(),
-            "config": {
-                k: v if isinstance(v, (int, float, str, bool, type(None))) else repr(v)
-                for k, v in asdict(config).items()
-            },
-            "digests": {"snapshot": self.snapshot.content_digest()},
-            "artifacts": {
-                "trace": config.trace_out,
-                "metrics": config.metrics_out,
-                "profile": config.profile_out,
-            },
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(meta, handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
     # -- lazily computed analysis artifacts --------------------------------
 

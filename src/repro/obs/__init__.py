@@ -138,8 +138,8 @@ class Observability:
 
         The monitor snapshots the metrics registry, so ``monitor=True``
         materializes one even when no ``--metrics-out`` export was
-        requested (the heartbeat samples still reach ``run-report`` and
-        the warehouse through the telemetry's registry).
+        requested (the heartbeat samples still reach ``run-report``
+        through the telemetry's registry).
         """
         if not (trace or metrics or profile or monitor):
             return NULL_OBS

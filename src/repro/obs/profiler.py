@@ -55,8 +55,7 @@ def stage_rows(records: Iterable[dict]) -> List[dict]:
 
 def export_profile(rows: List[dict], path) -> int:
     """Write one ``kind=stage`` JSON object per row, in order (the
-    profile artifact ``--profile-out`` and the warehouse ingest read);
-    returns the line count."""
+    profile artifact ``--profile-out``); returns the line count."""
     with Path(path).open("w", encoding="utf-8") as handle:
         for row in rows:
             handle.write(json.dumps({"kind": "stage", **row}, separators=(",", ":")) + "\n")

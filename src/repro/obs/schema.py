@@ -2,8 +2,8 @@
 
 The trace (``--trace-out``) and metrics (``--metrics-out``) artifacts
 are JSONL: one self-describing object per line.  Downstream tooling —
-the CI observability job, ``run-report``, the run warehouse —
-validates every line against the schemas here before
+the CI observability job, ``run-report``, ``repro obs check`` and
+``repro obs diff`` — validates every line against the schemas here before
 trusting it, so a format drift fails loudly at the artifact boundary
 instead of corrupting a report three tools later.
 
@@ -150,6 +150,11 @@ def validate_metrics_obj(obj: Mapping) -> None:
         if "count" not in obj or "buckets" not in obj:
             raise SchemaError("metric: histogram needs count and buckets")
         _check_pairs(obj, "buckets", "metric")
+        bounds = [bound for bound, _ in obj["buckets"]]
+        if bounds != sorted(bounds):
+            raise SchemaError("metric: histogram bucket bounds must be sorted")
+        if any(count < 0 for _, count in obj["buckets"]) or obj.get("overflow", 0) < 0:
+            raise SchemaError("metric: histogram bucket counts must be non-negative")
     if "samples" in obj:
         _check_pairs(obj, "samples", "metric")
 

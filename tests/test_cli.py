@@ -21,7 +21,7 @@ STUDY_OPTIONS = frozenset({
     "--credential-ttl", "--transport",
     "--clone-strategy", "--clone-families",
     "--trace-out", "--metrics-out", "--profile", "--profile-out",
-    "--run-meta", "--monitor", "--monitor-interval", "--stall-budget",
+    "--monitor", "--monitor-interval", "--stall-budget",
 })
 
 #: Every ``StudyConfig`` field, spelled out for the same reason.
@@ -29,7 +29,7 @@ STUDY_CONFIG_FIELDS = frozenset({
     "seed", "scale", "download_apks", "full_second_crawl", "workers",
     "market_fault_plans", "checkpoint_dir", "resume", "fail_fast",
     "breaker_threshold", "trace_out", "metrics_out", "profile",
-    "profile_out", "run_meta", "monitor", "monitor_interval",
+    "profile_out", "monitor", "monitor_interval",
     "stall_budget", "artifact_cache_dir", "store_backend",
     "store_batch_size", "store_spill_threshold", "store_dir", "hostility",
     "identity_pool", "identity_rotation", "credential_ttl", "transport",
@@ -105,19 +105,16 @@ class TestParser:
         assert args.monitor_interval == 1.0
         assert args.stall_budget == 5.0
         assert args.profile_out is None
-        assert args.run_meta is None
 
     def test_monitor_flags_parse(self):
         args = build_parser().parse_args(
             ["run", "--monitor", "--monitor-interval", "0.5",
-             "--stall-budget", "10", "--profile-out", "p.jsonl",
-             "--run-meta", "r.json"]
+             "--stall-budget", "10", "--profile-out", "p.jsonl"]
         )
         assert args.monitor
         assert args.monitor_interval == 0.5
         assert args.stall_budget == 10.0
         assert args.profile_out == "p.jsonl"
-        assert args.run_meta == "r.json"
 
     def test_serving_flags_default_to_fast_path(self):
         args = build_parser().parse_args(["run"])
@@ -133,11 +130,12 @@ class TestParser:
 
     def test_obs_defaults(self):
         args = build_parser().parse_args(["obs", "diff", "a", "b"])
-        assert args.db == "warehouse.sqlite"
+        assert (args.a, args.b) == ("a", "b")
         assert not args.strict
-        args = build_parser().parse_args(["obs", "check"])
+        args = build_parser().parse_args(["obs", "check", "m.jsonl"])
+        assert args.metrics == "m.jsonl"
         assert args.rules == "slo.toml"
-        assert args.run == "-1"
+        assert args.json is None
         args = build_parser().parse_args(["obs", "flame", "t.jsonl"])
         assert args.trace == "t.jsonl"
         assert args.out is None
@@ -285,92 +283,50 @@ class TestObservabilityCommands:
 class TestObsCommands:
     REPO_SLO = str(Path(__file__).resolve().parents[1] / "slo.toml")
 
-    def _full_run(self, tmp_path, tag="a", seed=5):
-        out = io.StringIO()
-        paths = {
-            kind: tmp_path / f"{kind}-{tag}.jsonl"
-            for kind in ("trace", "metrics", "profile")
-        }
-        meta = tmp_path / f"run-{tag}.json"
-        code = main(
-            ["run", "--scale", "0.0002", "--no-apks", "--seed", str(seed),
-             "--monitor",
-             "--trace-out", str(paths["trace"]),
-             "--metrics-out", str(paths["metrics"]),
-             "--profile-out", str(paths["profile"]),
-             "--run-meta", str(meta)],
-            out=out,
-        )
-        assert code == 0, out.getvalue()
-        return paths, meta
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """Two monitored seed-5 campaigns' artifact paths, run once."""
+        root = tmp_path_factory.mktemp("obs-runs")
+        runs = []
+        for tag in ("a", "b"):
+            out = io.StringIO()
+            paths = {
+                kind: root / f"{kind}-{tag}.jsonl"
+                for kind in ("trace", "metrics", "profile")
+            }
+            code = main(
+                ["run", "--scale", "0.0002", "--no-apks", "--seed", "5",
+                 "--monitor",
+                 "--trace-out", str(paths["trace"]),
+                 "--metrics-out", str(paths["metrics"]),
+                 "--profile-out", str(paths["profile"])],
+                out=out,
+            )
+            assert code == 0, out.getvalue()
+            runs.append(paths)
+        return runs
 
-    def _ingest(self, db, paths, meta):
-        out = io.StringIO()
-        code = main(
-            ["obs", "ingest", "--db", str(db), "--meta", str(meta),
-             "--metrics", str(paths["metrics"]),
-             "--trace", str(paths["trace"]),
-             "--profile", str(paths["profile"])],
-            out=out,
-        )
-        return code, out.getvalue()
-
-    def test_monitored_run_exports_everything(self, tmp_path):
-        import json
-
-        paths, meta = self._full_run(tmp_path)
-        for path in paths.values():
+    def test_monitored_run_exports_everything(self, runs):
+        for path in runs[0].values():
             assert path.exists()
-        manifest = json.loads(meta.read_text())
-        assert manifest["schema"] == "repro.run/1"
-        assert manifest["seed"] == 5
-        assert "snapshot" in manifest["digests"]
-        assert manifest["artifacts"]["trace"] == str(paths["trace"])
 
-    def test_ingest_runs_diff_check_end_to_end(self, tmp_path):
-        db = tmp_path / "wh.sqlite"
-        paths_a, meta_a = self._full_run(tmp_path, tag="a")
-        paths_b, meta_b = self._full_run(tmp_path, tag="b")
-
-        code, text = self._ingest(db, paths_a, meta_a)
-        assert code == 0 and "ingested" in text
-        code, text = self._ingest(db, paths_b, meta_b)
-        assert code == 0
-
-        out = io.StringIO()
-        assert main(["obs", "runs", "--db", str(db)], out=out) == 0
-        assert "study-seed5" in out.getvalue()
-
+    def test_diff_and_check_end_to_end(self, runs):
+        metrics_a, metrics_b = (str(paths["metrics"]) for paths in runs)
         # Two runs of the same seed/config: identical deterministic
         # series, strict diff passes.
         out = io.StringIO()
-        code = main(
-            ["obs", "diff", "--db", str(db), "--strict", "--", "-2", "-1"],
-            out=out,
-        )
+        code = main(["obs", "diff", "--strict", metrics_a, metrics_b], out=out)
         assert code == 0, out.getvalue()
         assert "clean: all deterministic series match" in out.getvalue()
 
         out = io.StringIO()
         code = main(
-            ["obs", "check", "--db", str(db), "--rules", self.REPO_SLO],
-            out=out,
+            ["obs", "check", metrics_b, "--rules", self.REPO_SLO], out=out
         )
         assert code == 0, out.getvalue()
         assert "BREACH" not in out.getvalue()
 
-    def test_reingest_is_a_noop(self, tmp_path):
-        db = tmp_path / "wh.sqlite"
-        paths, meta = self._full_run(tmp_path)
-        assert self._ingest(db, paths, meta)[0] == 0
-        code, text = self._ingest(db, paths, meta)
-        assert code == 0
-        assert "already ingested" in text
-
-    def test_check_exits_nonzero_on_breach(self, tmp_path):
-        db = tmp_path / "wh.sqlite"
-        paths, meta = self._full_run(tmp_path)
-        assert self._ingest(db, paths, meta)[0] == 0
+    def test_check_exits_nonzero_on_breach(self, runs, tmp_path):
         rules = tmp_path / "slo.toml"
         rules.write_text(
             '[[rule]]\nname = "impossible-floor"\nkind = "counter_min"\n'
@@ -378,31 +334,29 @@ class TestObsCommands:
         )
         out = io.StringIO()
         code = main(
-            ["obs", "check", "--db", str(db), "--rules", str(rules)], out=out
+            ["obs", "check", str(runs[0]["metrics"]), "--rules", str(rules)],
+            out=out,
         )
         assert code == 1
         assert "BREACH: impossible-floor" in out.getvalue()
 
-    def test_check_report_is_deterministic(self, tmp_path):
-        db = tmp_path / "wh.sqlite"
-        paths, meta = self._full_run(tmp_path)
-        assert self._ingest(db, paths, meta)[0] == 0
+    def test_check_report_is_deterministic(self, runs):
         renders = []
         for _ in range(2):
             out = io.StringIO()
             assert main(
-                ["obs", "check", "--db", str(db), "--rules", self.REPO_SLO],
+                ["obs", "check", str(runs[0]["metrics"]),
+                 "--rules", self.REPO_SLO],
                 out=out,
             ) == 0
             renders.append(out.getvalue())
         assert renders[0] == renders[1]
 
-    def test_flame_export(self, tmp_path):
-        paths, _ = self._full_run(tmp_path)
+    def test_flame_export(self, runs, tmp_path):
         folded = tmp_path / "trace.folded"
         out = io.StringIO()
         code = main(
-            ["obs", "flame", str(paths["trace"]), "--out", str(folded)],
+            ["obs", "flame", str(runs[0]["trace"]), "--out", str(folded)],
             out=out,
         )
         assert code == 0
@@ -410,22 +364,18 @@ class TestObsCommands:
         assert lines and lines == sorted(lines)
         assert any("crawl.campaign" in line for line in lines)
 
-    def test_bad_rules_file_is_usage_error(self, tmp_path):
-        db = tmp_path / "wh.sqlite"
-        paths, meta = self._full_run(tmp_path)
-        assert self._ingest(db, paths, meta)[0] == 0
+    def test_bad_rules_file_is_usage_error(self, runs, tmp_path):
         assert main(
-            ["obs", "check", "--db", str(db),
+            ["obs", "check", str(runs[0]["metrics"]),
              "--rules", str(tmp_path / "missing.toml")],
             out=io.StringIO(),
         ) == 2
 
-    def test_ingest_rejects_invalid_artifact(self, tmp_path):
+    def test_check_rejects_invalid_artifact(self, tmp_path):
         bad = tmp_path / "metrics.jsonl"
         bad.write_text('{"kind":"summary","name":"x","value":1}\n')
         code = main(
-            ["obs", "ingest", "--db", str(tmp_path / "wh.sqlite"),
-             "--metrics", str(bad)],
+            ["obs", "check", str(bad), "--rules", self.REPO_SLO],
             out=io.StringIO(),
         )
-        assert code == 1
+        assert code == 2
