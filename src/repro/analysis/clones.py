@@ -31,8 +31,9 @@ Candidate pairing for the code-based phase offers three strategies:
   exhaustive reference is a *measured* contract, enforced in the bench
   via :func:`measure_strategy_recall` — but candidate generation is
   fully vectorized, which is what keeps it sub-quadratic in practice on
-  adversarial near-duplicate families.  Signatures fan out over the
-  analysis engine's worker pool and persist in the artifact cache.
+  adversarial near-duplicate families.  Signatures are computed from
+  the residual blocks clone extraction already holds, fanned out over
+  the analysis engine's worker pool, so no APK is read twice.
 * ``"exhaustive"`` — the original inverted-index pair enumeration,
   kept as the reference implementation for benchmarks, superset
   checks, and recall measurement.
@@ -53,7 +54,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.analysis.corpus import AppUnit
-from repro.analysis.engine import INLINE_ENGINE, AnalysisEngine, UnitAnalyzer
+from repro.analysis.engine import INLINE_ENGINE, AnalysisEngine
 from repro.analysis.libraries import LibraryDetection
 from repro.crawler.snapshot import Snapshot
 from repro.util.rng import stable_hash64
@@ -77,9 +78,6 @@ __all__ = [
 ]
 
 UnitKey = Tuple[str, Optional[str]]
-
-#: Bump to invalidate cached MinHash signatures when the algorithm changes.
-MINHASH_VERSION = "1"
 
 #: Default MinHash signature length (k permutations).
 DEFAULT_MINHASH_PERMUTATIONS = 128
@@ -234,7 +232,6 @@ class CloneCorpus:
     residual_blocks: List[Tuple[int, ...]]
     block_sets: List[FrozenSet[int]]
     downloads: List[int]
-    library_digests: FrozenSet[object]
 
 
 @dataclass
@@ -544,7 +541,6 @@ class CodeCloneDetector:
             residual_blocks=[blocks for _, blocks in extracted],
             block_sets=[frozenset(blocks) for _, blocks in extracted],
             downloads=[u.max_downloads or 0 for u in eligible],
-            library_digests=lib_digests,
         )
 
     def detect_extracted(
@@ -622,51 +618,18 @@ class CodeCloneDetector:
     ) -> List[Tuple[int, int]]:
         """MinHash signatures + banded LSH candidate generation.
 
-        Signatures fan out over the engine's worker pool and land in the
-        artifact cache.  A cached signature is a pure function of the
-        APK bytes *given* the library set and the strategy parameters,
-        so the version string folds in the MinHash seed, permutation
-        count, threshold, and a fingerprint of the library digests —
-        any of those changing is a cache miss, never a wrong hit.
+        Each unit is signed from its residual blocks, which extraction
+        already holds, so signing opens no APK.  Signatures fan out over
+        the engine's worker pool.
         """
         bands, rows = derive_lsh_params(
             self.overlap_threshold, self.minhash_permutations
         )
-        num_perm = bands * rows
-        coeffs = _minhash_coeffs(self.minhash_seed, num_perm)
-        lib_fp = stable_hash64(
-            "clone-lib-set", tuple(sorted(map(repr, corpus.library_digests)))
-        )
-        version = (
-            f"{MINHASH_VERSION}-k{num_perm}-s{self.minhash_seed}"
-            f"-t{self.overlap_threshold}-lib{lib_fp:016x}"
-        )
-        lib_digests = corpus.library_digests
-
-        def compute(apk) -> np.ndarray:
-            blocks = [
-                block
-                for pkg in apk.packages
-                if pkg.feature_digest not in lib_digests
-                for block in pkg.blocks
-            ]
-            return minhash_signature(blocks, coeffs)
-
-        def decode(payload: object) -> np.ndarray:
-            sig = np.asarray(payload, dtype=np.uint64)
-            if sig.shape != (num_perm,):
-                raise ValueError("minhash signature shape mismatch")
-            return sig
-
-        minhash = UnitAnalyzer(
-            "clone_minhash",
-            version,
-            compute,
-            encode=lambda sig: [int(v) for v in sig],
-            decode=decode,
-        )
-        [signatures] = engine.map_units_cached(
-            [minhash], corpus.units, stage="analysis.clones.minhash"
+        coeffs = _minhash_coeffs(self.minhash_seed, bands * rows)
+        signatures = engine.map(
+            corpus.residual_blocks,
+            lambda blocks: minhash_signature(blocks, coeffs),
+            stage="analysis.clones.minhash",
         )
         return _lsh_candidate_pairs(signatures, corpus.block_sets, bands, rows)
 

@@ -255,36 +255,22 @@ class AnalysisEngine:
         workers: int = 1,
         cache: Optional[ArtifactCache] = None,
         obs: Observability = NULL_OBS,
-        batch_size: Optional[int] = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.workers = workers
         self.cache = cache
         self.obs = obs
-        #: When set, ``map`` feeds the pool in chunks of this many items
-        #: instead of enqueueing the whole corpus at once — the analysis
-        #: side of the out-of-core contract (results are identical; only
-        #: the number of simultaneously in-flight items changes).
-        self.batch_size = batch_size
         self.parallel_batches = 0
 
     @classmethod
     def from_config(cls, config, obs: Observability = NULL_OBS) -> "AnalysisEngine":
         """Build the engine a :class:`~repro.core.config.StudyConfig` asks for."""
         cache_dir = getattr(config, "artifact_cache_dir", None)
-        batch_size = (
-            getattr(config, "store_batch_size", None)
-            if getattr(config, "store_backend", "memory") == "sqlite"
-            else None
-        )
         return cls(
             workers=getattr(config, "workers", 1),
             cache=ArtifactCache(cache_dir) if cache_dir else None,
             obs=obs,
-            batch_size=batch_size,
         )
 
     @property
@@ -319,11 +305,6 @@ class AnalysisEngine:
 
         ``fn`` must be pure with respect to item order: the serial path
         and every worker width then produce identical output lists.
-
-        With ``batch_size`` set the pool is fed one chunk at a time,
-        each chunk merged in input order before the next is enqueued —
-        so at most ``batch_size`` items are in flight and the output is
-        still bit-identical to the unbatched path.
         """
         items = list(items)
         cm = self.obs.span(stage, n_items=len(items)) if stage else NULL_SPAN
@@ -332,14 +313,7 @@ class AnalysisEngine:
                 return [fn(item) for item in items]
             self.parallel_batches += 1
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                if self.batch_size is None:
-                    return list(pool.map(fn, items))
-                results: List[R] = []
-                for start in range(0, len(items), self.batch_size):
-                    results.extend(
-                        pool.map(fn, items[start : start + self.batch_size])
-                    )
-                return results
+                return list(pool.map(fn, items))
 
     def map_units_cached(
         self,

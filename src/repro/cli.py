@@ -13,7 +13,10 @@ additionally renders the requested tables/figures; ``report`` writes all
 of them to a markdown file.  ``--trace-out`` / ``--metrics-out`` /
 ``--profile`` turn on the observability layer (:mod:`repro.obs`), and
 ``run-report`` re-renders a finished campaign from its exported
-artifacts.
+artifacts.  Every command that reads an artifact (``run-report``,
+``obs check``/``diff``/``flame``) exits 2 when it is missing or
+invalid; 1 is kept for a failed gate (an ``obs check`` breach, a
+``obs diff --strict`` difference).
 """
 
 from __future__ import annotations
@@ -71,10 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--resume", action="store_true",
                        help="replay an existing checkpoint journal instead "
                             "of re-crawling (requires --checkpoint-dir)")
-        p.add_argument("--breaker-threshold", type=int, default=None,
-                       metavar="N",
-                       help="consecutive failures before a market's circuit "
-                            "breaker opens (default: policy default)")
         p.add_argument("--fail-fast", action="store_true",
                        help="abort the study when a market exhausts its "
                             "breaker trip budget (default: complete it "
@@ -92,10 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "full corpus in RAM, 'sqlite' spills record "
                             "families to disk-backed segment tables and "
                             "streams them (digests identical either way)")
-        p.add_argument("--store-batch-size", type=int, default=512,
-                       metavar="N",
-                       help="streaming-cursor batch width for the sqlite "
-                            "backend (records in flight per cursor)")
         p.add_argument("--store-spill-threshold", type=int, default=None,
                        metavar="N",
                        help="record count above which a family spills to "
@@ -116,13 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="client identities per market lane; hostile "
                             "antibot markets ban a lane's current identity "
                             "(default: 4 when --hostility is set, else 0)")
-        p.add_argument("--identity-rotation", default="on_ban",
-                       choices=("on_ban", "round_robin"),
-                       help="identity-rotation mode (default: on_ban)")
-        p.add_argument("--credential-ttl", type=float, default=None,
-                       metavar="DAYS",
-                       help="override hostile markets' session-token TTL "
-                            "in simulated days")
         p.add_argument("--transport", choices=("inprocess", "socket"),
                        default="inprocess",
                        help="how crawl requests reach the markets: "
@@ -151,22 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profile", action="store_true",
                        help="profile pipeline stages (wall time) and "
                             "print the critical-path report")
-        p.add_argument("--profile-out", default=None, metavar="PATH",
-                       help="write the stage profile to PATH (JSONL; "
-                            "implies --profile)")
         p.add_argument("--monitor", action="store_true",
                        help="live campaign monitoring: heartbeat metric "
                             "samples + lane stall watchdog (digest-"
                             "invariant; <=3%% overhead)")
-        p.add_argument("--monitor-interval", type=float, default=1.0,
-                       metavar="DAYS",
-                       help="simulated days of fleet progress between "
-                            "heartbeats (default: 1.0)")
-        p.add_argument("--stall-budget", type=float, default=5.0,
-                       metavar="DAYS",
-                       help="simulated days a lane may advance without "
-                            "frontier progress before the watchdog flags "
-                            "it (default: 5.0)")
 
     run_parser = sub.add_parser("run", help="run a study and print a summary")
     add_study_args(run_parser)
@@ -248,17 +224,12 @@ def _config_from(args: argparse.Namespace) -> StudyConfig:
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
         fail_fast=args.fail_fast,
-        breaker_threshold=args.breaker_threshold,
         trace_out=args.trace_out,
         metrics_out=args.metrics_out,
         profile=args.profile,
-        profile_out=args.profile_out,
         monitor=args.monitor,
-        monitor_interval=args.monitor_interval,
-        stall_budget=args.stall_budget,
         artifact_cache_dir=_artifact_cache_dir(args),
         store_backend=args.store_backend,
-        store_batch_size=args.store_batch_size,
         **(
             {"store_spill_threshold": args.store_spill_threshold}
             if args.store_spill_threshold is not None
@@ -271,8 +242,6 @@ def _config_from(args: argparse.Namespace) -> StudyConfig:
             if args.identity_pool is not None
             else (4 if args.hostility is not None else 0)
         ),
-        identity_rotation=args.identity_rotation,
-        credential_ttl=args.credential_ttl,
         transport=args.transport,
         clone_strategy=args.clone_strategy,
         clone_families=args.clone_families,
@@ -405,7 +374,7 @@ def _cmd_run_report(args, out) -> int:
         # Name the artifact so the operator knows which file to re-export;
         # a schema failure means the artifact, not the renderer, is bad.
         print(f"run-report: invalid artifact: {exc}", file=sys.stderr)
-        return 1
+        return 2
     except OSError as exc:
         path = exc.filename if exc.filename else "artifact"
         print(
@@ -413,7 +382,7 @@ def _cmd_run_report(args, out) -> int:
             f"{type(exc).__name__}: {exc.strerror or exc}",
             file=sys.stderr,
         )
-        return 1
+        return 2
     return 0
 
 
@@ -428,7 +397,7 @@ def _cmd_obs(args, out) -> int:
             records = validate_trace_file(args.trace)
         except (OSError, SchemaError) as exc:
             print(f"obs flame: {args.trace}: {exc}", file=sys.stderr)
-            return 1
+            return 2
         out_path = args.out if args.out else f"{args.trace}.folded"
         count = export_folded(records, out_path)
         print(f"wrote {out_path} ({count} stacks)", file=out)

@@ -68,9 +68,6 @@ class StudyConfig:
     #: ``fail_fast=True`` aborts the study, the default degrades —
     #: the campaign completes with that market marked degraded.
     fail_fast: bool = False
-    #: Override the breaker's consecutive-failure threshold (None keeps
-    #: the default policy).
-    breaker_threshold: Optional[int] = None
     #: Write the campaign's span trace to this JSONL path (None leaves
     #: tracing off — the crawl hot path then costs one ``is None`` test).
     trace_out: Optional[str] = None
@@ -80,16 +77,11 @@ class StudyConfig:
     #: Profile pipeline stages (wall time only) and print the
     #: critical-path report after the run.
     profile: bool = False
-    #: Write the stage profile to this JSONL path (implies profiling).
-    profile_out: Optional[str] = None
     #: Live campaign monitoring: heartbeat gauge samples plus the lane
-    #: stall watchdog.  Digest-invariant — the monitor only observes.
+    #: stall watchdog, at :class:`~repro.obs.monitor.CampaignMonitor`'s
+    #: default interval and stall budget.  Digest-invariant — the
+    #: monitor only observes.
     monitor: bool = False
-    #: Simulated days of fleet progress between heartbeats.
-    monitor_interval: float = 1.0
-    #: Simulated days a lane may advance without frontier progress
-    #: before the watchdog flags it stalled.
-    stall_budget: float = 5.0
     #: Directory of the persistent content-addressed artifact cache
     #: (``(apk_md5, analyzer, version)`` -> result).  ``None`` disables
     #: caching; re-runs then recompute every per-APK artifact.
@@ -101,10 +93,6 @@ class StudyConfig:
     #: streaming cursors; every ``content_digest()`` is bit-identical
     #: between backends (the out-of-core contract, see DESIGN.md).
     store_backend: str = "memory"
-    #: Streaming-cursor batch width for the sqlite backend: how many
-    #: records a cursor (and the analysis engine's worker pool) holds in
-    #: flight at once.
-    store_batch_size: int = 512
     #: Record count above which a family spills to disk.  Small worlds
     #: stay fully in-memory under the sqlite backend, bit-identical to
     #: the memory backend in layout as well as digest.
@@ -121,13 +109,9 @@ class StudyConfig:
     #: :class:`~repro.markets.profiles.MarketProfile` declares.
     hostility: Optional[str] = None
     #: Client identities per market lane (0 disables identity rotation;
-    #: hostile antibot markets then ban the lane's single identity).
+    #: hostile antibot markets then ban the lane's single identity).  A
+    #: lane rotates to its next unbanned identity when one is banned.
     identity_pool: int = 0
-    #: Identity-rotation mode (:data:`repro.net.identity.ROTATION_MODES`).
-    identity_rotation: str = "on_ban"
-    #: Override hostile markets' session-token TTL in simulated days
-    #: (None keeps each policy's own TTL).
-    credential_ttl: Optional[float] = None
     #: How crawl requests reach the market servers.  ``"inprocess"``
     #: (default) calls ``server.handle`` directly — the fast path.
     #: ``"socket"`` stands up a :class:`~repro.serving.ServingTier`
@@ -154,18 +138,10 @@ class StudyConfig:
             raise ValueError(f"workers must be positive, got {self.workers}")
         if self.resume and not self.checkpoint_dir:
             raise ValueError("resume requires checkpoint_dir")
-        if self.breaker_threshold is not None and self.breaker_threshold < 1:
-            raise ValueError(
-                f"breaker_threshold must be positive, got {self.breaker_threshold}"
-            )
         if self.store_backend not in ("memory", "sqlite"):
             raise ValueError(
                 f"store_backend must be 'memory' or 'sqlite', "
                 f"got {self.store_backend!r}"
-            )
-        if self.store_batch_size < 1:
-            raise ValueError(
-                f"store_batch_size must be positive, got {self.store_batch_size}"
             )
         if self.store_spill_threshold < 0:
             raise ValueError(
@@ -173,22 +149,12 @@ class StudyConfig:
                 f"got {self.store_spill_threshold}"
             )
         from repro.markets.hostility import HostilityPolicy
-        from repro.net.identity import ROTATION_MODES
 
         if self.hostility is not None and self.hostility != "profile":
             HostilityPolicy.from_spec(self.hostility)  # validates the spec
         if self.identity_pool < 0:
             raise ValueError(
                 f"identity_pool must be non-negative, got {self.identity_pool}"
-            )
-        if self.identity_rotation not in ROTATION_MODES:
-            raise ValueError(
-                f"identity_rotation must be one of {ROTATION_MODES}, "
-                f"got {self.identity_rotation!r}"
-            )
-        if self.credential_ttl is not None and self.credential_ttl <= 0:
-            raise ValueError(
-                f"credential_ttl must be positive, got {self.credential_ttl}"
             )
         if self.transport not in ("inprocess", "socket"):
             raise ValueError(
@@ -207,12 +173,4 @@ class StudyConfig:
             raise ValueError(
                 f"clone_families must be one of {RepackagingModel.PROFILES}, "
                 f"got {self.clone_families!r}"
-            )
-        if self.monitor_interval <= 0:
-            raise ValueError(
-                f"monitor_interval must be positive, got {self.monitor_interval}"
-            )
-        if self.stall_budget <= 0:
-            raise ValueError(
-                f"stall_budget must be positive, got {self.stall_budget}"
             )

@@ -61,7 +61,6 @@ from repro.markets.profiles import GOOGLE_PLAY, get_profile
 from repro.markets.removal_apply import apply_store_removals
 from repro.markets.server import MarketServer
 from repro.markets.store import MarketStore, build_stores
-from repro.net.breaker import DEFAULT_BREAKER_POLICY, BreakerPolicy
 from repro.net.identity import IdentityPolicy
 from repro.obs import NULL_OBS, Observability
 from repro.util.rng import RngFactory, stable_hash32
@@ -132,13 +131,7 @@ class StudyResult:
         telemetry = self.telemetry
         if telemetry is None:
             return "no crawl telemetry recorded"
-        report = telemetry.stats_report()
-        degraded = self.degraded_markets
-        if degraded and not telemetry.degraded_markets():
-            # Belt and braces: health normally rides on the telemetry,
-            # but a loaded snapshot may carry it alone.
-            report += "\ndegraded markets: " + ", ".join(degraded)
-        return report
+        return telemetry.stats_report()
 
     @property
     def degraded_markets(self) -> List[str]:
@@ -160,9 +153,6 @@ class StudyResult:
         if self.config.metrics_out is not None:
             self.obs.export_metrics(self.config.metrics_out)
             written.append(self.config.metrics_out)
-        if self.config.profile_out is not None:
-            self.obs.export_profile(self.config.profile_out)
-            written.append(self.config.profile_out)
         return written
 
     # -- lazily computed analysis artifacts --------------------------------
@@ -297,10 +287,8 @@ class Study:
         self.obs = obs if obs is not None else Observability.from_flags(
             trace=self.config.trace_out is not None,
             metrics=self.config.metrics_out is not None,
-            profile=self.config.profile or self.config.profile_out is not None,
+            profile=self.config.profile,
             monitor=self.config.monitor,
-            monitor_interval=self.config.monitor_interval,
-            stall_budget=self.config.stall_budget,
         )
 
     def _gp_seeds(self, stores: Mapping[str, MarketStore], clock: SimClock) -> List[str]:
@@ -313,40 +301,20 @@ class Study:
             if stable_hash32("privacygrade", listing.package) % 10_000 < cutoff
         ]
 
-    def _breaker_policy(self) -> BreakerPolicy:
-        from dataclasses import replace
-
-        policy = DEFAULT_BREAKER_POLICY
-        if self.config.breaker_threshold is not None:
-            policy = replace(policy, failure_threshold=self.config.breaker_threshold)
-        return policy
-
     def _hostility_policy(self, market_id: str) -> Optional[HostilityPolicy]:
         """Resolve one market's hostility behaviors from the config."""
-        from dataclasses import replace
-
-        config = self.config
-        spec = config.hostility
+        spec = self.config.hostility
         if spec is None:
             return None
         if spec == "profile":
             behaviors = get_profile(market_id).hostility
-            policy = (
-                HostilityPolicy.for_behaviors(behaviors) if behaviors else None
-            )
-        else:
-            policy = HostilityPolicy.from_spec(spec)
-        if policy is not None and config.credential_ttl is not None:
-            policy = replace(policy, token_ttl=config.credential_ttl)
-        return policy
+            return HostilityPolicy.for_behaviors(behaviors) if behaviors else None
+        return HostilityPolicy.from_spec(spec)
 
     def _identity_policy(self) -> Optional[IdentityPolicy]:
         if self.config.identity_pool <= 0:
             return None
-        return IdentityPolicy(
-            size=self.config.identity_pool,
-            rotation=self.config.identity_rotation,
-        )
+        return IdentityPolicy(size=self.config.identity_pool)
 
     def run(self) -> StudyResult:
         config = self.config
@@ -422,7 +390,6 @@ class Study:
                 workers=config.workers,
                 journal=journal,
                 fail_fast=config.fail_fast,
-                breaker_policy=self._breaker_policy(),
                 obs=obs,
                 corpus=corpus,
                 identity_policy=self._identity_policy(),

@@ -61,13 +61,6 @@ class DeadLetter:
     key: str
     reason: str
 
-    def to_doc(self) -> List[str]:
-        return [self.market_id, self.kind, self.key, self.reason]
-
-    @classmethod
-    def from_doc(cls, doc) -> "DeadLetter":
-        return cls(*(str(part) for part in doc))
-
 
 @dataclass
 class MarketHealth:
@@ -89,25 +82,6 @@ class MarketHealth:
     @property
     def ok(self) -> bool:
         return self.status == HEALTH_OK
-
-    def to_doc(self) -> Dict[str, object]:
-        return {
-            "market": self.market_id,
-            "status": self.status,
-            "completed": self.completed,
-            "degraded": self.degraded,
-            "quarantined": self.quarantined,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, object]) -> "MarketHealth":
-        return cls(
-            market_id=str(doc["market"]),
-            status=str(doc["status"]),
-            completed=int(doc["completed"]),  # type: ignore[arg-type]
-            degraded=int(doc["degraded"]),  # type: ignore[arg-type]
-            quarantined=int(doc["quarantined"]),  # type: ignore[arg-type]
-        )
 
 
 @dataclass
@@ -471,12 +445,6 @@ class Snapshot:
     def degraded_markets(self) -> List[str]:
         """Markets the campaign completed without (breaker-quarantined)."""
         return sorted(m for m, h in self.health.items() if not h.ok)
-
-    def market_health(self, market_id: str) -> MarketHealth:
-        health = self.health.get(market_id)
-        if health is None:
-            return MarketHealth(market_id, completed=self.market_size(market_id))
-        return health
 
     # -- streaming cursors -------------------------------------------------
 

@@ -338,10 +338,6 @@ class LibraryCatalog:
             raise KeyError(f"unknown library {package!r}") from None
 
     @property
-    def ad_libraries(self) -> List[Library]:
-        return [lib for lib in self._libraries if lib.is_ad]
-
-    @property
     def aggressive_libraries(self) -> List[Library]:
         return [lib for lib in self._libraries if lib.is_aggressive]
 

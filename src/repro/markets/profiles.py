@@ -111,10 +111,6 @@ class MarketProfile:
     def is_google_play(self) -> bool:
         return self.market_id == GOOGLE_PLAY
 
-    @property
-    def is_chinese(self) -> bool:
-        return not self.is_google_play
-
     def __post_init__(self) -> None:
         if len(self.download_bin_shares) != len(DOWNLOAD_BIN_LABELS):
             raise ValueError(

@@ -24,9 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.util.rng import stable_hash64
 
-__all__ = ["Identity", "IdentityPolicy", "IdentityPool", "ROTATION_MODES"]
-
-ROTATION_MODES = ("on_ban", "round_robin")
+__all__ = ["Identity", "IdentityPolicy", "IdentityPool"]
 
 #: UA templates the pool draws from (version digits vary per identity).
 _UA_TEMPLATES = (
@@ -52,26 +50,17 @@ class Identity:
 class IdentityPolicy:
     """How a lane's identity pool rotates.
 
-    ``on_ban`` rotates only when the current identity gets banned;
-    ``round_robin`` additionally advances every ``rotate_every``
-    requests.  ``cooldown`` is the minimum sim-day rest a banned
-    identity serves even when the server's ban window is shorter.
+    A lane rotates only when its current identity gets banned.
+    ``cooldown`` is the minimum sim-day rest a banned identity serves
+    even when the server's ban window is shorter.
     """
 
     size: int = 4
-    rotation: str = "on_ban"
-    rotate_every: int = 50
     cooldown: float = 0.05
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError(f"identity pool size must be >= 1, got {self.size}")
-        if self.rotation not in ROTATION_MODES:
-            raise ValueError(
-                f"unknown rotation mode {self.rotation!r}; valid: {ROTATION_MODES}"
-            )
-        if self.rotate_every < 1:
-            raise ValueError("rotate_every must be >= 1")
         if self.cooldown < 0:
             raise ValueError("cooldown must be non-negative")
 
@@ -106,7 +95,6 @@ class IdentityPool:
             for index in range(policy.size)
         ]
         self._current = 0
-        self._checkouts = 0
         self._banned_until: List[float] = [-1.0] * policy.size
         self.rotations = 0
         self.bans_recorded = 0
@@ -125,20 +113,13 @@ class IdentityPool:
 
     def checkout(self, now: float) -> Tuple[Identity, bool]:
         """The identity for the next request; True when this checkout
-        rotated (round-robin cadence or the current identity is still
-        serving a ban it can now dodge)."""
+        rotated (the current identity is still serving a ban it can now
+        dodge)."""
         rotated = False
-        if (
-            self.policy.rotation == "round_robin"
-            and self._checkouts
-            and self._checkouts % self.policy.rotate_every == 0
-        ):
-            rotated = self._advance(now)
-        elif now < self._banned_until[self._current]:
+        if now < self._banned_until[self._current]:
             # Current identity is mid-ban (e.g. after a resume cut):
             # try to dodge before the request rather than eat the 403.
             rotated = self._advance(now)
-        self._checkouts += 1
         return self._identities[self._current], rotated
 
     def ban_current(self, now: float, retry_after: Optional[float]) -> None:
@@ -178,15 +159,15 @@ class IdentityPool:
     def export_state(self) -> dict:
         return {
             "current": self._current,
-            "checkouts": self._checkouts,
             "banned_until": list(self._banned_until),
             "rotations": self.rotations,
             "bans_recorded": self.bans_recorded,
         }
 
     def restore_state(self, state: dict) -> None:
+        # A journal from before on-ban became the only rotation also
+        # carries a ``checkouts`` count; nothing reads it now.
         self._current = int(state["current"]) % self.size
-        self._checkouts = int(state["checkouts"])
         banned = [float(x) for x in state["banned_until"]]
         # Tolerate a policy-size change across resume: pad/truncate.
         banned = (banned + [-1.0] * self.size)[: self.size]

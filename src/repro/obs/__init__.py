@@ -40,17 +40,8 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.monitor import (
-    DEFAULT_HEARTBEAT_INTERVAL,
-    DEFAULT_STALL_BUDGET,
-    CampaignMonitor,
-)
-from repro.obs.profiler import (
-    STAGE_PREFIX,
-    export_profile,
-    render_profile,
-    stage_rows,
-)
+from repro.obs.monitor import CampaignMonitor
+from repro.obs.profiler import STAGE_PREFIX, render_profile, stage_rows
 from repro.obs.trace import NULL_SPAN, NullSpan, Span, SpanTracer
 
 __all__ = [
@@ -131,8 +122,6 @@ class Observability:
         metrics: bool = False,
         profile: bool = False,
         monitor: bool = False,
-        monitor_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        stall_budget: float = DEFAULT_STALL_BUDGET,
     ) -> "Observability":
         """Recorders for exactly what was asked; NULL_OBS when nothing.
 
@@ -149,16 +138,7 @@ class Observability:
             tracer=tracer,
             metrics=registry,
             profile=profile,
-            monitor=(
-                CampaignMonitor(
-                    registry,
-                    tracer=tracer,
-                    interval=monitor_interval,
-                    stall_budget=stall_budget,
-                )
-                if monitor
-                else None
-            ),
+            monitor=CampaignMonitor(registry, tracer=tracer) if monitor else None,
         )
 
     # -- recording ---------------------------------------------------------
@@ -215,11 +195,6 @@ class Observability:
         if self.stage_tracer is None:
             return []
         return stage_rows(self.stage_tracer.records())
-
-    def export_profile(self, path) -> int:
-        if self.stage_tracer is None:
-            raise ValueError("profiling is not enabled on this run")
-        return export_profile(self.stage_rows(), path)
 
     def profile_report(self, telemetry=None) -> str:
         if self.stage_tracer is None:

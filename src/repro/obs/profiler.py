@@ -8,7 +8,8 @@ span (:meth:`repro.obs.Observability.stage`), so it nests wherever the
 context puts it — under the experiment pool's ``experiments.run_all``
 stage on a pool thread, under ``crawl.first`` when an analysis artifact
 is forced lazily — and the stage table is derived from the recorded
-spans by :func:`stage_rows`.
+spans by :func:`stage_rows`.  An exported trace holds the same spans,
+so ``repro run-report --trace`` prints the same table offline.
 
 ``render_profile()`` renders the stage table plus the critical path:
 the slowest stage by wall time and — when given the campaign telemetry
@@ -19,11 +20,9 @@ a whole (the end-to-end benchmark's peak RSS), not per stage.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Iterable, List, Optional
 
-__all__ = ["STAGE_PREFIX", "stage_rows", "render_profile", "export_profile"]
+__all__ = ["STAGE_PREFIX", "stage_rows", "render_profile"]
 
 #: Span-name prefix that marks a pipeline stage.
 STAGE_PREFIX = "stage."
@@ -51,15 +50,6 @@ def stage_rows(records: Iterable[dict]) -> List[dict]:
             "depth": depth,
         })
     return rows
-
-
-def export_profile(rows: List[dict], path) -> int:
-    """Write one ``kind=stage`` JSON object per row, in order (the
-    profile artifact ``--profile-out``); returns the line count."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps({"kind": "stage", **row}, separators=(",", ":")) + "\n")
-    return len(rows)
 
 
 def render_profile(rows: List[dict], telemetry=None) -> str:

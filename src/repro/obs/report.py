@@ -10,8 +10,11 @@ the same view class, over the same series names.  A number in this
 report can therefore never disagree with the one the operator saw.
 
 The trace section summarizes the span tree (count / total / max wall
-per span name) and replays the breaker's state-transition events, which
-is usually the fastest way to see *why* a campaign degraded.
+per span name), prints the stage table ``--profile`` prints live (read
+off the trace's ``stage.*`` spans by the same
+:func:`~repro.obs.profiler.stage_rows`), and replays the breaker's
+state-transition events, which is usually the fastest way to see *why*
+a campaign degraded.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Dict, List, Optional, Set, Union
 
 from repro.obs import counts_from_spans
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.profiler import render_profile, stage_rows
 from repro.obs.schema import (
     HOSTILITY_EVENTS,
     validate_metrics_file,
@@ -131,6 +135,10 @@ def _trace_section(records: List[dict]) -> List[str]:
         for name in sorted(summary, key=lambda n: -summary[n][1]):
             count, total, peak = summary[name]
             lines.append(f"{name:<22}{count:>8}{total:>11.3f}{peak:>10.3f}")
+    stages = stage_rows(records)
+    if stages:
+        lines.append("")
+        lines.extend(render_profile(stages).splitlines())
     failed: Dict[str, int] = {}
     for record in records:
         if record.get("kind") == "span" and record.get("status") != "ok":

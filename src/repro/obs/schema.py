@@ -22,10 +22,8 @@ __all__ = [
     "HOSTILITY_EVENTS",
     "validate_trace_obj",
     "validate_metrics_obj",
-    "validate_profile_obj",
     "validate_trace_file",
     "validate_metrics_file",
-    "validate_profile_file",
     "load_jsonl",
 ]
 
@@ -78,15 +76,6 @@ METRICS_FIELDS: FieldSpec = {
 }
 
 METRIC_KINDS = ("counter", "gauge", "histogram")
-
-PROFILE_FIELDS: FieldSpec = {
-    "kind": (True, (str,)),
-    "name": (True, (str,)),
-    "wall_seconds": (True, NUMBER),
-    # Written by profiles from before stages became wall-only.
-    "peak_bytes": (False, (int,)),
-    "depth": (True, (int,)),
-}
 
 #: Event names the hostile-market scenario pack emits (``kind=event``
 #: trace lines).  The validator does not whitelist event names — any
@@ -159,15 +148,6 @@ def validate_metrics_obj(obj: Mapping) -> None:
         _check_pairs(obj, "samples", "metric")
 
 
-def validate_profile_obj(obj: Mapping) -> None:
-    """Validate one profile-artifact line (a stage record)."""
-    _check_fields(obj, PROFILE_FIELDS, "stage")
-    if obj["kind"] != "stage":
-        raise SchemaError(f"profile line: kind must be stage, got {obj['kind']!r}")
-    if obj["depth"] < 0 or obj.get("peak_bytes", 0) < 0:
-        raise SchemaError("stage: depth and peak_bytes must be non-negative")
-
-
 def load_jsonl(path: Union[str, Path]) -> List[dict]:
     """Load a JSONL artifact (no validation)."""
     docs: List[dict] = []
@@ -201,7 +181,3 @@ def validate_metrics_file(path: Union[str, Path]) -> List[dict]:
     """Load and validate a metrics artifact; returns its series."""
     return _validate_file(path, validate_metrics_obj)
 
-
-def validate_profile_file(path: Union[str, Path]) -> List[dict]:
-    """Load and validate a profile artifact; returns its stage records."""
-    return _validate_file(path, validate_profile_obj)

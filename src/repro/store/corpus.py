@@ -153,7 +153,6 @@ class CorpusStore:
             root = Path(config.checkpoint_dir) / "store"
         return cls(
             root,
-            batch_size=getattr(config, "store_batch_size", DEFAULT_BATCH_SIZE),
             spill_threshold=getattr(
                 config, "store_spill_threshold", DEFAULT_SPILL_THRESHOLD
             ),

@@ -13,26 +13,21 @@ from repro.experiments import EXPERIMENT_IDS
 #: shows up here as a visible diff (``--help`` excluded).
 STUDY_OPTIONS = frozenset({
     "--seed", "--scale", "--no-apks", "--full-second-crawl", "--workers",
-    "--checkpoint-dir", "--resume", "--breaker-threshold", "--fail-fast",
+    "--checkpoint-dir", "--resume", "--fail-fast",
     "--artifact-cache", "--no-artifact-cache",
-    "--store-backend", "--store-batch-size", "--store-spill-threshold",
-    "--store-dir",
-    "--hostility", "--identity-pool", "--identity-rotation",
-    "--credential-ttl", "--transport",
+    "--store-backend", "--store-spill-threshold", "--store-dir",
+    "--hostility", "--identity-pool", "--transport",
     "--clone-strategy", "--clone-families",
-    "--trace-out", "--metrics-out", "--profile", "--profile-out",
-    "--monitor", "--monitor-interval", "--stall-budget",
+    "--trace-out", "--metrics-out", "--profile", "--monitor",
 })
 
 #: Every ``StudyConfig`` field, spelled out for the same reason.
 STUDY_CONFIG_FIELDS = frozenset({
     "seed", "scale", "download_apks", "full_second_crawl", "workers",
     "market_fault_plans", "checkpoint_dir", "resume", "fail_fast",
-    "breaker_threshold", "trace_out", "metrics_out", "profile",
-    "profile_out", "monitor", "monitor_interval",
-    "stall_budget", "artifact_cache_dir", "store_backend",
-    "store_batch_size", "store_spill_threshold", "store_dir", "hostility",
-    "identity_pool", "identity_rotation", "credential_ttl", "transport",
+    "trace_out", "metrics_out", "profile", "monitor",
+    "artifact_cache_dir", "store_backend", "store_spill_threshold",
+    "store_dir", "hostility", "identity_pool", "transport",
     "clone_strategy", "clone_families",
 })
 
@@ -44,6 +39,7 @@ class TestOptionSurface:
         from repro import StudyConfig
 
         assert {f.name for f in fields(StudyConfig)} == STUDY_CONFIG_FIELDS
+        assert len(STUDY_CONFIG_FIELDS) == 22
 
     def test_study_subcommand_options(self):
         import argparse
@@ -60,6 +56,7 @@ class TestOptionSurface:
                 for option in action.option_strings
             } - {"-h", "--help"}
             assert options == STUDY_OPTIONS | own, name
+        assert len(STUDY_OPTIONS) == 22
 
 
 class TestParser:
@@ -102,19 +99,10 @@ class TestParser:
     def test_monitor_flags_default_off(self):
         args = build_parser().parse_args(["run"])
         assert not args.monitor
-        assert args.monitor_interval == 1.0
-        assert args.stall_budget == 5.0
-        assert args.profile_out is None
 
     def test_monitor_flags_parse(self):
-        args = build_parser().parse_args(
-            ["run", "--monitor", "--monitor-interval", "0.5",
-             "--stall-budget", "10", "--profile-out", "p.jsonl"]
-        )
+        args = build_parser().parse_args(["run", "--monitor"])
         assert args.monitor
-        assert args.monitor_interval == 0.5
-        assert args.stall_budget == 10.0
-        assert args.profile_out == "p.jsonl"
 
     def test_serving_flags_default_to_fast_path(self):
         args = build_parser().parse_args(["run"])
@@ -267,12 +255,12 @@ class TestObservabilityCommands:
     def test_run_report_rejects_bad_artifact(self, tmp_path):
         bad = tmp_path / "trace.jsonl"
         bad.write_text('{"kind":"span","name":"x"}\n')
-        assert main(["run-report", "--trace", str(bad)], out=io.StringIO()) == 1
+        assert main(["run-report", "--trace", str(bad)], out=io.StringIO()) == 2
 
     def test_run_report_missing_file_is_an_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
         assert main(["run-report", "--trace", str(missing)],
-                    out=io.StringIO()) == 1
+                    out=io.StringIO()) == 2
         # The error names the artifact and the failure class, not just
         # a bare strerror.
         err = capsys.readouterr().err
@@ -292,14 +280,13 @@ class TestObsCommands:
             out = io.StringIO()
             paths = {
                 kind: root / f"{kind}-{tag}.jsonl"
-                for kind in ("trace", "metrics", "profile")
+                for kind in ("trace", "metrics")
             }
             code = main(
                 ["run", "--scale", "0.0002", "--no-apks", "--seed", "5",
                  "--monitor",
                  "--trace-out", str(paths["trace"]),
-                 "--metrics-out", str(paths["metrics"]),
-                 "--profile-out", str(paths["profile"])],
+                 "--metrics-out", str(paths["metrics"])],
                 out=out,
             )
             assert code == 0, out.getvalue()
@@ -363,6 +350,27 @@ class TestObsCommands:
         lines = folded.read_text().splitlines()
         assert lines and lines == sorted(lines)
         assert any("crawl.campaign" in line for line in lines)
+
+    def test_run_report_prints_the_trace_stage_table(self, runs):
+        out = io.StringIO()
+        code = main(["run-report", "--trace", str(runs[0]["trace"])], out=out)
+        assert code == 0
+        text = out.getvalue()
+        assert "stage profile" in text
+        assert "critical path: slowest stage" in text
+        table = text.split("stage profile", 1)[1]
+        assert "ecosystem" in table and "crawl.first" in table
+
+    @pytest.mark.parametrize("content", [None, '{"kind":"span","name":"x"}\n'],
+                             ids=["missing", "invalid"])
+    def test_flame_rejects_bad_artifact(self, content, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        if content is not None:
+            trace.write_text(content)
+        code = main(["obs", "flame", str(trace)], out=io.StringIO())
+        assert code == 2
+        assert str(trace) in capsys.readouterr().err
+        assert not (tmp_path / "trace.jsonl.folded").exists()
 
     def test_bad_rules_file_is_usage_error(self, runs, tmp_path):
         assert main(

@@ -107,7 +107,7 @@ class TestConvergence:
         hostility = hostile_everywhere(polite.markets())
         snapshot, servers = crawl_once(
             world, hostility=hostility,
-            identity_policy=IdentityPolicy(size=4, rotation="on_ban"),
+            identity_policy=IdentityPolicy(size=4),
         )
         assert snapshot.content_digest() == polite.content_digest()
         assert not snapshot.dead_letters
@@ -121,22 +121,13 @@ class TestConvergence:
 
     def test_workers_do_not_change_the_digest(self, world, polite):
         hostility = hostile_everywhere(polite.markets())
-        policy = IdentityPolicy(size=4, rotation="on_ban")
+        policy = IdentityPolicy(size=4)
         one, _ = crawl_once(world, hostility=hostility, identity_policy=policy,
                             workers=1)
         eight, _ = crawl_once(world, hostility=hostility, identity_policy=policy,
                               workers=8)
         assert one.content_digest() == eight.content_digest()
         assert one.content_digest() == polite.content_digest()
-
-    def test_round_robin_rotation_also_converges(self, world, polite):
-        hostility = hostile_everywhere(polite.markets())
-        snapshot, _ = crawl_once(
-            world, hostility=hostility,
-            identity_policy=IdentityPolicy(size=4, rotation="round_robin",
-                                           rotate_every=7),
-        )
-        assert snapshot.content_digest() == polite.content_digest()
 
 
 class TestPackageListMarket:
@@ -163,7 +154,7 @@ class TestFullyHostileAcceptance:
         hostility = hostile_everywhere(
             polite.markets(), behaviors=("auth", "binary", "antibot", "package_list")
         )
-        policy = IdentityPolicy(size=4, rotation="on_ban")
+        policy = IdentityPolicy(size=4)
         hostile, servers = crawl_once(
             world, hostility=hostility, identity_policy=policy
         )
@@ -226,7 +217,7 @@ class TestKillAndResumeMidBan:
             m: HostilityPolicy.for_behaviors(("auth", "antibot"), **TIGHT)
             for m in ("baidu", "market360")
         }
-        policy = IdentityPolicy(size=2, rotation="on_ban")
+        policy = IdentityPolicy(size=2)
         ref_root = tmp_path / "ref"
         reference, _ = crawl_once(
             world, hostility=hostility, identity_policy=policy, root=ref_root

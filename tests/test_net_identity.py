@@ -3,27 +3,17 @@
 import pytest
 
 from repro.net.credentials import CredentialManager
-from repro.net.identity import (
-    Identity,
-    IdentityPolicy,
-    IdentityPool,
-    ROTATION_MODES,
-)
+from repro.net.identity import IdentityPolicy, IdentityPool
 
 
 class TestIdentityPolicy:
     def test_defaults(self):
         policy = IdentityPolicy()
         assert policy.size == 4
-        assert policy.rotation == "on_ban"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             IdentityPolicy(size=0)
-        with pytest.raises(ValueError):
-            IdentityPolicy(rotation="random")
-        with pytest.raises(ValueError):
-            IdentityPolicy(rotate_every=0)
         with pytest.raises(ValueError):
             IdentityPolicy(cooldown=-1.0)
 
@@ -62,8 +52,7 @@ class TestDerivation:
 
 class TestOnBanRotation:
     def make_pool(self, size=3):
-        return IdentityPool("m", IdentityPolicy(size=size, rotation="on_ban",
-                                                cooldown=0.05), seed=7)
+        return IdentityPool("m", IdentityPolicy(size=size, cooldown=0.05), seed=7)
 
     def test_stays_put_without_bans(self):
         pool = self.make_pool()
@@ -109,30 +98,6 @@ class TestOnBanRotation:
         assert pool._banned_until[pool.current_index] <= 0.5
 
 
-class TestRoundRobinRotation:
-    def test_advances_every_n_checkouts(self):
-        pool = IdentityPool(
-            "m", IdentityPolicy(size=3, rotation="round_robin", rotate_every=5),
-            seed=7,
-        )
-        slots = [pool.checkout(0.0)[0] for _ in range(15)]
-        assert len(set(slots[:5])) == 1
-        assert slots[5] != slots[4]
-        assert slots[10] != slots[9]
-        assert pool.rotations == 2
-
-    def test_skips_banned_slots(self):
-        pool = IdentityPool(
-            "m", IdentityPolicy(size=3, rotation="round_robin", rotate_every=1),
-            seed=7,
-        )
-        pool.checkout(0.0)
-        pool.ban_current(0.0, retry_after=10.0)
-        seen = {pool.checkout(0.0)[0] for _ in range(6)}
-        assert pool._identities[0] not in seen if pool._banned_until[0] > 0 else True
-        assert all(pool._banned_until[pool._identities.index(i)] <= 0 for i in seen)
-
-
 class TestPoolStateRoundTrip:
     def test_export_restore(self):
         pool = IdentityPool("m", IdentityPolicy(size=3), seed=9)
@@ -146,6 +111,19 @@ class TestPoolStateRoundTrip:
         assert clone.export_state() == state
         assert clone.current == pool.current
         assert clone.earliest_release(0.0) == pool.earliest_release(0.0)
+
+    def test_restore_ignores_a_journaled_checkout_count(self):
+        # Journals written while round-robin rotation existed carry a
+        # ``checkouts`` count in the pool state.
+        pool = IdentityPool("m", IdentityPolicy(size=3), seed=9)
+        pool.ban_current(0.0, retry_after=0.4)
+        pool.rotate_to_available(0.0)
+        state = pool.export_state()
+        assert "checkouts" not in state
+
+        clone = IdentityPool("m", IdentityPolicy(size=3), seed=9)
+        clone.restore_state({**state, "checkouts": 57})
+        assert clone.export_state() == state
 
     def test_restore_pads_on_size_change(self):
         old = IdentityPool("m", IdentityPolicy(size=2), seed=9)

@@ -202,7 +202,10 @@ class TestMonitoredCrawl:
             ) if m != "baidu" else FaultPlan.blackout(FIRST_CRAWL_DAY, 20.0))
             for m, store in build_stores(world).items()
         }
-        obs = Observability.from_flags(monitor=True, monitor_interval=0.02)
+        registry = MetricsRegistry()
+        obs = Observability(
+            metrics=registry, monitor=CampaignMonitor(registry, interval=0.02)
+        )
         coordinator = CrawlCoordinator(
             servers, clock, download_apks=False, workers=1, obs=obs
         )

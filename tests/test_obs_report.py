@@ -9,7 +9,6 @@ from repro.obs.report import render_run_report
 from repro.obs.schema import (
     SchemaError,
     validate_metrics_obj,
-    validate_profile_obj,
     validate_trace_obj,
 )
 
@@ -83,16 +82,6 @@ class TestMetricsSchema:
     def test_bad_sample_pair(self):
         with pytest.raises(SchemaError, match="samples"):
             validate_metrics_obj(_metric(kind="gauge", samples=[[1.0]]))
-
-
-class TestProfileSchema:
-    def test_peak_bytes_is_optional(self):
-        # Stage rows are wall-only; older profiles still carry a peak.
-        stage = {"kind": "stage", "name": "crawl", "wall_seconds": 0.5, "depth": 0}
-        validate_profile_obj(stage)
-        validate_profile_obj({**stage, "peak_bytes": 1024})
-        with pytest.raises(SchemaError, match="non-negative"):
-            validate_profile_obj({**stage, "peak_bytes": -1})
 
 
 class TestRenderRunReport:

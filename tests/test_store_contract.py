@@ -32,7 +32,7 @@ from repro.experiments.runner import (
 )
 from repro.store import CorpusStore, SpilledAppList
 from repro.store.blobs import BlobVault
-from repro.store.columnar import ColumnStore, StoreError
+from repro.store.columnar import DEFAULT_BATCH_SIZE, ColumnStore, StoreError
 from repro.util.rng import stable_hash64
 
 from conftest import make_parsed, make_record
@@ -371,7 +371,6 @@ class TestStudyContract:
                 **self.CFG,
                 store_backend="sqlite",
                 store_spill_threshold=0,
-                store_batch_size=32,
                 store_dir=str(tmp_path_factory.mktemp("corpus")),
                 workers=2,
             )
@@ -381,11 +380,14 @@ class TestStudyContract:
     def test_world_digests_equal(self, pair):
         memory, sqlite = pair
         assert sqlite.world.spilled
+        # Cursors cross page boundaries: more rows than one batch.
+        assert len(sqlite.world.apps) > DEFAULT_BATCH_SIZE
         assert memory.world.content_digest() == sqlite.world.content_digest()
 
     def test_snapshot_digests_equal(self, pair):
         memory, sqlite = pair
         assert sqlite.snapshot.spilled
+        assert len(sqlite.snapshot) > DEFAULT_BATCH_SIZE
         assert memory.snapshot.content_digest() == sqlite.snapshot.content_digest()
 
     def test_units_equal(self, pair):
@@ -493,3 +495,26 @@ class TestVaultLoadBudget:
             records += result.snapshot.in_market(market)
         assert parses["decode"] == len(records) == 2 * len(result.snapshot) > 0
         assert parses["json"] == 0
+
+
+def test_minhash_clones_read_each_blob_once(tmp_path, monkeypatch):
+    """MinHash signs the residual blocks clone extraction already holds,
+    so under ``clone_strategy="minhash"`` code clones open each
+    APK-backed unit's blob at most once, as under the default."""
+    result = Study(
+        StudyConfig(
+            **TestVaultLoadBudget.CFG, clone_strategy="minhash", store_dir=str(tmp_path)
+        )
+    ).run()
+    apk_units = sum(1 for unit in result.units if unit.apk_md5 is not None)
+    result.library_detection  # the clone phase's input, read beforehand
+    loads = Counter()
+    load = BlobVault.load
+
+    def counting_load(vault, md5):
+        loads["code_clones"] += 1
+        return load(vault, md5)
+
+    monkeypatch.setattr(BlobVault, "load", counting_load)
+    result.code_clones
+    assert 0 < loads["code_clones"] <= apk_units
