@@ -16,14 +16,14 @@ Each bench asserts its floor and prints the numbers behind it:
 * a warm artifact cache at least ``MIN_CACHE_SPEEDUP`` faster than a
   cold one (at 1 worker, so the cache effect is isolated from
   threading),
-* the same clone set from all three candidate strategies (exhaustive,
-  prefix, minhash), with the minhash strategy's pair recall against the
-  exhaustive reference at least ``MIN_MINHASH_RECALL``,
+* the same clone analysis from MinHash-LSH candidates
+  (``lsh_candidate_pairs``) as from the pipeline's prefix blocking, at
+  any worker width,
 * the adversarial-families contrast: on a hostile corpus (repackaging
   chains + app-factory template spam via ``clone_families=
   "adversarial"``) MinHash-LSH candidate generation must beat prefix
   blocking by ``MIN_MINHASH_SPEEDUP`` while keeping
-  ``MIN_MINHASH_RECALL`` of the exhaustive strategy's reported pairs.
+  ``MIN_MINHASH_RECALL`` of prefix blocking's reported pairs.
 
 The scale is pinned so the latency budget — and therefore the speedup
 floors — is stable in CI smoke runs.
@@ -31,13 +31,12 @@ Every timed variant must also produce bit-identical report digests;
 a fast wrong answer fails the bench.
 """
 
-import dataclasses
 import time
 
 import pytest
 
 from repro import Study, StudyConfig
-from repro.analysis.clones import CodeCloneDetector, measure_strategy_recall
+from repro.analysis.clones import CodeCloneDetector, lsh_candidate_pairs
 from repro.analysis.engine import AnalysisEngine, ArtifactCache
 from repro.analysis.virustotal import VirusTotalService
 from repro.core.study import StudyResult
@@ -49,7 +48,7 @@ SCAN_LATENCY_S = 0.004  # per-APK upload latency; ~1.3K scans ≈ 5s serial
 MIN_PARALLEL_SPEEDUP = 2.0
 MIN_CACHE_SPEEDUP = 5.0
 MIN_MINHASH_SPEEDUP = 3.0  # vs prefix, adversarial corpus, best-of-3
-MIN_MINHASH_RECALL = 0.99  # of the exhaustive strategy's reported pairs
+MIN_MINHASH_RECALL = 0.99  # of prefix blocking's reported pairs
 
 
 class SlowVirusTotal(VirusTotalService):
@@ -76,10 +75,11 @@ def base_result():
     return Study(config).run()
 
 
-def _fresh(base, engine=None, slow_vt=True, config=None):
-    """A StudyResult over the shared crawl with cold analysis artifacts."""
+def _fresh(base, engine=None):
+    """A StudyResult over the shared crawl with cold analysis artifacts,
+    scanning through the slow VirusTotal."""
     result = StudyResult(
-        config=config or base.config,
+        config=base.config,
         world=base.world,
         stores=base.stores,
         servers=base.servers,
@@ -91,8 +91,7 @@ def _fresh(base, engine=None, slow_vt=True, config=None):
         update_outcome=base.update_outcome,
         engine=engine,
     )
-    if slow_vt:
-        result.vt_service = SlowVirusTotal(SCAN_LATENCY_S)
+    result.vt_service = SlowVirusTotal(SCAN_LATENCY_S)
     return result
 
 
@@ -150,60 +149,31 @@ def test_bench_artifact_cache_speedup(base_result, tmp_path):
 
 
 def test_bench_candidate_blocking(base_result):
-    units = base_result.units
-    lib = base_result.library_detection
     detector = CodeCloneDetector()
-    corpus = detector.extract(units, lib)
-    engine = AnalysisEngine(workers=1)
+    corpus = detector.extract(base_result.units, base_result.library_detection)
+    prefix = detector.candidate_pairs(corpus.residual_blocks)
+    minhash = lsh_candidate_pairs(corpus, detector.overlap_threshold)
 
-    exhaustive = detector._candidate_pairs_exhaustive(corpus.residual_blocks)
-    prefix = detector._candidate_pairs_prefix(corpus.residual_blocks)
-    minhash_det = CodeCloneDetector(candidate_strategy="minhash")
-    minhash = minhash_det._candidate_pairs_minhash(corpus, engine)
-
-    # All three strategies must report the identical clone set end-to-end.
-    pairs_prefix = CodeCloneDetector(candidate_strategy="prefix").detect(
-        units, lib).clone_units
-    pairs_exhaustive = CodeCloneDetector(candidate_strategy="exhaustive").detect(
-        units, lib).clone_units
-    pairs_minhash = minhash_det.detect(units, lib).clone_units
-    assert pairs_prefix >= pairs_exhaustive
-    assert pairs_minhash == pairs_exhaustive
-
-    recall = measure_strategy_recall(units, lib)
-    assert recall.recall >= MIN_MINHASH_RECALL
-
-    reduction = 1 - len(prefix) / max(1, len(exhaustive))
-    print(f"\ncandidates: exhaustive {len(exhaustive)} vs prefix {len(prefix)} "
-          f"vs minhash {len(minhash)} ({reduction:.1%} pruned), "
-          f"minhash recall {recall.recall:.4f}")
+    # Both candidate lists must report the identical clone set.
+    reported = detector.detect_extracted(corpus, candidates=prefix)
+    assert detector.detect_extracted(corpus, candidates=minhash) == reported
+    print(f"\ncandidates: prefix {len(prefix)} vs minhash {len(minhash)}, "
+          f"{len(reported.pairs)} reported pairs")
 
 
 def test_bench_strategy_digests_identical(base_result):
-    """``digest_reports`` is bit-identical across candidate strategies
-    (on the default bench corpus) and across minhash worker counts —
-    strategy and parallelism are pure performance knobs."""
-    digests = {}
-    for strategy in CodeCloneDetector.STRATEGIES:
-        config = dataclasses.replace(base_result.config, clone_strategy=strategy)
-        result = _fresh(
-            base_result, engine=AnalysisEngine(workers=4),
-            slow_vt=False, config=config,
-        )
-        digests[strategy] = digest_reports(run_all(result))
-    assert digests["prefix"] == digests["exhaustive"] == digests["minhash"]
-
-    minhash_config = dataclasses.replace(
-        base_result.config, clone_strategy="minhash"
-    )
-    per_width = {}
+    """Reports read the clone phase only through ``code_clones``, so an
+    equal analysis means equal report digests: the analysis from
+    minhash candidates equals prefix blocking's at every worker width."""
+    detector = CodeCloneDetector()
+    reference = base_result.code_clones
     for workers in (1, 4, 8):
-        result = _fresh(
-            base_result, engine=AnalysisEngine(workers=workers),
-            slow_vt=False, config=minhash_config,
+        engine = AnalysisEngine(workers=workers)
+        corpus = detector.extract(
+            base_result.units, base_result.library_detection, engine
         )
-        per_width[workers] = digest_reports(run_all(result))
-    assert per_width[1] == per_width[4] == per_width[8]
+        candidates = lsh_candidate_pairs(corpus, detector.overlap_threshold, engine)
+        assert detector.detect_extracted(corpus, engine, candidates) == reference
 
 
 @pytest.fixture(scope="module")
@@ -221,33 +191,38 @@ def adversarial_result():
 def test_bench_adversarial_families(adversarial_result):
     """The tentpole contract: on the adversarial corpus, MinHash-LSH
     candidate generation beats prefix blocking by >= 3x wall-clock while
-    recovering >= 99% of the exhaustive strategy's reported pairs."""
-    units = adversarial_result.units
-    lib = adversarial_result.library_detection
-    detector = CodeCloneDetector(candidate_strategy="minhash")
-    corpus = detector.extract(units, lib)
+    recovering >= 99% of prefix blocking's reported pairs."""
+    detector = CodeCloneDetector()
+    corpus = detector.extract(
+        adversarial_result.units, adversarial_result.library_detection
+    )
     engine = AnalysisEngine(workers=1)
 
     prefix_s, minhash_s = [], []
     for _ in range(3):
         start = time.perf_counter()
-        prefix = detector._candidate_pairs_prefix(corpus.residual_blocks)
+        prefix = detector.candidate_pairs(corpus.residual_blocks)
         prefix_s.append(time.perf_counter() - start)
 
         start = time.perf_counter()
-        minhash = detector._candidate_pairs_minhash(corpus, engine)
+        minhash = lsh_candidate_pairs(corpus, detector.overlap_threshold, engine)
         minhash_s.append(time.perf_counter() - start)
 
-    recall = measure_strategy_recall(units, lib)
+    def reported(candidates):
+        analysis = detector.detect_extracted(corpus, engine, candidates)
+        return {(p.original, p.clone) for p in analysis.pairs}
+
+    reference = reported(prefix)
+    assert reference
+    recall = len(reference & reported(minhash)) / len(reference)
     speedup = min(prefix_s) / min(minhash_s)
     spam = adversarial_result.world.summary()["template_spam"]
     print(f"\nadversarial corpus ({len(corpus.units)} units, {spam} spam): "
           f"prefix {min(prefix_s):.3f}s ({len(prefix)} candidates) vs "
           f"minhash {min(minhash_s):.3f}s ({len(minhash)}) -> {speedup:.1f}x, "
-          f"recall {recall.recall:.4f}")
-    assert recall.reference_pairs > 0
-    assert recall.recall >= MIN_MINHASH_RECALL, (
-        f"minhash recovered only {recall.recall:.2%} of exhaustive pairs"
+          f"recall {recall:.4f} of {len(reference)} pairs")
+    assert recall >= MIN_MINHASH_RECALL, (
+        f"minhash recovered only {recall:.2%} of prefix blocking's pairs"
     )
     assert speedup >= MIN_MINHASH_SPEEDUP, (
         f"minhash only {speedup:.1f}x faster than prefix on the "

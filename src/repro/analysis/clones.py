@@ -13,35 +13,33 @@ Two detectors, as in the paper:
   Manhattan distance of 0.05 (95% similarity), refined by a second
   phase requiring >=85% shared code segments.
 
-Candidate pairing for the code-based phase offers three strategies:
+Candidate pairing for the code-based phase is **prefix-filtered
+blocking** over code-segment hashes: each app indexes only a short,
+rarest-first prefix of its block set, sized so that any pair meeting
+the overlap and shared-block thresholds provably collides on at least
+one indexed block.  It is exact (a provable superset of every
+reportable pair), but a block shared across a large near-duplicate
+family lands inside every member's prefix, so posting lists — and
+candidate counts — degrade back toward O(family²) on
+repackaging-heavy corpora.
 
-* ``"prefix"`` (default) — **prefix-filtered blocking** over
-  code-segment hashes: each app indexes only a short, rarest-first
-  prefix of its block set, sized so that any pair meeting the overlap
-  and shared-block thresholds provably collides on at least one indexed
-  block.  Exact (a provable superset of every reportable pair), but a
-  block shared across a large near-duplicate family lands inside every
-  member's prefix, so posting lists — and candidate counts — degrade
-  back toward O(family²) on repackaging-heavy corpora.
-* ``"minhash"`` — **MinHash signatures + banded LSH**: fixed-seed
-  k-permutation MinHash over each unit's distinct residual block set,
-  with (bands, rows) derived from ``overlap_threshold`` so the
-  collision curve is steep around the reporting threshold (see
-  :func:`derive_lsh_params`).  Probabilistic — recall against the
-  exhaustive reference is a *measured* contract, enforced in the bench
-  via :func:`measure_strategy_recall` — but candidate generation is
-  fully vectorized, which is what keeps it sub-quadratic in practice on
-  adversarial near-duplicate families.  Signatures are computed from
-  the residual blocks clone extraction already holds, fanned out over
-  the analysis engine's worker pool, so no APK is read twice.
-* ``"exhaustive"`` — the original inverted-index pair enumeration,
-  kept as the reference implementation for benchmarks, superset
-  checks, and recall measurement.
+:func:`lsh_candidate_pairs` is the fast alternative over an extracted
+:class:`CloneCorpus`: fixed-seed k-permutation MinHash over each unit's
+distinct residual block set, with (bands, rows) derived from
+``overlap_threshold`` so the collision curve is steep around the
+reporting threshold (see :func:`derive_lsh_params`).  It is
+probabilistic, so its recall against prefix blocking's reported pairs
+is a *measured* floor in the analysis bench, but candidate generation
+is fully vectorized, which keeps it sub-quadratic in practice on
+adversarial near-duplicate families.  Its candidates feed
+:meth:`CodeCloneDetector.detect_extracted`.
 
 Candidate scoring fans out across the analysis engine's worker pool
-with a deterministic merge, and every strategy returns its candidates
-in canonical sorted order — so reports are bit-identical at any worker
-width regardless of strategy.
+with a deterministic merge, and both generators return candidates in
+canonical sorted order — so reports are bit-identical at any worker
+width.  Scoring applies every threshold itself, so the reported set
+depends on the thresholds, never on which generator found the
+candidates.
 """
 
 from __future__ import annotations
@@ -73,8 +71,7 @@ __all__ = [
     "overlap_to_jaccard",
     "minhash_signature",
     "minhash_jaccard_estimate",
-    "StrategyRecall",
-    "measure_strategy_recall",
+    "lsh_candidate_pairs",
 ]
 
 UnitKey = Tuple[str, Optional[str]]
@@ -90,7 +87,7 @@ LSH_TARGET_RECALL = 0.999
 
 #: Signature value for a unit with no residual blocks at all.  Empty
 #: units are excluded from LSH banding (they can never reach a nonzero
-#: overlap), matching the prefix strategy's behavior.
+#: overlap), as prefix blocking never pairs them either.
 _EMPTY_SIGNATURE = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
@@ -223,7 +220,7 @@ class CloneCorpus:
 
     ``block_sets`` carries one frozenset per unit so scoring a candidate
     is a single O(min) set intersection — no per-pair set rebuilds — and
-    the recall harness reuses the same extraction across strategies.
+    prefix and LSH candidates can be scored over the same extraction.
     """
 
     units: List[AppUnit]
@@ -386,7 +383,31 @@ def _run_pairs(starts: np.ndarray, widths: np.ndarray) -> Tuple[np.ndarray, np.n
     return base + p, base + q
 
 
-def _lsh_candidate_pairs(
+def lsh_candidate_pairs(
+    corpus: CloneCorpus,
+    overlap_threshold: float = 0.85,
+    engine: Optional[AnalysisEngine] = None,
+    num_perm: int = DEFAULT_MINHASH_PERMUTATIONS,
+    seed: int = 0,
+) -> List[Tuple[int, int]]:
+    """MinHash signatures + banded LSH candidate pairs, in canonical
+    sorted order.
+
+    Each unit is signed from its residual blocks, which extraction
+    already holds, so signing opens no APK.  Signatures fan out over
+    the engine's worker pool.
+    """
+    bands, rows = derive_lsh_params(overlap_threshold, num_perm)
+    coeffs = _minhash_coeffs(seed, bands * rows)
+    signatures = (engine or INLINE_ENGINE).map(
+        corpus.residual_blocks,
+        lambda blocks: minhash_signature(blocks, coeffs),
+        stage="analysis.clones.minhash",
+    )
+    return _banded_pairs(signatures, corpus.block_sets, bands, rows)
+
+
+def _banded_pairs(
     signatures: Sequence[np.ndarray],
     block_sets: Sequence[FrozenSet[int]],
     bands: int,
@@ -394,7 +415,7 @@ def _lsh_candidate_pairs(
 ) -> List[Tuple[int, int]]:
     """Banded LSH bucketing with vectorized pair generation.
 
-    Within a genuine near-duplicate family every exact strategy must
+    Within a genuine near-duplicate family an exact generator must
     emit ~|family|² candidates too — the speed win here is constant
     factor, not asymptotic: band keys, bucket grouping, pair encoding,
     and dedup all run as array operations instead of per-element Python
@@ -445,55 +466,25 @@ def _lsh_candidate_pairs(
 
 
 class CodeCloneDetector:
-    """WuKong-style two-phase detector with pluggable candidate blocking.
+    """WuKong-style two-phase detector over prefix-filtered blocking.
 
-    ``candidate_strategy`` selects the candidate generator: ``"prefix"``
-    (the default) uses prefix-filtered blocking; ``"minhash"`` uses
-    MinHash-LSH banding (vectorized, sub-quadratic in practice on
-    near-duplicate families, recall measured against the reference);
-    ``"exhaustive"`` keeps the original inverted-index pair enumeration
-    as the reference implementation.  The prefix strategy generates a
-    provable superset of every pair the exhaustive strategy would
-    ultimately report; the minhash strategy's recall is enforced
-    empirically by the benchmark suite (>=99% of exhaustive pairs).
-
-    ``max_block_bucket`` is honored **only by the exhaustive strategy**
-    (it drops stop-word blocks whose posting lists exceed the cutoff
-    before enumerating pairs).  The prefix strategy deliberately ignores
-    it: dropping giant posting lists there would break the superset
-    proof (a reportable pair may collide *only* on a popular block),
-    and the minhash strategy never builds posting lists at all.  The
-    asymmetry is intentional — the exhaustive generator is the only one
-    that would otherwise go quadratic on every popular block.
+    A pair is reported when the two units differ in package and signer,
+    share at least ``min_shared_blocks`` distinct code segments, reach
+    ``overlap_threshold`` block overlap, and sit within
+    ``distance_threshold`` feature distance.  Scoring checks all of
+    these, so :meth:`detect_extracted` reports the same pairs from any
+    candidate superset (prefix blocking's, or every pair).
     """
-
-    STRATEGIES = ("prefix", "exhaustive", "minhash")
 
     def __init__(
         self,
         distance_threshold: float = 0.05,
         overlap_threshold: float = 0.85,
         min_shared_blocks: int = 8,
-        max_block_bucket: int = 200,
-        candidate_strategy: str = "prefix",
-        minhash_permutations: int = DEFAULT_MINHASH_PERMUTATIONS,
-        minhash_seed: int = 0,
     ):
-        if candidate_strategy not in self.STRATEGIES:
-            raise ValueError(f"unknown candidate strategy {candidate_strategy!r}")
-        if minhash_permutations < 1:
-            raise ValueError(
-                f"minhash_permutations must be positive, got {minhash_permutations}"
-            )
         self.distance_threshold = distance_threshold
         self.overlap_threshold = overlap_threshold
         self.min_shared_blocks = min_shared_blocks
-        #: Stop-word cutoff for the exhaustive strategy only — see the
-        #: class docstring for why prefix and minhash ignore it.
-        self.max_block_bucket = max_block_bucket
-        self.candidate_strategy = candidate_strategy
-        self.minhash_permutations = minhash_permutations
-        self.minhash_seed = minhash_seed
 
     def detect(
         self,
@@ -513,8 +504,8 @@ class CodeCloneDetector:
     ) -> CloneCorpus:
         """Library removal + per-unit feature/block extraction.
 
-        Strategy-independent: the recall harness and the benches extract
-        once and run several candidate strategies over the same corpus.
+        Candidate-independent: the tests and benches extract once and
+        score prefix and LSH candidates over the same corpus.
         """
         engine = engine or INLINE_ENGINE
         lib_digests = frozenset(
@@ -552,7 +543,7 @@ class CodeCloneDetector:
         """Candidate generation + scoring over an extracted corpus."""
         engine = engine or INLINE_ENGINE
         if candidates is None:
-            candidates = self._candidate_pairs(corpus, engine)
+            candidates = self.candidate_pairs(corpus.residual_blocks)
         keys = corpus.keys
         block_sets = corpus.block_sets
         residual_features = corpus.residual_features
@@ -568,6 +559,8 @@ class CodeCloneDetector:
             overlap = _set_overlap(block_sets[i], block_sets[j])
             if overlap < self.overlap_threshold:
                 return None
+            if len(block_sets[i] & block_sets[j]) < self.min_shared_blocks:
+                return None  # too few shared segments, whatever the ratio
             distance = feature_distance(residual_features[i], residual_features[j])
             if distance > self.distance_threshold:
                 return None
@@ -603,48 +596,19 @@ class CodeCloneDetector:
             original_of={clone: orig for clone, (_, orig) in best_original.items()},
         )
 
-    def _candidate_pairs(
-        self, corpus: CloneCorpus, engine: Optional[AnalysisEngine] = None
-    ) -> List[Tuple[int, int]]:
-        """Pairs worth scoring, in canonical sorted order."""
-        if self.candidate_strategy == "exhaustive":
-            return sorted(self._candidate_pairs_exhaustive(corpus.residual_blocks))
-        if self.candidate_strategy == "minhash":
-            return self._candidate_pairs_minhash(corpus, engine or INLINE_ENGINE)
-        return self._candidate_pairs_prefix(corpus.residual_blocks)
-
-    def _candidate_pairs_minhash(
-        self, corpus: CloneCorpus, engine: AnalysisEngine
-    ) -> List[Tuple[int, int]]:
-        """MinHash signatures + banded LSH candidate generation.
-
-        Each unit is signed from its residual blocks, which extraction
-        already holds, so signing opens no APK.  Signatures fan out over
-        the engine's worker pool.
-        """
-        bands, rows = derive_lsh_params(
-            self.overlap_threshold, self.minhash_permutations
-        )
-        coeffs = _minhash_coeffs(self.minhash_seed, bands * rows)
-        signatures = engine.map(
-            corpus.residual_blocks,
-            lambda blocks: minhash_signature(blocks, coeffs),
-            stage="analysis.clones.minhash",
-        )
-        return _lsh_candidate_pairs(signatures, corpus.block_sets, bands, rows)
-
-    def _candidate_pairs_prefix(
+    def candidate_pairs(
         self, residual_blocks: Sequence[Tuple[int, ...]]
     ) -> List[Tuple[int, int]]:
-        """Prefix-filtered blocking over distinct block hashes.
+        """Prefix-filtered blocking over distinct block hashes, in
+        canonical sorted order.
 
         Any reported pair (i, j) must satisfy ``|B_i & B_j| >= c`` with
         ``c = max(min_shared_blocks, ceil(t * max(|B_i|, |B_j|)))``
-        (the exhaustive generator demands ``min_shared_blocks`` shared
-        segments and scoring demands overlap ``>= t``).  Order every
-        unit's distinct blocks by a global canonical key (rarest block
-        first) and index only the first ``|B_i| - c_i + 1`` of them,
-        where ``c_i = max(min_shared_blocks, ceil(t * |B_i|))``.
+        (scoring demands ``min_shared_blocks`` shared segments and
+        overlap ``>= t``).  Order every unit's distinct blocks by a
+        global canonical key (rarest block first) and index only the
+        first ``|B_i| - c_i + 1`` of them, where
+        ``c_i = max(min_shared_blocks, ceil(t * |B_i|))``.
 
         Superset proof: let S = B_i & B_j with |S| >= max(c_i, c_j) and
         let s be S's smallest block under the global order.  At least
@@ -680,99 +644,3 @@ class CodeCloneDetector:
                     candidates.add((other, idx))
                 posting.append(idx)
         return sorted(candidates)
-
-    def _candidate_pairs_exhaustive(
-        self, residual_blocks: Sequence[Tuple[int, ...]]
-    ) -> List[Tuple[int, int]]:
-        """The original quadratic enumeration (reference/benchmarks)."""
-        bucket: Dict[int, List[int]] = {}
-        for idx, blocks in enumerate(residual_blocks):
-            for block in set(blocks):
-                bucket.setdefault(block, []).append(idx)
-        shared: Counter = Counter()
-        for members in bucket.values():
-            if len(members) < 2 or len(members) > self.max_block_bucket:
-                continue
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    shared[(members[a], members[b])] += 1
-        return [pair for pair, n in shared.items() if n >= self.min_shared_blocks]
-
-
-# ---------------------------------------------------------------------------
-# measured-recall harness
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StrategyRecall:
-    """One strategy's measured recall against a reference strategy."""
-
-    strategy: str
-    reference: str
-    candidates: int
-    reference_candidates: int
-    reference_pairs: int
-    recovered_pairs: int
-
-    @property
-    def recall(self) -> float:
-        """Share of the reference's reported clone pairs the probed
-        strategy also reported (1.0 when the reference found none)."""
-        if self.reference_pairs == 0:
-            return 1.0
-        return self.recovered_pairs / self.reference_pairs
-
-
-def measure_strategy_recall(
-    units: Sequence[AppUnit],
-    library_detection: Optional[LibraryDetection] = None,
-    engine: Optional[AnalysisEngine] = None,
-    strategy: str = "minhash",
-    reference: str = "exhaustive",
-    detector: Optional[CodeCloneDetector] = None,
-) -> StrategyRecall:
-    """Measure one candidate strategy's end-to-end pair recall.
-
-    Extraction happens once; both strategies run over the same
-    :class:`CloneCorpus` (reusing its per-unit frozensets), and recall
-    is computed over *reported clone pairs*, not raw candidates — a
-    candidate either strategy would discard in scoring costs nothing.
-    This is the probabilistic strategy's quality guardrail: the bench
-    enforces a floor on ``recall`` and records it in the bench artifact.
-    """
-    engine = engine or INLINE_ENGINE
-    base = detector or CodeCloneDetector()
-
-    def configured(name: str) -> CodeCloneDetector:
-        return CodeCloneDetector(
-            distance_threshold=base.distance_threshold,
-            overlap_threshold=base.overlap_threshold,
-            min_shared_blocks=base.min_shared_blocks,
-            max_block_bucket=base.max_block_bucket,
-            candidate_strategy=name,
-            minhash_permutations=base.minhash_permutations,
-            minhash_seed=base.minhash_seed,
-        )
-
-    probe_det = configured(strategy)
-    ref_det = configured(reference)
-    corpus = probe_det.extract(units, library_detection, engine)
-    probe_candidates = probe_det._candidate_pairs(corpus, engine)
-    ref_candidates = ref_det._candidate_pairs(corpus, engine)
-    probe_pairs = {
-        (p.original, p.clone)
-        for p in probe_det.detect_extracted(corpus, engine, probe_candidates).pairs
-    }
-    ref_pairs = {
-        (p.original, p.clone)
-        for p in ref_det.detect_extracted(corpus, engine, ref_candidates).pairs
-    }
-    return StrategyRecall(
-        strategy=strategy,
-        reference=reference,
-        candidates=len(probe_candidates),
-        reference_candidates=len(ref_candidates),
-        reference_pairs=len(ref_pairs),
-        recovered_pairs=len(ref_pairs & probe_pairs),
-    )

@@ -118,14 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "stands up the asyncio serving tier and routes "
                             "every lane over local TCP (snapshots "
                             "identical either way)")
-        p.add_argument("--clone-strategy",
-                       choices=("prefix", "exhaustive", "minhash"),
-                       default="prefix",
-                       help="candidate blocking for code-clone detection: "
-                            "'prefix' (exact prefix filter), 'minhash' "
-                            "(MinHash-LSH, vectorized, >=99%% measured "
-                            "recall), or 'exhaustive' (quadratic "
-                            "reference)")
         p.add_argument("--clone-families", choices=("default", "adversarial"),
                        default="default",
                        help="repackaging profile for world generation: "
@@ -243,7 +235,6 @@ def _config_from(args: argparse.Namespace) -> StudyConfig:
             else (4 if args.hostility is not None else 0)
         ),
         transport=args.transport,
-        clone_strategy=args.clone_strategy,
         clone_families=args.clone_families,
     )
 

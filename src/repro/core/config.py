@@ -119,12 +119,6 @@ class StudyConfig:
     #: through it; snapshots are bit-identical either way (the
     #: transport contract, see DESIGN.md).
     transport: str = "inprocess"
-    #: Candidate-generation strategy for the code-based clone detector:
-    #: ``"prefix"`` (default, exact prefix-filtered blocking),
-    #: ``"minhash"`` (MinHash-LSH, vectorized, recall measured against
-    #: the exhaustive reference), or ``"exhaustive"`` (the quadratic
-    #: reference enumeration).
-    clone_strategy: str = "prefix"
     #: Repackaging profile for world generation: ``"default"``
     #: reproduces the paper's Table 3 clone rates; ``"adversarial"``
     #: builds deep repackaging chains and boosted near-duplicate
@@ -161,14 +155,8 @@ class StudyConfig:
                 f"transport must be 'inprocess' or 'socket', "
                 f"got {self.transport!r}"
             )
-        from repro.analysis.clones import CodeCloneDetector
         from repro.ecosystem.threats import RepackagingModel
 
-        if self.clone_strategy not in CodeCloneDetector.STRATEGIES:
-            raise ValueError(
-                f"clone_strategy must be one of {CodeCloneDetector.STRATEGIES}, "
-                f"got {self.clone_strategy!r}"
-            )
         if self.clone_families not in RepackagingModel.PROFILES:
             raise ValueError(
                 f"clone_families must be one of {RepackagingModel.PROFILES}, "

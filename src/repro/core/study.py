@@ -212,10 +212,7 @@ class StudyResult:
     @cached_property
     def code_clones(self) -> CodeCloneAnalysis:
         with self.obs.stage("analysis.code_clones"):
-            detector = CodeCloneDetector(
-                candidate_strategy=self.config.clone_strategy
-            )
-            return detector.detect(
+            return CodeCloneDetector().detect(
                 self.units, self.library_detection, engine=self.engine
             )
 

@@ -20,7 +20,7 @@ a whole (the end-to-end benchmark's peak RSS), not per stage.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 __all__ = ["STAGE_PREFIX", "stage_rows", "render_profile"]
 
@@ -29,26 +29,38 @@ STAGE_PREFIX = "stage."
 
 
 def stage_rows(records: Iterable[dict]) -> List[dict]:
-    """One row per recorded stage span, in recorded (completion) order.
+    """One row per recorded stage span, in pre-order: each stage right
+    below the stage that encloses it, siblings in start order.
 
     A row holds the stage ``name`` (prefix stripped), ``wall_seconds``
     and ``depth``: how many stage spans enclose it.
     """
     spans = {r["span_id"]: r for r in records if r["kind"] == "span"}
-    rows = []
+    children: Dict[Optional[int], List[dict]] = {}
     for span in spans.values():
         if not span["name"].startswith(STAGE_PREFIX):
             continue
-        depth = 0
         parent = spans.get(span["parent_id"])
-        while parent is not None:
-            depth += parent["name"].startswith(STAGE_PREFIX)
+        while parent is not None and not parent["name"].startswith(STAGE_PREFIX):
             parent = spans.get(parent["parent_id"])
-        rows.append({
-            "name": span["name"][len(STAGE_PREFIX):],
-            "wall_seconds": span["wall_seconds"],
-            "depth": depth,
-        })
+        key = None if parent is None else parent["span_id"]
+        children.setdefault(key, []).append(span)
+
+    rows: List[dict] = []
+
+    def visit(parent_id: Optional[int], depth: int) -> None:
+        for span in sorted(
+            children.get(parent_id, ()),
+            key=lambda s: (s["wall_start"], s["span_id"]),
+        ):
+            rows.append({
+                "name": span["name"][len(STAGE_PREFIX):],
+                "wall_seconds": span["wall_seconds"],
+                "depth": depth,
+            })
+            visit(span["span_id"], depth + 1)
+
+    visit(None, 0)
     return rows
 
 

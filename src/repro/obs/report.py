@@ -126,9 +126,15 @@ def _latency_section(registry: MetricsRegistry) -> List[str]:
 
 
 def _trace_section(records: List[dict]) -> List[str]:
-    traces = sorted({r["trace_id"] for r in records})
+    campaigns = sorted({
+        r["trace_id"] for r in records
+        if r["kind"] == "span" and r["name"] == "crawl.campaign"
+    })
     summary = counts_from_spans(records)
-    lines = [f"trace: {len(records)} records, campaigns: {', '.join(traces)}"]
+    lines = [
+        f"trace: {len(records)} records, "
+        f"campaigns: {', '.join(campaigns) or 'none'}"
+    ]
     if summary:
         header = f"{'span':<22}{'count':>8}{'total(s)':>11}{'max(s)':>10}"
         lines.extend([header, "-" * len(header)])

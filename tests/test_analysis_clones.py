@@ -1,5 +1,7 @@
 """Tests for signature- and code-based clone detection."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.analysis.clones import (
     derive_lsh_params,
     detect_signature_clones,
     feature_distance,
-    measure_strategy_recall,
+    lsh_candidate_pairs,
     minhash_jaccard_estimate,
     minhash_signature,
     overlap_to_jaccard,
@@ -178,6 +180,22 @@ class TestCodeClones:
         analysis = CodeCloneDetector().detect(build_units(snap))
         assert not analysis.clone_units
 
+    def test_too_few_shared_blocks_rejected(self):
+        # 7 of 8 blocks shared is 0.875 overlap, above the threshold, but
+        # one short of min_shared_blocks: no candidate list may report it.
+        snap = Snapshot("t")
+        snap.add(_record("com.orig", "1" * 16, BASE_FEATURES, tuple(range(1, 9)),
+                         market="google_play", downloads=10**7))
+        snap.add(_record("com.copy", "2" * 16, BASE_FEATURES,
+                         tuple(range(1, 8)) + (99,), market="tencent", downloads=10))
+        detector = CodeCloneDetector()
+        corpus = detector.extract(build_units(snap))
+        lsh = lsh_candidate_pairs(corpus, detector.overlap_threshold)
+        assert lsh == [(0, 1)]
+        for candidates in (None, [(0, 1)], lsh):
+            analysis = detector.detect_extracted(corpus, candidates=candidates)
+            assert analysis.pairs == [] and not analysis.clone_units
+
     def test_large_feature_distance_rejected(self):
         far = dict(BASE_FEATURES)
         for i in range(300, 330):
@@ -259,7 +277,7 @@ class TestCandidateBlocking:
     def test_prefix_covers_every_reportable_pair(self):
         # The guarantee: any pair that could pass scoring (enough shared
         # blocks AND block overlap >= the threshold) must be generated.
-        # Sub-threshold exhaustive candidates may legitimately be pruned.
+        # Sub-threshold pairs may legitimately be pruned.
         detector = CodeCloneDetector()
         for seed in range(5):
             blocks = self._random_block_sets(seed)
@@ -273,13 +291,14 @@ class TestCandidateBlocking:
                 and (len(sets[i] & sets[j]) / max(len(sets[i]), len(sets[j]))
                      >= detector.overlap_threshold)
             }
-            prefix = set(detector._candidate_pairs_prefix(blocks))
+            prefix = set(detector.candidate_pairs(blocks))
             assert qualifying <= prefix, (
                 f"seed {seed}: reportable pairs missing from prefix: "
                 f"{sorted(qualifying - prefix)[:5]}"
             )
 
     def test_strategies_detect_identically(self):
+        # Prefix blocking, LSH and every pair all report the same clones.
         snap = Snapshot("t")
         snap.add(_record("com.orig", "1" * 16, BASE_FEATURES, BASE_BLOCKS,
                          market="google_play", downloads=10**7))
@@ -287,11 +306,11 @@ class TestCandidateBlocking:
                          market="tencent", downloads=10))
         snap.add(_record("com.other", "3" * 16, {i: 3 for i in range(200, 230)},
                          tuple(range(8000, 8040)), market="tencent"))
-        units = build_units(snap)
-        prefix = CodeCloneDetector(candidate_strategy="prefix").detect(units)
-        exhaustive = CodeCloneDetector(candidate_strategy="exhaustive").detect(units)
-        assert set(prefix.pairs) >= set(exhaustive.pairs)
-        assert prefix.clone_units >= exhaustive.clone_units
+        detector = CodeCloneDetector()
+        corpus = detector.extract(build_units(snap))
+        prefix = detector.detect_extracted(corpus)
+        for candidates in (_every_pair(corpus), lsh_candidate_pairs(corpus)):
+            assert detector.detect_extracted(corpus, candidates=candidates) == prefix
         assert ("com.copy", "2" * 16) in prefix.clone_units
 
     def test_prefix_prunes_sub_threshold_pairs(self):
@@ -299,25 +318,46 @@ class TestCandidateBlocking:
         # common blocks never collide in each other's prefixes.
         detector = CodeCloneDetector(min_shared_blocks=2)
         # 40 apps all sharing 2 common blocks but otherwise disjoint:
-        # exhaustive emits every pair, the prefix filter none of them.
+        # every pair meets the shared-block floor, none the overlap.
         blocks = [
             tuple([1, 2] + list(range(100 * i, 100 * i + 40)))
             for i in range(40)
         ]
-        exhaustive = detector._candidate_pairs_exhaustive(blocks)
-        prefix = detector._candidate_pairs_prefix(blocks)
-        assert len(exhaustive) == 40 * 39 // 2
-        assert prefix == []
-
-    def test_unknown_strategy_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            CodeCloneDetector(candidate_strategy="bogus")
+        sets = [set(b) for b in blocks]
+        sharing = [
+            (i, j) for i, j in combinations(range(len(sets)), 2)
+            if len(sets[i] & sets[j]) >= detector.min_shared_blocks
+        ]
+        assert len(sharing) == 40 * 39 // 2
+        assert detector.candidate_pairs(blocks) == []
 
     def test_bad_permutation_count_rejected(self):
+        corpus = CodeCloneDetector().extract([])
         with pytest.raises(ValueError):
-            CodeCloneDetector(minhash_permutations=0)
+            lsh_candidate_pairs(corpus, num_perm=0)
+
+
+def _every_pair(corpus):
+    """The brute-force candidate list: every unordered unit pair."""
+    return list(combinations(range(len(corpus.units)), 2))
+
+
+class TestPrefixAgainstEveryPair:
+    """On a generated world, prefix blocking reports exactly what
+    scoring every pair reports."""
+
+    def test_detect_equals_every_pair_scored(self):
+        from repro.core.config import StudyConfig
+        from repro.core.study import Study
+
+        result = Study(StudyConfig(seed=42, scale=0.0001)).run()
+        detector = CodeCloneDetector()
+        corpus = detector.extract(result.units, result.library_detection)
+        prefix = detector.detect(result.units, result.library_detection)
+        every = detector.detect_extracted(corpus, candidates=_every_pair(corpus))
+        assert len(corpus.units) > 500
+        assert len(prefix.pairs) > 50
+        assert prefix == every
 
 
 class TestMinHashEstimator:
@@ -449,41 +489,39 @@ def _family_snapshot(n_families=6, family_size=5, seed=3):
 
 
 class TestMinHashCandidates:
-    def test_minhash_detects_identically_to_exhaustive(self):
-        units = build_units(_family_snapshot())
-        minhash = CodeCloneDetector(candidate_strategy="minhash").detect(units)
-        exhaustive = CodeCloneDetector(candidate_strategy="exhaustive").detect(units)
-        assert minhash.pairs == exhaustive.pairs
-        assert minhash.clone_units == exhaustive.clone_units
-        assert minhash.original_of == exhaustive.original_of
+    def test_minhash_detects_identically_to_prefix(self):
+        detector = CodeCloneDetector()
+        corpus = detector.extract(build_units(_family_snapshot()))
+        minhash = detector.detect_extracted(
+            corpus, candidates=lsh_candidate_pairs(corpus)
+        )
+        assert minhash == detector.detect_extracted(corpus)
         assert len(minhash.pairs) > 0
 
     def test_candidates_identical_across_worker_counts(self):
-        detector = CodeCloneDetector(candidate_strategy="minhash")
-        corpus = detector.extract(build_units(_family_snapshot()))
+        corpus = CodeCloneDetector().extract(build_units(_family_snapshot()))
         per_width = [
-            detector._candidate_pairs(corpus, AnalysisEngine(workers=w))
+            lsh_candidate_pairs(corpus, engine=AnalysisEngine(workers=w))
             for w in (1, 4, 8)
         ]
         assert per_width[0] == per_width[1] == per_width[2]
         assert per_width[0] == sorted(per_width[0])  # canonical order
 
     def test_reports_identical_across_worker_counts(self):
-        units = build_units(_family_snapshot())
-        detector = CodeCloneDetector(candidate_strategy="minhash")
-        reports = [
-            detector.detect(units, engine=AnalysisEngine(workers=w))
-            for w in (1, 4, 8)
-        ]
+        detector = CodeCloneDetector()
+        corpus = detector.extract(build_units(_family_snapshot()))
+        reports = []
+        for w in (1, 4, 8):
+            engine = AnalysisEngine(workers=w)
+            candidates = lsh_candidate_pairs(corpus, engine=engine)
+            reports.append(detector.detect_extracted(corpus, engine, candidates))
         assert reports[0].pairs == reports[1].pairs == reports[2].pairs
         assert reports[0].clone_units == reports[1].clone_units
 
     def test_same_seed_reproduces_candidates(self):
         corpus = CodeCloneDetector().extract(build_units(_family_snapshot()))
         runs = [
-            CodeCloneDetector(
-                candidate_strategy="minhash", minhash_seed=9
-            )._candidate_pairs(corpus, AnalysisEngine(workers=4))
+            lsh_candidate_pairs(corpus, engine=AnalysisEngine(workers=4), seed=9)
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -491,43 +529,51 @@ class TestMinHashCandidates:
     def test_detection_stable_across_minhash_seeds(self):
         # Different seeds permute the hash family (candidate sets may
         # differ) but every reportable pair must still be recovered.
-        units = build_units(_family_snapshot())
-        reference = CodeCloneDetector(candidate_strategy="exhaustive").detect(units)
+        detector = CodeCloneDetector()
+        corpus = detector.extract(build_units(_family_snapshot()))
+        reference = detector.detect_extracted(corpus)
         for seed in (0, 1):
-            probe = CodeCloneDetector(
-                candidate_strategy="minhash", minhash_seed=seed
-            ).detect(units)
+            candidates = lsh_candidate_pairs(corpus, seed=seed)
+            probe = detector.detect_extracted(corpus, candidates=candidates)
             assert set(probe.pairs) == set(reference.pairs)
 
     def test_empty_block_units_never_pair(self):
         snap = _family_snapshot(n_families=2)
         snap.add(_record("com.empty", "aa" * 8, {1: 1}, (), market="tencent"))
-        units = build_units(snap)
-        analysis = CodeCloneDetector(candidate_strategy="minhash").detect(units)
-        flagged = {key for pair in analysis.pairs for key in (pair.original, pair.clone)}
-        assert ("com.empty", "aa" * 8) not in flagged
+        corpus = CodeCloneDetector().extract(build_units(snap))
+        empty = corpus.keys.index(("com.empty", "aa" * 8))
+        assert all(empty not in pair for pair in lsh_candidate_pairs(corpus))
 
 
-class TestStrategyRecallHarness:
+def _recall(corpus, candidates):
+    """Share of prefix blocking's reported pairs that ``candidates``
+    also report (1.0 when prefix reports none), and prefix's count."""
+    detector = CodeCloneDetector()
+    reference = set(detector.detect_extracted(corpus).pairs)
+    probe = set(detector.detect_extracted(corpus, candidates=candidates).pairs)
+    if not reference:
+        return 1.0, 0
+    return len(reference & probe) / len(reference), len(reference)
+
+
+class TestMinHashRecall:
     def test_full_recall_on_synthetic_families(self):
-        units = build_units(_family_snapshot())
-        recall = measure_strategy_recall(units)
-        assert recall.strategy == "minhash"
-        assert recall.reference == "exhaustive"
-        assert recall.reference_pairs > 0
-        assert recall.recall == 1.0
+        corpus = CodeCloneDetector().extract(build_units(_family_snapshot()))
+        recall, reference = _recall(corpus, lsh_candidate_pairs(corpus))
+        assert reference > 0
+        assert recall == 1.0
 
-    def test_recall_defaults_to_one_when_reference_empty(self):
+    def test_single_unit_gives_no_candidates(self):
         snap = Snapshot("t")
         snap.add(_record("com.solo", "1" * 16, BASE_FEATURES, BASE_BLOCKS))
-        recall = measure_strategy_recall(build_units(snap))
-        assert recall.reference_pairs == 0
-        assert recall.recall == 1.0
+        corpus = CodeCloneDetector().extract(build_units(snap))
+        assert lsh_candidate_pairs(corpus) == []
+        assert CodeCloneDetector().detect_extracted(corpus).pairs == []
 
     def test_recall_on_repackaging_chain_world(self):
         # End-to-end guardrail on a generated adversarial world: deep
         # repackaging chains and shared-key clusters, the corpus shape
-        # the LSH strategy exists for.
+        # LSH candidates exist for.
         from repro.core.config import StudyConfig
         from repro.core.study import Study
 
@@ -536,9 +582,10 @@ class TestStrategyRecallHarness:
         )).run()
         depths = {app.clone_depth for app in result.world.apps}
         assert max(depths) >= 3, "adversarial world should build chains"
-        recall = measure_strategy_recall(result.units, result.library_detection)
-        assert recall.reference_pairs > 50
-        assert recall.recall >= 0.99
+        corpus = CodeCloneDetector().extract(result.units, result.library_detection)
+        recall, reference = _recall(corpus, lsh_candidate_pairs(corpus))
+        assert reference > 50
+        assert recall >= 0.99
 
 
 class TestMarketRatesHelper:

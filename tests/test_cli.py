@@ -16,8 +16,7 @@ STUDY_OPTIONS = frozenset({
     "--checkpoint-dir", "--resume", "--fail-fast",
     "--artifact-cache", "--no-artifact-cache",
     "--store-backend", "--store-spill-threshold", "--store-dir",
-    "--hostility", "--identity-pool", "--transport",
-    "--clone-strategy", "--clone-families",
+    "--hostility", "--identity-pool", "--transport", "--clone-families",
     "--trace-out", "--metrics-out", "--profile", "--monitor",
 })
 
@@ -27,8 +26,7 @@ STUDY_CONFIG_FIELDS = frozenset({
     "market_fault_plans", "checkpoint_dir", "resume", "fail_fast",
     "trace_out", "metrics_out", "profile", "monitor",
     "artifact_cache_dir", "store_backend", "store_spill_threshold",
-    "store_dir", "hostility", "identity_pool", "transport",
-    "clone_strategy", "clone_families",
+    "store_dir", "hostility", "identity_pool", "transport", "clone_families",
 })
 
 
@@ -39,7 +37,7 @@ class TestOptionSurface:
         from repro import StudyConfig
 
         assert {f.name for f in fields(StudyConfig)} == STUDY_CONFIG_FIELDS
-        assert len(STUDY_CONFIG_FIELDS) == 22
+        assert len(STUDY_CONFIG_FIELDS) == 21
 
     def test_study_subcommand_options(self):
         import argparse
@@ -56,7 +54,7 @@ class TestOptionSurface:
                 for option in action.option_strings
             } - {"-h", "--help"}
             assert options == STUDY_OPTIONS | own, name
-        assert len(STUDY_OPTIONS) == 22
+        assert len(STUDY_OPTIONS) == 21
 
 
 class TestParser:
@@ -229,7 +227,7 @@ class TestObservabilityCommands:
         assert code == 0
         text = out.getvalue()
         assert "crawl telemetry [first]" in text
-        assert "records, campaigns: first" in text
+        assert "records, campaigns: first\n" in text
         assert "crawl.campaign" in text
 
     @pytest.mark.parametrize("command", ["run", "report"])

@@ -36,7 +36,51 @@ class TestStageProfiler:
         with obs.stage("outer"):
             with obs.stage("inner"):
                 pass
-        assert _rows(obs) == [("inner", 1), ("outer", 0)]
+        assert _rows(obs) == [("outer", 0), ("inner", 1)]
+
+    def test_rows_are_pre_order_over_nested_stages(self):
+        # Parents come before their children, however late they finish;
+        # siblings follow start order; a non-stage span between two
+        # stages neither adds a row nor a level.
+        obs = Observability.from_flags(trace=True, profile=True)
+        with obs.stage("ecosystem"):
+            with obs.stage("ecosystem.plan"):
+                pass
+            with obs.stage("ecosystem.finalize"):
+                pass
+        with obs.stage("crawl"):
+            with obs.span("crawl.campaign"):
+                with obs.stage("crawl.first"):
+                    with obs.stage("crawl.first.parse"):
+                        pass
+            with obs.stage("crawl.recheck"):
+                pass
+        assert _rows(obs) == [
+            ("ecosystem", 0), ("ecosystem.plan", 1), ("ecosystem.finalize", 1),
+            ("crawl", 0), ("crawl.first", 1), ("crawl.first.parse", 2),
+            ("crawl.recheck", 1),
+        ]
+        table = obs.profile_report().splitlines()
+        names = [line.split()[0] for line in table[3:10]]
+        assert names == [
+            "ecosystem", "ecosystem.plan", "ecosystem.finalize", "crawl",
+            "crawl.first", "crawl.first.parse", "crawl.recheck",
+        ]
+        assert table[4].startswith("  ecosystem.plan")
+
+    def test_siblings_sort_by_start_not_completion(self):
+        from repro.obs.profiler import stage_rows
+
+        def span(span_id, name, start, parent=None):
+            return {"kind": "span", "span_id": span_id, "parent_id": parent,
+                    "name": "stage." + name, "wall_start": start,
+                    "wall_seconds": 1.0}
+
+        # Recorded in completion order: the later-started child first.
+        records = [span(3, "b", 20.0, 1), span(2, "a", 10.0, 1), span(1, "root", 0.0)]
+        assert [(r["name"], r["depth"]) for r in stage_rows(records)] == [
+            ("root", 0), ("a", 1), ("b", 1),
+        ]
 
     def test_profile_flag_is_wall_only(self):
         obs = Observability.from_flags(profile=True)

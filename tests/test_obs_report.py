@@ -124,6 +124,23 @@ class TestRenderRunReport:
         assert "breaker transitions:" in report
         assert "oppo: closed -> open (trip 4) QUARANTINED" in report
 
+    def test_campaigns_are_traces_holding_a_crawl_campaign_span(self, tmp_path):
+        from repro.obs.report import _trace_section
+
+        def span(span_id, trace_id, name):
+            return {"kind": "span", "trace_id": trace_id, "span_id": span_id,
+                    "parent_id": None, "name": name, "status": "ok",
+                    "wall_start": 0.0, "wall_seconds": 0.1}
+
+        records = [
+            span(1, "run", "stage.ecosystem"),
+            span(2, "first", "crawl.campaign"),
+            span(3, "first", "stage.report"),
+            span(4, "second", "crawl.campaign"),
+        ]
+        assert _trace_section(records)[0] == "trace: 4 records, campaigns: first, second"
+        assert _trace_section(records[:1])[0] == "trace: 1 records, campaigns: none"
+
     def test_requires_at_least_one_artifact(self):
         with pytest.raises(ValueError):
             render_run_report()

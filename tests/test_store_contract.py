@@ -495,26 +495,3 @@ class TestVaultLoadBudget:
             records += result.snapshot.in_market(market)
         assert parses["decode"] == len(records) == 2 * len(result.snapshot) > 0
         assert parses["json"] == 0
-
-
-def test_minhash_clones_read_each_blob_once(tmp_path, monkeypatch):
-    """MinHash signs the residual blocks clone extraction already holds,
-    so under ``clone_strategy="minhash"`` code clones open each
-    APK-backed unit's blob at most once, as under the default."""
-    result = Study(
-        StudyConfig(
-            **TestVaultLoadBudget.CFG, clone_strategy="minhash", store_dir=str(tmp_path)
-        )
-    ).run()
-    apk_units = sum(1 for unit in result.units if unit.apk_md5 is not None)
-    result.library_detection  # the clone phase's input, read beforehand
-    loads = Counter()
-    load = BlobVault.load
-
-    def counting_load(vault, md5):
-        loads["code_clones"] += 1
-        return load(vault, md5)
-
-    monkeypatch.setattr(BlobVault, "load", counting_load)
-    result.code_clones
-    assert 0 < loads["code_clones"] <= apk_units
